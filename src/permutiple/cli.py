@@ -280,7 +280,8 @@ def _cmd_symmetries(args: argparse.Namespace) -> int:
     results = []
     for phi in phis:
         image = apply_symmetry(record, phi)
-        assert image is not None
+        if image is None:
+            raise RuntimeError("transition-fixing permutation failed to produce a permutiple")
         results.append(
             {"mapping": list(phi.mapping), "equation": serialize.format_equation(image)}
         )

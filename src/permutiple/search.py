@@ -1,10 +1,13 @@
 """Permutiple discovery.
 
-A permutiple string is an accepted machine input whose left and right digit
-components form the same multiset; its inputs always decompose into
-mother-graph cycles.  The search therefore walks multiset combinations of
-cycles, keeps the ones whose multigraph union supports an Eulerian circuit
-through the zero state, and reads permutiples off the circuits.  An
+A permutiple string is an input string the carry machine accepts (a walk
+from carry 0 back to carry 0) whose left and right digit components form
+the same multiset.  ``find`` and ``class`` both search with one kernel,
+:func:`walk_strings`, a pruned walk over the machine.  The paper's cycle
+theory stays as checked mathematics: every such string orders a cycle
+multiset whose multigraph union passes :func:`check_feasible`,
+:func:`eulerian_strings` lists the orderings of a union and
+:func:`count_eulerian_circuits` counts them by the BEST theorem.  An
 independent integer-scan oracle cross-checks the whole pipeline.
 """
 
@@ -13,9 +16,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .digits import (
     DigitString,
@@ -29,7 +31,7 @@ from .errors import (
     ParameterError,
     ScanLimitError,
 )
-from .graphs import DigitCycle, build_mother_graph, enumerate_cycles
+from .graphs import DigitCycle, build_mother_graph
 from .machine import StateMultigraph, transition, walk_states
 
 __all__ = [
@@ -44,7 +46,9 @@ __all__ = [
     "eulerian_strings",
     "feasible_unions",
     "find_permutiples",
+    "group_unions",
     "string_to_permutiple",
+    "walk_strings",
 ]
 
 Pair = tuple[int, int]
@@ -80,23 +84,11 @@ class CycleMultiset:
         support = sorted((c for c, m in counts.items() if m), key=lambda c: c.vertices)
         return cls(tuple(support), tuple(counts[c] for c in support))
 
-    @property
-    def total_edges(self) -> int:
-        return sum(m * len(c) for c, m in zip(self.cycles, self.multiplicities))
-
     def edge_counter(self) -> Counter:
         counts: Counter = Counter()
         for cycle, mult in zip(self.cycles, self.multiplicities):
             for edge in cycle.edges:
                 counts[edge] += mult
-        return counts
-
-    def left_digit_counter(self) -> Counter:
-        """Multiset of left components, which is also the vertex multiset."""
-        counts: Counter = Counter()
-        for cycle, mult in zip(self.cycles, self.multiplicities):
-            for v in cycle.vertices:
-                counts[v] += mult
         return counts
 
     def multigraph(self, multiplier: int, base: int) -> StateMultigraph:
@@ -111,15 +103,15 @@ class CycleMultiset:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """A found permutiple together with its input string and cycle origin."""
+    """A found permutiple together with its input string."""
 
     record: PermutipleRecord
     string: InputString
-    cycle_multiset: CycleMultiset
 
-    def __post_init__(self) -> None:
-        if Counter(self.string) != self.cycle_multiset.edge_counter():
-            raise ParameterError("input string does not match the cycle multiset")
+    @property
+    def cycle_multiset(self) -> CycleMultiset:
+        """The string's cycle decomposition, computed on each access."""
+        return decompose_into_cycles(self.string, self.record.base)
 
 
 def check_feasible(delta: StateMultigraph) -> bool:
@@ -313,81 +305,130 @@ def string_to_permutiple(inputs: Sequence[Pair], multiplier: int, base: int) -> 
     record = verify_permutiple(digits, sigma, multiplier)
     if record is None:
         raise RuntimeError("accepted balanced string failed digit verification")
-    return SearchResult(record, inputs, decompose_into_cycles(inputs, base))
+    return SearchResult(record, inputs)
 
 
-def _cycle_combinations(
-    inventory: Sequence[DigitCycle], total: int
-) -> Iterator[Counter]:
-    """All cycle multisets over ``inventory`` with edge total ``total``.
+def walk_strings(
+    multiplier: int,
+    base: int,
+    length: int,
+    edges: Iterable[Pair],
+    left_digits: Sequence[int] | None = None,
+) -> list[InputString]:
+    """Every permutiple string of ``length`` inputs drawn from ``edges``.
 
-    Cycles are grouped by length; for each way of splitting the budget
-    across lengths, cycles within a length bucket are chosen as multisets.
-    Yields sparse counters in a deterministic order.
+    Walks the carry machine from carry 0 and accepts exactly the strings
+    that end at carry 0 with every digit balanced (used as often on the left
+    as on the right).  A walk state (carry, steps left, balance vector) is
+    pruned when the carry's distance back to 0, or the positive part of the
+    balance, exceeds the steps left, and is remembered as dead once nothing
+    below it is accepted.  ``left_digits`` pins the multiset of left
+    components.  The stack is explicit, so recursion depth does not grow
+    with ``length``.  Strings come out in lexicographic order, each one a
+    distinct (digits, preimage) pair.
     """
-    by_length: dict[int, list[DigitCycle]] = {}
-    for cycle in inventory:
-        by_length.setdefault(len(cycle), []).append(cycle)
-    lengths = sorted(by_length)
+    n, k = multiplier, length
+    if not 1 < n < base:
+        raise ParameterError(f"multiplier must satisfy 1 < n < base; got n={n}, base={base}")
+    if k < 1 or (left_digits is not None and len(left_digits) != k):
+        raise ParameterError(f"length must be at least 1 and match the pinned digits; got {k}")
+    edges = sorted(set(edges))
+    digits = sorted({d for edge in edges for d in edge})
+    index = {d: i for i, d in enumerate(digits)}
+    left = [k if left_digits is None else left_digits.count(d) for d in digits]
+    if left_digits is not None and sum(left) != k:
+        return []  # a pinned digit lies on none of the edges
 
-    def split(level: int, budget: int, chosen: list[DigitCycle]) -> Iterator[Counter]:
-        if budget == 0:
-            yield Counter(chosen)
-            return
-        if level == len(lengths):
-            return
-        length = lengths[level]
-        bucket = by_length[length]
-        for take in range(budget // length + 1):
-            if take == 0:
-                yield from split(level + 1, budget, chosen)
-            else:
-                for combo in combinations_with_replacement(bucket, take):
-                    chosen.extend(combo)
-                    yield from split(level + 1, budget - take * length, chosen)
-                    del chosen[-take:]
+    # Balance entries lie in -k..k and left-use counts in 0..k, so powers of
+    # 2k+1 pack the balance (and, when pinned, the left uses above it) into
+    # one int that each input shifts by a fixed step; the memo keys on it.
+    width = 2 * k + 1
+    by_source: list[list[tuple[Pair, int, int, int, int]]] = [[] for _ in range(n)]
+    for edge in edges:
+        c1, c2 = transition(edge, n, base)
+        x, y = index[edge[0]], index[edge[1]]
+        pinned = width ** (len(digits) + x) if left_digits is not None else 0
+        by_source[c1].append((edge, c2, x, y, width**x - width**y + pinned))
+    distance = [0] + [k + 1] * (n - 1)  # inputs needed to get back to carry 0
+    for _ in range(n):
+        for c1, options in enumerate(by_source):
+            for option in options:
+                distance[c1] = min(distance[c1], distance[option[1]] + 1)
 
-    yield from split(0, total, [])
+    out: list[InputString] = []
+    path: list[Pair] = []
+    balance = [0] * len(digits)
+    dead: set[int] = set()
+    # frame: untried inputs, packed code, positive part of the balance, whether
+    # anything below was accepted, digit indices of the input in, memo key
+    stack: list[list] = [[iter(by_source[0]), 0, 0, False, 0, 0, 0]]
+    while stack:
+        frame = stack[-1]
+        code, surplus, steps = frame[1], frame[2], k - len(path)
+        for edge, c2, x, y, step in frame[0]:
+            after = surplus + (balance[x] >= 0) - (balance[y] > 0) if x != y else surplus
+            if distance[c2] >= steps or after >= steps or not left[x]:
+                continue
+            if steps == 1:
+                out.append((*path, edge))
+                frame[3] = True
+                continue
+            key = ((code + step) * k + steps - 1) * n + c2
+            if key in dead:
+                continue
+            balance[x] += 1
+            balance[y] -= 1
+            left[x] -= 1
+            path.append(edge)
+            stack.append([iter(by_source[c2]), code + step, after, False, x, y, key])
+            break
+        else:
+            stack.pop()
+            if stack:
+                x, y = frame[4], frame[5]
+                balance[x] -= 1
+                balance[y] += 1
+                left[x] += 1
+                path.pop()
+                if frame[3]:
+                    stack[-1][3] = True
+                else:
+                    dead.add(frame[6])
+    return out
 
 
-@lru_cache(maxsize=None)
+def group_unions(
+    strings: Iterable[InputString], multiplier: int, base: int
+) -> list[tuple[CycleMultiset, StateMultigraph]]:
+    """The distinct edge multisets of ``strings``, sorted, each as a cycle
+    decomposition together with its multigraph union."""
+    out = []
+    for key in sorted({tuple(sorted(s)) for s in strings}):
+        multiset = decompose_into_cycles(key, base)
+        out.append((multiset, multiset.multigraph(multiplier, base)))
+    return out
+
+
 def feasible_unions(
     multiplier: int, base: int, length: int
-) -> tuple[tuple[CycleMultiset, StateMultigraph], ...]:
+) -> list[tuple[CycleMultiset, StateMultigraph]]:
     """Every feasible cycle multiset with ``length`` edges, with its union.
 
-    Combinations that repeat an already-seen edge multiset are skipped;
-    distinct decompositions of one multiset would only replay the same
-    strings.
+    The search's strings grouped by edge multiset: by the feasibility
+    criterion these are exactly the edge multisets whose union passes
+    :func:`check_feasible`, one decomposition each.
     """
-    n, b = multiplier, base
-    if not 1 < n < b:
-        raise ParameterError(f"multiplier must satisfy 1 < n < base; got n={n}, base={b}")
-    if length < 1:
-        raise ParameterError("length must be at least 1")
-    mother = build_mother_graph(n, b)
-    inventory = enumerate_cycles(mother, max_length=length)
-    seen: set[tuple[Pair, ...]] = set()
-    out = []
-    for counts in _cycle_combinations(inventory, length):
-        multiset = CycleMultiset.from_counts(counts)
-        key = tuple(sorted(multiset.edge_counter().elements()))
-        if key in seen:
-            continue
-        seen.add(key)
-        delta = multiset.multigraph(n, b)
-        if check_feasible(delta):
-            out.append((multiset, delta))
-    return tuple(out)
+    strings = (r.string for r in _search_all(multiplier, base, length))
+    return group_unions(strings, multiplier, base)
 
 
 @lru_cache(maxsize=None)
 def _search_all(multiplier: int, base: int, length: int) -> tuple[SearchResult, ...]:
-    results = []
-    for multiset, delta in feasible_unions(multiplier, base, length):
-        for string in eulerian_strings(delta):
-            found = string_to_permutiple(string, multiplier, base)
-            results.append(SearchResult(found.record, string, multiset))
+    edges = build_mother_graph(multiplier, base).edges
+    results = [
+        string_to_permutiple(string, multiplier, base)
+        for string in walk_strings(multiplier, base, length, edges)
+    ]
     results.sort(key=lambda r: r.record.key)
     return tuple(results)
 
@@ -397,10 +438,10 @@ def find_permutiples(
 ) -> list[SearchResult]:
     """All permutiples with ``length`` digits for the multiplier/base pair.
 
-    Complete: every permutiple string is an ordering of a cycle multiset
-    whose multigraph union is feasible, and every feasible union is
-    expanded.  Results are deduplicated by digit/preimage sequences and
-    sorted by display digits.
+    Runs :func:`walk_strings` over every mother-graph input; each accepted
+    string is one equation, so the results need no deduplication.  They
+    are sorted by display digits, and zero-led ones are dropped unless
+    ``allow_leading_zero``.
     """
     results = _search_all(multiplier, base, length)
     if allow_leading_zero:
@@ -409,18 +450,8 @@ def find_permutiples(
 
 
 @lru_cache(maxsize=None)
-def _oracle_all(
-    multiplier: int, base: int, length: int, scan_limit: int
-) -> tuple[PermutipleRecord, ...]:
+def _oracle_all(multiplier: int, base: int, length: int) -> tuple[PermutipleRecord, ...]:
     n, b = multiplier, base
-    if not 1 < n < b:
-        raise ParameterError(f"multiplier must satisfy 1 < n < base; got n={n}, base={b}")
-    if length < 1:
-        raise ParameterError("length must be at least 1")
-    if b**length > scan_limit:
-        raise ScanLimitError(
-            f"scan of {b}**{length} digit strings exceeds the limit {scan_limit}"
-        )
     records = []
     top = b**length - 1
     for q in range(top // n + 1):
@@ -430,7 +461,8 @@ def _oracle_all(
         if digits.multiset() != preimage.multiset():
             continue
         sigma = canonical_sigma(digits, preimage)
-        assert sigma is not None
+        if sigma is None:
+            raise RuntimeError(f"oracle hit {v} = {n} * {q} has no digit bijection")
         record = verify_permutiple(digits, sigma, n)
         if record is None:
             raise RuntimeError(f"oracle hit {v} = {n} * {q} but verification failed")
@@ -449,9 +481,19 @@ def brute_force_oracle(
 
     Walks every multiple ``n*q`` below ``base**length`` and keeps those
     whose zero-padded digits are a permutation of the digits of ``q``.
-    Refuses scans beyond ``scan_limit`` candidate strings.
+    Refuses scans beyond ``scan_limit`` candidate strings, also when the
+    scan is already cached.
     """
-    records = _oracle_all(multiplier, base, length, scan_limit)
+    n, b = multiplier, base
+    if not 1 < n < b:
+        raise ParameterError(f"multiplier must satisfy 1 < n < base; got n={n}, base={b}")
+    if length < 1:
+        raise ParameterError("length must be at least 1")
+    if b**length > scan_limit:
+        raise ScanLimitError(
+            f"scan of {b}**{length} digit strings exceeds the limit {scan_limit}"
+        )
+    records = _oracle_all(n, b, length)
     if allow_leading_zero:
         return list(records)
     return [r for r in records if r.canonical]

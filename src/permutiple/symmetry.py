@@ -25,12 +25,7 @@ from .graphs import (
     is_cycle_union,
 )
 from .machine import StateGraph, StateMultigraph, cycle_image, union_images
-from .search import (
-    CycleMultiset,
-    check_feasible,
-    eulerian_strings,
-    string_to_permutiple,
-)
+from .search import CycleMultiset, group_unions, string_to_permutiple, walk_strings
 
 __all__ = [
     "ClassSpec",
@@ -341,46 +336,10 @@ def class_unions(
     record: PermutipleRecord,
 ) -> list[tuple[CycleMultiset, StateMultigraph]]:
     """Feasible cycle multisets of the record's class graph whose left
-    components reproduce the record's digit multiset."""
-    n, b = record.multiplier, record.base
-    graph = graph_of_permutiple(record)
-    cycles = enumerate_cycles(graph)
-    target = Counter(record.digits.digits)
-
-    solutions: list[Counter] = []
-    chosen: Counter = Counter()
-
-    def solve(idx: int, remaining: Counter) -> None:
-        if not remaining:
-            solutions.append(Counter(chosen))
-            return
-        if idx == len(cycles):
-            return
-        cycle = cycles[idx]
-        need = Counter(cycle.vertices)
-        max_mult = min(remaining[v] // need[v] for v in need)
-        for mult in range(max_mult + 1):
-            if mult:
-                chosen[cycle] = mult
-            rest = remaining - Counter({v: c * mult for v, c in need.items()})
-            rest = +rest
-            solve(idx + 1, rest)
-        chosen.pop(cycle, None)
-
-    solve(0, target)
-
-    seen: set[tuple[Pair, ...]] = set()
-    out = []
-    for counts in solutions:
-        multiset = CycleMultiset.from_counts(counts)
-        key = tuple(sorted(multiset.edge_counter().elements()))
-        if key in seen:
-            continue
-        seen.add(key)
-        delta = multiset.multigraph(n, b)
-        if check_feasible(delta):
-            out.append((multiset, delta))
-    return out
+    components reproduce the record's digit multiset: the class members'
+    strings grouped by edge multiset."""
+    members = enumerate_class_members(record)
+    return group_unions((m.string for m in members), record.multiplier, record.base)
 
 
 def enumerate_class_members(
@@ -389,17 +348,13 @@ def enumerate_class_members(
     """All permutiples sharing the record's digit multiset whose graph is a
     subgraph of the record's class graph.
 
-    Complete: a member's input string is an ordering of a cycle multiset of
-    the class graph whose left components are exactly the digit multiset,
-    and every feasible such multiset is expanded into all of its strings.
+    Runs :func:`walk_strings` over the class graph's edges with the left
+    digit multiset pinned to the record's: every member's input string is
+    such a walk and each walk is one member, sorted by display digits.
     """
-    n, b = record.multiplier, record.base
-    found: dict[tuple, PermutipleRecord] = {}
-    for _, delta in class_unions(record):
-        for string in eulerian_strings(delta):
-            member = string_to_permutiple(string, n, b).record
-            found.setdefault(member.key, member)
-    members = [found[key] for key in sorted(found)]
+    n, b, edges = record.multiplier, record.base, graph_of_permutiple(record).edges
+    strings = walk_strings(n, b, len(record), edges, record.digits.digits)
+    members = sorted((string_to_permutiple(s, n, b).record for s in strings), key=lambda m: m.key)
     if allow_leading_zero:
         return members
     return [m for m in members if m.canonical]

@@ -7,12 +7,19 @@ Equations are stored display-first (most significant digit first) as
 from __future__ import annotations
 
 from collections import Counter
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 from permutiple import (
+    CycleMultiset,
     DigitString,
     PermutipleRecord,
+    build_mother_graph,
     canonical_sigma,
+    check_feasible,
+    enumerate_cycles,
+    eulerian_strings,
+    graph_of_permutiple,
+    string_to_permutiple,
     verify_permutiple,
     walk_states,
 )
@@ -66,6 +73,111 @@ def is_permutiple_string(inputs, multiplier: int, base: int) -> bool:
     except WalkError:
         return False
     return Counter(d1 for d1, _ in inputs) == Counter(d2 for _, d2 in inputs)
+
+
+# ---------------------------------------------------------------------------
+# Reference engine: permutiple strings as Eulerian circuits of feasible cycle
+# multisets, the paper's construction.  The library searches with the
+# carry-machine walk instead; tests compare the two.
+
+
+def cycle_combinations(inventory, total):
+    """All cycle multisets over ``inventory`` with edge total ``total``.
+
+    Cycles are grouped by length; for each way of splitting the budget
+    across lengths, cycles within a length bucket are chosen as multisets.
+    Yields sparse counters in a deterministic order.
+    """
+    by_length = {}
+    for cycle in inventory:
+        by_length.setdefault(len(cycle), []).append(cycle)
+    lengths = sorted(by_length)
+
+    def split(level, budget, chosen):
+        if budget == 0:
+            yield Counter(chosen)
+            return
+        if level == len(lengths):
+            return
+        length = lengths[level]
+        bucket = by_length[length]
+        for take in range(budget // length + 1):
+            if take == 0:
+                yield from split(level + 1, budget, chosen)
+            else:
+                for combo in combinations_with_replacement(bucket, take):
+                    chosen.extend(combo)
+                    yield from split(level + 1, budget - take * length, chosen)
+                    del chosen[-take:]
+
+    yield from split(0, total, [])
+
+
+def _feasible_distinct(solutions, multiplier, base):
+    """Feasible unions of the given cycle counters, one per edge multiset."""
+    seen = set()
+    out = []
+    for counts in solutions:
+        multiset = CycleMultiset.from_counts(counts)
+        key = tuple(sorted(multiset.edge_counter().elements()))
+        if key in seen:
+            continue
+        seen.add(key)
+        delta = multiset.multigraph(multiplier, base)
+        if check_feasible(delta):
+            out.append((multiset, delta))
+    return out
+
+
+def reference_feasible_unions(multiplier, base, length):
+    """Every feasible cycle multiset of the mother graph with ``length`` edges."""
+    inventory = enumerate_cycles(build_mother_graph(multiplier, base), max_length=length)
+    return _feasible_distinct(cycle_combinations(inventory, length), multiplier, base)
+
+
+def reference_strings(multiplier, base, length):
+    """All permutiple strings of ``length`` inputs, sorted, via Eulerian circuits."""
+    strings = []
+    for _, delta in reference_feasible_unions(multiplier, base, length):
+        strings.extend(eulerian_strings(delta))
+    return sorted(strings)
+
+
+def reference_class_unions(record):
+    """Feasible cycle multisets of the record's class graph whose vertex
+    multiset is the record's digit multiset."""
+    cycles = enumerate_cycles(graph_of_permutiple(record))
+    solutions = []
+    chosen = Counter()
+
+    def solve(idx, remaining):
+        if not remaining:
+            solutions.append(Counter(chosen))
+            return
+        if idx == len(cycles):
+            return
+        cycle = cycles[idx]
+        need = Counter(cycle.vertices)
+        max_mult = min(remaining[v] // need[v] for v in need)
+        for mult in range(max_mult + 1):
+            if mult:
+                chosen[cycle] = mult
+            rest = remaining - Counter({v: c * mult for v, c in need.items()})
+            solve(idx + 1, +rest)
+        chosen.pop(cycle, None)
+
+    solve(0, Counter(record.digits.digits))
+    return _feasible_distinct(solutions, record.multiplier, record.base)
+
+
+def reference_class_members(record):
+    """Class members read off the Eulerian circuits of the class unions."""
+    found = {}
+    for _, delta in reference_class_unions(record):
+        for string in eulerian_strings(delta):
+            member = string_to_permutiple(string, record.multiplier, record.base).record
+            found.setdefault(member.key, member)
+    return [found[key] for key in sorted(found)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permutiple import (
     DigitCycle,
@@ -13,6 +15,7 @@ from permutiple import (
     count_eulerian_circuits,
     decompose_into_cycles,
     duplicate_label_factor,
+    enumerate_class_members,
     eulerian_strings,
     find_permutiples,
     multi_image,
@@ -20,9 +23,19 @@ from permutiple import (
     string_to_permutiple,
 )
 from permutiple.machine import empty_state_multigraph
-from permutiple.search import feasible_unions
+from permutiple.search import _oracle_all, feasible_unions, walk_strings
+from permutiple.symmetry import class_unions
 
-from helpers import distinct_orderings, is_permutiple_string, make_record
+from helpers import (
+    cycle_combinations,
+    distinct_orderings,
+    is_permutiple_string,
+    make_record,
+    reference_class_members,
+    reference_class_unions,
+    reference_feasible_unions,
+    reference_strings,
+)
 
 
 def images_4_10():
@@ -102,12 +115,12 @@ class TestEulerianStrings:
         # feasibility is exactly the existence criterion: sweep every cycle
         # multiset with a small edge total and exhaust the infeasible ones
         from permutiple.graphs import build_mother_graph, enumerate_cycles
-        from permutiple.search import CycleMultiset, _cycle_combinations, check_feasible
+        from permutiple.search import CycleMultiset, check_feasible
 
         refuted = 0
         for n, b, total in [(3, 4, 4), (3, 4, 5), (4, 10, 4)]:
             inventory = enumerate_cycles(build_mother_graph(n, b), max_length=total)
-            for counts in _cycle_combinations(inventory, total):
+            for counts in cycle_combinations(inventory, total):
                 multiset = CycleMultiset.from_counts(counts)
                 delta = multiset.multigraph(n, b)
                 if check_feasible(delta):
@@ -231,6 +244,18 @@ class TestOracle:
         with pytest.raises(ScanLimitError):
             brute_force_oracle(4, 10, 5, scan_limit=10**4)
 
+    def test_one_scan_serves_every_limit(self):
+        _oracle_all.cache_clear()
+        first = brute_force_oracle(3, 7, 3, scan_limit=10**6)
+        second = brute_force_oracle(3, 7, 3, scan_limit=7**3)
+        assert first == second
+        assert _oracle_all.cache_info().misses == 1
+
+    def test_lower_limit_refused_after_cached_scan(self):
+        brute_force_oracle(3, 7, 3)
+        with pytest.raises(ScanLimitError):
+            brute_force_oracle(3, 7, 3, scan_limit=7**3 - 1)
+
 
 class TestCircuitCounts:
     def test_single_loop(self):
@@ -260,3 +285,41 @@ class TestCircuitCounts:
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleUnionError):
             count_eulerian_circuits(unbalanced_six_edge_union())
+
+
+@st.composite
+def small_points(draw):
+    base = draw(st.integers(3, 8))
+    return draw(st.integers(2, base - 1)), base, draw(st.integers(1, 5))
+
+
+class TestWalkKernel:
+    @settings(max_examples=30, deadline=None)
+    @given(point=small_points(), data=st.data())
+    def test_matches_reference_engine_and_oracle(self, point, data):
+        n, b, k = point
+        results = find_permutiples(n, b, k, True)
+        assert sorted(r.string for r in results) == reference_strings(n, b, k)
+        assert [r.record for r in results] == sorted(
+            brute_force_oracle(n, b, k, True), key=lambda r: r.key
+        )
+        assert {d for _, d in feasible_unions(n, b, k)} == {
+            d for _, d in reference_feasible_unions(n, b, k)
+        }
+        record = data.draw(st.sampled_from(results)).record
+        assert enumerate_class_members(record) == reference_class_members(record)
+        assert {d for _, d in class_unions(record)} == {
+            d for _, d in reference_class_unions(record)
+        }
+
+    def test_pinned_digits_outside_the_edges(self):
+        assert walk_strings(4, 10, 2, [(0, 0)], (0, 1)) == []
+
+    def test_pinned_length_mismatch(self):
+        with pytest.raises(ParameterError):
+            walk_strings(4, 10, 3, [(0, 0)], (0, 0))
+
+    def test_depth_beyond_the_recursion_limit(self):
+        # an explicit stack: 3000 steps, past the interpreter's default limit
+        strings = walk_strings(4, 10, 3000, [(0, 0)], (0,) * 3000)
+        assert strings == [((0, 0),) * 3000]

@@ -300,6 +300,13 @@ class TestClassMembers:
             row[2] for row in CONJUGATE_ROWS
         }
 
+    def test_states_differing_only_in_digits_left_to_place(self):
+        # walks reach equal carries, step counts and balances with different
+        # left digits still to place; the pinned search must keep them apart
+        record = make_record(4, 10, (0, 7, 9, 0, 4, 1, 6), (0, 1, 9, 7, 6, 0, 4))
+        values = [m.value() for m in enumerate_class_members(record)]
+        assert values == [167904, 790416, 1607904, 1679040, 7904016, 7904160]
+
     def test_outside_row_verified_but_excluded(self):
         record = make_record(*CONJUGATE_ROWS[0])
         outsider = make_record(*OUTSIDE_ROW)
