@@ -20,7 +20,14 @@ import sys
 from typing import Sequence
 
 from . import serialize
-from .digits import DigitString, Permutation, PermutipleRecord, canonical_sigma, verify_permutiple
+from .digits import (
+    DigitString,
+    Permutation,
+    PermutipleRecord,
+    canonical_sigma,
+    check_multiplier,
+    verify_permutiple,
+)
 from .errors import BFileError, ParameterError, PermutipleError, SeedError
 from .graphs import build_mother_graph
 from .machine import build_state_graph, build_state_multigraph
@@ -44,20 +51,31 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
-_CONFIG_KEYS = {
-    "multiplier",
-    "base",
-    "length",
-    "allow-leading-zero",
-    "format",
-    "output",
-    "scan-limit",
-    "seed",
-}
-
 
 class _UsageError(Exception):
     pass
+
+
+def _str_to_bool(value: str) -> bool:
+    lowered = value.strip().lower()
+    if lowered in {"1", "true", "yes", "on"}:
+        return True
+    if lowered in {"0", "false", "no", "off"}:
+        return False
+    raise _UsageError(f"cannot interpret {value!r} as a boolean")
+
+
+# config file keys, each with the converter of its value
+_CONFIG_KEYS = {
+    "multiplier": int,
+    "base": int,
+    "length": int,
+    "allow-leading-zero": _str_to_bool,
+    "format": str,
+    "output": str,
+    "scan-limit": int,
+    "seed": str,
+}
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -79,33 +97,14 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
-def _str_to_bool(value: str) -> bool:
-    lowered = value.strip().lower()
-    if lowered in {"1", "true", "yes", "on"}:
-        return True
-    if lowered in {"0", "false", "no", "off"}:
-        return False
-    raise _UsageError(f"cannot interpret {value!r} as a boolean")
-
-
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     """Fill unset flags from the config file and the environment."""
     config = _read_config(args.config) if getattr(args, "config", None) else {}
-    converters = {
-        "multiplier": int,
-        "base": int,
-        "length": int,
-        "allow-leading-zero": _str_to_bool,
-        "format": str,
-        "output": str,
-        "scan-limit": int,
-        "seed": str,
-    }
     for key, value in config.items():
         attr = key.replace("-", "_")
         if hasattr(args, attr) and getattr(args, attr) is None:
             try:
-                setattr(args, attr, converters[key](value))
+                setattr(args, attr, _CONFIG_KEYS[key](value))
             except ValueError as exc:
                 raise _UsageError(f"config key {key}: {exc}") from exc
     if hasattr(args, "scan_limit") and args.scan_limit is None:
@@ -122,13 +121,6 @@ def _require(args: argparse.Namespace, *names: str) -> None:
     for name in names:
         if getattr(args, name) is None:
             raise _UsageError(f"--{name.replace('_', '-')} is required")
-
-
-def _check_pair(multiplier: int, base: int) -> None:
-    if not 1 < multiplier < base:
-        raise _UsageError(
-            f"multiplier must satisfy 1 < n < base; got n={multiplier}, base={base}"
-        )
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -159,35 +151,23 @@ def _seed_record(args: argparse.Namespace) -> PermutipleRecord:
 
 def _cmd_graph(args: argparse.Namespace) -> int:
     _require(args, "multiplier", "base")
-    _check_pair(args.multiplier, args.base)
+    check_multiplier(args.multiplier, args.base)
     fmt = args.format or "dot"
-    if args.command == "mother-graph":
-        graph = build_mother_graph(args.multiplier, args.base)
-        renderers = {
-            "dot": lambda: serialize.digit_graph_to_dot(
-                graph, f"mother_{args.multiplier}_{args.base}"
-            ),
-            "json": lambda: serialize.digit_graph_to_json(graph),
-            "text": lambda: serialize.digit_graph_to_text(graph),
-        }
-    elif args.command == "hs-graph":
-        sg = build_state_graph(args.multiplier, args.base)
-        renderers = {
-            "dot": lambda: serialize.state_graph_to_dot(
-                sg, f"machine_{args.multiplier}_{args.base}"
-            ),
-            "json": lambda: serialize.state_graph_to_json(sg),
-            "text": lambda: serialize.state_graph_to_text(sg),
-        }
-    else:
-        mg = build_state_multigraph(args.multiplier, args.base)
-        renderers = {
-            "dot": lambda: serialize.state_multigraph_to_dot(
-                mg, f"machine_{args.multiplier}_{args.base}"
-            ),
-            "json": lambda: serialize.state_multigraph_to_json(mg),
-            "text": lambda: serialize.state_multigraph_to_text(mg),
-        }
+    # command: builder, DOT name prefix, and the dot, json and text renderers
+    build, prefix, to_dot, to_json, to_text = {
+        "mother-graph": (build_mother_graph, "mother", serialize.digit_graph_to_dot,
+                         serialize.digit_graph_to_json, serialize.digit_graph_to_text),
+        "hs-graph": (build_state_graph, "machine", serialize.state_graph_to_dot,
+                     serialize.state_graph_to_json, serialize.state_graph_to_text),
+        "hs-multigraph": (build_state_multigraph, "machine", serialize.state_multigraph_to_dot,
+                          serialize.state_multigraph_to_json, serialize.state_multigraph_to_text),
+    }[args.command]
+    graph = build(args.multiplier, args.base)
+    renderers = {
+        "dot": lambda: to_dot(graph, f"{prefix}_{args.multiplier}_{args.base}"),
+        "json": lambda: to_json(graph),
+        "text": lambda: to_text(graph),
+    }
     if fmt not in renderers:
         raise _UsageError(f"unknown format {fmt!r}")
     _emit(args, renderers[fmt]())
@@ -196,7 +176,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 def _cmd_find(args: argparse.Namespace) -> int:
     _require(args, "multiplier", "base", "length")
-    _check_pair(args.multiplier, args.base)
+    check_multiplier(args.multiplier, args.base)
     allow = bool(args.allow_leading_zero)
     results = find_permutiples(args.multiplier, args.base, args.length, allow)
     _emit(args, _record_lines(args, [r.record for r in results]))
@@ -205,7 +185,7 @@ def _cmd_find(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     _require(args, "multiplier", "base", "length")
-    _check_pair(args.multiplier, args.base)
+    check_multiplier(args.multiplier, args.base)
     allow = bool(args.allow_leading_zero)
     limit = args.scan_limit if args.scan_limit is not None else DEFAULT_SCAN_LIMIT
     records = brute_force_oracle(args.multiplier, args.base, args.length, allow, limit)
@@ -226,6 +206,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             mapping = tuple(int(part) for part in args.sigma.split(","))
         except ValueError as exc:
             raise _UsageError(f"--sigma: {exc}") from exc
+        if len(mapping) != len(digits):
+            raise _UsageError(f"--sigma has {len(mapping)} entries for {len(digits)} digits")
         sigma = Permutation(mapping)
         if tuple(digits.digits[sigma(j)] for j in range(len(digits))) != preimage.digits:
             _emit(args, json.dumps({"verified": False, "reason": "sigma does not map digits onto the preimage"}) + "\n")
@@ -321,7 +303,7 @@ def _cmd_closure(args: argparse.Namespace) -> int:
 
 def _cmd_oeis_check(args: argparse.Namespace) -> int:
     _require(args, "multiplier", "base", "length")
-    _check_pair(args.multiplier, args.base)
+    check_multiplier(args.multiplier, args.base)
     try:
         with open(args.bfile, encoding="utf-8") as handle:
             entries = serialize.parse_bfile(handle)
@@ -352,9 +334,10 @@ def oeis_report(
                 ours.add(result.record.value())
     our_limit = base**max_length - 1
     derived_limit = max(derived) if derived else -1
-    matches = sorted(set(derived) & ours)
+    derived_set = set(derived)
+    matches = sorted(derived_set & ours)
     misses = sorted(v for v in derived if v <= our_limit and v not in ours)
-    extras = sorted(v for v in ours if v <= derived_limit and v not in set(derived))
+    extras = sorted(v for v in ours if v <= derived_limit and v not in derived_set)
     return {
         "multiplier": multiplier,
         "base": base,

@@ -17,6 +17,7 @@ __all__ = [
     "Permutation",
     "PermutipleRecord",
     "canonical_sigma",
+    "check_multiplier",
     "lambda_residue",
     "verify_permutiple",
 ]
@@ -27,6 +28,14 @@ def lambda_residue(x: int, base: int) -> int:
     if base < 2:
         raise ParameterError(f"base must be at least 2, got {base}")
     return x % base
+
+
+def check_multiplier(multiplier: int, base: int) -> None:
+    """Raise :class:`ParameterError` unless ``1 < multiplier < base``."""
+    if not 1 < multiplier < base:
+        raise ParameterError(
+            f"multiplier must satisfy 1 < n < base; got n={multiplier}, base={base}"
+        )
 
 
 @dataclass(frozen=True)
@@ -174,8 +183,7 @@ class PermutipleRecord:
         n = self.multiplier
         b = self.digits.base
         d = self.digits.digits
-        if not 1 < n < b:
-            raise ParameterError(f"multiplier must satisfy 1 < n < base; got n={n}, base={b}")
+        check_multiplier(n, b)
         if self.sigma.size != len(d):
             raise ParameterError("permutation size must match the digit count")
         c = self.carries
@@ -237,8 +245,7 @@ def verify_permutiple(
     """
     b = digits.base
     n = multiplier
-    if not 1 < n < b:
-        raise ParameterError(f"multiplier must satisfy 1 < n < base; got n={n}, base={b}")
+    check_multiplier(n, b)
     if sigma.size != len(digits):
         raise ParameterError("permutation size must match the digit count")
     d = digits.digits

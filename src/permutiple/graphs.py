@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Callable, Hashable, Iterable
 
-from .digits import PermutipleRecord, lambda_residue
+from .digits import PermutipleRecord, check_multiplier, lambda_residue
 from .errors import ParameterError
 
 __all__ = [
@@ -116,8 +116,7 @@ def build_mother_graph(multiplier: int, base: int) -> DigitGraph:
     ``lambda_residue(d1 + (base-multiplier)*d2, base) <= multiplier - 1``.
     """
     n, b = multiplier, base
-    if not 1 < n < b:
-        raise ParameterError(f"multiplier must satisfy 1 < n < base; got n={n}, base={b}")
+    check_multiplier(n, b)
     edges = frozenset(
         (d1, d2)
         for d1 in range(b)

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .digits import lambda_residue
+from .digits import check_multiplier, lambda_residue
 from .errors import ParameterError, WalkError
 from .graphs import DigitCycle, build_mother_graph, strongly_connected_components
 
@@ -22,6 +22,7 @@ __all__ = [
     "build_state_graph",
     "build_state_multigraph",
     "cycle_image",
+    "edge_image",
     "empty_state_graph",
     "empty_state_multigraph",
     "multi_image",
@@ -44,8 +45,7 @@ def transition(edge: Pair, multiplier: int, base: int) -> Pair:
     :class:`ParameterError` when the edge fails the mother-graph inequality.
     """
     n, b = multiplier, base
-    if not 1 < n < b:
-        raise ParameterError(f"multiplier must satisfy 1 < n < base; got n={n}, base={b}")
+    check_multiplier(n, b)
     d1, d2 = edge
     if not (0 <= d1 < b and 0 <= d2 < b):
         raise ParameterError(f"edge ({d1},{d2}) out of range for base {b}")
@@ -59,6 +59,18 @@ def transition(edge: Pair, multiplier: int, base: int) -> Pair:
     if not 0 <= c2 <= n - 1:
         raise RuntimeError(f"carry transition for ({d1},{d2}) left 0..{n - 1}")
     return c1, c2
+
+
+def _strongly_connected(states: Iterable[int], pairs: Iterable[Pair]) -> bool:
+    """Whether the state pairs connect the nonempty state set into one component."""
+    nodes = sorted(states)
+    if not nodes:
+        return False
+    succ: dict[int, set[int]] = {c: set() for c in nodes}
+    for c1, c2 in pairs:
+        succ[c1].add(c2)
+    components = strongly_connected_components(nodes, lambda c: sorted(succ[c]))
+    return len(components) == 1
 
 
 @dataclass(frozen=True)
@@ -85,8 +97,7 @@ class StateGraph:
         edge_labels: Mapping[Pair, Iterable[Pair]],
     ) -> "StateGraph":
         n, b = multiplier, base
-        if not 1 < n < b:
-            raise ParameterError(f"multiplier must satisfy 1 < n < base; got n={n}, base={b}")
+        check_multiplier(n, b)
         state_set = frozenset(states)
         for c in state_set:
             if not 0 <= c <= n - 1:
@@ -128,14 +139,7 @@ class StateGraph:
         return StateGraph.make(n, b, (n - 1 - c for c in self.states), edge_labels)
 
     def is_strongly_connected(self) -> bool:
-        nodes = sorted(self.states)
-        if not nodes:
-            return False
-        succ: dict[int, set[int]] = {c: set() for c in nodes}
-        for (c1, c2), _ in self.edges:
-            succ[c1].add(c2)
-        components = strongly_connected_components(nodes, lambda c: sorted(succ[c]))
-        return len(components) == 1
+        return _strongly_connected(self.states, (pair for pair, _ in self.edges))
 
 
 @dataclass(frozen=True)
@@ -152,8 +156,7 @@ class StateMultigraph:
         cls, multiplier: int, base: int, triples: Iterable[tuple[int, int, Pair]]
     ) -> "StateMultigraph":
         n, b = multiplier, base
-        if not 1 < n < b:
-            raise ParameterError(f"multiplier must satisfy 1 < n < base; got n={n}, base={b}")
+        check_multiplier(n, b)
         normalized = []
         for c1, c2, (d1, d2) in triples:
             if b * c2 != n * d2 - d1 + c1:
@@ -189,14 +192,7 @@ class StateMultigraph:
         )
 
     def is_strongly_connected(self) -> bool:
-        nodes = sorted(self.states())
-        if not nodes:
-            return False
-        succ: dict[int, set[int]] = {c: set() for c in nodes}
-        for c1, c2, _ in self.edges:
-            succ[c1].add(c2)
-        components = strongly_connected_components(nodes, lambda c: sorted(succ[c]))
-        return len(components) == 1
+        return _strongly_connected(self.states(), ((c1, c2) for c1, c2, _ in self.edges))
 
 
 def empty_state_graph(multiplier: int, base: int) -> StateGraph:
@@ -212,11 +208,8 @@ def build_state_graph(multiplier: int, base: int) -> StateGraph:
 
     All states 0..n-1 are retained even if some end up isolated.
     """
-    mother = build_mother_graph(multiplier, base)
-    grouped: dict[Pair, list[Pair]] = {}
-    for edge in mother.sorted_edges:
-        grouped.setdefault(transition(edge, multiplier, base), []).append(edge)
-    return StateGraph.make(multiplier, base, range(multiplier), grouped)
+    image = edge_image(build_mother_graph(multiplier, base).edges, multiplier, base)
+    return StateGraph.make(multiplier, base, range(multiplier), image.label_map())
 
 
 def build_state_multigraph(multiplier: int, base: int) -> StateMultigraph:
@@ -229,19 +222,25 @@ def build_state_multigraph(multiplier: int, base: int) -> StateMultigraph:
     return StateMultigraph.make(multiplier, base, triples)
 
 
-def cycle_image(cycle: DigitCycle, multiplier: int, base: int) -> StateGraph:
-    """The labeled subgraph traced by one mother-graph cycle.
+def edge_image(edges: Iterable[Pair], multiplier: int, base: int) -> StateGraph:
+    """The labeled subgraph traced by a set of mother-graph edges.
 
-    States with neither in- nor out-edges are dropped.
+    Each edge becomes a label on its transition's state pair; states with
+    neither in- nor out-edges are dropped.
     """
     grouped: dict[Pair, list[Pair]] = {}
     incident: set[int] = set()
-    for edge in cycle.edges:
+    for edge in edges:
         c1, c2 = transition(edge, multiplier, base)
         grouped.setdefault((c1, c2), []).append(edge)
         incident.add(c1)
         incident.add(c2)
     return StateGraph.make(multiplier, base, incident, grouped)
+
+
+def cycle_image(cycle: DigitCycle, multiplier: int, base: int) -> StateGraph:
+    """The labeled subgraph traced by one mother-graph cycle."""
+    return edge_image(cycle.edges, multiplier, base)
 
 
 def multi_image(cycle: DigitCycle, multiplier: int, base: int) -> StateMultigraph:
@@ -299,7 +298,7 @@ def walk_states(
 
     Succeeds (the string is accepted) iff each input's forced source carry
     matches the current state and the final state is 0; the returned tuple
-    is the full carry sequence c_0 .. c_{k+1}.  A mismatch raises
+    holds the k+1 carries c_0 .. c_k of a k-input string.  A mismatch raises
     :class:`WalkError` carrying the index of the first inconsistent
     transition (``len(inputs)`` for a nonzero final state); inputs outside
     the mother graph raise :class:`ParameterError`.

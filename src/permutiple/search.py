@@ -23,6 +23,7 @@ from .digits import (
     DigitString,
     PermutipleRecord,
     canonical_sigma,
+    check_multiplier,
     verify_permutiple,
 )
 from .errors import (
@@ -289,12 +290,14 @@ def string_to_permutiple(inputs: Sequence[Pair], multiplier: int, base: int) -> 
 
     The left components become the digits, the right components the
     preimage; the permutation is the lexicographically smallest bijection
-    matching them.  Raises :class:`WalkError` when the string is not
-    accepted and :class:`MultisetMismatchError` when the two component
-    multisets differ.
+    matching them, and the carries are the states of the string's walk.
+    The record checks the carry recurrence at every position, which proves
+    digits = multiplier * preimage.  Raises :class:`WalkError` when the
+    string is not accepted and :class:`MultisetMismatchError` when the two
+    component multisets differ.
     """
     inputs = tuple(inputs)
-    walk_states(inputs, multiplier, base)
+    carries = walk_states(inputs, multiplier, base)
     digits = DigitString(base, tuple(d1 for d1, _ in inputs))
     preimage = DigitString(base, tuple(d2 for _, d2 in inputs))
     sigma = canonical_sigma(digits, preimage)
@@ -302,10 +305,7 @@ def string_to_permutiple(inputs: Sequence[Pair], multiplier: int, base: int) -> 
         raise MultisetMismatchError(
             "left and right digit multisets differ; accepted string is not a permutiple string"
         )
-    record = verify_permutiple(digits, sigma, multiplier)
-    if record is None:
-        raise RuntimeError("accepted balanced string failed digit verification")
-    return SearchResult(record, inputs)
+    return SearchResult(PermutipleRecord(multiplier, digits, sigma, carries), inputs)
 
 
 def walk_strings(
@@ -328,8 +328,7 @@ def walk_strings(
     distinct (digits, preimage) pair.
     """
     n, k = multiplier, length
-    if not 1 < n < base:
-        raise ParameterError(f"multiplier must satisfy 1 < n < base; got n={n}, base={base}")
+    check_multiplier(n, base)
     if k < 1 or (left_digits is not None and len(left_digits) != k):
         raise ParameterError(f"length must be at least 1 and match the pinned digits; got {k}")
     edges = sorted(set(edges))
@@ -485,8 +484,7 @@ def brute_force_oracle(
     scan is already cached.
     """
     n, b = multiplier, base
-    if not 1 < n < b:
-        raise ParameterError(f"multiplier must satisfy 1 < n < base; got n={n}, base={b}")
+    check_multiplier(n, b)
     if length < 1:
         raise ParameterError("length must be at least 1")
     if b**length > scan_limit:

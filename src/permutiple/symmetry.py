@@ -17,14 +17,8 @@ from typing import Iterator, Sequence
 
 from .digits import DigitString, Permutation, PermutipleRecord, verify_permutiple
 from .errors import MultisetMismatchError, NoReflectionError, ParameterError, WalkError
-from .graphs import (
-    DigitGraph,
-    build_mother_graph,
-    enumerate_cycles,
-    graph_of_permutiple,
-    is_cycle_union,
-)
-from .machine import StateGraph, StateMultigraph, cycle_image, union_images
+from .graphs import DigitGraph, build_mother_graph, graph_of_permutiple, is_cycle_union
+from .machine import StateGraph, StateMultigraph, edge_image
 from .search import CycleMultiset, group_unions, string_to_permutiple, walk_strings
 
 __all__ = [
@@ -147,15 +141,18 @@ class ClassSpec:
 
     @classmethod
     def from_graph(cls, multiplier: int, graph: DigitGraph) -> "ClassSpec":
+        """The class of ``graph``, a nonempty union of mother-graph cycles.
+
+        Every edge of a cycle union lies on one of its simple cycles, so the
+        union of the cycle images is the image of the edge set itself.
+        """
         n, b = multiplier, graph.base
         mother = build_mother_graph(n, b)
         if not graph.issubgraph(mother):
             raise ParameterError("class graph must be a subgraph of the mother graph")
-        if not is_cycle_union(graph):
-            raise ParameterError("class graph must be a union of simple cycles")
-        cycles = enumerate_cycles(graph)
-        images = union_images([cycle_image(c, n, b) for c in cycles])
-        return cls(n, b, graph, images)
+        if not graph.edges or not is_cycle_union(graph):
+            raise ParameterError("class graph must be a nonempty union of simple cycles")
+        return cls(n, b, graph, edge_image(graph.edges, n, b))
 
     @classmethod
     def from_record(cls, record: PermutipleRecord) -> "ClassSpec":
@@ -171,20 +168,21 @@ def class_reflection_exists(spec: ClassSpec) -> bool:
     return (spec.multiplier - 1) in spec.images.states
 
 
-def reflect_class(spec: ClassSpec) -> ClassSpec:
+def _require_reflection(spec: ClassSpec) -> None:
     if not class_reflection_exists(spec):
         raise NoReflectionError(
             f"state {spec.multiplier - 1} is not an image vertex; the reflected graph is not a class graph"
         )
+
+
+def reflect_class(spec: ClassSpec) -> ClassSpec:
+    _require_reflection(spec)
     return ClassSpec.from_graph(spec.multiplier, spec.graph.reflect())
 
 
 def symmetric_closure(spec: ClassSpec) -> ClassSpec:
     """The class over the union of the graph with its reflection."""
-    if not class_reflection_exists(spec):
-        raise NoReflectionError(
-            f"state {spec.multiplier - 1} is not an image vertex; the reflected graph is not a class graph"
-        )
+    _require_reflection(spec)
     return ClassSpec.from_graph(spec.multiplier, spec.graph.union(spec.graph.reflect()))
 
 

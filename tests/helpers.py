@@ -16,10 +16,12 @@ from permutiple import (
     build_mother_graph,
     canonical_sigma,
     check_feasible,
+    cycle_image,
     enumerate_cycles,
     eulerian_strings,
     graph_of_permutiple,
     string_to_permutiple,
+    union_images,
     verify_permutiple,
     walk_states,
 )
@@ -168,6 +170,12 @@ def reference_class_unions(record):
 
     solve(0, Counter(record.digits.digits))
     return _feasible_distinct(solutions, record.multiplier, record.base)
+
+
+def reference_class_images(multiplier, graph):
+    """The union of the images of every simple cycle of a class graph."""
+    cycles = enumerate_cycles(graph)
+    return union_images([cycle_image(c, multiplier, graph.base) for c in cycles])
 
 
 def reference_class_members(record):

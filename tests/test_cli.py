@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from permutiple.cli import main
 
 
@@ -146,6 +148,13 @@ class TestVerify:
         )
         assert code == 0
         assert json.loads(out)["sigma"] == [4, 3, 2, 1, 0]
+
+    @pytest.mark.parametrize("sigma", ["0,1", "5,0,1,2,3,4"])
+    def test_sigma_of_the_wrong_size_is_usage_error(self, capsys, sigma):
+        code, out, err = run_cli(capsys, "verify", "--seed", "4x10:87912=4*21978", "--sigma", sigma)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --sigma")
 
     def test_failure_exit_code(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--seed", "4x10:12345=4*13245")

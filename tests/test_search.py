@@ -5,13 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permutiple import (
+    ClassSpec,
     DigitCycle,
     InfeasibleUnionError,
     MultisetMismatchError,
     ParameterError,
     ScanLimitError,
+    WalkError,
     brute_force_oracle,
     check_feasible,
+    class_reflection_exists,
     count_eulerian_circuits,
     decompose_into_cycles,
     duplicate_label_factor,
@@ -20,7 +23,9 @@ from permutiple import (
     find_permutiples,
     multi_image,
     multiset_union,
+    reflect_class,
     string_to_permutiple,
+    symmetric_closure,
 )
 from permutiple.machine import empty_state_multigraph
 from permutiple.search import _oracle_all, feasible_unions, walk_strings
@@ -31,6 +36,7 @@ from helpers import (
     distinct_orderings,
     is_permutiple_string,
     make_record,
+    reference_class_images,
     reference_class_members,
     reference_class_unions,
     reference_feasible_unions,
@@ -155,6 +161,11 @@ class TestStringToPermutiple:
         # 0 -> 2 -> 0 is accepted but the component multisets differ
         with pytest.raises(MultisetMismatchError):
             string_to_permutiple(((0, 5), (2, 0)), 4, 10)
+
+    def test_rejected_string(self):
+        # (0, 5) moves carry 0 to carry 2 and the walk ends there
+        with pytest.raises(WalkError):
+            string_to_permutiple(((0, 5),), 4, 10)
 
     def test_cycle_multiset_matches_string(self):
         s = ((8, 2), (8, 2), (2, 8), (9, 9), (1, 7), (1, 7), (7, 1), (2, 8), (7, 1))
@@ -311,6 +322,11 @@ class TestWalkKernel:
         assert {d for _, d in class_unions(record)} == {
             d for _, d in reference_class_unions(record)
         }
+        spec = ClassSpec.from_record(record)
+        assert spec.images == reference_class_images(n, spec.graph)
+        if class_reflection_exists(spec):
+            for derived in (reflect_class(spec), symmetric_closure(spec)):
+                assert derived.images == reference_class_images(n, derived.graph)
 
     def test_pinned_digits_outside_the_edges(self):
         assert walk_strings(4, 10, 2, [(0, 0)], (0, 1)) == []

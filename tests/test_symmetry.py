@@ -2,6 +2,7 @@ import pytest
 
 from permutiple import (
     ClassSpec,
+    DigitGraph,
     NoReflectionError,
     ParameterError,
     Permutation,
@@ -199,6 +200,10 @@ class TestSymmetricClosure:
         )
         assert is_symmetric_class(closure)
         assert symmetric_closure(closure) == closure
+
+    def test_empty_graph_is_not_a_class(self):
+        with pytest.raises(ParameterError):
+            ClassSpec.from_graph(4, DigitGraph(10, frozenset()))
 
     def test_mother_graph_class_is_symmetric(self):
         spec = ClassSpec.from_graph(4, build_mother_graph(4, 10))
