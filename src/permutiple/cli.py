@@ -4,11 +4,16 @@ Subcommands cover graph export (mother-graph, hs-graph, hs-multigraph),
 search (find, oracle), single-equation verification, the symmetry toolkit
 (siblings, class, symmetries, closure), and OEIS b-file cross-checks.
 
-Option values resolve in precedence order: command-line flag, then config
-file (``key=value`` lines, keys named like the long flags), then the
-``PERMUTIPLE_SCAN_LIMIT`` environment variable (scan limit only), then
-built-in defaults.  Exit codes: 0 success, 1 verification or feasibility
-failure, 2 usage error.
+One table, ``_COMMANDS``, names each command's handler, help text, output
+formats and the options its handler reads; the parser accepts exactly
+those, plus ``--config`` everywhere.  ``_OPTIONS`` holds each option's
+flags, argparse settings, config-file converter, default and environment
+variable.  Values resolve in precedence order: command-line flag, then
+config file (``key=value`` lines, keys named like the long flags; keys for
+options a command does not read are skipped), then the environment
+(``PERMUTIPLE_SCAN_LIMIT`` for ``oracle --scan-limit``), then the default;
+a command's first format is its default.  Exit codes: 0 success, 1
+verification or feasibility failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from . import serialize
 from .digits import (
@@ -65,16 +70,38 @@ def _str_to_bool(value: str) -> bool:
     raise _UsageError(f"cannot interpret {value!r} as a boolean")
 
 
-# config file keys, each with the converter of its value
-_CONFIG_KEYS = {
-    "multiplier": int,
-    "base": int,
-    "length": int,
-    "allow-leading-zero": _str_to_bool,
-    "format": str,
-    "output": str,
-    "scan-limit": int,
-    "seed": str,
+_REQUIRED = object()  # the default of an option that must be given
+
+
+class _Option(NamedTuple):
+    flags: tuple[str, ...]
+    settings: dict[str, Any]  # argparse keyword arguments
+    convert: Callable[[str], Any] | None = None  # config-file converter; None: no config key
+    default: Any = None
+    env: str | None = None  # environment variable read after the config file
+
+
+_OPTIONS = {
+    "config": _Option(("--config",), {"help": "key=value config file; flags win"}),
+    "multiplier": _Option(("--multiplier", "-n"), {"type": int}, int, _REQUIRED),
+    "base": _Option(("--base", "-b"), {"type": int}, int, _REQUIRED),
+    "length": _Option(("--length", "-k"), {"type": int, "help": "digit count"}, int, _REQUIRED),
+    "allow-leading-zero": _Option(
+        ("--allow-leading-zero",),
+        {"action": argparse.BooleanOptionalAction, "help": "include digit strings led by zero"},
+        _str_to_bool,
+        False,
+    ),
+    "format": _Option(("--format",), {}, str),
+    "output": _Option(("--output", "-o"), {"help": "write here instead of stdout"}, str),
+    "scan-limit": _Option(
+        ("--scan-limit",), {"type": int}, int, DEFAULT_SCAN_LIMIT, "PERMUTIPLE_SCAN_LIMIT"
+    ),
+    "seed": _Option(
+        ("--seed",), {"help": "equation seed, e.g. 4x10:87912=4*21978"}, str, _REQUIRED
+    ),
+    "sigma": _Option(("--sigma",), {"help": "comma-separated sigma(0..k)"}),
+    "bfile": _Option(("--bfile",), {"required": True, "help": "local b-file path"}),
 }
 
 
@@ -89,7 +116,7 @@ def _read_config(path: str) -> dict[str, str]:
                 if "=" not in line:
                     raise _UsageError(f"{path}:{line_no}: expected key=value, got {raw.strip()!r}")
                 key, value = (part.strip() for part in line.split("=", 1))
-                if key not in _CONFIG_KEYS:
+                if key not in _OPTIONS or _OPTIONS[key].convert is None:
                     raise _UsageError(f"{path}:{line_no}: unknown key {key!r}")
                 values[key] = value
     except OSError as exc:
@@ -98,33 +125,35 @@ def _read_config(path: str) -> dict[str, str]:
 
 
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset flags from the config file and the environment."""
-    config = _read_config(args.config) if getattr(args, "config", None) else {}
-    for key, value in config.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) is None:
-            try:
-                setattr(args, attr, _CONFIG_KEYS[key](value))
-            except ValueError as exc:
-                raise _UsageError(f"config key {key}: {exc}") from exc
-    if hasattr(args, "scan_limit") and args.scan_limit is None:
-        env = os.environ.get("PERMUTIPLE_SCAN_LIMIT")
-        if env is not None:
-            try:
-                args.scan_limit = int(env)
-            except ValueError as exc:
-                raise _UsageError(f"PERMUTIPLE_SCAN_LIMIT: {exc}") from exc
+    """Fill unset options from the config file, the environment and the defaults."""
+    command = _COMMANDS[args.command]
+    config = _read_config(args.config) if args.config else {}
+    for name in command.reads():
+        option, attr = _OPTIONS[name], name.replace("-", "_")
+        if getattr(args, attr) is not None:
+            continue
+        if name in config:
+            source, value = f"config key {name}", config[name]
+        elif option.env is not None and option.env in os.environ:
+            source, value = option.env, os.environ[option.env]
+        else:
+            default = command.default(name)
+            if default is _REQUIRED:
+                raise _UsageError(f"--{name} is required")
+            setattr(args, attr, default)
+            continue
+        try:
+            setattr(args, attr, option.convert(value))
+        except ValueError as exc:
+            raise _UsageError(f"{source}: {exc}") from exc
+    if command.formats and args.format not in command.formats:
+        formats = ", ".join(command.formats)
+        raise _UsageError(f"{args.command} supports formats {formats}, not {args.format!r}")
     return args
 
 
-def _require(args: argparse.Namespace, *names: str) -> None:
-    for name in names:
-        if getattr(args, name) is None:
-            raise _UsageError(f"--{name.replace('_', '-')} is required")
-
-
 def _emit(args: argparse.Namespace, text: str) -> None:
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
@@ -132,27 +161,18 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 
 def _record_lines(args: argparse.Namespace, records: Sequence[PermutipleRecord]) -> str:
-    fmt = args.format or "json"
-    if fmt == "json":
-        return "".join(serialize.record_to_json(r) + "\n" for r in records)
-    if fmt == "text":
-        return "".join(serialize.record_to_text(r) + "\n" for r in records)
-    raise _UsageError(f"records support formats json and text, not {fmt!r}")
+    render = serialize.record_to_text if args.format == "text" else serialize.record_to_json
+    return "".join(render(r) + "\n" for r in records)
 
 
 def _seed_record(args: argparse.Namespace) -> PermutipleRecord:
-    if args.seed is None:
-        raise _UsageError("--seed is required")
-    record = serialize.seed_to_record(args.seed, default_base=getattr(args, "base", None))
+    record = serialize.seed_to_record(args.seed, default_base=args.base)
     if record is None:
         raise PermutipleError(f"seed {args.seed!r} is not a digit-preserving multiplication")
     return record
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
-    _require(args, "multiplier", "base")
-    check_multiplier(args.multiplier, args.base)
-    fmt = args.format or "dot"
     # command: builder, DOT name prefix, and the dot, json and text renderers
     build, prefix, to_dot, to_json, to_text = {
         "mother-graph": (build_mother_graph, "mother", serialize.digit_graph_to_dot,
@@ -168,37 +188,26 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         "json": lambda: to_json(graph),
         "text": lambda: to_text(graph),
     }
-    if fmt not in renderers:
-        raise _UsageError(f"unknown format {fmt!r}")
-    _emit(args, renderers[fmt]())
+    _emit(args, renderers[args.format]())
     return EXIT_OK
 
 
 def _cmd_find(args: argparse.Namespace) -> int:
-    _require(args, "multiplier", "base", "length")
-    check_multiplier(args.multiplier, args.base)
-    allow = bool(args.allow_leading_zero)
-    results = find_permutiples(args.multiplier, args.base, args.length, allow)
+    results = find_permutiples(args.multiplier, args.base, args.length, args.allow_leading_zero)
     _emit(args, _record_lines(args, [r.record for r in results]))
     return EXIT_OK
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    _require(args, "multiplier", "base", "length")
-    check_multiplier(args.multiplier, args.base)
-    allow = bool(args.allow_leading_zero)
-    limit = args.scan_limit if args.scan_limit is not None else DEFAULT_SCAN_LIMIT
-    records = brute_force_oracle(args.multiplier, args.base, args.length, allow, limit)
+    records = brute_force_oracle(
+        args.multiplier, args.base, args.length, args.allow_leading_zero, args.scan_limit
+    )
     _emit(args, _record_lines(args, records))
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.seed is None:
-        raise _UsageError("--seed is required")
-    multiplier, base, lhs, rhs = serialize.parse_seed(
-        args.seed, default_base=getattr(args, "base", None)
-    )
+    multiplier, base, lhs, rhs = serialize.parse_seed(args.seed, default_base=args.base)
     digits = DigitString.from_display(base, lhs)
     preimage = DigitString.from_display(base, rhs)
     if args.sigma is not None:
@@ -221,10 +230,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if record is None:
         _emit(args, json.dumps({"verified": False, "reason": "multiplication is not digit-preserving"}) + "\n")
         return EXIT_FAILURE
-    if (args.format or "json") == "text":
-        _emit(args, serialize.record_to_text(record) + "\n")
-    else:
-        _emit(args, serialize.record_to_json(record) + "\n")
+    _emit(args, _record_lines(args, [record]))
     return EXIT_OK
 
 
@@ -250,8 +256,7 @@ def _cmd_siblings(args: argparse.Namespace) -> int:
 
 def _cmd_class(args: argparse.Namespace) -> int:
     record = _seed_record(args)
-    allow = True if args.allow_leading_zero is None else bool(args.allow_leading_zero)
-    members = enumerate_class_members(record, allow_leading_zero=allow)
+    members = enumerate_class_members(record, allow_leading_zero=args.allow_leading_zero)
     _emit(args, _record_lines(args, members))
     return EXIT_OK
 
@@ -302,7 +307,6 @@ def _cmd_closure(args: argparse.Namespace) -> int:
 
 
 def _cmd_oeis_check(args: argparse.Namespace) -> int:
-    _require(args, "multiplier", "base", "length")
     check_multiplier(args.multiplier, args.base)
     try:
         with open(args.bfile, encoding="utf-8") as handle:
@@ -349,70 +353,65 @@ def oeis_report(
     }
 
 
+class _Command(NamedTuple):
+    handler: Callable[[argparse.Namespace], int]
+    help: str
+    formats: tuple[str, ...]  # the first is the default; none: always JSON
+    options: tuple[str, ...]  # besides --config and --format
+    defaults: dict[str, Any] = {}  # where they differ from the option's own
+
+    def reads(self) -> tuple[str, ...]:
+        return self.options + (("format",) if self.formats else ())
+
+    def default(self, name: str) -> Any:
+        if name == "format":
+            return self.formats[0]
+        return self.defaults.get(name, _OPTIONS[name].default)
+
+
+_GRAPH = ("dot", "json", "text")
+_RECORDS = ("json", "text")
+_SEARCH = ("multiplier", "base", "length", "allow-leading-zero", "output")
+_SEED = ("seed", "base", "output")
+_SEED_BASE = {"base": None}  # -b is only the base of seeds without an NxB: prefix
+
+_COMMANDS = {
+    **{
+        name: _Command(_cmd_graph, f"export the {name.replace('-', ' ')}", _GRAPH,
+                       ("multiplier", "base", "output"))
+        for name in ("mother-graph", "hs-graph", "hs-multigraph")
+    },
+    "find": _Command(_cmd_find, "enumerate permutiples via the machine", _RECORDS, _SEARCH),
+    "oracle": _Command(_cmd_oracle, "enumerate permutiples by exhaustive scan", _RECORDS,
+                       _SEARCH + ("scan-limit",)),
+    "verify": _Command(_cmd_verify, "verify one equation", _RECORDS, _SEED + ("sigma",),
+                       _SEED_BASE),
+    "siblings": _Command(_cmd_siblings, "dihedral siblings of a seed", (), _SEED, _SEED_BASE),
+    "class": _Command(_cmd_class, "all class members with the seed's digits", _RECORDS,
+                      _SEED + ("allow-leading-zero",),
+                      {**_SEED_BASE, "allow-leading-zero": True}),
+    "symmetries": _Command(_cmd_symmetries, "transition-fixing symmetries of a seed", (), _SEED,
+                           _SEED_BASE),
+    "closure": _Command(_cmd_closure, "class reflection and symmetric closure", (), _SEED,
+                        _SEED_BASE),
+    "oeis-check": _Command(_cmd_oeis_check, "cross-check a b-file of multiplicands", (),
+                           ("multiplier", "base", "length", "output", "bfile")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permutiple",
         description="Search and classify digit-preserving multiplications.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, *, seed: bool = False, search: bool = False) -> None:
-        p.add_argument("--config", help="key=value config file; flags win")
-        p.add_argument("--multiplier", "-n", type=int, default=None)
-        p.add_argument("--base", "-b", type=int, default=None)
-        p.add_argument("--format", choices=("dot", "json", "text"), default=None)
-        p.add_argument("--output", "-o", default=None, help="write here instead of stdout")
-        if seed:
-            p.add_argument("--seed", default=None, help="equation seed, e.g. 4x10:87912=4*21978")
-        if search:
-            p.add_argument("--length", "-k", type=int, default=None, help="digit count")
-            p.add_argument(
-                "--allow-leading-zero",
-                action=argparse.BooleanOptionalAction,
-                default=None,
-                help="include digit strings led by zero",
-            )
-            p.add_argument("--scan-limit", type=int, default=None)
-
-    for name in ("mother-graph", "hs-graph", "hs-multigraph"):
-        p = sub.add_parser(name, help=f"export the {name.replace('-', ' ')}")
-        common(p)
-        p.set_defaults(handler=_cmd_graph)
-
-    p = sub.add_parser("find", help="enumerate permutiples via the machine")
-    common(p, search=True)
-    p.set_defaults(handler=_cmd_find)
-
-    p = sub.add_parser("oracle", help="enumerate permutiples by exhaustive scan")
-    common(p, search=True)
-    p.set_defaults(handler=_cmd_oracle)
-
-    p = sub.add_parser("verify", help="verify one equation")
-    common(p, seed=True)
-    p.add_argument("--sigma", default=None, help="comma-separated sigma(0..k)")
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("siblings", help="dihedral siblings of a seed")
-    common(p, seed=True)
-    p.set_defaults(handler=_cmd_siblings)
-
-    p = sub.add_parser("class", help="all class members with the seed's digits")
-    common(p, seed=True, search=True)
-    p.set_defaults(handler=_cmd_class)
-
-    p = sub.add_parser("symmetries", help="transition-fixing symmetries of a seed")
-    common(p, seed=True)
-    p.set_defaults(handler=_cmd_symmetries)
-
-    p = sub.add_parser("closure", help="class reflection and symmetric closure")
-    common(p, seed=True)
-    p.set_defaults(handler=_cmd_closure)
-
-    p = sub.add_parser("oeis-check", help="cross-check a b-file of multiplicands")
-    common(p, search=True)
-    p.add_argument("--bfile", required=True, help="local b-file path")
-    p.set_defaults(handler=_cmd_oeis_check)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for option in ("config",) + command.reads():
+            flags, settings = _OPTIONS[option][:2]
+            if option == "format":
+                settings = {**settings, "choices": command.formats}
+            p.add_argument(*flags, **settings)
     return parser
 
 
@@ -421,7 +420,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args = _resolve(args)
-        return args.handler(args)
+        return _COMMANDS[args.command].handler(args)
     except (_UsageError, SeedError, BFileError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

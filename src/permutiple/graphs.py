@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from typing import Callable, Hashable, Iterable
+from typing import Hashable, Iterable
 
 from .digits import PermutipleRecord, check_multiplier, lambda_residue
 from .errors import ParameterError
@@ -181,9 +181,12 @@ def enumerate_cycles(graph: DigitGraph, max_length: int | None = None) -> list[D
 
 
 def strongly_connected_components(
-    nodes: Iterable[Hashable], successors: Callable[[Hashable], Iterable[Hashable]]
+    nodes: Iterable[Hashable], edges: Iterable[tuple[Hashable, Hashable]]
 ) -> list[frozenset]:
     """Tarjan's algorithm, iterative to keep recursion depth flat."""
+    successors: dict = {}
+    for u, v in edges:
+        successors.setdefault(u, set()).add(v)
     index: dict = {}
     low: dict = {}
     on_stack: set = set()
@@ -197,7 +200,7 @@ def strongly_connected_components(
         index[start] = low[start] = next(counter)
         stack.append(start)
         on_stack.add(start)
-        work = [(start, iter(successors(start)))]
+        work = [(start, iter(sorted(successors.get(start, ()))))]
         while work:
             v, it = work[-1]
             advanced = False
@@ -206,7 +209,7 @@ def strongly_connected_components(
                     index[w] = low[w] = next(counter)
                     stack.append(w)
                     on_stack.add(w)
-                    work.append((w, iter(successors(w))))
+                    work.append((w, iter(sorted(successors.get(w, ())))))
                     advanced = True
                     break
                 if w in on_stack:
@@ -237,7 +240,7 @@ def is_cycle_union(graph: DigitGraph) -> bool:
     """
     vertices = graph.incident_vertices()
     comp_of: dict[int, int] = {}
-    for i, comp in enumerate(strongly_connected_components(vertices, graph.successors)):
+    for i, comp in enumerate(strongly_connected_components(vertices, graph.edges)):
         for v in comp:
             comp_of[v] = i
     return all(u == v or comp_of[u] == comp_of[v] for u, v in graph.edges)

@@ -64,13 +64,7 @@ def transition(edge: Pair, multiplier: int, base: int) -> Pair:
 def _strongly_connected(states: Iterable[int], pairs: Iterable[Pair]) -> bool:
     """Whether the state pairs connect the nonempty state set into one component."""
     nodes = sorted(states)
-    if not nodes:
-        return False
-    succ: dict[int, set[int]] = {c: set() for c in nodes}
-    for c1, c2 in pairs:
-        succ[c1].add(c2)
-    components = strongly_connected_components(nodes, lambda c: sorted(succ[c]))
-    return len(components) == 1
+    return bool(nodes) and len(strongly_connected_components(nodes, pairs)) == 1
 
 
 @dataclass(frozen=True)

@@ -448,27 +448,6 @@ def find_permutiples(
     return [r for r in results if r.record.canonical]
 
 
-@lru_cache(maxsize=None)
-def _oracle_all(multiplier: int, base: int, length: int) -> tuple[PermutipleRecord, ...]:
-    n, b = multiplier, base
-    records = []
-    top = b**length - 1
-    for q in range(top // n + 1):
-        v = n * q
-        digits = DigitString.from_int(b, v, width=length)
-        preimage = DigitString.from_int(b, q, width=length)
-        if digits.multiset() != preimage.multiset():
-            continue
-        sigma = canonical_sigma(digits, preimage)
-        if sigma is None:
-            raise RuntimeError(f"oracle hit {v} = {n} * {q} has no digit bijection")
-        record = verify_permutiple(digits, sigma, n)
-        if record is None:
-            raise RuntimeError(f"oracle hit {v} = {n} * {q} but verification failed")
-        records.append(record)
-    return tuple(records)
-
-
 def brute_force_oracle(
     multiplier: int,
     base: int,
@@ -480,8 +459,7 @@ def brute_force_oracle(
 
     Walks every multiple ``n*q`` below ``base**length`` and keeps those
     whose zero-padded digits are a permutation of the digits of ``q``.
-    Refuses scans beyond ``scan_limit`` candidate strings, also when the
-    scan is already cached.
+    Refuses scans beyond ``scan_limit`` candidate strings.
     """
     n, b = multiplier, base
     check_multiplier(n, b)
@@ -491,7 +469,19 @@ def brute_force_oracle(
         raise ScanLimitError(
             f"scan of {b}**{length} digit strings exceeds the limit {scan_limit}"
         )
-    records = _oracle_all(n, b, length)
-    if allow_leading_zero:
-        return list(records)
-    return [r for r in records if r.canonical]
+    records = []
+    for q in range((b**length - 1) // n + 1):
+        v = n * q
+        digits = DigitString.from_int(b, v, width=length)
+        preimage = DigitString.from_int(b, q, width=length)
+        if digits.multiset() != preimage.multiset():
+            continue
+        sigma = canonical_sigma(digits, preimage)
+        if sigma is None:
+            raise RuntimeError(f"oracle hit {v} = {n} * {q} has no digit bijection")
+        record = verify_permutiple(digits, sigma, n)
+        if record is None:
+            raise RuntimeError(f"oracle hit {v} = {n} * {q} but verification failed")
+        if allow_leading_zero or record.canonical:
+            records.append(record)
+    return records

@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 from .digits import DigitString, Permutation, PermutipleRecord, verify_permutiple
 from .errors import MultisetMismatchError, NoReflectionError, ParameterError, WalkError
-from .graphs import DigitGraph, build_mother_graph, graph_of_permutiple, is_cycle_union
+from .graphs import DigitGraph, graph_of_permutiple, is_cycle_union
 from .machine import StateGraph, StateMultigraph, edge_image
 from .search import CycleMultiset, group_unions, string_to_permutiple, walk_strings
 
@@ -144,15 +144,15 @@ class ClassSpec:
         """The class of ``graph``, a nonempty union of mother-graph cycles.
 
         Every edge of a cycle union lies on one of its simple cycles, so the
-        union of the cycle images is the image of the edge set itself.
+        union of the cycle images is the image of the edge set itself.  An
+        edge outside the mother graph has no transition, so reading the
+        image raises :class:`ParameterError` for it.
         """
         n, b = multiplier, graph.base
-        mother = build_mother_graph(n, b)
-        if not graph.issubgraph(mother):
-            raise ParameterError("class graph must be a subgraph of the mother graph")
+        images = edge_image(graph.edges, n, b)
         if not graph.edges or not is_cycle_union(graph):
             raise ParameterError("class graph must be a nonempty union of simple cycles")
-        return cls(n, b, graph, edge_image(graph.edges, n, b))
+        return cls(n, b, graph, images)
 
     @classmethod
     def from_record(cls, record: PermutipleRecord) -> "ClassSpec":

@@ -134,6 +134,63 @@ class TestConfig:
         assert code == 2
         assert "bogus" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("class", "--seed", "4x10:727119288=4*181779822"),
+            ("closure", "--seed", "4x10:86712=4*21678"),
+        ],
+    )
+    def test_one_config_serves_every_command(self, capsys, tmp_path, argv):
+        # keys for options the command does not read are skipped unconverted
+        target = tmp_path / "out.txt"
+        config = tmp_path / "run.conf"
+        config.write_text(
+            "multiplier=7\nbase=10\nlength=99\nallow-leading-zero=yes\nformat=json\n"
+            f"output={target}\nscan-limit=1\nseed=4x10:00=4*00\n"
+        )
+        expected_code, expected, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(capsys, *argv, "--config", str(config))
+        assert (code, out) == (expected_code, "")
+        assert target.read_text() == expected
+
+    def test_config_format_outside_the_command_is_usage_error(self, capsys, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("format=dot\n")
+        code, out, err = run_cli(
+            capsys, "verify", "--seed", "4x10:87912=4*21978", "--config", str(config)
+        )
+        assert (code, out) == (2, "")
+        assert "dot" in err
+
+
+# (command, option) pairs no handler reads, and a format verify does not offer
+UNREAD = [
+    ("find", "-n", "3", "-b", "4", "-k", "4", "--scan-limit", "1"),
+    *[
+        (command, "--seed", "4x10:86712=4*21678", "-n", "4")
+        for command in ("verify", "siblings", "class", "symmetries", "closure")
+    ],
+    *[
+        (command, "--seed", "4x10:86712=4*21678", "--format", "json")
+        for command in ("siblings", "symmetries", "closure")
+    ],
+    ("oeis-check", "-n", "3", "-b", "4", "-k", "4", "--bfile", "b.txt", "--format", "json"),
+    ("class", "--seed", "4x10:86712=4*21678", "-k", "99"),
+    ("class", "--seed", "4x10:86712=4*21678", "--scan-limit", "1"),
+    ("oeis-check", "-n", "3", "-b", "4", "-k", "4", "--bfile", "b.txt", "--allow-leading-zero"),
+    ("oeis-check", "-n", "3", "-b", "4", "-k", "4", "--bfile", "b.txt", "--scan-limit", "1"),
+    ("verify", "--seed", "4x10:87912=4*21978", "--format", "dot"),
+]
+
+
+@pytest.mark.parametrize("argv", UNREAD, ids=" ".join)
+def test_unread_option_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
 
 class TestVerify:
     def test_success_with_carries(self, capsys):

@@ -136,7 +136,7 @@ class TestEnumerateCycles:
             on_cycles.update(cycle.edges)
         comp_of = {}
         for i, comp in enumerate(
-            strongly_connected_components(graph.incident_vertices(), graph.successors)
+            strongly_connected_components(graph.incident_vertices(), graph.edges)
         ):
             for v in comp:
                 comp_of[v] = i

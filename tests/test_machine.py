@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from permutiple import (
@@ -34,10 +36,16 @@ class TestTransition:
             transition((9, 1), 4, 10)
 
     def test_validity_sweep(self):
-        # every mother edge yields carries in range, with exact division
+        # every mother edge yields carries in range, with exact division, and
+        # every other pair raises (ClassSpec.from_graph relies on this)
         for b in range(3, 17):
             for n in range(2, b):
-                for edge in build_mother_graph(n, b).edges:
+                mother = build_mother_graph(n, b).edges
+                for edge in product(range(b), repeat=2):
+                    if edge not in mother:
+                        with pytest.raises(ParameterError):
+                            transition(edge, n, b)
+                        continue
                     c1, c2 = transition(edge, n, b)
                     assert 0 <= c1 <= n - 1 and 0 <= c2 <= n - 1
                     d1, d2 = edge

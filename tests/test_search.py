@@ -28,7 +28,7 @@ from permutiple import (
     symmetric_closure,
 )
 from permutiple.machine import empty_state_multigraph
-from permutiple.search import _oracle_all, feasible_unions, walk_strings
+from permutiple.search import feasible_unions, walk_strings
 from permutiple.symmetry import class_unions
 
 from helpers import (
@@ -254,13 +254,6 @@ class TestOracle:
     def test_scan_limit(self):
         with pytest.raises(ScanLimitError):
             brute_force_oracle(4, 10, 5, scan_limit=10**4)
-
-    def test_one_scan_serves_every_limit(self):
-        _oracle_all.cache_clear()
-        first = brute_force_oracle(3, 7, 3, scan_limit=10**6)
-        second = brute_force_oracle(3, 7, 3, scan_limit=7**3)
-        assert first == second
-        assert _oracle_all.cache_info().misses == 1
 
     def test_lower_limit_refused_after_cached_scan(self):
         brute_force_oracle(3, 7, 3)

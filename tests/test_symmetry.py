@@ -205,6 +205,11 @@ class TestSymmetricClosure:
         with pytest.raises(ParameterError):
             ClassSpec.from_graph(4, DigitGraph(10, frozenset()))
 
+    def test_graph_outside_the_mother_graph_is_not_a_class(self):
+        # a cycle union whose edges (0,1), (1,0) fail the mother-graph test at n=4
+        with pytest.raises(ParameterError):
+            ClassSpec.from_graph(4, DigitGraph(10, {(0, 1), (1, 0)}))
+
     def test_mother_graph_class_is_symmetric(self):
         spec = ClassSpec.from_graph(4, build_mother_graph(4, 10))
         assert is_symmetric_class(spec)
