@@ -13,6 +13,7 @@ from .digits import (
 from .errors import (
     BFileError,
     InfeasibleUnionError,
+    InvariantError,
     MultisetMismatchError,
     NoReflectionError,
     ParameterError,

@@ -12,8 +12,11 @@ variable.  Values resolve in precedence order: command-line flag, then
 config file (``key=value`` lines, keys named like the long flags; keys for
 options a command does not read are skipped), then the environment
 (``PERMUTIPLE_SCAN_LIMIT`` for ``oracle --scan-limit``), then the default;
-a command's first format is its default.  Exit codes: 0 success, 1
-verification or feasibility failure, 2 usage error.
+a command's first format is its default.  Exit codes: 0 success (and
+``--help``), 1 verification or feasibility failure, a refused scan, an I/O
+error or a failed internal check (:class:`InvariantError`), 2 usage error;
+:func:`main` returns them, argparse's own included.  ``--output`` is
+replaced whole through a sibling temporary file.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .digits import (
     check_multiplier,
     verify_permutiple,
 )
-from .errors import BFileError, ParameterError, PermutipleError, SeedError
+from .errors import BFileError, InvariantError, ParameterError, PermutipleError, SeedError
 from .graphs import build_mother_graph
 from .machine import build_state_graph, build_state_multigraph
 from .search import DEFAULT_SCAN_LIMIT, brute_force_oracle, find_permutiples
@@ -153,11 +156,30 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
+    """Write to stdout or to ``--output``.
+
+    A regular file (through any symlinks) is replaced whole by renaming a
+    sibling temporary file over it, so a failure leaves it as it was; a
+    pipe or device such as ``/dev/null`` is written in place.
+    """
+    if not args.output:
         sys.stdout.write(text)
+        return
+    path = os.path.realpath(args.output)
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    temp = path if in_place else f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temp, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        if not in_place:
+            os.replace(temp, path)
+    except BaseException:
+        if not in_place:
+            try:
+                os.remove(temp)
+            except OSError:
+                pass
+        raise
 
 
 def _record_lines(args: argparse.Namespace, records: Sequence[PermutipleRecord]) -> str:
@@ -268,7 +290,7 @@ def _cmd_symmetries(args: argparse.Namespace) -> int:
     for phi in phis:
         image = apply_symmetry(record, phi)
         if image is None:
-            raise RuntimeError("transition-fixing permutation failed to produce a permutiple")
+            raise InvariantError("transition-fixing permutation failed to produce a permutiple")
         results.append(
             {"mapping": list(phi.mapping), "equation": serialize.format_equation(image)}
         )
@@ -417,7 +439,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse's usage errors (2) and --help (0)
+        return int(exc.code or 0)
     try:
         args = _resolve(args)
         return _COMMANDS[args.command].handler(args)

@@ -34,8 +34,12 @@ class NoReflectionError(PermutipleError):
     """The reflection of this class graph is not a permutiple class graph."""
 
 
+class InvariantError(PermutipleError, RuntimeError):
+    """An internal consistency check failed: a defect in this package."""
+
+
 class ScanLimitError(PermutipleError):
-    """A brute-force scan would exceed the configured limit."""
+    """A brute-force scan would exceed its candidate limit or memory budget."""
 
 
 class SeedError(PermutipleError, ValueError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .digits import check_multiplier, lambda_residue
-from .errors import ParameterError, WalkError
+from .errors import InvariantError, ParameterError, WalkError
 from .graphs import DigitCycle, build_mother_graph, strongly_connected_components
 
 __all__ = [
@@ -54,10 +54,10 @@ def transition(edge: Pair, multiplier: int, base: int) -> Pair:
         raise ParameterError(f"({d1},{d2}) is not a mother-graph edge for n={n}, b={b}")
     numerator = n * d2 - d1 + c1
     if numerator % b != 0:
-        raise RuntimeError(f"carry transition for ({d1},{d2}) is not divisible by {b}")
+        raise InvariantError(f"carry transition for ({d1},{d2}) is not divisible by {b}")
     c2 = numerator // b
     if not 0 <= c2 <= n - 1:
-        raise RuntimeError(f"carry transition for ({d1},{d2}) left 0..{n - 1}")
+        raise InvariantError(f"carry transition for ({d1},{d2}) left 0..{n - 1}")
     return c1, c2
 
 

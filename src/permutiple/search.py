@@ -28,6 +28,7 @@ from .digits import (
 )
 from .errors import (
     InfeasibleUnionError,
+    InvariantError,
     MultisetMismatchError,
     ParameterError,
     ScanLimitError,
@@ -56,6 +57,7 @@ Pair = tuple[int, int]
 InputString = tuple[Pair, ...]
 
 DEFAULT_SCAN_LIMIT = 10**8
+_SIGNATURE_TABLE_BYTES = 2**27  # 128 MiB
 
 
 @dataclass(frozen=True)
@@ -448,6 +450,20 @@ def find_permutiples(
     return [r for r in results if r.record.canonical]
 
 
+def _count_signatures(base: int, width: int, length: int) -> list[int]:
+    """Packed digit counts of every zero-padded ``width``-digit block.
+
+    Entry ``y`` is the sum of ``(length+1)**d`` over the digits ``d`` of
+    ``y``; a count never exceeds ``length``, so blocks of a ``length``-digit
+    number add up to a value that determines its digit multiset.
+    """
+    weights = [(length + 1) ** d for d in range(base)]
+    table = [0]
+    for _ in range(width):
+        table = [s + w for s in table for w in weights]
+    return table
+
+
 def brute_force_oracle(
     multiplier: int,
     base: int,
@@ -457,9 +473,15 @@ def brute_force_oracle(
 ) -> list[PermutipleRecord]:
     """Exhaustive integer scan, independent of the graph machinery.
 
-    Walks every multiple ``n*q`` below ``base**length`` and keeps those
+    Visits every multiple ``n*q`` below ``base**length`` and keeps those
     whose zero-padded digits are a permutation of the digits of ``q``.
-    Refuses scans beyond ``scan_limit`` candidate strings.
+    Each candidate compares packed digit-count signatures, read from two
+    tables of half-width blocks (:func:`_count_signatures`); every hit is
+    then rebuilt as digit strings and re-verified by :func:`canonical_sigma`
+    and :func:`verify_permutiple`.  Refuses scans beyond ``scan_limit``
+    candidate strings, and signature tables beyond about 128 MiB (a
+    signature takes ``base * log2(length + 1)`` bits, so at the default
+    limit this refuses only one-digit scans in bases above about 23,000).
     """
     n, b = multiplier, base
     check_multiplier(n, b)
@@ -469,19 +491,29 @@ def brute_force_oracle(
         raise ScanLimitError(
             f"scan of {b}**{length} digit strings exceeds the limit {scan_limit}"
         )
+    half = length // 2
+    table_bytes = (b**half + b ** (length - half)) * b * (length + 1).bit_length() // 8
+    if table_bytes > _SIGNATURE_TABLE_BYTES:
+        raise ScanLimitError(
+            f"signature tables of about {table_bytes} bytes for base {b} exceed "
+            f"{_SIGNATURE_TABLE_BYTES} bytes"
+        )
+    m = b**half
+    lo = _count_signatures(b, half, length)
+    hi = _count_signatures(b, length - half, length)
     records = []
     for q in range((b**length - 1) // n + 1):
         v = n * q
+        if lo[v % m] + hi[v // m] != lo[q % m] + hi[q // m]:
+            continue
         digits = DigitString.from_int(b, v, width=length)
         preimage = DigitString.from_int(b, q, width=length)
-        if digits.multiset() != preimage.multiset():
-            continue
         sigma = canonical_sigma(digits, preimage)
         if sigma is None:
-            raise RuntimeError(f"oracle hit {v} = {n} * {q} has no digit bijection")
+            raise InvariantError(f"oracle hit {v} = {n} * {q} has no digit bijection")
         record = verify_permutiple(digits, sigma, n)
         if record is None:
-            raise RuntimeError(f"oracle hit {v} = {n} * {q} but verification failed")
+            raise InvariantError(f"oracle hit {v} = {n} * {q} but verification failed")
         if allow_leading_zero or record.canonical:
             records.append(record)
     return records

@@ -16,7 +16,13 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from .digits import DigitString, Permutation, PermutipleRecord, verify_permutiple
-from .errors import MultisetMismatchError, NoReflectionError, ParameterError, WalkError
+from .errors import (
+    InvariantError,
+    MultisetMismatchError,
+    NoReflectionError,
+    ParameterError,
+    WalkError,
+)
 from .graphs import DigitGraph, graph_of_permutiple, is_cycle_union
 from .machine import StateGraph, StateMultigraph, edge_image
 from .search import CycleMultiset, group_unions, string_to_permutiple, walk_strings
@@ -88,7 +94,7 @@ def _shifted_record(record: PermutipleRecord, shift: int, reflect: bool) -> Perm
     new_sigma = Permutation.rotation(size, -shift).compose(record.sigma).compose(rho)
     result = verify_permutiple(DigitString(b, new_digits), new_sigma, record.multiplier)
     if result is None:
-        raise RuntimeError(f"sibling at shift {shift} failed verification")
+        raise InvariantError(f"sibling at shift {shift} failed verification")
     return result
 
 
@@ -292,7 +298,7 @@ def symmetries_fixing_sequence(record: PermutipleRecord) -> list[Permutation]:
         phi = Permutation(tuple(mapping))  # type: ignore[arg-type]
         applied = apply_symmetry(record, phi)
         if applied is None:
-            raise RuntimeError("transition-fixing permutation failed to produce a permutiple")
+            raise InvariantError("transition-fixing permutation failed to produce a permutiple")
         out.append(phi)
     out.sort(key=lambda p: p.mapping)
     return out

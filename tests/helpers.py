@@ -77,6 +77,27 @@ def is_permutiple_string(inputs, multiplier: int, base: int) -> bool:
     return Counter(d1 for d1, _ in inputs) == Counter(d2 for _, d2 in inputs)
 
 
+def reference_oracle(multiplier, base, length, allow_leading_zero=False):
+    """The integer scan with digit strings built for every candidate.
+
+    The library's oracle compares packed digit-count signatures instead;
+    this is the plain version it must agree with, record for record and
+    in the same order.
+    """
+    records = []
+    for q in range((base**length - 1) // multiplier + 1):
+        v = multiplier * q
+        digits = DigitString.from_int(base, v, width=length)
+        preimage = DigitString.from_int(base, q, width=length)
+        if digits.multiset() != preimage.multiset():
+            continue
+        record = verify_permutiple(digits, canonical_sigma(digits, preimage), multiplier)
+        assert record is not None, f"{v} = {multiplier} * {q} failed verification"
+        if allow_leading_zero or record.canonical:
+            records.append(record)
+    return records
+
+
 # ---------------------------------------------------------------------------
 # Reference engine: permutiple strings as Eulerian circuits of feasible cycle
 # multisets, the paper's construction.  The library searches with the

@@ -119,6 +119,9 @@ ORACLE_SWEEP = [
     (2, 6, 5),
     (4, 10, 5),
     (9, 10, 5),
+    (5, 12, 5),
+    (7, 12, 5),
+    (3, 4, 8),
 ]
 
 

@@ -1,10 +1,15 @@
+import errno
 import json
+import os
+import stat
 import subprocess
 import sys
 
 import pytest
 
-from permutiple.cli import main
+from permutiple import cli, search
+from permutiple.cli import build_parser, main
+from permutiple.errors import InvariantError
 
 
 def run_cli(capsys, *argv):
@@ -27,6 +32,27 @@ def base4_anagram_multiplicands(limit):
         if digits(a) == digits(3 * a):
             out.append(a)
     return out
+
+
+def _disk_full(*args):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class _HalfWrite:
+    """A text file that takes half of what it is given and then fails."""
+
+    def __init__(self, path, *args, **kwargs):
+        self.handle = open(path, *args, **kwargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def write(self, text):
+        self.handle.write(text[: len(text) // 2])
+        _disk_full()
 
 
 class TestGraphCommands:
@@ -64,6 +90,55 @@ class TestGraphCommands:
         assert code == 0
         assert out == ""
         assert target.read_text().count("->") == 12
+
+    def test_output_file_is_replaced_whole(self, capsys, tmp_path):
+        target = tmp_path / "found.json"
+        target.write_text("stale\n" * 10000)
+        code, out, _ = run_cli(capsys, "find", "-n", "4", "-b", "10", "-k", "4", "-o", str(target))
+        assert (code, out) == (0, "")
+        _, direct, _ = run_cli(capsys, "find", "-n", "4", "-b", "10", "-k", "4")
+        assert target.read_text() == direct
+        assert os.listdir(tmp_path) == ["found.json"]
+
+    @pytest.mark.parametrize("failure", ["write", "replace"])
+    def test_failed_output_keeps_the_old_file(self, capsys, tmp_path, monkeypatch, failure):
+        target = tmp_path / "found.json"
+        target.write_text("old\n")
+        if failure == "write":
+            monkeypatch.setattr(cli, "open", _HalfWrite, raising=False)
+        else:
+            monkeypatch.setattr(os, "replace", _disk_full)
+        code, out, err = run_cli(capsys, "find", "-n", "4", "-b", "10", "-k", "4", "-o", str(target))
+        assert (code, out) == (1, "")
+        assert "No space left" in err
+        assert target.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["found.json"]
+
+    def test_output_through_a_symlink_replaces_its_target(self, capsys, tmp_path):
+        target = tmp_path / "found.json"
+        target.write_text("old\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        code, _, _ = run_cli(capsys, "find", "-n", "4", "-b", "10", "-k", "4", "-o", str(link))
+        _, direct, _ = run_cli(capsys, "find", "-n", "4", "-b", "10", "-k", "4")
+        assert code == 0
+        assert link.is_symlink()
+        assert target.read_text() == direct
+        assert sorted(os.listdir(tmp_path)) == ["found.json", "link.json"]
+
+    def test_output_to_a_pipe_is_written_in_place(self, capsys, tmp_path):
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code, _, _ = run_cli(capsys, "find", "-n", "4", "-b", "10", "-k", "4", "-o", str(pipe))
+            received = os.read(reader, 1 << 16).decode()
+        finally:
+            os.close(reader)
+        _, direct, _ = run_cli(capsys, "find", "-n", "4", "-b", "10", "-k", "4")
+        assert (code, received) == (0, direct)
+        assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+        assert os.listdir(tmp_path) == ["pipe"]
 
     def test_byte_determinism(self, capsys):
         _, first, _ = run_cli(capsys, "hs-graph", "-n", "4", "-b", "10", "--format", "dot")
@@ -186,10 +261,22 @@ UNREAD = [
 
 @pytest.mark.parametrize("argv", UNREAD, ids=" ".join)
 def test_unread_option_is_usage_error(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(list(argv))
-    assert exc.value.code == 2
+    assert main(list(argv)) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_help_returns_zero(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out == build_parser().format_help()
+
+
+def test_invariant_failure_is_an_error_line(capsys, monkeypatch):
+    monkeypatch.setattr(search, "verify_permutiple", lambda *args: None)
+    code, out, err = run_cli(capsys, "oracle", "-n", "4", "-b", "10", "-k", "5")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: oracle hit ")
+    assert issubclass(InvariantError, RuntimeError)
 
 
 class TestVerify:

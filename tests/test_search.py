@@ -1,7 +1,8 @@
+import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permutiple import (
@@ -26,7 +27,9 @@ from permutiple import (
     reflect_class,
     string_to_permutiple,
     symmetric_closure,
+    verify_permutiple,
 )
+from permutiple import search
 from permutiple.machine import empty_state_multigraph
 from permutiple.search import feasible_unions, walk_strings
 from permutiple.symmetry import class_unions
@@ -40,6 +43,7 @@ from helpers import (
     reference_class_members,
     reference_class_unions,
     reference_feasible_unions,
+    reference_oracle,
     reference_strings,
 )
 
@@ -215,7 +219,7 @@ class TestFindPermutiples:
         # short lengths, every multiplier, bases up to 12
         for b in range(4, 13):
             for n in range(2, b):
-                for length in (2, 3):
+                for length in (2, 3, 4):
                     found = {r.record.key for r in find_permutiples(n, b, length, True)}
                     scanned = {r.key for r in brute_force_oracle(n, b, length, True)}
                     assert found == scanned, (n, b, length)
@@ -236,6 +240,17 @@ class TestFindPermutiples:
             find_permutiples(1, 10, 3)
         with pytest.raises(ParameterError):
             find_permutiples(4, 10, 0)
+
+
+def _no_tables(*args):
+    raise AssertionError("signature tables built")
+
+
+@st.composite
+def oracle_points(draw):
+    base = draw(st.integers(3, 12))
+    top = max(k for k in range(1, 20) if base**k <= 2 * 10**5)
+    return draw(st.integers(2, base - 1)), base, draw(st.integers(1, top))
 
 
 class TestOracle:
@@ -259,6 +274,41 @@ class TestOracle:
         brute_force_oracle(3, 7, 3)
         with pytest.raises(ScanLimitError):
             brute_force_oracle(3, 7, 3, scan_limit=7**3 - 1)
+
+    def test_scan_limit_checked_before_any_table(self, monkeypatch):
+        monkeypatch.setattr(search, "_count_signatures", _no_tables)
+        message = "scan of 10**5 digit strings exceeds the limit 10000"
+        with pytest.raises(ScanLimitError, match=re.escape(message)):
+            brute_force_oracle(4, 10, 5, scan_limit=10**4)
+
+    def test_wide_signature_tables_refused(self, monkeypatch):
+        # within the scan limit, but every signature would take 10**5 bits
+        monkeypatch.setattr(search, "_count_signatures", _no_tables)
+        with pytest.raises(ScanLimitError, match="signature tables"):
+            brute_force_oracle(2, 10**5, 1)
+
+    def test_every_hit_is_verified(self, monkeypatch):
+        calls = []
+
+        def counting(digits, sigma, multiplier):
+            calls.append(digits)
+            return verify_permutiple(digits, sigma, multiplier)
+
+        monkeypatch.setattr(search, "verify_permutiple", counting)
+        records = brute_force_oracle(4, 10, 5, True)
+        assert calls == [r.digits for r in records]
+
+    @settings(max_examples=25, deadline=None)
+    @given(point=oracle_points())
+    @example(point=(2, 10, 1))  # k = 1: the low table holds only the empty block
+    @example(point=(11, 12, 1))
+    @example(point=(3, 7, 5))  # odd k: blocks of 2 and 3 digits
+    @example(point=(5, 12, 4))  # even k: blocks of 2 and 2 digits
+    def test_matches_reference_oracle(self, point):
+        n, b, k = point
+        every = reference_oracle(n, b, k, True)
+        assert brute_force_oracle(n, b, k, True) == every
+        assert brute_force_oracle(n, b, k, False) == [r for r in every if r.canonical]
 
 
 class TestCircuitCounts:
