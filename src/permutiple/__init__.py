@@ -57,6 +57,7 @@ from .search import (
     feasible_unions,
     find_permutiples,
     string_to_permutiple,
+    walk_records,
 )
 from .symmetry import (
     ClassSpec,

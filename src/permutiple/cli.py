@@ -15,8 +15,8 @@ options a command does not read are skipped), then the environment
 a command's first format is its default.  Exit codes: 0 success (and
 ``--help``), 1 verification or feasibility failure, a refused scan, an I/O
 error or a failed internal check (:class:`InvariantError`), 2 usage error;
-:func:`main` returns them, argparse's own included.  ``--output`` is
-replaced whole through a sibling temporary file.
+:func:`main` returns them, argparse's own included.  Output is written as
+it is made; ``--output`` is replaced whole through a sibling temporary file.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from . import serialize
 from .digits import (
@@ -39,7 +39,7 @@ from .digits import (
 from .errors import BFileError, InvariantError, ParameterError, PermutipleError, SeedError
 from .graphs import build_mother_graph
 from .machine import build_state_graph, build_state_multigraph
-from .search import DEFAULT_SCAN_LIMIT, brute_force_oracle, find_permutiples
+from .search import DEFAULT_SCAN_LIMIT, brute_force_oracle, find_permutiples, walk_records
 from .symmetry import (
     ClassSpec,
     apply_symmetry,
@@ -155,22 +155,23 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
-    """Write to stdout or to ``--output``.
+def _emit(args: argparse.Namespace, lines: Iterable[str]) -> None:
+    """Write ``lines`` to stdout or to ``--output`` as they come.
 
     A regular file (through any symlinks) is replaced whole by renaming a
     sibling temporary file over it, so a failure leaves it as it was; a
     pipe or device such as ``/dev/null`` is written in place.
     """
     if not args.output:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
         return
     path = os.path.realpath(args.output)
     in_place = os.path.exists(path) and not os.path.isfile(path)
     temp = path if in_place else f"{path}.{os.getpid()}.tmp"
     try:
         with open(temp, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            for line in lines:
+                handle.write(line)
         if not in_place:
             os.replace(temp, path)
     except BaseException:
@@ -182,9 +183,9 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         raise
 
 
-def _record_lines(args: argparse.Namespace, records: Sequence[PermutipleRecord]) -> str:
+def _record_lines(args: argparse.Namespace, records: Iterable[PermutipleRecord]) -> Iterable[str]:
     render = serialize.record_to_text if args.format == "text" else serialize.record_to_json
-    return "".join(render(r) + "\n" for r in records)
+    return (render(r) + "\n" for r in records)
 
 
 def _seed_record(args: argparse.Namespace) -> PermutipleRecord:
@@ -210,13 +211,15 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         "json": lambda: to_json(graph),
         "text": lambda: to_text(graph),
     }
-    _emit(args, renderers[args.format]())
+    _emit(args, [renderers[args.format]()])
     return EXIT_OK
 
 
 def _cmd_find(args: argparse.Namespace) -> int:
-    results = find_permutiples(args.multiplier, args.base, args.length, args.allow_leading_zero)
-    _emit(args, _record_lines(args, [r.record for r in results]))
+    records = walk_records(
+        args.multiplier, args.base, args.length, allow_leading_zero=args.allow_leading_zero
+    )
+    _emit(args, _record_lines(args, records))
     return EXIT_OK
 
 
@@ -241,16 +244,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise _UsageError(f"--sigma has {len(mapping)} entries for {len(digits)} digits")
         sigma = Permutation(mapping)
         if tuple(digits.digits[sigma(j)] for j in range(len(digits))) != preimage.digits:
-            _emit(args, json.dumps({"verified": False, "reason": "sigma does not map digits onto the preimage"}) + "\n")
+            _emit(args, [json.dumps({"verified": False, "reason": "sigma does not map digits onto the preimage"}) + "\n"])
             return EXIT_FAILURE
     else:
         sigma = canonical_sigma(digits, preimage)
         if sigma is None:
-            _emit(args, json.dumps({"verified": False, "reason": "digit multisets differ"}) + "\n")
+            _emit(args, [json.dumps({"verified": False, "reason": "digit multisets differ"}) + "\n"])
             return EXIT_FAILURE
     record = verify_permutiple(digits, sigma, multiplier)
     if record is None:
-        _emit(args, json.dumps({"verified": False, "reason": "multiplication is not digit-preserving"}) + "\n")
+        _emit(args, [json.dumps({"verified": False, "reason": "multiplication is not digit-preserving"}) + "\n"])
         return EXIT_FAILURE
     _emit(args, _record_lines(args, [record]))
     return EXIT_OK
@@ -272,7 +275,7 @@ def _cmd_siblings(args: argparse.Namespace) -> int:
         ],
         "dihedral": [serialize.format_equation(rec) for rec in dihedral],
     }
-    _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _emit(args, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
     return EXIT_OK
 
 
@@ -299,7 +302,7 @@ def _cmd_symmetries(args: argparse.Namespace) -> int:
         "transitions": [list(t) for t in state_sequence(record).transitions],
         "fixing_symmetries": results,
     }
-    _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _emit(args, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
     return EXIT_OK
 
 
@@ -324,7 +327,7 @@ def _cmd_closure(args: argparse.Namespace) -> int:
             serialize.format_pair(e) for e in closure.graph.sorted_edges
         ]
         payload["closure_symmetric"] = is_symmetric_class(closure)
-    _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _emit(args, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
     return EXIT_OK if exists else EXIT_FAILURE
 
 
@@ -336,7 +339,7 @@ def _cmd_oeis_check(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise _UsageError(f"cannot read b-file {args.bfile}: {exc}") from exc
     report = oeis_report(entries, args.multiplier, args.base, args.length)
-    _emit(args, json.dumps(report, sort_keys=True, indent=2) + "\n")
+    _emit(args, [json.dumps(report, sort_keys=True, indent=2) + "\n"])
     clean = not report["misses"] and not report["extras"]
     return EXIT_OK if clean else EXIT_FAILURE
 

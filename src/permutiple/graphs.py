@@ -142,39 +142,34 @@ def reflect_digit_graph(graph: DigitGraph) -> DigitGraph:
 def enumerate_cycles(graph: DigitGraph, max_length: int | None = None) -> list[DigitCycle]:
     """All simple directed cycles of ``graph``, canonically rotated and sorted.
 
-    Anchored depth-first search: for each root in ascending order, grow
-    simple paths through vertices greater than the root and record a cycle
-    whenever an edge returns to the root.  Every cycle is found exactly once
-    (at its minimum vertex), loops count as length-1 cycles, and the output
-    is sorted by vertex tuple, so the inventory order is deterministic.
+    Anchored depth-first search with an explicit stack: for each root in
+    ascending order, grow simple paths through vertices greater than the
+    root and record a cycle whenever an edge returns to the root.  Every
+    cycle is found exactly once (at its minimum vertex), loops count as
+    length-1 cycles, and the output is sorted by vertex tuple, so the
+    inventory order is deterministic.
     """
-    adj: dict[int, tuple[int, ...]] = {}
-    for d1, d2 in graph.edges:
-        adj.setdefault(d1, ())
-    for v in list(adj):
-        adj[v] = graph.successors(v)
+    adj: dict[int, list[int]] = {}
+    for d1, d2 in sorted(graph.edges):
+        adj.setdefault(d1, []).append(d2)
 
     found: list[DigitCycle] = []
-    path: list[int] = []
-    on_path: set[int] = set()
-
-    def grow(root: int, u: int) -> None:
-        for w in adj.get(u, ()):
-            if w == root:
-                found.append(DigitCycle(graph.base, tuple(path)))
-            elif w > root and w not in on_path:
-                if max_length is not None and len(path) >= max_length:
-                    continue
-                path.append(w)
-                on_path.add(w)
-                grow(root, w)
-                on_path.discard(w)
-                path.pop()
-
     for root in sorted(adj):
         path = [root]
         on_path = {root}
-        grow(root, root)
+        stack = [iter(adj[root])]  # untried successors of each path vertex
+        while stack:
+            for w in stack[-1]:
+                if w == root:
+                    found.append(DigitCycle(graph.base, tuple(path)))
+                elif w > root and w not in on_path and (max_length is None or len(path) < max_length):
+                    path.append(w)
+                    on_path.add(w)
+                    stack.append(iter(adj.get(w, ())))
+                    break
+            else:
+                stack.pop()
+                on_path.discard(path.pop())
 
     found.sort(key=lambda c: c.vertices)
     return found

@@ -3,7 +3,8 @@
 A permutiple string is an input string the carry machine accepts (a walk
 from carry 0 back to carry 0) whose left and right digit components form
 the same multiset.  ``find`` and ``class`` both search with one kernel,
-:func:`walk_strings`, a pruned walk over the machine.  The paper's cycle
+:func:`walk_records`, the machine run as long division from the top digit,
+which yields records in output order.  The paper's cycle
 theory stays as checked mathematics: every such string orders a cycle
 multiset whose multigraph union passes :func:`check_feasible`,
 :func:`eulerian_strings` lists the orderings of a union and
@@ -17,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .digits import (
     DigitString,
@@ -33,7 +34,7 @@ from .errors import (
     ParameterError,
     ScanLimitError,
 )
-from .graphs import DigitCycle, build_mother_graph
+from .graphs import DigitCycle
 from .machine import StateMultigraph, transition, walk_states
 
 __all__ = [
@@ -50,7 +51,7 @@ __all__ = [
     "find_permutiples",
     "group_unions",
     "string_to_permutiple",
-    "walk_strings",
+    "walk_records",
 ]
 
 Pair = tuple[int, int]
@@ -139,9 +140,9 @@ def check_feasible(delta: StateMultigraph) -> bool:
 def eulerian_strings(delta: StateMultigraph) -> list[InputString]:
     """All distinct label sequences of Eulerian circuits anchored at state 0.
 
-    Backtracking over the remaining edge multiset; identical parallel edges
-    are merged in a counter, so each distinct label sequence comes out
-    exactly once.  The result is sorted lexicographically.
+    Backtracking over the remaining edge multiset, with an explicit stack;
+    identical parallel edges are merged in a counter, so each distinct label
+    sequence comes out exactly once.  The result is sorted lexicographically.
     """
     if not check_feasible(delta):
         raise InfeasibleUnionError("multigraph union admits no zero-anchored Eulerian circuit")
@@ -152,23 +153,22 @@ def eulerian_strings(delta: StateMultigraph) -> list[InputString]:
         by_source.setdefault(triple[0], []).append(triple)
 
     out: list[InputString] = []
-    labels: list[Pair] = []
-
-    def extend(state: int, left: int) -> None:
-        if left == 0:
-            if state == 0:
-                out.append(tuple(labels))
-            return
-        for triple in by_source.get(state, ()):
+    path: list[tuple[int, int, Pair]] = []
+    stack = [iter(by_source.get(0, ()))]  # untried edges out of each state on the path
+    while stack:
+        for triple in stack[-1]:
             if remaining[triple] == 0:
                 continue
             remaining[triple] -= 1
-            labels.append(triple[2])
-            extend(triple[1], left - 1)
-            labels.pop()
-            remaining[triple] += 1
-
-    extend(0, total)
+            path.append(triple)
+            if len(path) == total and triple[1] == 0:
+                out.append(tuple(t[2] for t in path))
+            stack.append(iter(by_source.get(triple[1], ())))
+            break
+        else:
+            stack.pop()
+            if path:
+                remaining[path.pop()] += 1
     out.sort()
     return out
 
@@ -310,92 +310,102 @@ def string_to_permutiple(inputs: Sequence[Pair], multiplier: int, base: int) -> 
     return SearchResult(PermutipleRecord(multiplier, digits, sigma, carries), inputs)
 
 
-def walk_strings(
+def walk_records(
     multiplier: int,
     base: int,
     length: int,
-    edges: Iterable[Pair],
+    edges: Iterable[Pair] | None = None,
     left_digits: Sequence[int] | None = None,
-) -> list[InputString]:
-    """Every permutiple string of ``length`` inputs drawn from ``edges``.
+    allow_leading_zero: bool = True,
+) -> Iterator[PermutipleRecord]:
+    """Every permutiple with ``length`` digits, sorted by display digits.
 
-    Walks the carry machine from carry 0 and accepts exactly the strings
-    that end at carry 0 with every digit balanced (used as often on the left
-    as on the right).  A walk state (carry, steps left, balance vector) is
-    pruned when the carry's distance back to 0, or the positive part of the
-    balance, exceeds the steps left, and is remembered as dead once nothing
-    below it is accepted.  ``left_digits`` pins the multiset of left
-    components.  The stack is explicit, so recursion depth does not grow
-    with ``length``.  Strings come out in lexicographic order, each one a
-    distinct (digits, preimage) pair.
+    The carry machine run from the top digit is long division: from carry
+    c_{j+1}, digit d_j gives (p_j, c_j) = divmod(base*c_{j+1} + d_j, n), and
+    p_j < base always.  From c_k = 0, digits tried in ascending order, the
+    walk accepts when c_0 = 0 with every digit balanced (as many uses in
+    the digits as in the preimage p).  States (carry, digits left, balance)
+    are pruned when the balance's positive part exceeds the digits left and
+    memoised once dead.  ``edges`` restricts the (d, p) pairs, ``left_digits``
+    pins the digit multiset, and unless ``allow_leading_zero`` the top digit
+    is nonzero.  The stack is explicit.  Each record checks its carries.
     """
-    n, k = multiplier, length
-    check_multiplier(n, base)
+    n, b, k = multiplier, base, length
+    check_multiplier(n, b)
     if k < 1 or (left_digits is not None and len(left_digits) != k):
         raise ParameterError(f"length must be at least 1 and match the pinned digits; got {k}")
-    edges = sorted(set(edges))
-    digits = sorted({d for edge in edges for d in edge})
+    allowed = None if edges is None else set(edges)
+    digits = range(b) if allowed is None else sorted({d for edge in allowed for d in edge})
     index = {d: i for i, d in enumerate(digits)}
     left = [k if left_digits is None else left_digits.count(d) for d in digits]
     if left_digits is not None and sum(left) != k:
-        return []  # a pinned digit lies on none of the edges
+        return  # a pinned digit lies on none of the edges
 
     # Balance entries lie in -k..k and left-use counts in 0..k, so powers of
     # 2k+1 pack the balance (and, when pinned, the left uses above it) into
-    # one int that each input shifts by a fixed step; the memo keys on it.
+    # one int that each digit shifts by a fixed step; the memo keys on it.
+    # Row c lists, by ascending digit d: d, preimage digit, next carry, the
+    # digit indices of both and the packed step.
     width = 2 * k + 1
-    by_source: list[list[tuple[Pair, int, int, int, int]]] = [[] for _ in range(n)]
-    for edge in edges:
-        c1, c2 = transition(edge, n, base)
-        x, y = index[edge[0]], index[edge[1]]
-        pinned = width ** (len(digits) + x) if left_digits is not None else 0
-        by_source[c1].append((edge, c2, x, y, width**x - width**y + pinned))
-    distance = [0] + [k + 1] * (n - 1)  # inputs needed to get back to carry 0
-    for _ in range(n):
-        for c1, options in enumerate(by_source):
-            for option in options:
-                distance[c1] = min(distance[c1], distance[option[1]] + 1)
+    options: list[list[tuple[int, int, int, int, int, int]]] = []
+    for carry in range(n):
+        row = []
+        for d in range(b):
+            p, c = divmod(b * carry + d, n)
+            if allowed is None or (d, p) in allowed:
+                x, y = index[d], index[p]
+                pinned = width ** (len(digits) + x) if left_digits is not None else 0
+                row.append((d, p, c, x, y, width**x - width**y + pinned))
+        options.append(row)
 
-    out: list[InputString] = []
-    path: list[Pair] = []
+    path: list[tuple[int, int, int, int, int, int]] = []
     balance = [0] * len(digits)
     dead: set[int] = set()
-    # frame: untried inputs, packed code, positive part of the balance, whether
-    # anything below was accepted, digit indices of the input in, memo key
-    stack: list[list] = [[iter(by_source[0]), 0, 0, False, 0, 0, 0]]
+    roots = options[0] if allow_leading_zero else [o for o in options[0] if o[0]]
+    # frame: untried options, packed code, positive part of the balance,
+    # whether anything below was accepted, memo key
+    stack: list[list] = [[iter(roots), 0, 0, False, 0]]
     while stack:
         frame = stack[-1]
         code, surplus, steps = frame[1], frame[2], k - len(path)
-        for edge, c2, x, y, step in frame[0]:
+        for option in frame[0]:
+            _, _, c, x, y, step = option
             after = surplus + (balance[x] >= 0) - (balance[y] > 0) if x != y else surplus
-            if distance[c2] >= steps or after >= steps or not left[x]:
+            if after >= steps or not left[x]:
                 continue
             if steps == 1:
-                out.append((*path, edge))
+                if c:
+                    continue
                 frame[3] = True
+                lsb = (option, *reversed(path))
+                digit_string = DigitString(b, tuple(o[0] for o in lsb))
+                preimage = DigitString(b, tuple(o[1] for o in lsb))
+                sigma = canonical_sigma(digit_string, preimage)
+                if sigma is None:
+                    raise InvariantError("accepted digit string is not balanced")
+                carries = (*(o[2] for o in lsb), 0)
+                yield PermutipleRecord(n, digit_string, sigma, carries)
                 continue
-            key = ((code + step) * k + steps - 1) * n + c2
+            key = ((code + step) * k + steps - 1) * n + c
             if key in dead:
                 continue
             balance[x] += 1
             balance[y] -= 1
             left[x] -= 1
-            path.append(edge)
-            stack.append([iter(by_source[c2]), code + step, after, False, x, y, key])
+            path.append(option)
+            stack.append([iter(options[c]), code + step, after, False, key])
             break
         else:
             stack.pop()
-            if stack:
-                x, y = frame[4], frame[5]
+            if path:
+                x, y = path.pop()[3:5]
                 balance[x] -= 1
                 balance[y] += 1
                 left[x] += 1
-                path.pop()
                 if frame[3]:
                     stack[-1][3] = True
                 else:
-                    dead.add(frame[6])
-    return out
+                    dead.add(frame[4])
 
 
 def group_unions(
@@ -415,23 +425,20 @@ def feasible_unions(
 ) -> list[tuple[CycleMultiset, StateMultigraph]]:
     """Every feasible cycle multiset with ``length`` edges, with its union.
 
-    The search's strings grouped by edge multiset: by the feasibility
+    The kernel's strings grouped by edge multiset: by the feasibility
     criterion these are exactly the edge multisets whose union passes
     :func:`check_feasible`, one decomposition each.
     """
-    strings = (r.string for r in _search_all(multiplier, base, length))
+    strings = (r.string for r in walk_records(multiplier, base, length))
     return group_unions(strings, multiplier, base)
 
 
-@lru_cache(maxsize=None)
-def _search_all(multiplier: int, base: int, length: int) -> tuple[SearchResult, ...]:
-    edges = build_mother_graph(multiplier, base).edges
-    results = [
-        string_to_permutiple(string, multiplier, base)
-        for string in walk_strings(multiplier, base, length, edges)
-    ]
-    results.sort(key=lambda r: r.record.key)
-    return tuple(results)
+@lru_cache(maxsize=16)  # a handful of grid points under both leading-zero settings
+def _search(
+    multiplier: int, base: int, length: int, allow_leading_zero: bool
+) -> tuple[SearchResult, ...]:
+    records = walk_records(multiplier, base, length, allow_leading_zero=allow_leading_zero)
+    return tuple(SearchResult(r, r.string) for r in records)
 
 
 def find_permutiples(
@@ -439,15 +446,11 @@ def find_permutiples(
 ) -> list[SearchResult]:
     """All permutiples with ``length`` digits for the multiplier/base pair.
 
-    Runs :func:`walk_strings` over every mother-graph input; each accepted
-    string is one equation, so the results need no deduplication.  They
-    are sorted by display digits, and zero-led ones are dropped unless
-    ``allow_leading_zero``.
+    The records of :func:`walk_records`, in its order, with their input
+    strings; zero-led ones only if ``allow_leading_zero``.  The last few
+    searches are cached.
     """
-    results = _search_all(multiplier, base, length)
-    if allow_leading_zero:
-        return list(results)
-    return [r for r in results if r.record.canonical]
+    return list(_search(multiplier, base, length, allow_leading_zero))
 
 
 def _count_signatures(base: int, width: int, length: int) -> list[int]:

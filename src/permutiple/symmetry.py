@@ -10,7 +10,6 @@ coarse conjugacy complete the picture.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
@@ -25,7 +24,7 @@ from .errors import (
 )
 from .graphs import DigitGraph, graph_of_permutiple, is_cycle_union
 from .machine import StateGraph, StateMultigraph, edge_image
-from .search import CycleMultiset, group_unions, string_to_permutiple, walk_strings
+from .search import CycleMultiset, group_unions, string_to_permutiple, walk_records
 
 __all__ = [
     "ClassSpec",
@@ -234,24 +233,24 @@ def apply_symmetry(
 
 
 def _distinct_arrangements(items: Sequence[Pair]) -> Iterator[tuple[Pair, ...]]:
-    """Distinct permutations of a multiset, in lexicographic order."""
-    counts = Counter(items)
-    arrangement: list[Pair] = []
+    """Distinct permutations of a multiset, in lexicographic order.
 
-    def grow() -> Iterator[tuple[Pair, ...]]:
-        if len(arrangement) == len(items):
-            yield tuple(arrangement)
+    Each follows from the last by the next-permutation step, without
+    recursion: swap the rightmost ascent's left element with the smallest
+    larger element to its right, then reverse the tail."""
+    arrangement = sorted(items)
+    while True:
+        yield tuple(arrangement)
+        i = len(arrangement) - 2
+        while i >= 0 and arrangement[i] >= arrangement[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for value in sorted(counts):
-            if counts[value] == 0:
-                continue
-            counts[value] -= 1
-            arrangement.append(value)
-            yield from grow()
-            arrangement.pop()
-            counts[value] += 1
-
-    yield from grow()
+        j = len(arrangement) - 1
+        while arrangement[j] <= arrangement[i]:
+            j -= 1
+        arrangement[i], arrangement[j] = arrangement[j], arrangement[i]
+        arrangement[i + 1 :] = reversed(arrangement[i + 1 :])
 
 
 def symmetries_fixing_sequence(record: PermutipleRecord) -> list[Permutation]:
@@ -352,16 +351,12 @@ def enumerate_class_members(
     """All permutiples sharing the record's digit multiset whose graph is a
     subgraph of the record's class graph.
 
-    Runs :func:`walk_strings` over the class graph's edges with the left
-    digit multiset pinned to the record's: every member's input string is
-    such a walk and each walk is one member, sorted by display digits.
+    The records of :func:`walk_records` over the class graph's edges with
+    the digit multiset pinned to the record's, sorted by display digits;
+    zero-led ones only if ``allow_leading_zero``.
     """
     n, b, edges = record.multiplier, record.base, graph_of_permutiple(record).edges
-    strings = walk_strings(n, b, len(record), edges, record.digits.digits)
-    members = sorted((string_to_permutiple(s, n, b).record for s in strings), key=lambda m: m.key)
-    if allow_leading_zero:
-        return members
-    return [m for m in members if m.canonical]
+    return list(walk_records(n, b, len(record), edges, record.digits.digits, allow_leading_zero))
 
 
 def check_sym_rev(record: PermutipleRecord, j: int) -> bool:

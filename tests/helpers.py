@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations_with_replacement, permutations
+from typing import Iterable, Sequence
 
 from permutiple import (
     CycleMultiset,
@@ -22,10 +23,12 @@ from permutiple import (
     graph_of_permutiple,
     string_to_permutiple,
     union_images,
+    transition,
     verify_permutiple,
     walk_states,
 )
-from permutiple.errors import WalkError
+from permutiple.digits import check_multiplier
+from permutiple.errors import ParameterError, WalkError
 
 
 def make_record(
@@ -207,6 +210,113 @@ def reference_class_members(record):
             member = string_to_permutiple(string, record.multiplier, record.base).record
             found.setdefault(member.key, member)
     return [found[key] for key in sorted(found)]
+
+
+# ---------------------------------------------------------------------------
+# Reference kernel: the carry machine walked from the least significant
+# digit, where the library's long-division walk starts at the most
+# significant.  Its strings come out in input-string order, so
+# ``reference_records`` sorts them into the library's output order.
+
+Pair = tuple[int, int]
+InputString = tuple[Pair, ...]
+
+
+def walk_strings(
+    multiplier: int,
+    base: int,
+    length: int,
+    edges: Iterable[Pair],
+    left_digits: Sequence[int] | None = None,
+) -> list[InputString]:
+    """Every permutiple string of ``length`` inputs drawn from ``edges``.
+
+    Walks the carry machine from carry 0 and accepts exactly the strings
+    that end at carry 0 with every digit balanced (used as often on the left
+    as on the right).  A walk state (carry, steps left, balance vector) is
+    pruned when the carry's distance back to 0, or the positive part of the
+    balance, exceeds the steps left, and is remembered as dead once nothing
+    below it is accepted.  ``left_digits`` pins the multiset of left
+    components.  The stack is explicit, so recursion depth does not grow
+    with ``length``.  Strings come out in lexicographic order, each one a
+    distinct (digits, preimage) pair.
+    """
+    n, k = multiplier, length
+    check_multiplier(n, base)
+    if k < 1 or (left_digits is not None and len(left_digits) != k):
+        raise ParameterError(f"length must be at least 1 and match the pinned digits; got {k}")
+    edges = sorted(set(edges))
+    digits = sorted({d for edge in edges for d in edge})
+    index = {d: i for i, d in enumerate(digits)}
+    left = [k if left_digits is None else left_digits.count(d) for d in digits]
+    if left_digits is not None and sum(left) != k:
+        return []  # a pinned digit lies on none of the edges
+
+    # Balance entries lie in -k..k and left-use counts in 0..k, so powers of
+    # 2k+1 pack the balance (and, when pinned, the left uses above it) into
+    # one int that each input shifts by a fixed step; the memo keys on it.
+    width = 2 * k + 1
+    by_source: list[list[tuple[Pair, int, int, int, int]]] = [[] for _ in range(n)]
+    for edge in edges:
+        c1, c2 = transition(edge, n, base)
+        x, y = index[edge[0]], index[edge[1]]
+        pinned = width ** (len(digits) + x) if left_digits is not None else 0
+        by_source[c1].append((edge, c2, x, y, width**x - width**y + pinned))
+    distance = [0] + [k + 1] * (n - 1)  # inputs needed to get back to carry 0
+    for _ in range(n):
+        for c1, options in enumerate(by_source):
+            for option in options:
+                distance[c1] = min(distance[c1], distance[option[1]] + 1)
+
+    out: list[InputString] = []
+    path: list[Pair] = []
+    balance = [0] * len(digits)
+    dead: set[int] = set()
+    # frame: untried inputs, packed code, positive part of the balance, whether
+    # anything below was accepted, digit indices of the input in, memo key
+    stack: list[list] = [[iter(by_source[0]), 0, 0, False, 0, 0, 0]]
+    while stack:
+        frame = stack[-1]
+        code, surplus, steps = frame[1], frame[2], k - len(path)
+        for edge, c2, x, y, step in frame[0]:
+            after = surplus + (balance[x] >= 0) - (balance[y] > 0) if x != y else surplus
+            if distance[c2] >= steps or after >= steps or not left[x]:
+                continue
+            if steps == 1:
+                out.append((*path, edge))
+                frame[3] = True
+                continue
+            key = ((code + step) * k + steps - 1) * n + c2
+            if key in dead:
+                continue
+            balance[x] += 1
+            balance[y] -= 1
+            left[x] -= 1
+            path.append(edge)
+            stack.append([iter(by_source[c2]), code + step, after, False, x, y, key])
+            break
+        else:
+            stack.pop()
+            if stack:
+                x, y = frame[4], frame[5]
+                balance[x] -= 1
+                balance[y] += 1
+                left[x] += 1
+                path.pop()
+                if frame[3]:
+                    stack[-1][3] = True
+                else:
+                    dead.add(frame[6])
+    return out
+
+
+def reference_records(multiplier, base, length, edges, left_digits=None, allow_leading_zero=True):
+    """The forward walk's strings as records, sorted by display digits."""
+    strings = walk_strings(multiplier, base, length, edges, left_digits)
+    records = sorted(
+        (string_to_permutiple(s, multiplier, base).record for s in strings), key=lambda r: r.key
+    )
+    return [r for r in records if allow_leading_zero or r.canonical]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import os
 import stat
 import subprocess
 import sys
+from itertools import islice
 
 import pytest
 
@@ -36,6 +37,12 @@ def base4_anagram_multiplicands(limit):
 
 def _disk_full(*args):
     raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _two_records_then_disk_full(*args, **kwargs):
+    """The search kernel's first two records, then a failed write."""
+    yield from islice(search.walk_records(*args, **kwargs), 2)
+    _disk_full()
 
 
 class _HalfWrite:
@@ -100,14 +107,16 @@ class TestGraphCommands:
         assert target.read_text() == direct
         assert os.listdir(tmp_path) == ["found.json"]
 
-    @pytest.mark.parametrize("failure", ["write", "replace"])
+    @pytest.mark.parametrize("failure", ["write", "replace", "stream"])
     def test_failed_output_keeps_the_old_file(self, capsys, tmp_path, monkeypatch, failure):
         target = tmp_path / "found.json"
         target.write_text("old\n")
         if failure == "write":
             monkeypatch.setattr(cli, "open", _HalfWrite, raising=False)
-        else:
+        elif failure == "replace":
             monkeypatch.setattr(os, "replace", _disk_full)
+        else:  # records are written as they are found, and the search fails
+            monkeypatch.setattr(cli, "walk_records", _two_records_then_disk_full)
         code, out, err = run_cli(capsys, "find", "-n", "4", "-b", "10", "-k", "4", "-o", str(target))
         assert (code, out) == (1, "")
         assert "No space left" in err
@@ -338,6 +347,12 @@ class TestSymmetryCommands:
         payload = json.loads(out)
         assert len(payload["fixing_symmetries"]) == 2
 
+    def test_symmetries_of_a_seed_longer_than_the_recursion_limit(self, capsys):
+        zeros = "0" * (sys.getrecursionlimit() + 100)
+        code, out, _ = run_cli(capsys, "symmetries", "--seed", f"4x10:{zeros}=4*{zeros}")
+        assert code == 0
+        assert json.loads(out)["fixing_symmetries"] == []
+
     def test_closure(self, capsys):
         code, out, _ = run_cli(capsys, "closure", "--seed", "4x10:86712=4*21678")
         assert code == 0
@@ -403,20 +418,29 @@ class TestOeisCheck:
         assert "line 2" in err
 
 
+def run_module(*argv, **kwargs):
+    """``python -m permutiple.cli`` in a child that imports the package these
+    tests import, whether or not it is installed."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "permutiple.cli", *argv],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+        **kwargs,
+    )
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "permutiple.cli", "verify", "--seed", "4x10:87912=4*21978"],
-            capture_output=True,
-            text=True,
-        )
+        result = run_module("verify", "--seed", "4x10:87912=4*21978", text=True)
         assert result.returncode == 0
         assert json.loads(result.stdout)["value"] == 87912
 
     def test_byte_identical_across_processes(self):
-        argv = [sys.executable, "-m", "permutiple.cli", "find", "-n", "4", "-b", "10", "--length", "4"]
-        first = subprocess.run(argv, capture_output=True)
-        second = subprocess.run(argv, capture_output=True)
+        argv = ("find", "-n", "4", "-b", "10", "--length", "4")
+        first = run_module(*argv)
+        second = run_module(*argv)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
 

@@ -1,3 +1,4 @@
+import sys
 from itertools import permutations
 
 import pytest
@@ -102,6 +103,11 @@ class TestEnumerateCycles:
 
     def test_edgeless(self):
         assert enumerate_cycles(DigitGraph(5, frozenset())) == []
+
+    def test_ring_longer_than_the_recursion_limit(self):
+        size = sys.getrecursionlimit() + 200
+        ring = DigitGraph(size, frozenset((v, (v + 1) % size) for v in range(size)))
+        assert [c.vertices for c in enumerate_cycles(ring)] == [tuple(range(size))]
 
     def test_against_brute_force(self):
         for n, b in [(2, 3), (3, 4), (2, 5), (4, 5)]:

@@ -1,4 +1,5 @@
 import re
+import sys
 from collections import Counter
 
 import pytest
@@ -14,6 +15,7 @@ from permutiple import (
     ScanLimitError,
     WalkError,
     brute_force_oracle,
+    build_mother_graph,
     check_feasible,
     class_reflection_exists,
     count_eulerian_circuits,
@@ -22,6 +24,7 @@ from permutiple import (
     enumerate_class_members,
     eulerian_strings,
     find_permutiples,
+    graph_of_permutiple,
     multi_image,
     multiset_union,
     reflect_class,
@@ -30,8 +33,8 @@ from permutiple import (
     verify_permutiple,
 )
 from permutiple import search
-from permutiple.machine import empty_state_multigraph
-from permutiple.search import feasible_unions, walk_strings
+from permutiple.machine import StateMultigraph, empty_state_multigraph
+from permutiple.search import feasible_unions, walk_records
 from permutiple.symmetry import class_unions
 
 from helpers import (
@@ -44,6 +47,7 @@ from helpers import (
     reference_class_unions,
     reference_feasible_unions,
     reference_oracle,
+    reference_records,
     reference_strings,
 )
 
@@ -113,6 +117,11 @@ class TestEulerianStrings:
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleUnionError):
             eulerian_strings(unbalanced_six_edge_union())
+
+    def test_circuit_longer_than_the_recursion_limit(self):
+        size = sys.getrecursionlimit() + 100
+        loops = StateMultigraph.make(4, 10, [(0, 0, (0, 0))] * size)
+        assert eulerian_strings(loops) == [((0, 0),) * size]
 
     def test_infeasible_union_has_no_ordering(self):
         delta = unbalanced_six_edge_union()
@@ -223,6 +232,9 @@ class TestFindPermutiples:
                     found = {r.record.key for r in find_permutiples(n, b, length, True)}
                     scanned = {r.key for r in brute_force_oracle(n, b, length, True)}
                     assert found == scanned, (n, b, length)
+
+    def test_cache_is_bounded(self):
+        assert isinstance(search._search.cache_info().maxsize, int)
 
     def test_sorted_and_deterministic(self):
         first = find_permutiples(4, 10, 4, True)
@@ -351,17 +363,26 @@ class TestWalkKernel:
     @settings(max_examples=30, deadline=None)
     @given(point=small_points(), data=st.data())
     def test_matches_reference_engine_and_oracle(self, point, data):
+        # compared in order: the oracle scans values upwards and the
+        # reference walk's records are sorted, while the kernel sorts nothing
         n, b, k = point
+        mother = build_mother_graph(n, b).edges
+        for allow in (False, True):
+            records = [r.record for r in find_permutiples(n, b, k, allow)]
+            assert records == reference_records(n, b, k, mother, allow_leading_zero=allow)
+            assert records == brute_force_oracle(n, b, k, allow)
         results = find_permutiples(n, b, k, True)
         assert sorted(r.string for r in results) == reference_strings(n, b, k)
-        assert [r.record for r in results] == sorted(
-            brute_force_oracle(n, b, k, True), key=lambda r: r.key
-        )
         assert {d for _, d in feasible_unions(n, b, k)} == {
             d for _, d in reference_feasible_unions(n, b, k)
         }
         record = data.draw(st.sampled_from(results)).record
         assert enumerate_class_members(record) == reference_class_members(record)
+        edges = graph_of_permutiple(record).edges
+        for allow in (False, True):
+            assert enumerate_class_members(record, allow) == reference_records(
+                n, b, k, edges, record.digits.digits, allow
+            )
         assert {d for _, d in class_unions(record)} == {
             d for _, d in reference_class_unions(record)
         }
@@ -372,13 +393,14 @@ class TestWalkKernel:
                 assert derived.images == reference_class_images(n, derived.graph)
 
     def test_pinned_digits_outside_the_edges(self):
-        assert walk_strings(4, 10, 2, [(0, 0)], (0, 1)) == []
+        assert list(walk_records(4, 10, 2, [(0, 0)], (0, 1))) == []
 
     def test_pinned_length_mismatch(self):
         with pytest.raises(ParameterError):
-            walk_strings(4, 10, 3, [(0, 0)], (0, 0))
+            list(walk_records(4, 10, 3, [(0, 0)], (0, 0)))
 
     def test_depth_beyond_the_recursion_limit(self):
         # an explicit stack: 3000 steps, past the interpreter's default limit
-        strings = walk_strings(4, 10, 3000, [(0, 0)], (0,) * 3000)
-        assert strings == [((0, 0),) * 3000]
+        records = list(walk_records(4, 10, 3000, [(0, 0)], (0,) * 3000))
+        assert [r.string for r in records] == [((0, 0),) * 3000]
+        assert records[0].carries == (0,) * 3001
