@@ -15,8 +15,11 @@ options a command does not read are skipped), then the environment
 a command's first format is its default.  Exit codes: 0 success (and
 ``--help``), 1 verification or feasibility failure, a refused scan, an I/O
 error or a failed internal check (:class:`InvariantError`), 2 usage error;
-:func:`main` returns them, argparse's own included.  Output is written as
-it is made; ``--output`` is replaced whole through a sibling temporary file.
+:func:`main` returns them, argparse's own included.  A stdout closed by its
+reader (``find ... | head -1``) ends the command with 1 and nothing on
+stderr.  Output is written as it is made; ``--output`` is replaced whole
+through a sibling temporary file.  ``find`` writes its lines straight from
+the search kernel's digits through :func:`serialize.permutiple_line`.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .digits import (
 from .errors import BFileError, InvariantError, ParameterError, PermutipleError, SeedError
 from .graphs import build_mother_graph
 from .machine import build_state_graph, build_state_multigraph
-from .search import DEFAULT_SCAN_LIMIT, brute_force_oracle, find_permutiples, walk_records
+from .search import DEFAULT_SCAN_LIMIT, brute_force_oracle, division_walk, find_permutiples
 from .symmetry import (
     ClassSpec,
     apply_symmetry,
@@ -62,6 +65,10 @@ EXIT_USAGE = 2
 
 class _UsageError(Exception):
     pass
+
+
+class _StdoutClosed(Exception):
+    """The reader of stdout went away; the command ends quietly."""
 
 
 def _str_to_bool(value: str) -> bool:
@@ -163,7 +170,16 @@ def _emit(args: argparse.Namespace, lines: Iterable[str]) -> None:
     pipe or device such as ``/dev/null`` is written in place.
     """
     if not args.output:
-        sys.stdout.writelines(lines)
+        try:
+            sys.stdout.writelines(lines)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # Point stdout at /dev/null so the flush at shutdown cannot
+            # raise again (the SIGPIPE note of the ``signal`` docs).
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise _StdoutClosed from None
         return
     path = os.path.realpath(args.output)
     in_place = os.path.exists(path) and not os.path.isfile(path)
@@ -216,10 +232,10 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_find(args: argparse.Namespace) -> int:
-    records = walk_records(
-        args.multiplier, args.base, args.length, allow_leading_zero=args.allow_leading_zero
-    )
-    _emit(args, _record_lines(args, records))
+    n, b, text = args.multiplier, args.base, args.format == "text"
+    walks = division_walk(n, b, args.length, allow_leading_zero=args.allow_leading_zero)
+    lines = (serialize.permutiple_line(n, b, d, p, c, text=text) + "\n" for d, p, c in walks)
+    _emit(args, lines)
     return EXIT_OK
 
 
@@ -454,6 +470,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     except PermutipleError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
+    except _StdoutClosed:
         return EXIT_FAILURE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,14 +3,16 @@
 Digit sequences are stored least-significant-first, so ``digits[j]`` is the
 coefficient of ``base**j``.  Display order (most-significant first) appears
 only at formatting boundaries.  All arithmetic is exact integer arithmetic.
+The classes here are the library's validated values (see
+:mod:`permutiple.value`); CLI ``find`` does not build them per line.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import ParameterError
+from .value import Value
 
 __all__ = [
     "DigitString",
@@ -19,6 +21,7 @@ __all__ = [
     "canonical_sigma",
     "check_multiplier",
     "lambda_residue",
+    "smallest_bijection",
     "verify_permutiple",
 ]
 
@@ -38,14 +41,14 @@ def check_multiplier(multiplier: int, base: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class DigitString:
+class DigitString(Value):
     """A base-b digit sequence, least-significant digit first.
 
     Leading zeros (at the high-index end) are permitted; ``canonical`` is
     true when the most significant digit is nonzero.
     """
 
+    __slots__ = ("base", "digits")
     base: int
     digits: tuple[int, ...]
 
@@ -114,10 +117,10 @@ class DigitString:
         return len(self.digits)
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Value):
     """A bijection on {0, ..., size-1}; ``mapping[i]`` is the image of ``i``."""
 
+    __slots__ = ("mapping",)
     mapping: tuple[int, ...]
 
     def __post_init__(self) -> None:
@@ -164,8 +167,7 @@ class Permutation:
         return Permutation(tuple(inv))
 
 
-@dataclass(frozen=True)
-class PermutipleRecord:
+class PermutipleRecord(Value):
     """A verified digit-preserving multiplication digits = multiplier * permuted digits.
 
     ``carries[j]`` is the carry entering position j of the single-digit
@@ -173,6 +175,7 @@ class PermutipleRecord:
     carry is below the multiplier.
     """
 
+    __slots__ = ("multiplier", "digits", "sigma", "carries")
     multiplier: int
     digits: DigitString
     sigma: Permutation
@@ -262,6 +265,24 @@ def verify_permutiple(
     return PermutipleRecord(n, digits, sigma, tuple(carries))
 
 
+def smallest_bijection(digits: Sequence[int], preimage: Sequence[int]) -> list[int] | None:
+    """The lexicographically smallest ``m`` with ``digits[m[j]] == preimage[j]``.
+
+    Each preimage digit takes the lowest unused position holding it, popped
+    from a per-digit bucket; a pop fails exactly when the two sequences are
+    not rearrangements of each other, and then the result is None.
+    """
+    if len(digits) != len(preimage):
+        return None
+    available: dict[int, list[int]] = {}
+    for i in range(len(digits) - 1, -1, -1):
+        available.setdefault(digits[i], []).append(i)
+    try:
+        return [available[value].pop() for value in preimage]
+    except (KeyError, IndexError):
+        return None
+
+
 def canonical_sigma(digits: DigitString, preimage: DigitString) -> Permutation | None:
     """Lexicographically smallest bijection with ``digits[sigma(j)] == preimage[j]``.
 
@@ -271,12 +292,5 @@ def canonical_sigma(digits: DigitString, preimage: DigitString) -> Permutation |
         raise ParameterError("digit strings must share a base")
     if len(digits) != len(preimage):
         raise ParameterError("digit strings must share a length")
-    if digits.multiset() != preimage.multiset():
-        return None
-    available: dict[int, list[int]] = {}
-    for i in reversed(range(len(digits))):
-        available.setdefault(digits.digits[i], []).append(i)
-    mapping = []
-    for value in preimage.digits:
-        mapping.append(available[value].pop())
-    return Permutation(tuple(mapping))
+    mapping = smallest_bijection(digits.digits, preimage.digits)
+    return None if mapping is None else Permutation(tuple(mapping))

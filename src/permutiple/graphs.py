@@ -7,12 +7,12 @@ enumeration, reflections, and the cycle-union test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 from typing import Hashable, Iterable
 
 from .digits import PermutipleRecord, check_multiplier, lambda_residue
 from .errors import ParameterError
+from .value import Value
 
 __all__ = [
     "DigitCycle",
@@ -26,10 +26,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DigitGraph:
+class DigitGraph(Value):
     """A directed graph whose vertices are the digits 0..base-1."""
 
+    __slots__ = ("base", "edges")
     base: int
     edges: frozenset[tuple[int, int]]
 
@@ -74,14 +74,14 @@ class DigitGraph:
         return self.base == other.base and self.edges <= other.edges
 
 
-@dataclass(frozen=True)
-class DigitCycle:
+class DigitCycle(Value):
     """A simple directed cycle, stored as its vertex sequence.
 
     The stored rotation is canonical: the minimum vertex comes first.  A
     single vertex denotes a loop.
     """
 
+    __slots__ = ("base", "vertices")
     base: int
     vertices: tuple[int, ...]
 

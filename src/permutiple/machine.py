@@ -9,12 +9,12 @@ label sets, and a multigraph with one labeled multi-edge per input.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .digits import check_multiplier, lambda_residue
 from .errors import InvariantError, ParameterError, WalkError
 from .graphs import DigitCycle, build_mother_graph, strongly_connected_components
+from .value import Value
 
 __all__ = [
     "StateGraph",
@@ -67,8 +67,7 @@ def _strongly_connected(states: Iterable[int], pairs: Iterable[Pair]) -> bool:
     return bool(nodes) and len(strongly_connected_components(nodes, pairs)) == 1
 
 
-@dataclass(frozen=True)
-class StateGraph:
+class StateGraph(Value):
     """Edge-labeled state graph; each edge holds a sorted set of input pairs.
 
     ``edges`` is a canonical tuple of ((c1, c2), labels) items sorted by
@@ -77,6 +76,7 @@ class StateGraph:
     edges.
     """
 
+    __slots__ = ("multiplier", "base", "states", "edges")
     multiplier: int
     base: int
     states: frozenset[int]
@@ -136,11 +136,11 @@ class StateGraph:
         return _strongly_connected(self.states, (pair for pair, _ in self.edges))
 
 
-@dataclass(frozen=True)
-class StateMultigraph:
+class StateMultigraph(Value):
     """One labeled multi-edge per input pair; ``edges`` is a sorted multiset
     of (c1, c2, label) triples.  Vertices are the incident states only."""
 
+    __slots__ = ("multiplier", "base", "edges")
     multiplier: int
     base: int
     edges: tuple[tuple[int, int, Pair], ...]

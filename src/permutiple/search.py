@@ -3,28 +3,32 @@
 A permutiple string is an input string the carry machine accepts (a walk
 from carry 0 back to carry 0) whose left and right digit components form
 the same multiset.  ``find`` and ``class`` both search with one kernel,
-:func:`walk_records`, the machine run as long division from the top digit,
-which yields records in output order.  The paper's cycle
-theory stays as checked mathematics: every such string orders a cycle
-multiset whose multigraph union passes :func:`check_feasible`,
-:func:`eulerian_strings` lists the orderings of a union and
-:func:`count_eulerian_circuits` counts them by the BEST theorem.  An
-independent integer-scan oracle cross-checks the whole pipeline.
+:func:`division_walk`, the machine run as long division from the top
+digit, which yields each permutiple's digits, preimage and carries (the
+division's remainders) in output order.  CLI ``find`` writes its lines
+straight from those tuples; :func:`walk_records` builds library records
+from them.  The paper's cycle theory stays as checked mathematics: every
+such string orders a cycle multiset whose multigraph union passes
+:func:`check_feasible`, :func:`eulerian_strings` lists the orderings of
+a union and :func:`count_eulerian_circuits` counts them by the BEST
+theorem.  An independent integer-scan oracle cross-checks the whole
+pipeline.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
 from .digits import (
     DigitString,
+    Permutation,
     PermutipleRecord,
     canonical_sigma,
     check_multiplier,
+    smallest_bijection,
     verify_permutiple,
 )
 from .errors import (
@@ -36,6 +40,7 @@ from .errors import (
 )
 from .graphs import DigitCycle
 from .machine import StateMultigraph, transition, walk_states
+from .value import Value
 
 __all__ = [
     "CycleMultiset",
@@ -45,6 +50,7 @@ __all__ = [
     "check_feasible",
     "count_eulerian_circuits",
     "decompose_into_cycles",
+    "division_walk",
     "duplicate_label_factor",
     "eulerian_strings",
     "feasible_unions",
@@ -56,19 +62,20 @@ __all__ = [
 
 Pair = tuple[int, int]
 InputString = tuple[Pair, ...]
+Walk = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]  # digits, preimage, carries
 
 DEFAULT_SCAN_LIMIT = 10**8
 _SIGNATURE_TABLE_BYTES = 2**27  # 128 MiB
 
 
-@dataclass(frozen=True)
-class CycleMultiset:
+class CycleMultiset(Value):
     """A multiset of simple cycles: the support plus a positive count each.
 
     ``cycles`` is sorted by vertex tuple and duplicate-free, so equal
     multisets compare equal structurally.
     """
 
+    __slots__ = ("cycles", "multiplicities")
     cycles: tuple[DigitCycle, ...]
     multiplicities: tuple[int, ...]
 
@@ -105,10 +112,10 @@ class CycleMultiset:
         return StateMultigraph.make(multiplier, base, triples)
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Value):
     """A found permutiple together with its input string."""
 
+    __slots__ = ("record", "string")
     record: PermutipleRecord
     string: InputString
 
@@ -310,25 +317,28 @@ def string_to_permutiple(inputs: Sequence[Pair], multiplier: int, base: int) -> 
     return SearchResult(PermutipleRecord(multiplier, digits, sigma, carries), inputs)
 
 
-def walk_records(
+def division_walk(
     multiplier: int,
     base: int,
     length: int,
     edges: Iterable[Pair] | None = None,
     left_digits: Sequence[int] | None = None,
     allow_leading_zero: bool = True,
-) -> Iterator[PermutipleRecord]:
-    """Every permutiple with ``length`` digits, sorted by display digits.
+) -> Iterator[Walk]:
+    """Every permutiple with ``length`` digits as (digits, preimage, carries).
 
-    The carry machine run from the top digit is long division: from carry
-    c_{j+1}, digit d_j gives (p_j, c_j) = divmod(base*c_{j+1} + d_j, n), and
-    p_j < base always.  From c_k = 0, digits tried in ascending order, the
-    walk accepts when c_0 = 0 with every digit balanced (as many uses in
-    the digits as in the preimage p).  States (carry, digits left, balance)
-    are pruned when the balance's positive part exceeds the digits left and
-    memoised once dead.  ``edges`` restricts the (d, p) pairs, ``left_digits``
-    pins the digit multiset, and unless ``allow_leading_zero`` the top digit
-    is nonzero.  The stack is explicit.  Each record checks its carries.
+    The three tuples are least-significant first: digits d_0..d_{k-1},
+    preimage digits p_0..p_{k-1} with n*p = d, and carries c_0..c_k.  They
+    come sorted by display digits.  The carry machine run from the top
+    digit is long division: from carry c_{j+1}, digit d_j gives
+    (p_j, c_j) = divmod(base*c_{j+1} + d_j, n), and p_j < base always.
+    From c_k = 0, digits tried in ascending order, the walk accepts when
+    c_0 = 0 with every digit balanced (as many uses in the digits as in the
+    preimage p).  States (carry, digits left, balance) are pruned when the
+    balance's positive part exceeds the digits left and memoised once dead.
+    ``edges`` restricts the (d, p) pairs, ``left_digits`` pins the digit
+    multiset, and unless ``allow_leading_zero`` the top digit is nonzero.
+    The stack is explicit.
     """
     n, b, k = multiplier, base, length
     check_multiplier(n, b)
@@ -377,14 +387,8 @@ def walk_records(
                 if c:
                     continue
                 frame[3] = True
-                lsb = (option, *reversed(path))
-                digit_string = DigitString(b, tuple(o[0] for o in lsb))
-                preimage = DigitString(b, tuple(o[1] for o in lsb))
-                sigma = canonical_sigma(digit_string, preimage)
-                if sigma is None:
-                    raise InvariantError("accepted digit string is not balanced")
-                carries = (*(o[2] for o in lsb), 0)
-                yield PermutipleRecord(n, digit_string, sigma, carries)
+                ds, ps, cs, *_ = zip(option, *reversed(path))  # least-significant first
+                yield ds, ps, (*cs, 0)
                 continue
             key = ((code + step) * k + steps - 1) * n + c
             if key in dead:
@@ -406,6 +410,25 @@ def walk_records(
                     stack[-1][3] = True
                 else:
                     dead.add(frame[4])
+
+
+def walk_records(
+    multiplier: int,
+    base: int,
+    length: int,
+    edges: Iterable[Pair] | None = None,
+    left_digits: Sequence[int] | None = None,
+    allow_leading_zero: bool = True,
+) -> Iterator[PermutipleRecord]:
+    """The walks of :func:`division_walk` (same arguments, same order) as
+    records; each record checks its carries."""
+    walks = division_walk(multiplier, base, length, edges, left_digits, allow_leading_zero)
+    for digits, preimage, carries in walks:
+        mapping = smallest_bijection(digits, preimage)
+        if mapping is None:
+            raise InvariantError("accepted digit string is not balanced")
+        sigma = Permutation(tuple(mapping))
+        yield PermutipleRecord(multiplier, DigitString(base, digits), sigma, carries)
 
 
 def group_unions(

@@ -1,7 +1,11 @@
 """Text, JSON, and DOT renderings plus seed/equation/b-file parsing.
 
 All output is byte-deterministic: edges, labels, and JSON keys are sorted
-before rendering.
+before rendering.  A permutiple's JSON and text lines are written in one
+place, :func:`permutiple_line`, from its least-significant-first digits,
+preimage and carries: straight from the search kernel's tuples for CLI
+``find``, and from a record's fields for :func:`record_to_json` and
+:func:`record_to_text`.  It proves the equation before it writes a line.
 """
 
 from __future__ import annotations
@@ -15,10 +19,11 @@ from .digits import (
     Permutation,
     PermutipleRecord,
     canonical_sigma,
+    smallest_bijection,
     verify_permutiple,
 )
-from .errors import BFileError, ParameterError, SeedError
-from .graphs import DigitGraph, graph_of_permutiple
+from .errors import BFileError, InvariantError, ParameterError, SeedError
+from .graphs import DigitGraph
 from .machine import StateGraph, StateMultigraph
 
 Pair = tuple[int, int]
@@ -31,6 +36,7 @@ __all__ = [
     "format_pair",
     "parse_bfile",
     "parse_seed",
+    "permutiple_line",
     "record_from_json",
     "record_to_json",
     "record_to_text",
@@ -62,35 +68,87 @@ def format_equation(record: PermutipleRecord) -> str:
     return f"{n}x{b}:{lhs}={n}*{rhs}"
 
 
-def record_to_text(record: PermutipleRecord) -> str:
-    digits = ",".join(str(d) for d in record.digits.display)
-    preimage = ",".join(str(d) for d in record.preimage.display)
-    carries = ",".join(str(c) for c in reversed(record.carries[:-1]))
+def permutiple_line(
+    multiplier: int,
+    base: int,
+    digits: Sequence[int],
+    preimage: Sequence[int],
+    carries: Sequence[int],
+    sigma: Sequence[int] | None = None,
+    text: bool = False,
+) -> str:
+    """The JSON (or, with ``text``, text) line of one permutiple, unterminated.
+
+    ``digits`` d_0..d_{k-1}, ``preimage`` p_0..p_{k-1} and ``carries``
+    c_0..c_k are least-significant first, as
+    :func:`permutiple.search.division_walk` yields them.  The line is
+    written only once the equation is proved: every digit and preimage
+    digit lies in 0..b-1, every carry in 0..n-1, c_0 = c_k = 0 and
+    b*c_{j+1} - c_j = n*p_j - d_j at every position, so d = n*p; and p
+    rearranges d.  ``sigma``, the mapping with d[sigma(j)] = p_j, defaults
+    to :func:`permutiple.digits.smallest_bijection`, which fails exactly
+    when the two multisets differ; a given one is trusted (a
+    :class:`PermutipleRecord` has checked it).  A failed check raises
+    :class:`InvariantError`.
+
+    The JSON object is compact, with sorted keys: ``base``, ``canonical``
+    (nonzero top digit), ``carries`` c_{k-1}..c_0, ``class_edges`` (the
+    sorted distinct pairs (d_j,p_j)), ``digits`` and ``preimage``
+    most-significant first, ``multiplier``, ``sigma`` and ``value``.
+    """
+    n, b, k = multiplier, base, len(digits)
+    if not (1 < n < b and k and len(preimage) == k and len(carries) == k + 1):
+        raise InvariantError(f"malformed permutiple: n={n}, b={b}, {k} digits")
+    if min(digits) < 0 or max(digits) >= b or min(preimage) < 0 or max(preimage) >= b:
+        raise InvariantError(f"digit out of range for base {b}")
+    if carries[0] or carries[k] or min(carries) < 0 or max(carries) >= n:
+        raise InvariantError(f"carries {tuple(carries)} leave 0..{n - 1} or do not end at 0")
+    for j in range(k):
+        if b * carries[j + 1] - carries[j] != n * preimage[j] - digits[j]:
+            raise InvariantError(f"carry recurrence violated at position {j}")
+    if sigma is None:
+        sigma = smallest_bijection(digits, preimage)
+        if sigma is None:
+            raise InvariantError("digit and preimage multisets differ")
+    display = ",".join(map(str, digits[::-1]))
+    display_preimage = ",".join(map(str, preimage[::-1]))
+    shown_carries = ",".join(map(str, carries[-2::-1]))
+    if text:
+        return f"({display})_{b} = {n} * ({display_preimage})_{b}  [carries {shown_carries}]"
+    value = 0
+    for d in reversed(digits):
+        value = value * b + d
+    edges = ",".join(f'"({d},{p})"' for d, p in sorted(set(zip(digits, preimage))))
     return (
-        f"({digits})_{record.base} = {record.multiplier} * ({preimage})_{record.base}"
-        f"  [carries {carries}]"
+        f'{{"base":{b},"canonical":{"true" if digits[-1] else "false"},'
+        f'"carries":[{shown_carries}],"class_edges":[{edges}],"digits":[{display}],'
+        f'"multiplier":{n},"preimage":[{display_preimage}],'
+        f'"sigma":[{",".join(map(str, sigma))}],"value":{value}}}'
     )
 
 
-def record_to_json(record: PermutipleRecord) -> str:
-    """One compact JSON object per record; digits most-significant first.
+def _record_line(record: PermutipleRecord, text: bool) -> str:
+    return permutiple_line(
+        record.multiplier,
+        record.base,
+        record.digits.digits,
+        record.preimage.digits,
+        record.carries,
+        record.sigma.mapping,
+        text,
+    )
 
-    ``carries`` lists c_k..c_0 (the final always-zero carry is omitted);
-    ``sigma`` lists sigma(0)..sigma(k) over least-significant-first
-    positions.
-    """
-    payload = {
-        "base": record.base,
-        "canonical": record.canonical,
-        "carries": list(reversed(record.carries[:-1])),
-        "class_edges": [format_pair(e) for e in graph_of_permutiple(record).sorted_edges],
-        "digits": list(record.digits.display),
-        "multiplier": record.multiplier,
-        "preimage": list(record.preimage.display),
-        "sigma": list(record.sigma.mapping),
-        "value": record.value(),
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+def record_to_text(record: PermutipleRecord) -> str:
+    """The text line of a record: :func:`permutiple_line` with ``text``."""
+    return _record_line(record, True)
+
+
+def record_to_json(record: PermutipleRecord) -> str:
+    """One compact JSON object per record: :func:`permutiple_line` with the
+    record's own sigma, which lists sigma(0)..sigma(k-1) over
+    least-significant-first positions."""
+    return _record_line(record, False)
 
 
 def record_from_json(text: str) -> PermutipleRecord:

@@ -10,7 +10,6 @@ coarse conjugacy complete the picture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -25,6 +24,7 @@ from .errors import (
 from .graphs import DigitGraph, graph_of_permutiple, is_cycle_union
 from .machine import StateGraph, StateMultigraph, edge_image
 from .search import CycleMultiset, group_unions, string_to_permutiple, walk_records
+from .value import Value
 
 __all__ = [
     "ClassSpec",
@@ -50,10 +50,10 @@ __all__ = [
 Pair = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class StateSequence:
+class StateSequence(Value):
     """The cyclic chain of state transitions traced by a closed walk."""
 
+    __slots__ = ("transitions",)
     transitions: tuple[Pair, ...]
 
     def __post_init__(self) -> None:
@@ -131,14 +131,14 @@ def dihedral_siblings(record: PermutipleRecord) -> list[PermutipleRecord]:
     return [seen[key] for key in sorted(seen)]
 
 
-@dataclass(frozen=True)
-class ClassSpec:
+class ClassSpec(Value):
     """A permutiple class: its digit graph plus the union of cycle images.
 
     The graph must be a union of simple mother-graph cycles; ``images`` is
     the labeled state subgraph traced by all of its cycles.
     """
 
+    __slots__ = ("multiplier", "base", "graph", "images")
     multiplier: int
     base: int
     graph: DigitGraph

@@ -6,6 +6,7 @@ Equations are stored display-first (most significant digit first) as
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from itertools import combinations_with_replacement, permutations
 from typing import Iterable, Sequence
@@ -29,6 +30,7 @@ from permutiple import (
 )
 from permutiple.digits import check_multiplier
 from permutiple.errors import ParameterError, WalkError
+from permutiple.serialize import format_pair
 
 
 def make_record(
@@ -99,6 +101,39 @@ def reference_oracle(multiplier, base, length, allow_leading_zero=False):
         if allow_leading_zero or record.canonical:
             records.append(record)
     return records
+
+
+def reference_record_to_text(record: PermutipleRecord) -> str:
+    """The text line of a record, written field by field from the record.
+
+    ``permutiple.serialize`` writes both formats through one checked line
+    builder; these two renderers are the plain versions it must match byte
+    for byte.
+    """
+    digits = ",".join(str(d) for d in record.digits.display)
+    preimage = ",".join(str(d) for d in record.preimage.display)
+    carries = ",".join(str(c) for c in reversed(record.carries[:-1]))
+    return (
+        f"({digits})_{record.base} = {record.multiplier} * ({preimage})_{record.base}"
+        f"  [carries {carries}]"
+    )
+
+
+def reference_record_to_json(record: PermutipleRecord) -> str:
+    """The JSON line of a record through ``json.dumps`` with sorted keys,
+    its class edges read from the record's digit graph."""
+    payload = {
+        "base": record.base,
+        "canonical": record.canonical,
+        "carries": list(reversed(record.carries[:-1])),
+        "class_edges": [format_pair(e) for e in graph_of_permutiple(record).sorted_edges],
+        "digits": list(record.digits.display),
+        "multiplier": record.multiplier,
+        "preimage": list(record.preimage.display),
+        "sigma": list(record.sigma.mapping),
+        "value": record.value(),
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 from permutiple import cli, search
 from permutiple.cli import build_parser, main
 from permutiple.errors import InvariantError
+from permutiple.value import Value
 
 
 def run_cli(capsys, *argv):
@@ -39,9 +40,9 @@ def _disk_full(*args):
     raise OSError(errno.ENOSPC, "No space left on device")
 
 
-def _two_records_then_disk_full(*args, **kwargs):
-    """The search kernel's first two records, then a failed write."""
-    yield from islice(search.walk_records(*args, **kwargs), 2)
+def _two_walks_then_disk_full(*args, **kwargs):
+    """The search kernel's first two walks, then a failed write."""
+    yield from islice(search.division_walk(*args, **kwargs), 2)
     _disk_full()
 
 
@@ -115,12 +116,29 @@ class TestGraphCommands:
             monkeypatch.setattr(cli, "open", _HalfWrite, raising=False)
         elif failure == "replace":
             monkeypatch.setattr(os, "replace", _disk_full)
-        else:  # records are written as they are found, and the search fails
-            monkeypatch.setattr(cli, "walk_records", _two_records_then_disk_full)
+        else:  # lines are written as they are found, and the search fails
+            monkeypatch.setattr(cli, "division_walk", _two_walks_then_disk_full)
         code, out, err = run_cli(capsys, "find", "-n", "4", "-b", "10", "-k", "4", "-o", str(target))
         assert (code, out) == (1, "")
         assert "No space left" in err
         assert target.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["found.json"]
+
+    def test_a_walk_that_fails_its_checks_keeps_the_old_file(self, capsys, tmp_path, monkeypatch):
+        def two_walks_then_a_bad_one(*args, **kwargs):
+            walks = search.division_walk(*args, **kwargs)
+            yield next(walks)
+            digits, preimage, carries = next(walks)
+            yield digits, preimage, carries
+            yield digits, preimage, (0, 1) + carries[2:]
+
+        target = tmp_path / "found.json"
+        target.write_bytes(b"old\n")
+        monkeypatch.setattr(cli, "division_walk", two_walks_then_a_bad_one)
+        code, out, err = run_cli(capsys, "find", "-n", "4", "-b", "10", "-k", "4", "-o", str(target))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: carr")
+        assert target.read_bytes() == b"old\n"
         assert os.listdir(tmp_path) == ["found.json"]
 
     def test_output_through_a_symlink_replaces_its_target(self, capsys, tmp_path):
@@ -418,15 +436,20 @@ class TestOeisCheck:
         assert "line 2" in err
 
 
-def run_module(*argv, **kwargs):
-    """``python -m permutiple.cli`` in a child that imports the package these
+def child_env():
+    """The environment of a child process that imports the package these
     tests import, whether or not it is installed."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_module(*argv, **kwargs):
+    """``python -m permutiple.cli`` in a child (see :func:`child_env`)."""
     return subprocess.run(
         [sys.executable, "-m", "permutiple.cli", *argv],
         capture_output=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
         **kwargs,
     )
 
@@ -443,6 +466,52 @@ class TestEntryPoint:
         second = run_module(*argv)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        check = (
+            "import permutiple.cli, sys; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", check], capture_output=True, text=True, env=child_env()
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+    @pytest.mark.parametrize("command", ["find", "oracle"])
+    def test_a_closed_stdout_ends_quietly(self, command):
+        argv = [command, "-n", "2", "-b", "5", "-k", "8", "--allow-leading-zero"]  # 180 kB
+        child = subprocess.Popen(
+            [sys.executable, "-m", "permutiple.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=child_env(),
+        )
+        try:
+            first = child.stdout.readline()
+            child.stdout.close()  # the reader goes away with output still to come
+            err = child.stderr.read()
+            code = child.wait(timeout=60)
+        finally:
+            child.kill()
+            child.wait()
+            child.stderr.close()
+        assert json.loads(first)["value"] == 0
+        assert (code, err) == (1, b"")
+
+    @pytest.mark.parametrize("command, builds", [("find", False), ("oracle", True)])
+    def test_find_builds_no_value_objects(self, capsys, monkeypatch, command, builds):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"built a {type(self).__name__}")
+
+        for cls in Value.__subclasses__():
+            monkeypatch.setattr(cls, "__init__", refuse)
+        argv = (command, "-n", "4", "-b", "10", "-k", "6", "--allow-leading-zero")
+        if builds:  # the oracle rebuilds every hit, so the guard is live
+            with pytest.raises(AssertionError, match="built a DigitString"):
+                run_cli(capsys, *argv)
+        else:
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0 and out.count("\n") == 171
 
     def test_json_lines_round_trip(self, capsys):
         from permutiple.serialize import record_from_json

@@ -10,6 +10,7 @@ from permutiple import (
     lambda_residue,
     verify_permutiple,
 )
+from permutiple.digits import smallest_bijection
 
 from helpers import carries_by_value, make_record
 
@@ -173,3 +174,9 @@ class TestCanonicalSigma:
     def test_base_mismatch_raises(self):
         with pytest.raises(ParameterError):
             canonical_sigma(DigitString(10, (1,)), DigitString(8, (1,)))
+
+    def test_bijection_of_plain_sequences(self):
+        assert smallest_bijection((2, 1, 2), (1, 2, 2)) == [1, 0, 2]
+        assert smallest_bijection((1, 2), (2, 2)) is None  # a digit used twice
+        assert smallest_bijection((1, 2), (1, 3)) is None  # a digit missing
+        assert smallest_bijection((1, 2), (1,)) is None  # lengths differ

@@ -1,15 +1,30 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from permutiple import BFileError, SeedError, build_mother_graph, build_state_graph
+from permutiple import (
+    BFileError,
+    InvariantError,
+    SeedError,
+    brute_force_oracle,
+    build_mother_graph,
+    build_state_graph,
+    dihedral_siblings,
+)
+from permutiple.cli import main
 from permutiple.machine import build_state_multigraph
+from permutiple.search import division_walk, walk_records
 from permutiple.serialize import (
     digit_graph_to_dot,
     digit_graph_to_json,
     format_equation,
     parse_bfile,
     parse_seed,
+    permutiple_line,
     record_from_json,
     record_to_json,
     record_to_text,
@@ -19,7 +34,9 @@ from permutiple.serialize import (
     state_multigraph_to_json,
 )
 
-from helpers import make_record
+from helpers import make_record, reference_record_to_json, reference_record_to_text
+
+REFERENCE = {"json": reference_record_to_json, "text": reference_record_to_text}
 
 
 class TestSeeds:
@@ -85,6 +102,61 @@ class TestRecordJson:
         text = record_to_text(record)
         assert "(8,7,9,1,2)_10" in text
         assert "carries 0,3,3,3,0" in text
+
+
+def _points(scan_limit=None):
+    """(n, b, k) with n < b <= 16 and k <= 6; with ``scan_limit``, only the
+    points whose integer scan visits at most that many strings."""
+    def lengths(b):
+        top = 6 if scan_limit is None else max(k for k in range(1, 7) if b**k <= scan_limit)
+        return st.tuples(st.integers(2, b - 1), st.just(b), st.integers(1, top))
+
+    return st.integers(3, 16).flatmap(lengths)
+
+
+class TestLineBuilder:
+    @settings(max_examples=40, deadline=None)
+    @given(point=_points(), leading_zero=st.booleans(), fmt=st.sampled_from(["json", "text"]))
+    @example(point=(5, 12, 5), leading_zero=True, fmt="json")
+    @example(point=(2, 10, 6), leading_zero=False, fmt="text")
+    def test_find_writes_the_reference_lines(self, point, leading_zero, fmt):
+        n, b, k = point
+        zeros = "--allow-leading-zero" if leading_zero else "--no-allow-leading-zero"
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["find", "-n", str(n), "-b", str(b), "-k", str(k), zeros, "--format", fmt])
+        records = walk_records(n, b, k, allow_leading_zero=leading_zero)
+        assert code == 0
+        assert out.getvalue() == "".join(REFERENCE[fmt](r) + "\n" for r in records)
+
+    @settings(max_examples=40, deadline=None)
+    @given(point=_points(scan_limit=20000), leading_zero=st.booleans())
+    @example(point=(4, 12, 3), leading_zero=True)
+    def test_record_renderers_match_the_reference(self, point, leading_zero):
+        for record in brute_force_oracle(*point, leading_zero):
+            # siblings carry the conjugated sigma, not the smallest one
+            for r in [record, *dihedral_siblings(record)]:
+                assert record_to_json(r) == reference_record_to_json(r)
+                assert record_to_text(r) == reference_record_to_text(r)
+
+    @pytest.mark.parametrize("text", [False, True])
+    @pytest.mark.parametrize(
+        "walk, message",
+        [
+            # 87912 = 4 * 21978 with carry c_4 off by one
+            (((2, 1, 9, 7, 8), (8, 7, 9, 1, 2), (0, 3, 3, 3, 1, 0)), "recurrence"),
+            # its units digit raised to the base
+            (((10, 1, 9, 7, 8), (8, 7, 9, 1, 2), (0, 3, 3, 3, 0, 0)), "out of range"),
+            # 48 = 4 * 12: a true equation on an unbalanced pair of strings
+            (((8, 4), (2, 1), (0, 0, 0)), "multisets differ"),
+        ],
+    )
+    def test_corrupted_walks_are_refused(self, walk, message, text):
+        good = ((2, 1, 9, 7, 8), (8, 7, 9, 1, 2), (0, 3, 3, 3, 0, 0))
+        assert good in division_walk(4, 10, 5)
+        assert "87912" in permutiple_line(4, 10, *good, text=text).replace(",", "")
+        with pytest.raises(InvariantError, match=message):
+            permutiple_line(4, 10, *walk, text=text)
 
 
 class TestGraphRendering:
