@@ -42,7 +42,7 @@ from .digits import (
 from .errors import BFileError, InvariantError, ParameterError, PermutipleError, SeedError
 from .graphs import build_mother_graph
 from .machine import build_state_graph, build_state_multigraph
-from .search import DEFAULT_SCAN_LIMIT, brute_force_oracle, division_walk, find_permutiples
+from .search import DEFAULT_SCAN_LIMIT, brute_force_oracle, division_walk
 from .symmetry import (
     ClassSpec,
     apply_symmetry,
@@ -370,13 +370,15 @@ def oeis_report(
     representation is an anagram of the product's.  Misses are derived
     values our enumeration should have found (within its length bound);
     extras are our values inside the b-file's coverage that it lacks.
+    Values come straight from the search kernel's digits.
     """
     derived = sorted(multiplier * value for _, value in entries)
     ours: set[int] = set()
     for length in range(1, max_length + 1):
-        for result in find_permutiples(multiplier, base, length, allow_leading_zero=False):
-            if result.record.preimage.canonical:
-                ours.add(result.record.value())
+        walks = division_walk(multiplier, base, length, allow_leading_zero=False)
+        for digits, preimage, _ in walks:
+            if preimage[-1]:
+                ours.add(sum(d * base**j for j, d in enumerate(digits)))
     our_limit = base**max_length - 1
     derived_limit = max(derived) if derived else -1
     derived_set = set(derived)

@@ -2,13 +2,15 @@
 
 Houses the mother graph (the superset of all permutiple-graph edges for a
 multiplier/base pair), the graph of a single permutiple, simple-cycle
-enumeration, reflections, and the cycle-union test.
+enumeration, reflections, and two reachability tests built on one
+iterative walk: :func:`strongly_connected` (one root reaches every node
+forward and backward) and the cycle-union test :func:`is_cycle_union`
+(every weakly connected part is strongly connected).
 """
 
 from __future__ import annotations
 
-from itertools import count
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Mapping
 
 from .digits import PermutipleRecord, check_multiplier, lambda_residue
 from .errors import ParameterError
@@ -22,7 +24,7 @@ __all__ = [
     "graph_of_permutiple",
     "is_cycle_union",
     "reflect_digit_graph",
-    "strongly_connected_components",
+    "strongly_connected",
 ]
 
 
@@ -175,67 +177,56 @@ def enumerate_cycles(graph: DigitGraph, max_length: int | None = None) -> list[D
     return found
 
 
-def strongly_connected_components(
-    nodes: Iterable[Hashable], edges: Iterable[tuple[Hashable, Hashable]]
-) -> list[frozenset]:
-    """Tarjan's algorithm, iterative to keep recursion depth flat."""
-    successors: dict = {}
-    for u, v in edges:
-        successors.setdefault(u, set()).add(v)
-    index: dict = {}
-    low: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    components: list[frozenset] = []
-    counter = count()
+def _reach(start: Hashable, adjacency: Mapping[Hashable, list]) -> set:
+    """Every node reachable from ``start`` along ``adjacency``, itself included."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in adjacency.get(stack.pop(), ()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
-    for start in nodes:
-        if start in index:
-            continue
-        index[start] = low[start] = next(counter)
-        stack.append(start)
-        on_stack.add(start)
-        work = [(start, iter(sorted(successors.get(start, ()))))]
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = next(counter)
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(sorted(successors.get(w, ())))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-            if low[v] == index[v]:
-                component = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    component.add(w)
-                    if w == v:
-                        break
-                components.append(frozenset(component))
-    return components
+
+def _adjacency(edges: Iterable[tuple[Hashable, Hashable]]) -> tuple[dict, dict]:
+    """Successor and predecessor lists of an edge list."""
+    forward: dict = {}
+    backward: dict = {}
+    for u, v in edges:
+        forward.setdefault(u, []).append(v)
+        backward.setdefault(v, []).append(u)
+    return forward, backward
+
+
+def strongly_connected(
+    nodes: Iterable[Hashable], edges: Iterable[tuple[Hashable, Hashable]]
+) -> bool:
+    """Whether ``edges`` join the nonempty ``nodes`` into one strongly
+    connected part: one root reaches every node forward and backward."""
+    nodes = set(nodes)
+    if not nodes:
+        return False
+    forward, backward = _adjacency(edges)
+    root = next(iter(nodes))
+    return nodes <= _reach(root, forward) and nodes <= _reach(root, backward)
 
 
 def is_cycle_union(graph: DigitGraph) -> bool:
     """True iff every edge lies on at least one simple cycle of ``graph``.
 
-    An edge (u, v) lies on a simple cycle exactly when it is a loop or u and
-    v share a strongly connected component.
+    An edge lies on a simple cycle exactly when it is a loop or its ends
+    reach each other, that is, exactly when every weakly connected part of
+    the graph is strongly connected.  One root per part decides that: the
+    part is strongly connected iff the root's forward and backward reach
+    are the same set.  Linear time, with an explicit stack.
     """
-    vertices = graph.incident_vertices()
-    comp_of: dict[int, int] = {}
-    for i, comp in enumerate(strongly_connected_components(vertices, graph.edges)):
-        for v in comp:
-            comp_of[v] = i
-    return all(u == v or comp_of[u] == comp_of[v] for u, v in graph.edges)
+    forward, backward = _adjacency(graph.edges)
+    placed: set[int] = set()
+    for root in forward:
+        if root not in placed:
+            part = _reach(root, forward)
+            if part != _reach(root, backward):
+                return False
+            placed |= part
+    return True

@@ -4,6 +4,9 @@ States are the carries 0..n-1; an input pair (d1, d2) drives the transition
 ``c2 = (n*d2 - d1 + c1) / b`` where ``c1`` is forced by the input.  The
 machine has two equivalent presentations: a state graph whose edges carry
 label sets, and a multigraph with one labeled multi-edge per input.
+:func:`edge_image` traces a set of mother-graph edges into the first and
+:func:`edge_multi_image` a multiset of them into the second; every other
+image builder calls one of the two.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .digits import check_multiplier, lambda_residue
 from .errors import InvariantError, ParameterError, WalkError
-from .graphs import DigitCycle, build_mother_graph, strongly_connected_components
+from .graphs import DigitCycle, build_mother_graph, strongly_connected
 from .value import Value
 
 __all__ = [
@@ -23,6 +26,7 @@ __all__ = [
     "build_state_multigraph",
     "cycle_image",
     "edge_image",
+    "edge_multi_image",
     "empty_state_graph",
     "empty_state_multigraph",
     "multi_image",
@@ -59,12 +63,6 @@ def transition(edge: Pair, multiplier: int, base: int) -> Pair:
     if not 0 <= c2 <= n - 1:
         raise InvariantError(f"carry transition for ({d1},{d2}) left 0..{n - 1}")
     return c1, c2
-
-
-def _strongly_connected(states: Iterable[int], pairs: Iterable[Pair]) -> bool:
-    """Whether the state pairs connect the nonempty state set into one component."""
-    nodes = sorted(states)
-    return bool(nodes) and len(strongly_connected_components(nodes, pairs)) == 1
 
 
 class StateGraph(Value):
@@ -133,7 +131,7 @@ class StateGraph(Value):
         return StateGraph.make(n, b, (n - 1 - c for c in self.states), edge_labels)
 
     def is_strongly_connected(self) -> bool:
-        return _strongly_connected(self.states, (pair for pair, _ in self.edges))
+        return strongly_connected(self.states, (pair for pair, _ in self.edges))
 
 
 class StateMultigraph(Value):
@@ -186,7 +184,7 @@ class StateMultigraph(Value):
         )
 
     def is_strongly_connected(self) -> bool:
-        return _strongly_connected(self.states(), ((c1, c2) for c1, c2, _ in self.edges))
+        return strongly_connected(self.states(), ((c1, c2) for c1, c2, _ in self.edges))
 
 
 def empty_state_graph(multiplier: int, base: int) -> StateGraph:
@@ -208,12 +206,7 @@ def build_state_graph(multiplier: int, base: int) -> StateGraph:
 
 def build_state_multigraph(multiplier: int, base: int) -> StateMultigraph:
     """One triple per mother-graph edge."""
-    mother = build_mother_graph(multiplier, base)
-    triples = []
-    for edge in mother.sorted_edges:
-        c1, c2 = transition(edge, multiplier, base)
-        triples.append((c1, c2, edge))
-    return StateMultigraph.make(multiplier, base, triples)
+    return edge_multi_image(build_mother_graph(multiplier, base).edges, multiplier, base)
 
 
 def edge_image(edges: Iterable[Pair], multiplier: int, base: int) -> StateGraph:
@@ -232,6 +225,13 @@ def edge_image(edges: Iterable[Pair], multiplier: int, base: int) -> StateGraph:
     return StateGraph.make(multiplier, base, incident, grouped)
 
 
+def edge_multi_image(edges: Iterable[Pair], multiplier: int, base: int) -> StateMultigraph:
+    """The multigraph traced by a multiset of mother-graph edges: one
+    (c1, c2, edge) triple per edge, repeats kept."""
+    triples = [(*transition(edge, multiplier, base), edge) for edge in edges]
+    return StateMultigraph.make(multiplier, base, triples)
+
+
 def cycle_image(cycle: DigitCycle, multiplier: int, base: int) -> StateGraph:
     """The labeled subgraph traced by one mother-graph cycle."""
     return edge_image(cycle.edges, multiplier, base)
@@ -239,11 +239,7 @@ def cycle_image(cycle: DigitCycle, multiplier: int, base: int) -> StateGraph:
 
 def multi_image(cycle: DigitCycle, multiplier: int, base: int) -> StateMultigraph:
     """As :func:`cycle_image` but with one multi-edge per cycle edge."""
-    triples = []
-    for edge in cycle.edges:
-        c1, c2 = transition(edge, multiplier, base)
-        triples.append((c1, c2, edge))
-    return StateMultigraph.make(multiplier, base, triples)
+    return edge_multi_image(cycle.edges, multiplier, base)
 
 
 def _check_same_parameters(parts: Sequence) -> tuple[int, int]:

@@ -39,7 +39,7 @@ from .errors import (
     ScanLimitError,
 )
 from .graphs import DigitCycle
-from .machine import StateMultigraph, transition, walk_states
+from .machine import StateMultigraph, edge_multi_image, walk_states
 from .value import Value
 
 __all__ = [
@@ -104,12 +104,7 @@ class CycleMultiset(Value):
 
     def multigraph(self, multiplier: int, base: int) -> StateMultigraph:
         """The multiset union of the multi-images of the member cycles."""
-        triples = []
-        for cycle, mult in zip(self.cycles, self.multiplicities):
-            for edge in cycle.edges:
-                c1, c2 = transition(edge, multiplier, base)
-                triples.extend([(c1, c2, edge)] * mult)
-        return StateMultigraph.make(multiplier, base, triples)
+        return edge_multi_image(self.edge_counter().elements(), multiplier, base)
 
 
 class SearchResult(Value):

@@ -13,7 +13,13 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator, Sequence
 
-from .digits import DigitString, Permutation, PermutipleRecord, verify_permutiple
+from .digits import (
+    DigitString,
+    Permutation,
+    PermutipleRecord,
+    smallest_bijection,
+    verify_permutiple,
+)
 from .errors import (
     InvariantError,
     MultisetMismatchError,
@@ -379,10 +385,7 @@ def check_sym_rev(record: PermutipleRecord, j: int) -> bool:
         raise ParameterError("digit multiset is not reflection-closed")
 
     # pi: position -> reference index, smallest assignment
-    available: dict[int, list[int]] = {}
-    for idx in reversed(range(size)):
-        available.setdefault(reference[idx], []).append(idx)
-    pi = Permutation(tuple(available[d].pop() for d in record.digits.digits))
+    pi = Permutation(tuple(smallest_bijection(reference, record.digits.digits)))
 
     sibling = _shifted_record(record, j, reflect=True)
     rho = Permutation.reversal(size)

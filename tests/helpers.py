@@ -82,6 +82,35 @@ def is_permutiple_string(inputs, multiplier: int, base: int) -> bool:
     return Counter(d1 for d1, _ in inputs) == Counter(d2 for _, d2 in inputs)
 
 
+def transitive_closure(nodes, edges):
+    """Every pair (u, v) of ``nodes`` with u reaching v, each node reaching
+    itself; Warshall's algorithm.  ``nodes`` must hold every edge end."""
+    reach = {u: {u} for u in nodes}
+    for u, v in edges:
+        reach[u].add(v)
+    for k in reach:
+        for row in reach.values():
+            if k in row:
+                row |= reach[k]
+    return {(u, v) for u, row in reach.items() for v in row}
+
+
+def reference_strongly_connected(nodes, edges):
+    """The nonempty ``nodes`` reach each other, every ordered pair of them,
+    by transitive closure."""
+    nodes = set(nodes)
+    closure = transitive_closure(nodes, edges)
+    return bool(nodes) and all((u, v) in closure for u in nodes for v in nodes)
+
+
+def reference_cycle_union(graph):
+    """The edges covered by the simple cycles of ``graph`` are all of its edges."""
+    covered = set()
+    for cycle in enumerate_cycles(graph):
+        covered.update(cycle.edges)
+    return covered == set(graph.edges)
+
+
 def reference_oracle(multiplier, base, length, allow_leading_zero=False):
     """The integer scan with digit strings built for every candidate.
 

@@ -17,7 +17,35 @@ from permutiple import (
     reflect_digit_graph,
 )
 
-from helpers import CONJUGATE_ROWS, MOTHER_EDGES_3_4, make_record
+from permutiple.graphs import strongly_connected
+
+from helpers import (
+    CONJUGATE_ROWS,
+    MOTHER_EDGES_3_4,
+    make_record,
+    reference_cycle_union,
+    reference_strongly_connected,
+    transitive_closure,
+)
+
+
+def digit_graphs(max_base):
+    """Any edge subset of the digits of a base up to ``max_base``."""
+    return st.integers(min_value=2, max_value=max_base).flatmap(
+        lambda b: st.builds(
+            DigitGraph,
+            st.just(b),
+            st.frozensets(st.tuples(st.integers(0, b - 1), st.integers(0, b - 1))),
+        )
+    )
+
+
+def ring(size):
+    return [(v, (v + 1) % size) for v in range(size)]
+
+
+# a ring far longer than the recursion limit: the walks must not recurse
+RING_SIZE = 20_000
 
 
 def brute_force_cycles(graph):
@@ -133,22 +161,13 @@ class TestEnumerateCycles:
         assert reflected == [c.vertices for c in cycles]
 
     def test_cycle_edges_cover_exactly_the_cyclic_part(self):
-        # an edge lies on some cycle iff its endpoints share a component
-        from permutiple.graphs import strongly_connected_components
-
+        # an edge (u, v) lies on some cycle iff v reaches u
         graph = DigitGraph(10, {(1, 2), (2, 1), (2, 3), (3, 3), (4, 5)})
         on_cycles = set()
         for cycle in enumerate_cycles(graph):
             on_cycles.update(cycle.edges)
-        comp_of = {}
-        for i, comp in enumerate(
-            strongly_connected_components(graph.incident_vertices(), graph.edges)
-        ):
-            for v in comp:
-                comp_of[v] = i
-        expected = {
-            (u, v) for u, v in graph.edges if u == v or comp_of[u] == comp_of[v]
-        }
+        closure = transitive_closure(graph.incident_vertices(), graph.edges)
+        expected = {(u, v) for u, v in graph.edges if (v, u) in closure}
         assert on_cycles == expected
 
 
@@ -215,3 +234,30 @@ class TestIsCycleUnion:
 
     def test_path_plus_cycle(self):
         assert not is_cycle_union(DigitGraph(10, {(1, 2), (2, 1), (2, 3)}))
+
+    @given(digit_graphs(7))
+    def test_against_cycle_cover(self, graph):
+        assert is_cycle_union(graph) == reference_cycle_union(graph)
+
+    def test_ring_longer_than_the_recursion_limit(self):
+        assert RING_SIZE > sys.getrecursionlimit()
+        assert is_cycle_union(DigitGraph(RING_SIZE, frozenset(ring(RING_SIZE))))
+        # a ring through all digits but the last, then a tail edge out to it
+        tail = ring(RING_SIZE - 1) + [(0, RING_SIZE - 1)]
+        assert not is_cycle_union(DigitGraph(RING_SIZE, frozenset(tail)))
+
+
+class TestStronglyConnected:
+    @given(
+        st.frozensets(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=20),
+        st.frozensets(st.integers(0, 9), max_size=4),
+    )
+    def test_against_transitive_closure(self, edges, isolated):
+        nodes = {v for edge in edges for v in edge} | isolated
+        assert strongly_connected(nodes, edges) == reference_strongly_connected(nodes, edges)
+
+    def test_ring_longer_than_the_recursion_limit(self):
+        assert RING_SIZE > sys.getrecursionlimit()
+        edges = ring(RING_SIZE)
+        assert strongly_connected(range(RING_SIZE), edges)
+        assert not strongly_connected(range(RING_SIZE), edges[1:])

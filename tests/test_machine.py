@@ -1,8 +1,13 @@
+from collections import Counter
+from functools import lru_cache
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from permutiple import (
+    CycleMultiset,
     DigitCycle,
     ParameterError,
     WalkError,
@@ -10,6 +15,7 @@ from permutiple import (
     build_state_graph,
     build_state_multigraph,
     cycle_image,
+    enumerate_cycles,
     multi_image,
     multiset_union,
     reflect_state_graph,
@@ -18,9 +24,24 @@ from permutiple import (
     union_images,
     walk_states,
 )
-from permutiple.machine import StateGraph, empty_state_graph, empty_state_multigraph
+from permutiple.machine import (
+    StateGraph,
+    edge_multi_image,
+    empty_state_graph,
+    empty_state_multigraph,
+)
 
-from helpers import MACHINE_EDGES_3_4, MACHINE_EDGES_4_10, make_record
+from helpers import (
+    MACHINE_EDGES_3_4,
+    MACHINE_EDGES_4_10,
+    make_record,
+    reference_strongly_connected,
+)
+
+
+@lru_cache(maxsize=None)
+def short_cycles(multiplier, base):
+    return enumerate_cycles(build_mother_graph(multiplier, base), max_length=3)
 
 
 class TestTransition:
@@ -77,6 +98,17 @@ class TestStateGraph:
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):
             build_state_graph(1, 10)
+
+    def test_strong_connectivity_sweep(self):
+        for b in range(3, 13):
+            for n in range(2, b):
+                graph = build_state_graph(n, b)
+                multigraph = build_state_multigraph(n, b)
+                pairs = [pair for pair, _ in graph.edges]
+                expected = reference_strongly_connected(graph.states, pairs)
+                assert graph.is_strongly_connected() == expected, (n, b)
+                expected = reference_strongly_connected(multigraph.states(), pairs)
+                assert multigraph.is_strongly_connected() == expected, (n, b)
 
 
 class TestStateMultigraph:
@@ -174,6 +206,21 @@ class TestUnions:
         assert union_images([image, empty_state_graph(4, 10)]) == image
         mimage = multi_image(DigitCycle(10, (2, 8)), 4, 10)
         assert multiset_union([mimage, empty_state_multigraph(4, 10)]) == mimage
+
+    @given(st.data())
+    def test_edge_multi_image_of_a_cycle_multiset(self, data):
+        b = data.draw(st.integers(3, 10))
+        n = data.draw(st.integers(2, b - 1))
+        chosen = data.draw(st.lists(st.sampled_from(short_cycles(n, b)), min_size=1, max_size=6))
+        multiset = CycleMultiset.from_counts(Counter(chosen))
+        parts = [
+            multi_image(cycle, n, b)
+            for cycle, mult in zip(multiset.cycles, multiset.multiplicities)
+            for _ in range(mult)
+        ]
+        expected = multiset_union(parts)
+        assert edge_multi_image(multiset.edge_counter().elements(), n, b) == expected
+        assert multiset.multigraph(n, b) == expected
 
     def test_mixed_parameters_rejected(self):
         with pytest.raises(ParameterError):
