@@ -29,7 +29,6 @@ from .graphs import (
     enumerate_cycles,
     graph_of_permutiple,
     is_cycle_union,
-    reflect_digit_graph,
 )
 from .machine import (
     StateGraph,
@@ -39,8 +38,6 @@ from .machine import (
     cycle_image,
     multi_image,
     multiset_union,
-    reflect_state_graph,
-    reflect_state_multigraph,
     transition,
     union_images,
     walk_states,

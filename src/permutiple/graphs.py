@@ -23,7 +23,6 @@ __all__ = [
     "enumerate_cycles",
     "graph_of_permutiple",
     "is_cycle_union",
-    "reflect_digit_graph",
     "strongly_connected",
 ]
 
@@ -135,10 +134,6 @@ def graph_of_permutiple(record: PermutipleRecord) -> DigitGraph:
     particular permutation chosen for repeated digits.
     """
     return DigitGraph(record.base, frozenset(record.string))
-
-
-def reflect_digit_graph(graph: DigitGraph) -> DigitGraph:
-    return graph.reflect()
 
 
 def enumerate_cycles(graph: DigitGraph, max_length: int | None = None) -> list[DigitCycle]:

@@ -31,8 +31,6 @@ __all__ = [
     "empty_state_multigraph",
     "multi_image",
     "multiset_union",
-    "reflect_state_graph",
-    "reflect_state_multigraph",
     "transition",
     "union_images",
     "walk_states",
@@ -271,14 +269,6 @@ def multiset_union(parts: Sequence[StateMultigraph]) -> StateMultigraph:
     for part in parts:
         triples.extend(part.edges)
     return StateMultigraph.make(n, b, triples)
-
-
-def reflect_state_graph(graph: StateGraph) -> StateGraph:
-    return graph.reflect()
-
-
-def reflect_state_multigraph(graph: StateMultigraph) -> StateMultigraph:
-    return graph.reflect()
 
 
 def walk_states(

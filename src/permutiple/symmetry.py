@@ -3,7 +3,9 @@
 Reflection (digit d to b-1-d, carry c to n-1-c) and rotation of input
 strings generate new permutiples from known ones: carries equal to n-1 mark
 reflective siblings, zero carries mark rotational siblings, and together
-these are the dihedral siblings.  Class-level reflection, symmetric
+these are the dihedral siblings.  Every sibling and symmetry image is an
+input string read back through the machine, so, like a search result, it
+carries the smallest sigma.  Class-level reflection, symmetric
 closures, string symmetries that fix the state-transition sequence, and
 coarse conjugacy complete the picture.
 """
@@ -13,13 +15,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator, Sequence
 
-from .digits import (
-    DigitString,
-    Permutation,
-    PermutipleRecord,
-    smallest_bijection,
-    verify_permutiple,
-)
+from .digits import Permutation, PermutipleRecord, smallest_bijection
 from .errors import (
     InvariantError,
     MultisetMismatchError,
@@ -82,51 +78,57 @@ def state_sequence(record: PermutipleRecord) -> StateSequence:
     return StateSequence(tuple((c[j], c[j + 1]) for j in range(len(record))))
 
 
-def _shifted_record(record: PermutipleRecord, shift: int, reflect: bool) -> PermutipleRecord:
-    """Rotate the digit indexing by ``shift`` and optionally reflect digits.
+def _string_record(string: Sequence[Pair], n: int, b: int) -> PermutipleRecord | None:
+    """The record of an input string, or None when the machine rejects it."""
+    try:
+        return string_to_permutiple(string, n, b).record
+    except (WalkError, MultisetMismatchError):
+        return None
 
-    The new permutation is the rotation-conjugate of the old one; the result
-    is re-verified rather than trusted.
+
+def _sibling(record: PermutipleRecord, j: int, reflect: bool) -> PermutipleRecord:
+    """The record's input string rotated to start at position ``j``, each
+    pair (d, p) mapped to (b-1-d, b-1-p) when ``reflect``.
+
+    The machine must accept it: a rotation at a zero carry, or a reflection
+    at an n-1 carry, is again a closed walk from state 0.
     """
-    size = len(record)
-    b = record.base
-    d = record.digits.digits
-    rho = Permutation.rotation(size, shift)
+    s = record.string
+    rotated = s[j:] + s[:j]
     if reflect:
-        new_digits = tuple(b - 1 - d[rho(i)] for i in range(size))
-    else:
-        new_digits = tuple(d[rho(i)] for i in range(size))
-    new_sigma = Permutation.rotation(size, -shift).compose(record.sigma).compose(rho)
-    result = verify_permutiple(DigitString(b, new_digits), new_sigma, record.multiplier)
-    if result is None:
-        raise InvariantError(f"sibling at shift {shift} failed verification")
-    return result
+        m = record.base - 1
+        rotated = tuple((m - d, m - p) for d, p in rotated)
+    sibling = _string_record(rotated, record.multiplier, record.base)
+    if sibling is None:
+        raise InvariantError(f"sibling at shift {j} failed verification")
+    return sibling
+
+
+def _siblings(record: PermutipleRecord, reflect: bool) -> Iterator[tuple[int, PermutipleRecord]]:
+    """(j, sibling) for every position 0 <= j < k whose carry marks one:
+    n-1 for reflective siblings, 0 for rotational ones."""
+    mark = record.multiplier - 1 if reflect else 0
+    for j, carry in enumerate(record.carries[:-1]):
+        if carry == mark:
+            yield j, _sibling(record, j, reflect)
 
 
 def reflective_siblings(record: PermutipleRecord) -> list[tuple[int, PermutipleRecord]]:
-    """One sibling for every position 0 < j <= k whose carry equals n-1.
+    """One sibling for every position 0 < j < k whose carry equals n-1.
 
-    The sibling reflects all digits and rotates the indexing by j; its
+    The sibling is the reflected input string rotated to start at j; its
     carries are the reflected, rotated carries of the original.
     """
-    n = record.multiplier
-    out = []
-    for j in range(1, len(record)):
-        if record.carries[j] == n - 1:
-            out.append((j, _shifted_record(record, j, reflect=True)))
-    return out
+    return list(_siblings(record, reflect=True))
 
 
 def rotational_siblings(record: PermutipleRecord) -> list[tuple[int, PermutipleRecord]]:
-    """One sibling for every position 0 <= j <= k whose carry is zero.
+    """One sibling for every position 0 <= j < k whose carry is zero: the
+    input string rotated to start at j.
 
     j = 0 always qualifies and reproduces the record itself.
     """
-    out = []
-    for j in range(len(record)):
-        if record.carries[j] == 0:
-            out.append((j, _shifted_record(record, j, reflect=False)))
-    return out
+    return list(_siblings(record, reflect=False))
 
 
 def dihedral_siblings(record: PermutipleRecord) -> list[PermutipleRecord]:
@@ -209,10 +211,8 @@ def reflected_class_witness(record: PermutipleRecord) -> PermutipleRecord | None
     sibling there realizes the reflected graph.  Returns None when no carry
     qualifies.
     """
-    n = record.multiplier
-    for j in range(1, len(record) + 1):
-        if record.carries[j] == n - 1:
-            return _shifted_record(record, j, reflect=True)
+    for _, sibling in _siblings(record, reflect=True):
+        return sibling
     return None
 
 
@@ -232,10 +232,7 @@ def apply_symmetry(
     if reflect:
         m = record.base - 1
         permuted = tuple((m - d1, m - d2) for d1, d2 in permuted)
-    try:
-        return string_to_permutiple(permuted, record.multiplier, record.base).record
-    except (WalkError, MultisetMismatchError):
-        return None
+    return _string_record(permuted, record.multiplier, record.base)
 
 
 def _distinct_arrangements(items: Sequence[Pair]) -> Iterator[tuple[Pair, ...]]:
@@ -263,18 +260,18 @@ def symmetries_fixing_sequence(record: PermutipleRecord) -> list[Permutation]:
     """Nontrivial input permutations that keep every state transition fixed.
 
     Positions sharing a transition may trade inputs; each rearrangement of
-    the string that differs from the original is reported once, represented
-    by the permutation that fixes the most positions (ties broken by
-    smallest mapping).  Every representative is validated to produce a
-    permutiple.
+    the string that differs from the original is validated as a permutiple
+    string and reported once, by the permutation that fixes the most
+    positions (ties broken by smallest mapping): the identity where the
+    input is unchanged, :func:`smallest_bijection` on the moved positions.
+    An input pair determines its transition, so that bijection never moves
+    an input to another transition.
     """
-    s = record.string
-    transitions = state_sequence(record).transitions
+    n, b, s = record.multiplier, record.base, record.string
     groups: dict[Pair, list[int]] = {}
-    for i, t in enumerate(transitions):
+    for i, t in enumerate(state_sequence(record).transitions):
         groups.setdefault(t, []).append(i)
     group_list = sorted(groups.values())
-
     per_group = [list(_distinct_arrangements([s[i] for i in g])) for g in group_list]
 
     out = []
@@ -283,30 +280,25 @@ def symmetries_fixing_sequence(record: PermutipleRecord) -> list[Permutation]:
         for g, arranged in zip(group_list, assignment):
             for pos, value in zip(g, arranged):
                 target[pos] = value
-        if tuple(target) == s:
+        moved = [i for i in range(len(s)) if target[i] != s[i]]
+        if not moved:
             continue
-        mapping: list[int | None] = [None] * len(s)
-        used = [False] * len(s)
-        for i in range(len(s)):
-            if target[i] == s[i]:
-                mapping[i] = i
-                used[i] = True
-        for g in group_list:
-            for i in g:
-                if mapping[i] is not None:
-                    continue
-                for j in g:
-                    if not used[j] and s[j] == target[i]:
-                        mapping[i] = j
-                        used[j] = True
-                        break
-        phi = Permutation(tuple(mapping))  # type: ignore[arg-type]
-        applied = apply_symmetry(record, phi)
-        if applied is None:
+        if _string_record(target, n, b) is None:
             raise InvariantError("transition-fixing permutation failed to produce a permutiple")
-        out.append(phi)
+        mapping = list(range(len(s)))
+        matched = smallest_bijection([s[i] for i in moved], [target[i] for i in moved])
+        for i, m in zip(moved, matched):  # type: ignore[arg-type]
+            mapping[i] = moved[m]
+        out.append(Permutation(tuple(mapping)))
     out.sort(key=lambda p: p.mapping)
     return out
+
+
+def _require_same_digits(first: PermutipleRecord, second: PermutipleRecord) -> None:
+    if (first.multiplier, first.base) != (second.multiplier, second.base):
+        raise ParameterError("records must share multiplier and base")
+    if first.digits.multiset() != second.digits.multiset():
+        raise ParameterError("records must share their digit multiset")
 
 
 def coarse_conjugate(first: PermutipleRecord, second: PermutipleRecord) -> bool:
@@ -314,10 +306,7 @@ def coarse_conjugate(first: PermutipleRecord, second: PermutipleRecord) -> bool:
 
     Both records must share multiplier, base, and digit multiset.
     """
-    if (first.multiplier, first.base) != (second.multiplier, second.base):
-        raise ParameterError("records must share multiplier and base")
-    if first.digits.multiset() != second.digits.multiset():
-        raise ParameterError("records must share their digit multiset")
+    _require_same_digits(first, second)
     return graph_of_permutiple(first) == graph_of_permutiple(second)
 
 
@@ -328,10 +317,7 @@ def fine_conjugate(first: PermutipleRecord, second: PermutipleRecord) -> bool:
     permutation moves, so this predicate refuses them; on distinct digits it
     coincides with :func:`coarse_conjugate`.
     """
-    if (first.multiplier, first.base) != (second.multiplier, second.base):
-        raise ParameterError("records must share multiplier and base")
-    if first.digits.multiset() != second.digits.multiset():
-        raise ParameterError("records must share their digit multiset")
+    _require_same_digits(first, second)
     if len(set(first.digits.digits)) != len(first):
         raise ParameterError("fine conjugacy is only defined here for all-distinct digits")
     # pi maps positions of `second` to positions of `first` holding the same digit
@@ -387,7 +373,7 @@ def check_sym_rev(record: PermutipleRecord, j: int) -> bool:
     # pi: position -> reference index, smallest assignment
     pi = Permutation(tuple(smallest_bijection(reference, record.digits.digits)))
 
-    sibling = _shifted_record(record, j, reflect=True)
+    sibling = _sibling(record, j, reflect=True)
     rho = Permutation.reversal(size)
     shift = Permutation.rotation(size, j)
     lhs_digits = rho.compose(pi).compose(shift)

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 from typing import Iterable, Sequence
 
 from permutiple import (
     CycleMultiset,
     DigitString,
+    Permutation,
     PermutipleRecord,
     build_mother_graph,
     canonical_sigma,
@@ -274,6 +275,50 @@ def reference_class_members(record):
             member = string_to_permutiple(string, record.multiplier, record.base).record
             found.setdefault(member.key, member)
     return [found[key] for key in sorted(found)]
+
+
+def reference_symmetries_fixing_sequence(record):
+    """Transition-fixing permutations through the per-group matcher.
+
+    Every rearrangement of inputs within the groups of positions sharing a
+    transition that changes the string must be a permutiple string.  Its
+    permutation fixes the unchanged positions; then, group by group, each
+    moved position takes the first unused position of its own group that
+    held its new input.
+    """
+    s = record.string
+    c = record.carries
+    groups = {}
+    for i in range(len(s)):
+        groups.setdefault((c[i], c[i + 1]), []).append(i)
+    group_list = sorted(groups.values())
+    per_group = [distinct_orderings([s[i] for i in g]) for g in group_list]
+    out = []
+    for assignment in product(*per_group):
+        target = list(s)
+        for g, arranged in zip(group_list, assignment):
+            for pos, value in zip(g, arranged):
+                target[pos] = value
+        if tuple(target) == s:
+            continue
+        assert is_permutiple_string(target, record.multiplier, record.base)
+        mapping = [None] * len(s)
+        used = [False] * len(s)
+        for i in range(len(s)):
+            if target[i] == s[i]:
+                mapping[i] = i
+                used[i] = True
+        for g in group_list:
+            for i in g:
+                if mapping[i] is not None:
+                    continue
+                for j in g:
+                    if not used[j] and s[j] == target[i]:
+                        mapping[i] = j
+                        used[j] = True
+                        break
+        out.append(Permutation(tuple(mapping)))
+    return sorted(out, key=lambda p: p.mapping)
 
 
 # ---------------------------------------------------------------------------

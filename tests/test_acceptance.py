@@ -30,7 +30,6 @@ from permutiple import (
     is_symmetric_class,
     multi_image,
     multiset_union,
-    reflect_state_graph,
     reflected_class_witness,
     reflective_siblings,
     rotational_siblings,
@@ -78,7 +77,7 @@ def test_criterion_02_reflection_fixes_machine_everywhere():
             mother = build_mother_graph(multiplier, base)
             assert mother.reflect() == mother
             machine = build_state_graph(multiplier, base)
-            assert reflect_state_graph(machine) == machine
+            assert machine.reflect() == machine
             pairs += 1
     assert pairs == 105
     _finish("02 reflection-symmetry-sweep", started, 5.0, "105 multiplier/base pairs")
@@ -317,9 +316,9 @@ def test_criterion_09_property_suite():
         cycles = _random_cycles(rng, multiplier, base, 3)
         parts = [cycle_image(c, multiplier, base) for c in cycles]
         union = union_images(parts)
-        assert reflect_state_graph(reflect_state_graph(union)) == union
-        assert reflect_state_graph(union) == union_images(
-            [reflect_state_graph(p) for p in parts]
+        assert union.reflect().reflect() == union
+        assert union.reflect() == union_images(
+            [p.reflect() for p in parts]
         )
         cases += 2
 
@@ -327,7 +326,7 @@ def test_criterion_09_property_suite():
     for _ in range(150):
         multiplier, base = PAIR_POOL[rng.randrange(len(PAIR_POOL))]
         cycle = _random_cycles(rng, multiplier, base, 1)[0]
-        assert reflect_state_graph(cycle_image(cycle, multiplier, base)) == cycle_image(
+        assert cycle_image(cycle, multiplier, base).reflect() == cycle_image(
             cycle.reflect(), multiplier, base
         )
         cases += 1
@@ -340,7 +339,7 @@ def test_criterion_09_property_suite():
         union = union_images([cycle_image(c, multiplier, base) for c in cycles])
         if not union.is_strongly_connected():
             continue
-        assert reflect_state_graph(union).is_strongly_connected()
+        assert union.reflect().is_strongly_connected()
         connected_seen += 1
         cases += 1
 
@@ -351,7 +350,7 @@ def test_criterion_09_property_suite():
         cycles = _random_cycles(rng, multiplier, base, rng.randrange(1, 4))
         images = union_images([cycle_image(c, multiplier, base) for c in cycles])
         assert ((multiplier - 1) in images.states) == (
-            0 in reflect_state_graph(images).states
+            0 in images.reflect().states
         )
         cases += 1
     for _ in range(50):
@@ -376,7 +375,7 @@ def test_criterion_09_property_suite():
         assert closure.graph.edges >= spec.graph.edges
         assert closure.graph.edges >= spec.graph.reflect().edges
         assert is_symmetric_class(spec) == (
-            spec.images == reflect_state_graph(spec.images)
+            spec.images == spec.images.reflect()
         )
         closure_seen += 1
         cases += 4

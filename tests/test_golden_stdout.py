@@ -37,6 +37,10 @@ DIGESTS = [
     ("class --seed 4x10:727119288=4*181779822 --format json", 0, "d8f00a570db8b03bfc613c7b6151e61b7463cbae98b83cbe03843a473b5f3515"),
     ("class --seed 4x10:727119288=4*181779822 --format text", 0, "4c6f1ac403c2e0ab9099c5eb554eecbd45af96986a7dea4c3a362ccfa781cd93"),
     ("symmetries --seed 4x10:727119288=4*181779822", 0, "76609b0b6b81add881182c43120217eac7099b94cd080d3f1fa4f94acb60425e"),
+    ("siblings --seed 3x4:30023031=3*10003233", 0, "62444d8bbe3c0fd234c0219daa7bcdc76953cc17bb93f7d914446c195cdef609"),
+    ("symmetries --seed 3x4:30023031=3*10003233", 0, "71ca9a4e4497d430771429770a8e3caf2fccb0cdf159de86839590aa6ccca27a"),
+    ("siblings --seed 5x12:9,1,2,0,0,10=5*1,9,10,0,0,2", 0, "7fac7f1c40751019f2f3ab538f80c2cba6a4111c9eca9020c57eaa28dd693686"),
+    ("symmetries --seed 5x12:9,1,2,0,0,10=5*1,9,10,0,0,2", 0, "d6a7b63944ddcb0744d3dd602e41f7c34397dddb5f38bda279ce21e33de4fc2e"),
     ("closure --seed 4x10:86712=4*21678", 0, "e09ec75996a040a2e408817d1cec080e7c267eea6c1a361264d233ab6f61888a"),
     ("closure --seed 4x10:00=4*00", 1, "327e8af6ca18e112d3e875aa73739cad5b278f749c03825a503b2b6aa7c7c470"),
 ]

@@ -14,7 +14,6 @@ from permutiple import (
     graph_of_permutiple,
     is_cycle_union,
     lambda_residue,
-    reflect_digit_graph,
 )
 
 from permutiple.graphs import strongly_connected
@@ -188,17 +187,17 @@ class TestReflection:
     def test_mother_graph_fixed(self):
         for n, b in [(4, 10), (3, 4), (2, 6), (5, 9)]:
             mother = build_mother_graph(n, b)
-            assert reflect_digit_graph(mother) == mother
+            assert mother.reflect() == mother
 
     def test_class_graph_reflection(self):
         graph = DigitGraph(10, {(1, 7), (7, 6), (6, 1), (2, 8), (8, 2)})
-        assert reflect_digit_graph(graph).edges == frozenset(
+        assert graph.reflect().edges == frozenset(
             {(8, 2), (2, 3), (3, 8), (7, 1), (1, 7)}
         )
 
     def test_involution(self):
         graph = DigitGraph(7, {(0, 3), (3, 3), (2, 5)})
-        assert reflect_digit_graph(reflect_digit_graph(graph)) == graph
+        assert graph.reflect().reflect() == graph
 
     def test_distributes_over_union(self):
         g1 = DigitGraph(10, {(1, 7), (7, 1)})

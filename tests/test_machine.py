@@ -18,8 +18,6 @@ from permutiple import (
     enumerate_cycles,
     multi_image,
     multiset_union,
-    reflect_state_graph,
-    reflect_state_multigraph,
     transition,
     union_images,
     walk_states,
@@ -232,11 +230,11 @@ class TestUnions:
 class TestReflection:
     def test_full_graph_symmetric(self):
         graph = build_state_graph(4, 10)
-        assert reflect_state_graph(graph) == graph
+        assert graph.reflect() == graph
 
     def test_cycle_image_reflection(self):
         image = cycle_image(DigitCycle(10, (1, 7, 6)), 4, 10)
-        reflected = reflect_state_graph(image)
+        reflected = image.reflect()
         assert reflected.states == frozenset({0, 1, 3})
         assert reflected.label_map() == {
             (0, 0): ((8, 2),),
@@ -247,15 +245,15 @@ class TestReflection:
     def test_commutes_with_cycle_reflection(self):
         for vs in [(9,), (2, 8), (1, 7, 6)]:
             cycle = DigitCycle(10, vs)
-            assert reflect_state_graph(cycle_image(cycle, 4, 10)) == cycle_image(
+            assert cycle_image(cycle, 4, 10).reflect() == cycle_image(
                 cycle.reflect(), 4, 10
             )
 
     def test_involution(self):
         image = cycle_image(DigitCycle(10, (1, 7, 6)), 4, 10)
-        assert reflect_state_graph(reflect_state_graph(image)) == image
+        assert image.reflect().reflect() == image
         mimage = multi_image(DigitCycle(10, (1, 7, 6)), 4, 10)
-        assert reflect_state_multigraph(reflect_state_multigraph(mimage)) == mimage
+        assert mimage.reflect().reflect() == mimage
 
     def test_strong_connectivity_preserved(self):
         parts = [
@@ -263,7 +261,7 @@ class TestReflection:
         ]
         union = union_images(parts)
         assert union.is_strongly_connected()
-        assert reflect_state_graph(union).is_strongly_connected()
+        assert union.reflect().is_strongly_connected()
 
     def test_distributes_over_union(self):
         g1 = cycle_image(DigitCycle(10, (1, 7, 6)), 4, 10)

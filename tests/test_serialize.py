@@ -9,13 +9,15 @@ from hypothesis import strategies as st
 from permutiple import (
     BFileError,
     InvariantError,
+    Permutation,
     SeedError,
     brute_force_oracle,
     build_mother_graph,
     build_state_graph,
-    dihedral_siblings,
+    verify_permutiple,
 )
 from permutiple.cli import main
+from permutiple.digits import smallest_bijection
 from permutiple.machine import build_state_multigraph
 from permutiple.search import division_walk, walk_records
 from permutiple.serialize import (
@@ -114,6 +116,21 @@ def _points(scan_limit=None):
     return st.integers(3, 16).flatmap(lengths)
 
 
+def _swapped_sigmas(record):
+    """The record's equation under every sigma that is the record's followed
+    by a swap of two positions holding the same digit; the library builds
+    only the smallest sigma, so these reach the renderers' given-sigma path."""
+    d, k = record.digits.digits, len(record)
+    return [
+        verify_permutiple(
+            record.digits, Permutation.transposition(k, i, j).compose(record.sigma), record.multiplier
+        )
+        for i in range(k)
+        for j in range(i + 1, k)
+        if d[i] == d[j]
+    ]
+
+
 class TestLineBuilder:
     @settings(max_examples=40, deadline=None)
     @given(point=_points(), leading_zero=st.booleans(), fmt=st.sampled_from(["json", "text"]))
@@ -134,10 +151,19 @@ class TestLineBuilder:
     @example(point=(4, 12, 3), leading_zero=True)
     def test_record_renderers_match_the_reference(self, point, leading_zero):
         for record in brute_force_oracle(*point, leading_zero):
-            # siblings carry the conjugated sigma, not the smallest one
-            for r in [record, *dihedral_siblings(record)]:
+            for r in [record, *_swapped_sigmas(record)]:
                 assert record_to_json(r) == reference_record_to_json(r)
                 assert record_to_text(r) == reference_record_to_text(r)
+
+    @pytest.mark.parametrize("point, leading_zero", [((4, 12, 3), True), ((3, 4, 6), False)])
+    def test_renderers_write_a_given_sigma(self, point, leading_zero):
+        records = brute_force_oracle(*point, leading_zero)
+        swapped = [r for record in records for r in _swapped_sigmas(record)]
+        smallest = [smallest_bijection(r.digits.digits, r.preimage.digits) for r in swapped]
+        assert any(list(r.sigma.mapping) != m for r, m in zip(swapped, smallest))
+        for r in swapped:
+            assert record_to_json(r) == reference_record_to_json(r)
+            assert record_to_text(r) == reference_record_to_text(r)
 
     @pytest.mark.parametrize("text", [False, True])
     @pytest.mark.parametrize(

@@ -13,11 +13,11 @@ from permutiple import (
     coarse_conjugate,
     dihedral_siblings,
     enumerate_class_members,
+    find_permutiples,
     fine_conjugate,
     graph_of_permutiple,
     is_symmetric_class,
     reflect_class,
-    reflect_state_graph,
     reflected_class_witness,
     reflective_siblings,
     rotational_siblings,
@@ -31,6 +31,7 @@ from helpers import (
     NINE_DIGIT_CLASS,
     OUTSIDE_ROW,
     make_record,
+    reference_symmetries_fixing_sequence,
 )
 
 
@@ -181,7 +182,7 @@ class TestClassReflection:
     def test_vertex_test_matches_reflected_zero(self, rec_86712, rec_base4):
         for record in (rec_86712, rec_base4):
             spec = ClassSpec.from_record(record)
-            reflected_images = reflect_state_graph(spec.images)
+            reflected_images = spec.images.reflect()
             assert class_reflection_exists(spec) == (0 in reflected_images.states)
 
     def test_witness_realizes_reflected_graph(self, rec_86712, rec_nine):
@@ -220,7 +221,7 @@ class TestSymmetricClosure:
         closure = symmetric_closure(spec)
         for candidate in (spec, closure):
             graph_sym = candidate.graph == candidate.graph.reflect()
-            images_sym = candidate.images == reflect_state_graph(candidate.images)
+            images_sym = candidate.images == candidate.images.reflect()
             assert graph_sym == images_sym == is_symmetric_class(candidate)
 
 
@@ -240,6 +241,30 @@ class TestFixingSymmetries:
 
     def test_transposed_variant_verifies(self):
         make_record(*NINE_DIGIT_CLASS["transposed"][0])
+
+
+# grid points whose records have repeated digits, so a sibling's sigma could
+# differ from the smallest one; together 13,173 dihedral siblings
+SIBLING_POINTS = [(2, 10, 7), (4, 10, 7), (3, 4, 8), (5, 12, 6), (3, 10, 7)]
+
+
+class TestSiblingsAreFoundRecords:
+    @pytest.mark.parametrize("point", SIBLING_POINTS)
+    def test_every_sibling_equals_the_found_record(self, point):
+        found = {r.record.key: r.record for r in find_permutiples(*point, True)}
+        for record in found.values():
+            shifted = reflective_siblings(record) + rotational_siblings(record)
+            for sibling in [s for _, s in shifted] + dihedral_siblings(record):
+                assert sibling == found[sibling.key]
+
+    @pytest.mark.parametrize("point", SIBLING_POINTS)
+    def test_fixing_symmetries_match_the_reference(self, point):
+        with_symmetries = 0
+        for result in find_permutiples(*point, True):
+            phis = symmetries_fixing_sequence(result.record)
+            assert phis == reference_symmetries_fixing_sequence(result.record)
+            with_symmetries += bool(phis)
+        assert with_symmetries > 0
 
 
 class TestApplySymmetry:
