@@ -20,12 +20,18 @@ reader (``find ... | head -1``) ends the command with 1 and nothing on
 stderr.  Output is written as it is made; ``--output`` is replaced whole
 through a sibling temporary file.  ``find`` writes its lines straight from
 the search kernel's digits through :func:`serialize.permutiple_line`.
+
+A process runs one command, so :func:`main` builds the parser of the
+command that the first argument names, alone; with no command first (no
+arguments, ``-h``, an unknown name) it builds every command's, as
+:func:`build_parser` does by default.  Both print the same usage lines, help
+and errors.  The handlers import the graph, machine and symmetry layers
+themselves, so ``find`` and ``oracle`` load none of them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
@@ -39,24 +45,8 @@ from .digits import (
     check_multiplier,
     verify_permutiple,
 )
-from .errors import BFileError, InvariantError, ParameterError, PermutipleError, SeedError
-from .graphs import build_mother_graph
-from .machine import build_state_graph, build_state_multigraph
+from .errors import BFileError, ParameterError, PermutipleError, SeedError
 from .search import DEFAULT_SCAN_LIMIT, brute_force_oracle, division_walk
-from .symmetry import (
-    ClassSpec,
-    apply_symmetry,
-    class_reflection_exists,
-    dihedral_siblings,
-    enumerate_class_members,
-    is_symmetric_class,
-    reflect_class,
-    reflective_siblings,
-    rotational_siblings,
-    state_sequence,
-    symmetric_closure,
-    symmetries_fixing_sequence,
-)
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -212,6 +202,9 @@ def _seed_record(args: argparse.Namespace) -> PermutipleRecord:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
+    from .graphs import build_mother_graph
+    from .machine import build_state_graph, build_state_multigraph
+
     # command: builder, DOT name prefix, and the dot, json and text renderers
     build, prefix, to_dot, to_json, to_text = {
         "mother-graph": (build_mother_graph, "mother", serialize.digit_graph_to_dot,
@@ -247,6 +240,13 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _not_verified(args: argparse.Namespace, reason: str) -> int:
+    import json
+
+    _emit(args, [json.dumps({"verified": False, "reason": reason}) + "\n"])
+    return EXIT_FAILURE
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     multiplier, base, lhs, rhs = serialize.parse_seed(args.seed, default_base=args.base)
     digits = DigitString.from_display(base, lhs)
@@ -260,22 +260,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise _UsageError(f"--sigma has {len(mapping)} entries for {len(digits)} digits")
         sigma = Permutation(mapping)
         if tuple(digits.digits[sigma(j)] for j in range(len(digits))) != preimage.digits:
-            _emit(args, [json.dumps({"verified": False, "reason": "sigma does not map digits onto the preimage"}) + "\n"])
-            return EXIT_FAILURE
+            return _not_verified(args, "sigma does not map digits onto the preimage")
     else:
         sigma = canonical_sigma(digits, preimage)
         if sigma is None:
-            _emit(args, [json.dumps({"verified": False, "reason": "digit multisets differ"}) + "\n"])
-            return EXIT_FAILURE
+            return _not_verified(args, "digit multisets differ")
     record = verify_permutiple(digits, sigma, multiplier)
     if record is None:
-        _emit(args, [json.dumps({"verified": False, "reason": "multiplication is not digit-preserving"}) + "\n"])
-        return EXIT_FAILURE
+        return _not_verified(args, "multiplication is not digit-preserving")
     _emit(args, _record_lines(args, [record]))
     return EXIT_OK
 
 
 def _cmd_siblings(args: argparse.Namespace) -> int:
+    from .symmetry import dihedral_siblings, reflective_siblings, rotational_siblings
+
     record = _seed_record(args)
     reflective = reflective_siblings(record)
     rotational = rotational_siblings(record)
@@ -291,11 +290,13 @@ def _cmd_siblings(args: argparse.Namespace) -> int:
         ],
         "dihedral": [serialize.format_equation(rec) for rec in dihedral],
     }
-    _emit(args, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
+    _emit(args, [serialize._json_dump(payload)])
     return EXIT_OK
 
 
 def _cmd_class(args: argparse.Namespace) -> int:
+    from .symmetry import enumerate_class_members
+
     record = _seed_record(args)
     members = enumerate_class_members(record, allow_leading_zero=args.allow_leading_zero)
     _emit(args, _record_lines(args, members))
@@ -303,26 +304,30 @@ def _cmd_class(args: argparse.Namespace) -> int:
 
 
 def _cmd_symmetries(args: argparse.Namespace) -> int:
+    from .symmetry import _fixing_images, state_sequence
+
     record = _seed_record(args)
-    phis = symmetries_fixing_sequence(record)
-    results = []
-    for phi in phis:
-        image = apply_symmetry(record, phi)
-        if image is None:
-            raise InvariantError("transition-fixing permutation failed to produce a permutiple")
-        results.append(
-            {"mapping": list(phi.mapping), "equation": serialize.format_equation(image)}
-        )
     payload = {
         "seed": serialize.format_equation(record),
         "transitions": [list(t) for t in state_sequence(record).transitions],
-        "fixing_symmetries": results,
+        "fixing_symmetries": [
+            {"mapping": list(phi.mapping), "equation": serialize.format_equation(image)}
+            for phi, image in _fixing_images(record)
+        ],
     }
-    _emit(args, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
+    _emit(args, [serialize._json_dump(payload)])
     return EXIT_OK
 
 
 def _cmd_closure(args: argparse.Namespace) -> int:
+    from .symmetry import (
+        ClassSpec,
+        class_reflection_exists,
+        is_symmetric_class,
+        reflect_class,
+        symmetric_closure,
+    )
+
     record = _seed_record(args)
     spec = ClassSpec.from_record(record)
     exists = class_reflection_exists(spec)
@@ -343,7 +348,7 @@ def _cmd_closure(args: argparse.Namespace) -> int:
             serialize.format_pair(e) for e in closure.graph.sorted_edges
         ]
         payload["closure_symmetric"] = is_symmetric_class(closure)
-    _emit(args, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
+    _emit(args, [serialize._json_dump(payload)])
     return EXIT_OK if exists else EXIT_FAILURE
 
 
@@ -355,7 +360,7 @@ def _cmd_oeis_check(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise _UsageError(f"cannot read b-file {args.bfile}: {exc}") from exc
     report = oeis_report(entries, args.multiplier, args.base, args.length)
-    _emit(args, [json.dumps(report, sort_keys=True, indent=2) + "\n"])
+    _emit(args, [serialize._json_dump(report)])
     clean = not report["misses"] and not report["extras"]
     return EXIT_OK if clean else EXIT_FAILURE
 
@@ -442,26 +447,37 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone.
+
+    The one-command parser still lists every command in its usage line,
+    which it prints for an unrecognized trailing argument.  The full parser
+    leaves that metavar to argparse, whose errors then name the argument
+    ``command``.
+    """
     parser = argparse.ArgumentParser(
         prog="permutiple",
         description="Search and classify digit-preserving multiplications.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
-        for option in ("config",) + command.reads():
+    metavar = {} if command is None else {"metavar": "{" + ",".join(_COMMANDS) + "}"}
+    sub = parser.add_subparsers(dest="command", required=True, **metavar)
+    for name in _COMMANDS if command is None else (command,):
+        spec = _COMMANDS[name]
+        p = sub.add_parser(name, help=spec.help)
+        for option in ("config",) + spec.reads():
             flags, settings = _OPTIONS[option][:2]
             if option == "format":
-                settings = {**settings, "choices": command.formats}
+                settings = {**settings, "choices": spec.formats}
             p.add_argument(*flags, **settings)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a process runs one command, so it builds only that command's parser
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:  # argparse's usage errors (2) and --help (0)
         return int(exc.code or 0)
     try:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .digits import (
     DigitString,
@@ -38,9 +38,11 @@ from .errors import (
     ParameterError,
     ScanLimitError,
 )
-from .graphs import DigitCycle
-from .machine import StateMultigraph, edge_multi_image, walk_states
 from .value import Value
+
+if TYPE_CHECKING:
+    from .graphs import DigitCycle
+    from .machine import StateMultigraph
 
 __all__ = [
     "CycleMultiset",
@@ -104,6 +106,8 @@ class CycleMultiset(Value):
 
     def multigraph(self, multiplier: int, base: int) -> StateMultigraph:
         """The multiset union of the multi-images of the member cycles."""
+        from .machine import edge_multi_image
+
         return edge_multi_image(self.edge_counter().elements(), multiplier, base)
 
 
@@ -258,6 +262,8 @@ def decompose_into_cycles(edges: Iterable[Pair], base: int) -> CycleMultiset:
     restarts.  Balanced in/out degrees guarantee the walk never sticks
     before a repeat, so the decomposition is total and deterministic.
     """
+    from .graphs import DigitCycle
+
     remaining: Counter = Counter(edges)
     ins: Counter = Counter()
     outs: Counter = Counter()
@@ -300,6 +306,8 @@ def string_to_permutiple(inputs: Sequence[Pair], multiplier: int, base: int) -> 
     string is not accepted and :class:`MultisetMismatchError` when the two
     component multisets differ.
     """
+    from .machine import walk_states
+
     inputs = tuple(inputs)
     carries = walk_states(inputs, multiplier, base)
     digits = DigitString(base, tuple(d1 for d1, _ in inputs))

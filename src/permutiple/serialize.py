@@ -10,9 +10,8 @@ preimage and carries: straight from the search kernel's tuples for CLI
 
 from __future__ import annotations
 
-import json
 import re
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .digits import (
     DigitString,
@@ -23,8 +22,10 @@ from .digits import (
     verify_permutiple,
 )
 from .errors import BFileError, InvariantError, ParameterError, SeedError
-from .graphs import DigitGraph
-from .machine import StateGraph, StateMultigraph
+
+if TYPE_CHECKING:
+    from .graphs import DigitGraph
+    from .machine import StateGraph, StateMultigraph
 
 Pair = tuple[int, int]
 
@@ -152,6 +153,8 @@ def record_to_json(record: PermutipleRecord) -> str:
 
 
 def record_from_json(text: str) -> PermutipleRecord:
+    import json
+
     payload = json.loads(text)
     digits = DigitString.from_display(payload["base"], payload["digits"])
     record = verify_permutiple(digits, Permutation(tuple(payload["sigma"])), payload["multiplier"])
@@ -255,6 +258,8 @@ def state_multigraph_to_dot(graph: StateMultigraph, name: str = "machine") -> st
 
 
 def _json_dump(payload: dict) -> str:
+    import json
+
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 

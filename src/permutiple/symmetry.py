@@ -256,17 +256,9 @@ def _distinct_arrangements(items: Sequence[Pair]) -> Iterator[tuple[Pair, ...]]:
         arrangement[i + 1 :] = reversed(arrangement[i + 1 :])
 
 
-def symmetries_fixing_sequence(record: PermutipleRecord) -> list[Permutation]:
-    """Nontrivial input permutations that keep every state transition fixed.
-
-    Positions sharing a transition may trade inputs; each rearrangement of
-    the string that differs from the original is validated as a permutiple
-    string and reported once, by the permutation that fixes the most
-    positions (ties broken by smallest mapping): the identity where the
-    input is unchanged, :func:`smallest_bijection` on the moved positions.
-    An input pair determines its transition, so that bijection never moves
-    an input to another transition.
-    """
+def _fixing_images(record: PermutipleRecord) -> list[tuple[Permutation, PermutipleRecord]]:
+    """(phi, image) for every transition-fixing symmetry of the record,
+    sorted by phi's mapping: see :func:`symmetries_fixing_sequence`."""
     n, b, s = record.multiplier, record.base, record.string
     groups: dict[Pair, list[int]] = {}
     for i, t in enumerate(state_sequence(record).transitions):
@@ -283,15 +275,30 @@ def symmetries_fixing_sequence(record: PermutipleRecord) -> list[Permutation]:
         moved = [i for i in range(len(s)) if target[i] != s[i]]
         if not moved:
             continue
-        if _string_record(target, n, b) is None:
+        image = _string_record(target, n, b)
+        if image is None:
             raise InvariantError("transition-fixing permutation failed to produce a permutiple")
         mapping = list(range(len(s)))
         matched = smallest_bijection([s[i] for i in moved], [target[i] for i in moved])
         for i, m in zip(moved, matched):  # type: ignore[arg-type]
             mapping[i] = moved[m]
-        out.append(Permutation(tuple(mapping)))
-    out.sort(key=lambda p: p.mapping)
+        out.append((Permutation(tuple(mapping)), image))
+    out.sort(key=lambda pair: pair[0].mapping)
     return out
+
+
+def symmetries_fixing_sequence(record: PermutipleRecord) -> list[Permutation]:
+    """Nontrivial input permutations that keep every state transition fixed.
+
+    Positions sharing a transition may trade inputs; each rearrangement of
+    the string that differs from the original is validated as a permutiple
+    string and reported once, by the permutation that fixes the most
+    positions (ties broken by smallest mapping): the identity where the
+    input is unchanged, :func:`smallest_bijection` on the moved positions.
+    An input pair determines its transition, so that bijection never moves
+    an input to another transition.  The list is sorted by mapping.
+    """
+    return [phi for phi, _ in _fixing_images(record)]
 
 
 def _require_same_digits(first: PermutipleRecord, second: PermutipleRecord) -> None:

@@ -7,10 +7,12 @@ Equations are stored display-first (most significant digit first) as
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from itertools import combinations_with_replacement, permutations, product
 from typing import Iterable, Sequence
 
+import permutiple
 from permutiple import (
     CycleMultiset,
     DigitString,
@@ -32,6 +34,14 @@ from permutiple import (
 from permutiple.digits import check_multiplier
 from permutiple.errors import ParameterError, WalkError
 from permutiple.serialize import format_pair
+
+
+def child_env() -> dict[str, str]:
+    """The environment of a child process that imports the package these
+    tests import, whether or not it is installed."""
+    src = os.path.dirname(os.path.dirname(permutiple.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def make_record(

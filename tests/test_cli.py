@@ -8,10 +8,12 @@ from itertools import islice
 
 import pytest
 
-from permutiple import cli, search
+from permutiple import cli, search, symmetry
 from permutiple.cli import build_parser, main
 from permutiple.errors import InvariantError
 from permutiple.value import Value
+
+from helpers import child_env
 
 
 def run_cli(capsys, *argv):
@@ -297,6 +299,40 @@ def test_help_returns_zero(capsys):
     assert capsys.readouterr().out == build_parser().format_help()
 
 
+PARITY = [
+    *([name, "--help"] for name in cli._COMMANDS),
+    ["find", "-n", "4", "-b", "10", "-k", "3", "extra"],  # the usage line lists every command
+    ["find", "-n", "x", "-b", "10", "-k", "3"],
+    ["oeis-check", "-n", "3", "-b", "4", "-k", "5"],  # argparse's own required --bfile
+    ["find", "-n", "4", "-b", "10"],
+    ["find", "-n", "4", "-b", "10", "-k", "3", "--format", "dot"],
+    [],
+    ["--help"],
+    ["nope"],
+]
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+@pytest.mark.parametrize("argv", PARITY, ids=lambda argv: " ".join(argv) or "no-args")
+def test_one_command_parser_matches_the_full_parser(capsys, monkeypatch, columns, argv):
+    """main() builds only the named command's parser; what it prints and
+    returns must not tell."""
+    monkeypatch.setenv("COLUMNS", columns)
+    one = run_cli(capsys, *argv)
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+    assert one == run_cli(capsys, *argv)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [([], "arguments are required: command"), (["nope"], "argument command: invalid choice")],
+)
+def test_a_missing_or_unknown_command_is_named_command(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and message in err
+
+
 def test_invariant_failure_is_an_error_line(capsys, monkeypatch):
     monkeypatch.setattr(search, "verify_permutiple", lambda *args: None)
     code, out, err = run_cli(capsys, "oracle", "-n", "4", "-b", "10", "-k", "5")
@@ -364,6 +400,23 @@ class TestSymmetryCommands:
         assert code == 0
         payload = json.loads(out)
         assert len(payload["fixing_symmetries"]) == 2
+
+    @pytest.mark.parametrize(
+        "seed, images",
+        [("3x4:30023031=3*10003233", 8), ("5x12:9,1,2,0,0,10=5*1,9,10,0,0,2", 2)],
+    )
+    def test_symmetries_builds_each_image_once(self, capsys, monkeypatch, seed, images):
+        built = []
+        build = symmetry._string_record
+
+        def counting(*args):
+            built.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(symmetry, "_string_record", counting)
+        code, out, _ = run_cli(capsys, "symmetries", "--seed", seed)
+        assert code == 0
+        assert len(built) == len(json.loads(out)["fixing_symmetries"]) == images
 
     def test_symmetries_of_a_seed_longer_than_the_recursion_limit(self, capsys):
         zeros = "0" * (sys.getrecursionlimit() + 100)
@@ -436,12 +489,9 @@ class TestOeisCheck:
         assert "line 2" in err
 
 
-def child_env():
-    """The environment of a child process that imports the package these
-    tests import, whether or not it is installed."""
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path}
+# the modules that find, oracle and the parser never use
+UNUSED = ("json", "permutiple.graphs", "permutiple.machine", "permutiple.symmetry")
+SMALL_SEARCH = ("-n", "4", "-b", "10", "-k", "4")
 
 
 def run_module(*argv, **kwargs):
@@ -467,15 +517,37 @@ class TestEntryPoint:
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
 
-    def test_import_loads_neither_dataclasses_nor_inspect(self):
-        check = (
-            "import permutiple.cli, sys; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-        )
+    @pytest.mark.parametrize(
+        "argv, unused",
+        [
+            pytest.param(["-c", "import permutiple"], ("permutiple.",), id="package"),
+            pytest.param(
+                ["-c", "import permutiple.cli; permutiple.cli.build_parser()"], UNUSED, id="cli"
+            ),
+            pytest.param(["-m", "permutiple.cli", "find", *SMALL_SEARCH], UNUSED, id="find"),
+            pytest.param(["-m", "permutiple.cli", "oracle", *SMALL_SEARCH], UNUSED, id="oracle"),
+        ],
+    )
+    def test_import_loads_neither_dataclasses_nor_inspect(self, argv, unused):
+        """Start-up imports only what the command uses: never ``dataclasses``
+        or ``inspect``; no submodule for the bare package; neither ``json``
+        nor the graph, machine and symmetry layers for ``find``, ``oracle``
+        and building the parser.  Module names are read from the child's
+        ``-X importtime`` lines, whose last field names the module."""
         result = subprocess.run(
-            [sys.executable, "-c", check], capture_output=True, text=True, env=child_env()
+            [sys.executable, "-X", "importtime", *argv],
+            capture_output=True,
+            text=True,
+            env=child_env(),
         )
-        assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+        assert result.returncode == 0
+        imported = {
+            line.rpartition("|")[2].strip()
+            for line in result.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        assert "permutiple" in imported
+        assert sorted(m for m in imported if m.startswith(("dataclasses", "inspect", *unused))) == []
 
     @pytest.mark.parametrize("command", ["find", "oracle"])
     def test_a_closed_stdout_ends_quietly(self, command):

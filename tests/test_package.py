@@ -1,0 +1,88 @@
+"""The package's public surface: every name it exported when it imported
+every submodule eagerly resolves to the same object, loaded on first use."""
+
+import subprocess
+import sys
+
+import pytest
+
+import permutiple
+
+from helpers import child_env
+
+# submodule -> the names the package re-exports from it
+EXPORTS = {
+    "digits": [
+        "DigitString", "Permutation", "PermutipleRecord", "canonical_sigma", "lambda_residue",
+        "verify_permutiple",
+    ],
+    "errors": [
+        "BFileError", "InfeasibleUnionError", "InvariantError", "MultisetMismatchError",
+        "NoReflectionError", "ParameterError", "PermutipleError", "ScanLimitError", "SeedError",
+        "WalkError",
+    ],
+    "graphs": [
+        "DigitCycle", "DigitGraph", "build_mother_graph", "enumerate_cycles",
+        "graph_of_permutiple", "is_cycle_union",
+    ],
+    "machine": [
+        "StateGraph", "StateMultigraph", "build_state_graph", "build_state_multigraph",
+        "cycle_image", "multi_image", "multiset_union", "transition", "union_images",
+        "walk_states",
+    ],
+    "search": [
+        "CycleMultiset", "SearchResult", "brute_force_oracle", "check_feasible",
+        "count_eulerian_circuits", "decompose_into_cycles", "duplicate_label_factor",
+        "eulerian_strings", "feasible_unions", "find_permutiples", "string_to_permutiple",
+        "walk_records",
+    ],
+    "symmetry": [
+        "ClassSpec", "StateSequence", "apply_symmetry", "check_sym_rev",
+        "class_reflection_exists", "coarse_conjugate", "dihedral_siblings",
+        "enumerate_class_members", "fine_conjugate", "is_symmetric_class", "reflect_class",
+        "reflected_class_witness", "reflective_siblings", "rotational_siblings",
+        "state_sequence", "symmetric_closure", "symmetries_fixing_sequence",
+    ],
+}
+NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
+
+
+def test_the_export_list_is_complete():
+    assert len(NAMES) == 61
+    assert sorted(permutiple.__all__) == sorted(name for _, name in NAMES)
+
+
+@pytest.mark.parametrize("module, name", NAMES, ids=[name for _, name in NAMES])
+def test_each_name_is_its_modules_object(module, name):
+    submodule = getattr(permutiple, module)
+    assert getattr(permutiple, name) is getattr(submodule, name)
+    assert name in dir(permutiple)
+
+
+def test_star_import_binds_every_name():
+    namespace: dict = {}
+    exec("from permutiple import *", namespace)
+    for module, name in NAMES:
+        assert namespace[name] is getattr(getattr(permutiple, module), name)
+
+
+def test_submodules_resolve_as_attributes_in_a_fresh_process():
+    check = (
+        "import permutiple; "
+        "print(permutiple.search.division_walk.__name__, "
+        "permutiple.serialize.seed_to_record.__name__)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", check], capture_output=True, text=True, env=child_env()
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (
+        0,
+        "division_walk seed_to_record\n",
+        "",
+    )
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'find_everything'"):
+        permutiple.find_everything
+    assert not hasattr(permutiple, "walk_strings")
