@@ -295,29 +295,41 @@ def decompose_into_cycles(edges: Iterable[Pair], base: int) -> CycleMultiset:
     return CycleMultiset.from_counts(found)
 
 
-def string_to_permutiple(inputs: Sequence[Pair], multiplier: int, base: int) -> SearchResult:
-    """Convert an accepted input string into a verified permutiple.
+def build_record(
+    multiplier: int,
+    base: int,
+    digits: Sequence[int],
+    preimage: Sequence[int],
+    carries: Sequence[int],
+) -> PermutipleRecord:
+    """The record of least-significant-first digits, preimage and carries.
 
-    The left components become the digits, the right components the
-    preimage; the permutation is the lexicographically smallest bijection
-    matching them, and the carries are the states of the string's walk.
-    The record checks the carry recurrence at every position, which proves
-    digits = multiplier * preimage.  Raises :class:`WalkError` when the
-    string is not accepted and :class:`MultisetMismatchError` when the two
-    component multisets differ.
+    Sigma is the smallest bijection with ``digits[sigma(j)] == preimage[j]``,
+    and the record checks the carry recurrence at every position, which
+    proves digits = multiplier * preimage.  Raises
+    :class:`MultisetMismatchError` when the two digit multisets differ.
+    """
+    mapping = smallest_bijection(digits, preimage)
+    if mapping is None:
+        raise MultisetMismatchError("digit and preimage multisets differ")
+    return PermutipleRecord(multiplier, DigitString(base, digits), Permutation(mapping), carries)
+
+
+def string_to_permutiple(inputs: Sequence[Pair], multiplier: int, base: int) -> SearchResult:
+    """Read an input string through the machine into a verified permutiple.
+
+    The left components are the digits, the right ones the preimage and
+    the walk's states the carries, put together by the kernel's builder.
+    Raises :class:`WalkError` when the machine rejects the string and
+    :class:`MultisetMismatchError` when the two component multisets differ.
     """
     from .machine import walk_states
 
     inputs = tuple(inputs)
     carries = walk_states(inputs, multiplier, base)
-    digits = DigitString(base, tuple(d1 for d1, _ in inputs))
-    preimage = DigitString(base, tuple(d2 for _, d2 in inputs))
-    sigma = canonical_sigma(digits, preimage)
-    if sigma is None:
-        raise MultisetMismatchError(
-            "left and right digit multisets differ; accepted string is not a permutiple string"
-        )
-    return SearchResult(PermutipleRecord(multiplier, digits, sigma, carries), inputs)
+    digits = [d for d, _ in inputs]
+    preimage = [p for _, p in inputs]
+    return SearchResult(build_record(multiplier, base, digits, preimage, carries), inputs)
 
 
 def division_walk(
@@ -427,11 +439,7 @@ def walk_records(
     records; each record checks its carries."""
     walks = division_walk(multiplier, base, length, edges, left_digits, allow_leading_zero)
     for digits, preimage, carries in walks:
-        mapping = smallest_bijection(digits, preimage)
-        if mapping is None:
-            raise InvariantError("accepted digit string is not balanced")
-        sigma = Permutation(tuple(mapping))
-        yield PermutipleRecord(multiplier, DigitString(base, digits), sigma, carries)
+        yield build_record(multiplier, base, digits, preimage, carries)
 
 
 def group_unions(
@@ -455,8 +463,8 @@ def feasible_unions(
     criterion these are exactly the edge multisets whose union passes
     :func:`check_feasible`, one decomposition each.
     """
-    strings = (r.string for r in walk_records(multiplier, base, length))
-    return group_unions(strings, multiplier, base)
+    walks = division_walk(multiplier, base, length)
+    return group_unions((tuple(zip(d, p)) for d, p, _ in walks), multiplier, base)
 
 
 @lru_cache(maxsize=16)  # a handful of grid points under both leading-zero settings

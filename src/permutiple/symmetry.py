@@ -3,11 +3,12 @@
 Reflection (digit d to b-1-d, carry c to n-1-c) and rotation of input
 strings generate new permutiples from known ones: carries equal to n-1 mark
 reflective siblings, zero carries mark rotational siblings, and together
-these are the dihedral siblings.  Every sibling and symmetry image is an
-input string read back through the machine, so, like a search result, it
-carries the smallest sigma.  Class-level reflection, symmetric
-closures, string symmetries that fix the state-transition sequence, and
-coarse conjugacy complete the picture.
+these are the dihedral siblings.  A sibling takes the record's carries
+rotated (and mapped to n-1-c when reflected), a transition-fixing image
+keeps them, and each is built like a search result: smallest sigma, with
+the record checking the carry recurrence.  Class-level reflection,
+symmetric closures, string symmetries that fix the state-transition
+sequence, and coarse conjugacy complete the picture.
 """
 
 from __future__ import annotations
@@ -16,16 +17,10 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from .digits import Permutation, PermutipleRecord, smallest_bijection
-from .errors import (
-    InvariantError,
-    MultisetMismatchError,
-    NoReflectionError,
-    ParameterError,
-    WalkError,
-)
+from .errors import MultisetMismatchError, NoReflectionError, ParameterError, WalkError
 from .graphs import DigitGraph, graph_of_permutiple, is_cycle_union
 from .machine import StateGraph, StateMultigraph, edge_image
-from .search import CycleMultiset, group_unions, string_to_permutiple, walk_records
+from .search import CycleMultiset, build_record, group_unions, string_to_permutiple, walk_records
 from .value import Value
 
 __all__ = [
@@ -78,30 +73,23 @@ def state_sequence(record: PermutipleRecord) -> StateSequence:
     return StateSequence(tuple((c[j], c[j + 1]) for j in range(len(record))))
 
 
-def _string_record(string: Sequence[Pair], n: int, b: int) -> PermutipleRecord | None:
-    """The record of an input string, or None when the machine rejects it."""
-    try:
-        return string_to_permutiple(string, n, b).record
-    except (WalkError, MultisetMismatchError):
-        return None
-
-
 def _sibling(record: PermutipleRecord, j: int, reflect: bool) -> PermutipleRecord:
     """The record's input string rotated to start at position ``j``, each
     pair (d, p) mapped to (b-1-d, b-1-p) when ``reflect``.
 
-    The machine must accept it: a rotation at a zero carry, or a reflection
-    at an n-1 carry, is again a closed walk from state 0.
+    Its carries are the record's rotated the same way, c_j..c_{k-1},
+    c_0..c_j, and mapped to n-1-c when ``reflect``: a rotation at a zero
+    carry, or a reflection at an n-1 carry, is again a closed walk from
+    state 0, and the built record checks every carry.
     """
-    s = record.string
-    rotated = s[j:] + s[:j]
+    n, b = record.multiplier, record.base
+    d, p, c = record.digits.digits, record.preimage.digits, record.carries
+    digits, preimage, carries = d[j:] + d[:j], p[j:] + p[:j], c[j:-1] + c[:j] + (c[j],)
     if reflect:
-        m = record.base - 1
-        rotated = tuple((m - d, m - p) for d, p in rotated)
-    sibling = _string_record(rotated, record.multiplier, record.base)
-    if sibling is None:
-        raise InvariantError(f"sibling at shift {j} failed verification")
-    return sibling
+        digits = tuple(b - 1 - x for x in digits)
+        preimage = tuple(b - 1 - x for x in preimage)
+        carries = tuple(n - 1 - x for x in carries)
+    return build_record(n, b, digits, preimage, carries)
 
 
 def _siblings(record: PermutipleRecord, reflect: bool) -> Iterator[tuple[int, PermutipleRecord]]:
@@ -232,7 +220,10 @@ def apply_symmetry(
     if reflect:
         m = record.base - 1
         permuted = tuple((m - d1, m - d2) for d1, d2 in permuted)
-    return _string_record(permuted, record.multiplier, record.base)
+    try:
+        return string_to_permutiple(permuted, record.multiplier, record.base).record
+    except (WalkError, MultisetMismatchError):
+        return None
 
 
 def _distinct_arrangements(items: Sequence[Pair]) -> Iterator[tuple[Pair, ...]]:
@@ -275,9 +266,8 @@ def _fixing_images(record: PermutipleRecord) -> list[tuple[Permutation, Permutip
         moved = [i for i in range(len(s)) if target[i] != s[i]]
         if not moved:
             continue
-        image = _string_record(target, n, b)
-        if image is None:
-            raise InvariantError("transition-fixing permutation failed to produce a permutiple")
+        # each pair fixes its transition, so the rearranged string keeps every carry
+        image = build_record(n, b, [d for d, _ in target], [p for _, p in target], record.carries)
         mapping = list(range(len(s)))
         matched = smallest_bijection([s[i] for i in moved], [target[i] for i in moved])
         for i, m in zip(moved, matched):  # type: ignore[arg-type]

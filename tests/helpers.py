@@ -331,6 +331,32 @@ def reference_symmetries_fixing_sequence(record):
     return sorted(out, key=lambda p: p.mapping)
 
 
+def reference_siblings(record, reflect):
+    """(j, sibling) for every position whose carry marks one (n-1 when
+    ``reflect``, else 0): the input string rotated to start at j, its pairs
+    reflected when ``reflect``, and read back through the machine."""
+    n, b, s = record.multiplier, record.base, record.string
+    out = []
+    for j in range(len(s)):
+        if record.carries[j] == (n - 1 if reflect else 0):
+            rotated = s[j:] + s[:j]
+            if reflect:
+                rotated = tuple((b - 1 - d, b - 1 - p) for d, p in rotated)
+            out.append((j, string_to_permutiple(rotated, n, b).record))
+    return out
+
+
+def reference_fixing_images(record):
+    """(phi, image) for every reference transition-fixing phi: the input
+    string with position i holding input phi(i), read back through the
+    machine."""
+    n, b, s = record.multiplier, record.base, record.string
+    return [
+        (phi, string_to_permutiple(tuple(s[phi(i)] for i in range(len(s))), n, b).record)
+        for phi in reference_symmetries_fixing_sequence(record)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Reference kernel: the carry machine walked from the least significant
 # digit, where the library's long-division walk starts at the most

@@ -407,13 +407,13 @@ class TestSymmetryCommands:
     )
     def test_symmetries_builds_each_image_once(self, capsys, monkeypatch, seed, images):
         built = []
-        build = symmetry._string_record
+        build = symmetry.build_record
 
         def counting(*args):
             built.append(args)
             return build(*args)
 
-        monkeypatch.setattr(symmetry, "_string_record", counting)
+        monkeypatch.setattr(symmetry, "build_record", counting)
         code, out, _ = run_cli(capsys, "symmetries", "--seed", seed)
         assert code == 0
         assert len(built) == len(json.loads(out)["fixing_symmetries"]) == images

@@ -28,6 +28,8 @@ from permutiple import (
     multi_image,
     multiset_union,
     reflect_class,
+    reflective_siblings,
+    rotational_siblings,
     string_to_permutiple,
     symmetric_closure,
     verify_permutiple,
@@ -35,7 +37,7 @@ from permutiple import (
 from permutiple import search
 from permutiple.machine import StateMultigraph, empty_state_multigraph
 from permutiple.search import feasible_unions, walk_records
-from permutiple.symmetry import class_unions
+from permutiple.symmetry import _fixing_images, class_unions
 
 from helpers import (
     cycle_combinations,
@@ -46,8 +48,10 @@ from helpers import (
     reference_class_members,
     reference_class_unions,
     reference_feasible_unions,
+    reference_fixing_images,
     reference_oracle,
     reference_records,
+    reference_siblings,
     reference_strings,
 )
 
@@ -386,6 +390,10 @@ class TestWalkKernel:
         assert {d for _, d in class_unions(record)} == {
             d for _, d in reference_class_unions(record)
         }
+        # siblings and images built from carries, against re-walked strings
+        assert reflective_siblings(record) == reference_siblings(record, reflect=True)
+        assert rotational_siblings(record) == reference_siblings(record, reflect=False)
+        assert _fixing_images(record) == reference_fixing_images(record)
         spec = ClassSpec.from_record(record)
         assert spec.images == reference_class_images(n, spec.graph)
         if class_reflection_exists(spec):

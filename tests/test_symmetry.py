@@ -25,6 +25,7 @@ from permutiple import (
     symmetric_closure,
     symmetries_fixing_sequence,
 )
+from permutiple.symmetry import _fixing_images
 
 from helpers import (
     CONJUGATE_ROWS,
@@ -259,10 +260,15 @@ class TestSiblingsAreFoundRecords:
 
     @pytest.mark.parametrize("point", SIBLING_POINTS)
     def test_fixing_symmetries_match_the_reference(self, point):
+        found = {r.record.key: r.record for r in find_permutiples(*point, True)}
         with_symmetries = 0
-        for result in find_permutiples(*point, True):
-            phis = symmetries_fixing_sequence(result.record)
-            assert phis == reference_symmetries_fixing_sequence(result.record)
+        for record in found.values():
+            phis = symmetries_fixing_sequence(record)
+            assert phis == reference_symmetries_fixing_sequence(record)
+            s = record.string
+            for phi, image in _fixing_images(record):
+                assert image.string == tuple(s[phi(i)] for i in range(len(s)))
+                assert image == found[image.key]
             with_symmetries += bool(phis)
         assert with_symmetries > 0
 
