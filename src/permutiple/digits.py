@@ -5,6 +5,7 @@ coefficient of ``base**j``.  Display order (most-significant first) appears
 only at formatting boundaries.  All arithmetic is exact integer arithmetic.
 The classes here are the library's validated values (see
 :mod:`permutiple.value`); CLI ``find`` does not build them per line.
+:func:`check_equation` is the one proof of a permutiple equation.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ __all__ = [
     "Permutation",
     "PermutipleRecord",
     "canonical_sigma",
+    "check_equation",
     "check_multiplier",
     "lambda_residue",
     "smallest_bijection",
@@ -39,6 +41,32 @@ def check_multiplier(multiplier: int, base: int) -> None:
         raise ParameterError(
             f"multiplier must satisfy 1 < n < base; got n={multiplier}, base={base}"
         )
+
+
+def check_equation(multiplier: int, base: int, digits: Sequence[int],
+                   preimage: Sequence[int], carries: Sequence[int]) -> None:
+    """Prove digits = multiplier * preimage, or raise :class:`ParameterError`.
+
+    The sequences d_0..d_{k-1}, p_0..p_{k-1} and c_0..c_k are
+    least-significant first.  Needs 1 < n < b, k >= 1, digits in 0..b-1,
+    carries in 0..n-1 with c_0 = c_k = 0, and b*c_{j+1} - c_j = n*p_j - d_j
+    at every position j, which telescopes to value(d) = n * value(p).
+    """
+    n, b, k = multiplier, base, len(digits)
+    check_multiplier(n, b)
+    if not k or len(preimage) != k or len(carries) != k + 1:
+        raise ParameterError(f"need k >= 1 digits, k preimage digits and k+1 carries; k = {k}")
+    if carries[0] or carries[k]:
+        raise ParameterError(f"carries {tuple(carries)} do not start and end at 0")
+    # one pass: in Python 3.11 it costs every record less than min() and max()
+    for j in range(k):
+        d, p, carry = digits[j], preimage[j], carries[j + 1]
+        if not (0 <= d < b and 0 <= p < b):
+            raise ParameterError(f"digit out of range for base {b}")
+        if not 0 <= carry < n:
+            raise ParameterError(f"carry {carry} at position {j + 1} leaves 0..{n - 1}")
+        if b * carry - carries[j] != n * p - d:
+            raise ParameterError(f"carry recurrence violated at position {j}")
 
 
 class DigitString(Value):
@@ -172,7 +200,7 @@ class PermutipleRecord(Value):
 
     ``carries[j]`` is the carry entering position j of the single-digit
     multiplication; ``carries[0]`` and ``carries[-1]`` are zero and every
-    carry is below the multiplier.
+    carry is below the multiplier.  Construction runs :func:`check_equation`.
     """
 
     __slots__ = ("multiplier", "digits", "sigma", "carries")
@@ -183,22 +211,11 @@ class PermutipleRecord(Value):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "carries", tuple(self.carries))
-        n = self.multiplier
-        b = self.digits.base
         d = self.digits.digits
-        check_multiplier(n, b)
         if self.sigma.size != len(d):
             raise ParameterError("permutation size must match the digit count")
-        c = self.carries
-        if len(c) != len(d) + 1:
-            raise ParameterError("carry sequence must have one more entry than the digits")
-        if c[0] != 0 or c[-1] != 0:
-            raise ParameterError("first and last carries must be zero")
-        for j in range(len(d)):
-            if not 0 <= c[j] <= n - 1:
-                raise ParameterError(f"carry {c[j]} at position {j} exceeds multiplier-1")
-            if b * c[j + 1] - c[j] != n * d[self.sigma(j)] - d[j]:
-                raise ParameterError(f"carry recurrence violated at position {j}")
+        preimage = [d[i] for i in self.sigma.mapping]
+        check_equation(self.multiplier, self.digits.base, d, preimage, self.carries)
 
     @property
     def base(self) -> int:
@@ -240,10 +257,10 @@ def verify_permutiple(
 ) -> PermutipleRecord | None:
     """Run the single-digit multiplication and check it reproduces ``digits``.
 
-    Position j computes ``t = multiplier * digits[sigma(j)] + carry``; the
-    produced digit is ``t % base`` and the next carry ``t // base``.  Succeeds
-    iff every produced digit matches and the final carry is zero.  Returns
-    None when the multiplication is not digit-preserving; parameter-domain
+    Position j computes ``t = multiplier * digits[sigma(j)] + carry`` and
+    the next carry ``t // base``.  The record's :func:`check_equation`
+    holds iff every ``t % base`` is ``digits[j]`` and the final carry is
+    zero; None when it fails (not digit-preserving).  Parameter-domain
     problems raise :class:`ParameterError`.
     """
     b = digits.base
@@ -253,16 +270,12 @@ def verify_permutiple(
         raise ParameterError("permutation size must match the digit count")
     d = digits.digits
     carries = [0]
-    carry = 0
-    for j in range(len(d)):
-        t = n * d[sigma(j)] + carry
-        if t % b != d[j]:
-            return None
-        carry = t // b
-        carries.append(carry)
-    if carry != 0:
+    for i in sigma.mapping:
+        carries.append((n * d[i] + carries[-1]) // b)
+    try:
+        return PermutipleRecord(n, digits, sigma, carries)
+    except ParameterError:
         return None
-    return PermutipleRecord(n, digits, sigma, tuple(carries))
 
 
 def smallest_bijection(digits: Sequence[int], preimage: Sequence[int]) -> list[int] | None:

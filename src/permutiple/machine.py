@@ -167,9 +167,6 @@ class StateMultigraph(Value):
     def out_degree(self, state: int) -> int:
         return sum(1 for c1, _, _ in self.edges if c1 == state)
 
-    def in_degree(self, state: int) -> int:
-        return sum(1 for _, c2, _ in self.edges if c2 == state)
-
     def reflect(self) -> "StateMultigraph":
         n, b = self.multiplier, self.base
         return StateMultigraph.make(

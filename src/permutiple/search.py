@@ -305,8 +305,8 @@ def build_record(
     """The record of least-significant-first digits, preimage and carries.
 
     Sigma is the smallest bijection with ``digits[sigma(j)] == preimage[j]``,
-    and the record checks the carry recurrence at every position, which
-    proves digits = multiplier * preimage.  Raises
+    and the record's :func:`permutiple.digits.check_equation` proves
+    digits = multiplier * preimage.  Raises
     :class:`MultisetMismatchError` when the two digit multisets differ.
     """
     mapping = smallest_bijection(digits, preimage)

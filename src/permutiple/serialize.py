@@ -1,11 +1,11 @@
 """Text, JSON, and DOT renderings plus seed/equation/b-file parsing.
 
 All output is byte-deterministic: edges, labels, and JSON keys are sorted
-before rendering.  A permutiple's JSON and text lines are written in one
-place, :func:`permutiple_line`, from its least-significant-first digits,
-preimage and carries: straight from the search kernel's tuples for CLI
-``find``, and from a record's fields for :func:`record_to_json` and
-:func:`record_to_text`.  It proves the equation before it writes a line.
+before rendering.  A permutiple's JSON and text lines are formatted in one
+place.  :func:`permutiple_line` formats the search kernel's tuples for CLI
+``find`` once :func:`permutiple.digits.check_equation` has proved them;
+:func:`record_to_json` and :func:`record_to_text` format a record, which
+was proved when it was built, and prove nothing again.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .digits import (
     Permutation,
     PermutipleRecord,
     canonical_sigma,
+    check_equation,
     smallest_bijection,
     verify_permutiple,
 )
@@ -75,7 +76,6 @@ def permutiple_line(
     digits: Sequence[int],
     preimage: Sequence[int],
     carries: Sequence[int],
-    sigma: Sequence[int] | None = None,
     text: bool = False,
 ) -> str:
     """The JSON (or, with ``text``, text) line of one permutiple, unterminated.
@@ -83,13 +83,10 @@ def permutiple_line(
     ``digits`` d_0..d_{k-1}, ``preimage`` p_0..p_{k-1} and ``carries``
     c_0..c_k are least-significant first, as
     :func:`permutiple.search.division_walk` yields them.  The line is
-    written only once the equation is proved: every digit and preimage
-    digit lies in 0..b-1, every carry in 0..n-1, c_0 = c_k = 0 and
-    b*c_{j+1} - c_j = n*p_j - d_j at every position, so d = n*p; and p
-    rearranges d.  ``sigma``, the mapping with d[sigma(j)] = p_j, defaults
-    to :func:`permutiple.digits.smallest_bijection`, which fails exactly
-    when the two multisets differ; a given one is trusted (a
-    :class:`PermutipleRecord` has checked it).  A failed check raises
+    written only once :func:`permutiple.digits.check_equation` has proved
+    d = n*p and :func:`permutiple.digits.smallest_bijection` has found
+    sigma, the smallest mapping with d[sigma(j)] = p_j, which exists
+    exactly when p rearranges d.  A failed check raises
     :class:`InvariantError`.
 
     The JSON object is compact, with sorted keys: ``base``, ``canonical``
@@ -97,20 +94,18 @@ def permutiple_line(
     sorted distinct pairs (d_j,p_j)), ``digits`` and ``preimage``
     most-significant first, ``multiplier``, ``sigma`` and ``value``.
     """
-    n, b, k = multiplier, base, len(digits)
-    if not (1 < n < b and k and len(preimage) == k and len(carries) == k + 1):
-        raise InvariantError(f"malformed permutiple: n={n}, b={b}, {k} digits")
-    if min(digits) < 0 or max(digits) >= b or min(preimage) < 0 or max(preimage) >= b:
-        raise InvariantError(f"digit out of range for base {b}")
-    if carries[0] or carries[k] or min(carries) < 0 or max(carries) >= n:
-        raise InvariantError(f"carries {tuple(carries)} leave 0..{n - 1} or do not end at 0")
-    for j in range(k):
-        if b * carries[j + 1] - carries[j] != n * preimage[j] - digits[j]:
-            raise InvariantError(f"carry recurrence violated at position {j}")
+    try:
+        check_equation(multiplier, base, digits, preimage, carries)
+    except ParameterError as exc:
+        raise InvariantError(str(exc)) from None
+    sigma = smallest_bijection(digits, preimage)
     if sigma is None:
-        sigma = smallest_bijection(digits, preimage)
-        if sigma is None:
-            raise InvariantError("digit and preimage multisets differ")
+        raise InvariantError("digit and preimage multisets differ")
+    return _line(multiplier, base, digits, preimage, carries, sigma, text)
+
+
+def _line(n: int, b: int, digits: Sequence[int], preimage: Sequence[int],
+          carries: Sequence[int], sigma: Sequence[int], text: bool) -> str:
     display = ",".join(map(str, digits[::-1]))
     display_preimage = ",".join(map(str, preimage[::-1]))
     shown_carries = ",".join(map(str, carries[-2::-1]))
@@ -128,27 +123,20 @@ def permutiple_line(
     )
 
 
-def _record_line(record: PermutipleRecord, text: bool) -> str:
-    return permutiple_line(
-        record.multiplier,
-        record.base,
-        record.digits.digits,
-        record.preimage.digits,
-        record.carries,
-        record.sigma.mapping,
-        text,
-    )
+def _record_line(r: PermutipleRecord, text: bool) -> str:
+    d = r.digits.digits
+    return _line(r.multiplier, r.base, d, r.preimage.digits, r.carries, r.sigma.mapping, text)
 
 
 def record_to_text(record: PermutipleRecord) -> str:
-    """The text line of a record: :func:`permutiple_line` with ``text``."""
+    """The text line of a record, formatted as :func:`permutiple_line` does."""
     return _record_line(record, True)
 
 
 def record_to_json(record: PermutipleRecord) -> str:
-    """One compact JSON object per record: :func:`permutiple_line` with the
-    record's own sigma, which lists sigma(0)..sigma(k-1) over
-    least-significant-first positions."""
+    """One compact JSON object per record, formatted as :func:`permutiple_line`
+    does with the record's own sigma, sigma(0)..sigma(k-1) over
+    least-significant-first positions; nothing is checked again."""
     return _record_line(record, False)
 
 

@@ -1,5 +1,7 @@
+import functools
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permutiple import (
@@ -108,6 +110,23 @@ class TestPermutation:
             Permutation((0, 0, 1))
 
 
+@functools.cache
+def _scanned_permutiples():
+    """Every n*q below base**k, for 1 < n < base <= 12 and k <= 4, whose k
+    zero-padded digits rearrange those of q, found by integer arithmetic
+    alone: (n, base, digits, preimage), least-significant first."""
+    found = []
+    for base in range(3, 13):
+        for k in range(1, 5):
+            for n in range(2, base):
+                for q in range((base**k - 1) // n + 1):
+                    digits = [n * q // base**j % base for j in range(k)]
+                    preimage = [q // base**j % base for j in range(k)]
+                    if sorted(digits) == sorted(preimage):
+                        found.append((n, base, digits, preimage))
+    return found
+
+
 class TestVerify:
     def test_reversal_multiplication(self):
         # derive the expected carries from prefix values, then freeze them
@@ -145,12 +164,52 @@ class TestVerify:
         with pytest.raises(ParameterError):
             verify_permutiple(digits, Permutation.identity(3), 4)
 
-    def test_record_invariants_enforced(self):
+    @pytest.mark.parametrize(
+        "carries, message",
+        [
+            ((0, 0, 0, 0, 0, 0), "recurrence"),
+            # c_4 off by one
+            ((0, 3, 3, 3, 1, 0), "recurrence"),
+            # a nonzero top carry c_5
+            ((0, 3, 3, 3, 0, 1), "end at 0"),
+            # one entry short
+            ((0, 3, 3, 3, 0), "k\\+1 carries"),
+            # c_1 equal to the multiplier
+            ((0, 4, 3, 3, 0, 0), "leaves 0..3"),
+        ],
+    )
+    def test_record_invariants_enforced(self, carries, message):
         record = make_record(4, 10, (8, 7, 9, 1, 2), (2, 1, 9, 7, 8))
         from permutiple import PermutipleRecord
 
-        with pytest.raises(ParameterError):
-            PermutipleRecord(4, record.digits, record.sigma, (0, 0, 0, 0, 0, 0))
+        with pytest.raises(ParameterError, match=message):
+            PermutipleRecord(4, record.digits, record.sigma, carries)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_verify_agrees_with_integer_values(self, data):
+        if data.draw(st.booleans()):
+            # random digits and a random permutation: rarely a permutiple
+            base = data.draw(st.integers(min_value=3, max_value=12))
+            n = data.draw(st.integers(min_value=2, max_value=base - 1))
+            k = data.draw(st.integers(min_value=1, max_value=6))
+            digits = data.draw(st.lists(st.integers(0, base - 1), min_size=k, max_size=k))
+            mapping = data.draw(st.permutations(range(k)))
+        else:
+            # a permutiple from the integer scan, with any bijection onto it
+            n, base, digits, preimage = data.draw(st.sampled_from(_scanned_permutiples()))
+            order = data.draw(st.permutations(range(len(digits))))
+            mapping = []
+            for p in preimage:
+                mapping.append(next(i for i in order if digits[i] == p and i not in mapping))
+        preimage = [digits[i] for i in mapping]
+        value = sum(d * base**j for j, d in enumerate(digits))
+        preimage_value = sum(p * base**j for j, p in enumerate(preimage))
+        record = verify_permutiple(DigitString(base, digits), Permutation(mapping), n)
+        assert (record is not None) == (value == n * preimage_value)
+        if record is not None:
+            expected = carries_by_value(n, base, digits[::-1], preimage[::-1])
+            assert record.carries == expected
 
     def test_single_digit_only_zero(self):
         assert verify_permutiple(DigitString(10, (0,)), Permutation.identity(1), 4) is not None

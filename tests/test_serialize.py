@@ -16,8 +16,10 @@ from permutiple import (
     build_state_graph,
     verify_permutiple,
 )
+from permutiple import digits as digits_module
+from permutiple import serialize
 from permutiple.cli import main
-from permutiple.digits import smallest_bijection
+from permutiple.digits import check_equation, smallest_bijection
 from permutiple.machine import build_state_multigraph
 from permutiple.search import division_walk, walk_records
 from permutiple.serialize import (
@@ -169,12 +171,23 @@ class TestLineBuilder:
     @pytest.mark.parametrize(
         "walk, message",
         [
-            # 87912 = 4 * 21978 with carry c_4 off by one
-            (((2, 1, 9, 7, 8), (8, 7, 9, 1, 2), (0, 3, 3, 3, 1, 0)), "recurrence"),
+            # n, b, digits, preimage and carries of 87912 = 4 * 21978 with
+            # carry c_4 off by one
+            ((4, 10, (2, 1, 9, 7, 8), (8, 7, 9, 1, 2), (0, 3, 3, 3, 1, 0)), "recurrence"),
             # its units digit raised to the base
-            (((10, 1, 9, 7, 8), (8, 7, 9, 1, 2), (0, 3, 3, 3, 0, 0)), "out of range"),
+            ((4, 10, (10, 1, 9, 7, 8), (8, 7, 9, 1, 2), (0, 3, 3, 3, 0, 0)), "out of range"),
             # 48 = 4 * 12: a true equation on an unbalanced pair of strings
-            (((8, 4), (2, 1), (0, 0, 0)), "multisets differ"),
+            ((4, 10, (8, 4), (2, 1), (0, 0, 0)), "multisets differ"),
+            # a nonzero top carry c_5
+            ((4, 10, (2, 1, 9, 7, 8), (8, 7, 9, 1, 2), (0, 3, 3, 3, 0, 1)), "end at 0"),
+            # its top preimage digit raised to the base
+            ((4, 10, (2, 1, 9, 7, 8), (8, 7, 9, 1, 10), (0, 3, 3, 3, 0, 0)), "out of range"),
+            # carries one entry short
+            ((4, 10, (2, 1, 9, 7, 8), (8, 7, 9, 1, 2), (0, 3, 3, 3, 0)), "k\\+1 carries"),
+            # carry c_1 equal to the multiplier
+            ((4, 10, (2, 1, 9, 7, 8), (8, 7, 9, 1, 2), (0, 4, 3, 3, 0, 0)), "leaves 0..3"),
+            # the multiplier equal to the base
+            ((10, 10, (2, 1, 9, 7, 8), (8, 7, 9, 1, 2), (0, 3, 3, 3, 0, 0)), "1 < n < base"),
         ],
     )
     def test_corrupted_walks_are_refused(self, walk, message, text):
@@ -182,7 +195,40 @@ class TestLineBuilder:
         assert good in division_walk(4, 10, 5)
         assert "87912" in permutiple_line(4, 10, *good, text=text).replace(",", "")
         with pytest.raises(InvariantError, match=message):
-            permutiple_line(4, 10, *walk, text=text)
+            permutiple_line(*walk, text=text)
+
+    def test_each_equation_is_proved_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return check_equation(*args)
+
+        monkeypatch.setattr(digits_module, "check_equation", counting)
+        monkeypatch.setattr(serialize, "check_equation", counting)
+
+        def lines(*argv):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(list(argv)) == 0
+            return out.getvalue().splitlines()
+
+        # every q whose five-digit multiple 4q rearranges its digits
+        hits = [q for q in range(25000) if sorted(f"{4 * q:05d}") == sorted(f"{q:05d}")]
+        canonical = [q for q in hits if 4 * q >= 10000]
+        assert len(hits) > len(canonical) > 1
+        found = lines("find", "-n", "4", "-b", "10", "-k", "5")
+        assert len(calls) == len(found) == len(canonical)
+        # the oracle proves every hit once, leading zeros too, and prints
+        # the canonical ones
+        calls.clear()
+        assert lines("oracle", "-n", "4", "-b", "10", "-k", "5") == found
+        assert len(calls) == len(hits)
+        record = make_record(4, 10, (8, 7, 9, 1, 2), (2, 1, 9, 7, 8))
+        calls.clear()
+        assert record_to_json(record) in found
+        assert "87912" in record_to_text(record).replace(",", "")
+        assert calls == []
 
 
 class TestGraphRendering:
