@@ -240,7 +240,8 @@ class PermutipleRecord(Value):
     @property
     def key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Dedup/sort key: display digits plus display preimage."""
-        return (self.digits.display, self.preimage.display)
+        d = self.digits.digits
+        return (self.digits.display, tuple([d[i] for i in reversed(self.sigma.mapping)]))
 
     def value(self) -> int:
         return self.digits.value()

@@ -5,20 +5,22 @@ from carry 0 back to carry 0) whose left and right digit components form
 the same multiset.  ``find`` and ``class`` both search with one kernel,
 :func:`division_walk`, the machine run as long division from the top
 digit, which yields each permutiple's digits, preimage and carries (the
-division's remainders) in output order.  CLI ``find`` writes its lines
-straight from those tuples; :func:`walk_records` builds library records
-from them.  The paper's cycle theory stays as checked mathematics: every
-such string orders a cycle multiset whose multigraph union passes
-:func:`check_feasible`, :func:`eulerian_strings` lists the orderings of
-a union and :func:`count_eulerian_circuits` counts them by the BEST
-theorem.  An independent integer-scan oracle cross-checks the whole
-pipeline.
+division's remainders) in output order.  It meets in the middle: the top
+k - h digits are walked, and the bottom h <= k/2 are joined from a tail
+table, built once per call, of every run of h digits down to carry 0,
+keyed by carry and packed balance (:func:`_tails`).  CLI ``find`` writes
+its lines straight from those tuples; :func:`walk_records` builds
+library records from them.  The paper's cycle theory stays as checked
+mathematics: every such string orders a cycle multiset whose multigraph
+union passes :func:`check_feasible`, :func:`eulerian_strings` lists the
+orderings of a union and :func:`count_eulerian_circuits` counts them by
+the BEST theorem.  An independent integer-scan oracle cross-checks the
+whole pipeline.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from functools import lru_cache
+from collections import Counter, namedtuple
 from math import factorial
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -68,6 +70,9 @@ Walk = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]  # digits, preim
 
 DEFAULT_SCAN_LIMIT = 10**8
 _SIGNATURE_TABLE_BYTES = 2**27  # 128 MiB
+_TAIL_RUNS = 2**14  # runs in division_walk's tail table, over all carries
+_CACHE_RECORDS = 2**12  # results kept by find_permutiples' cache, over all entries
+_CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
 
 
 class CycleMultiset(Value):
@@ -332,6 +337,35 @@ def string_to_permutiple(inputs: Sequence[Pair], multiplier: int, base: int) -> 
     return SearchResult(build_record(multiplier, base, digits, preimage, carries), inputs)
 
 
+def _tails(
+    options: list[list[tuple[int, int, int, int, int, int]]], carries: int, length: int
+) -> tuple[int, list[dict[int, list[tuple]]]]:
+    """The bottom h digits of every walk, tabled by carry and packed code.
+
+    ``tables[c][code]`` lists every run of h options that goes from carry c
+    down to carry 0 and whose packed steps sum to ``code``.  A run is a
+    tuple of ``options`` entries, least-significant first, and each list is
+    in display order (options ascending at every level).  Levels are built
+    bottom-up from the empty run at carry 0; h grows up to length // 2 and
+    stops before a level would hold more than ``_TAIL_RUNS`` runs.
+    """
+    tables: list[dict[int, list[tuple]]] = [{} for _ in range(carries)]
+    tables[0][0] = [()]
+    for h in range(length // 2):
+        grown: list[dict[int, list[tuple]]] = [{} for _ in range(carries)]
+        total = 0
+        for row, table in zip(options, grown):
+            for option in row:
+                step = option[5]
+                for code, runs in tables[option[2]].items():
+                    total += len(runs)
+                    if total > _TAIL_RUNS:
+                        return h, tables
+                    table.setdefault(code + step, []).extend([run + (option,) for run in runs])
+        tables = grown
+    return length // 2, tables
+
+
 def division_walk(
     multiplier: int,
     base: int,
@@ -349,11 +383,14 @@ def division_walk(
     (p_j, c_j) = divmod(base*c_{j+1} + d_j, n), and p_j < base always.
     From c_k = 0, digits tried in ascending order, the walk accepts when
     c_0 = 0 with every digit balanced (as many uses in the digits as in the
-    preimage p).  States (carry, digits left, balance) are pruned when the
-    balance's positive part exceeds the digits left and memoised once dead.
-    ``edges`` restricts the (d, p) pairs, ``left_digits`` pins the digit
-    multiset, and unless ``allow_leading_zero`` the top digit is nonzero.
-    The stack is explicit.
+    preimage p).  It meets in the middle: the top k - h digits are walked,
+    with states (carry, digits left, balance) pruned when the balance's
+    positive part exceeds the digits left and memoised once dead, and the
+    bottom h digits are looked up in a table of runs to carry 0 keyed by
+    their packed balance (:func:`_tails`, h <= k // 2).  ``edges``
+    restricts the (d, p) pairs, ``left_digits`` pins the digit multiset,
+    and unless ``allow_leading_zero`` the top digit is nonzero.  The stack
+    is explicit.
     """
     n, b, k = multiplier, base, length
     check_multiplier(n, b)
@@ -368,9 +405,11 @@ def division_walk(
 
     # Balance entries lie in -k..k and left-use counts in 0..k, so powers of
     # 2k+1 pack the balance (and, when pinned, the left uses above it) into
-    # one int that each digit shifts by a fixed step; the memo keys on it.
-    # Row c lists, by ascending digit d: d, preimage digit, next carry, the
-    # digit indices of both and the packed step.
+    # one int that each digit shifts by a fixed step; the memo keys on it,
+    # and a whole walk's code equals ``final`` exactly when it is balanced
+    # (and, pinned, uses each digit as often as pinned).  Row c lists, by
+    # ascending digit d: d, preimage digit, next carry, the digit indices of
+    # both and the packed step.
     width = 2 * k + 1
     options: list[list[tuple[int, int, int, int, int, int]]] = []
     for carry in range(n):
@@ -382,6 +421,10 @@ def division_walk(
                 pinned = width ** (len(digits) + x) if left_digits is not None else 0
                 row.append((d, p, c, x, y, width**x - width**y + pinned))
         options.append(row)
+    final = 0
+    if left_digits is not None:
+        final = sum(count * width ** (len(digits) + x) for x, count in enumerate(left))
+    h, tails = _tails(options, n, k)
 
     path: list[tuple[int, int, int, int, int, int]] = []
     balance = [0] * len(digits)
@@ -398,12 +441,14 @@ def division_walk(
             after = surplus + (balance[x] >= 0) - (balance[y] > 0) if x != y else surplus
             if after >= steps or not left[x]:
                 continue
-            if steps == 1:
-                if c:
-                    continue
-                frame[3] = True
-                ds, ps, cs, *_ = zip(option, *reversed(path))  # least-significant first
-                yield ds, ps, (*cs, 0)
+            if steps - 1 == h:  # the rest is a tail: look it up
+                runs = tails[c].get(final - code - step)
+                if runs:
+                    frame[3] = True
+                    head = (option, *reversed(path))
+                    for run in runs:
+                        ds, ps, cs, *_ = zip(*run, *head)  # least-significant first
+                        yield ds, ps, (*cs, 0)
                 continue
             key = ((code + step) * k + steps - 1) * n + c
             if key in dead:
@@ -467,7 +512,41 @@ def feasible_unions(
     return group_unions((tuple(zip(d, p)) for d, p, _ in walks), multiplier, base)
 
 
-@lru_cache(maxsize=16)  # a handful of grid points under both leading-zero settings
+def _bounded_by_results(search):
+    """Cache ``search`` as :func:`functools.lru_cache` does, least recently
+    used first, but bounded by the results held, ``_CACHE_RECORDS`` over
+    all entries, rather than by entries: one dense grid point holds tens
+    of thousands.  A search larger than the whole bound is returned but
+    not kept.  ``cache_info`` reports ``maxsize`` in results."""
+    entries: dict[tuple, tuple] = {}  # the most recently used last
+    counts = [0, 0, 0]  # hits, misses, results held
+
+    def cached(*key):
+        results = entries.pop(key, None)
+        if results is not None:
+            counts[0] += 1
+        else:
+            counts[1] += 1
+            results = search(*key)
+            if len(results) > _CACHE_RECORDS:
+                return results
+            counts[2] += len(results)
+        entries[key] = results
+        while counts[2] > _CACHE_RECORDS:
+            counts[2] -= len(entries.pop(next(iter(entries))))
+        return results
+
+    def cache_clear() -> None:
+        entries.clear()
+        counts[:] = [0, 0, 0]
+
+    cached.cache_info = lambda: _CacheInfo(counts[0], counts[1], _CACHE_RECORDS, len(entries))
+    cached.cache_clear = cache_clear
+    cached.entries = entries
+    return cached
+
+
+@_bounded_by_results
 def _search(
     multiplier: int, base: int, length: int, allow_leading_zero: bool
 ) -> tuple[SearchResult, ...]:
@@ -482,7 +561,7 @@ def find_permutiples(
 
     The records of :func:`walk_records`, in its order, with their input
     strings; zero-led ones only if ``allow_leading_zero``.  The last few
-    searches are cached.
+    searches are cached, up to ``_CACHE_RECORDS`` results in all.
     """
     return list(_search(multiplier, base, length, allow_leading_zero))
 

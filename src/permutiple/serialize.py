@@ -124,8 +124,8 @@ def _line(n: int, b: int, digits: Sequence[int], preimage: Sequence[int],
 
 
 def _record_line(r: PermutipleRecord, text: bool) -> str:
-    d = r.digits.digits
-    return _line(r.multiplier, r.base, d, r.preimage.digits, r.carries, r.sigma.mapping, text)
+    d, sigma = r.digits.digits, r.sigma.mapping
+    return _line(r.multiplier, r.base, d, [d[i] for i in sigma], r.carries, sigma, text)
 
 
 def record_to_text(record: PermutipleRecord) -> str:

@@ -240,6 +240,33 @@ class TestFindPermutiples:
     def test_cache_is_bounded(self):
         assert isinstance(search._search.cache_info().maxsize, int)
 
+    def test_cache_keeps_the_session_points_together(self):
+        # the ten small searches a library session re-reads stay cached
+        # together, and the cache holds no more results than its bound
+        points = [(4, 10, 5), (3, 10, 5), (2, 10, 6), (5, 12, 4), (3, 4, 6)]
+        search._search.cache_clear()
+        first = [find_permutiples(*point, allow) for point in points for allow in (False, True)]
+        again = [find_permutiples(*point, allow) for point in points for allow in (False, True)]
+        info = search._search.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (10, 10, 10)
+        assert again == first
+        assert sum(map(len, first)) <= info.maxsize == search._CACHE_RECORDS
+
+    def test_cache_is_bounded_by_results(self, monkeypatch):
+        # 23, 19, 4, 58 and 23 results against a bound of 40
+        monkeypatch.setattr(search, "_CACHE_RECORDS", 40)
+        search._search.cache_clear()
+        sizes = []
+        for point in [(4, 10, 5), (3, 10, 5), (5, 12, 4), (3, 4, 6), (4, 10, 5)]:
+            sizes.append(len(find_permutiples(*point, True)))
+            assert sum(map(len, search._search.entries.values())) <= 40
+        assert sizes == [23, 19, 4, 58, 23]
+        # (3,4,6) is returned in full but not kept; (4,10,5) made way for
+        # (3,10,5), and (3,10,5) for its second search
+        assert list(search._search.entries) == [(5, 12, 4, True), (4, 10, 5, True)]
+        assert search._search.cache_info().misses == 5
+        search._search.cache_clear()
+
     def test_sorted_and_deterministic(self):
         first = find_permutiples(4, 10, 4, True)
         second = find_permutiples(4, 10, 4, True)
@@ -399,6 +426,85 @@ class TestWalkKernel:
         if class_reflection_exists(spec):
             for derived in (reflect_class(spec), symmetric_closure(spec)):
                 assert derived.images == reference_class_images(n, derived.graph)
+
+    # level 1 holds exactly b runs, so a budget of 9 stops base 10 at h = 0
+    @pytest.mark.parametrize("budget", [0, 1, 9, 50, None])
+    @pytest.mark.parametrize("point", [(4, 10, 1), (4, 10, 5), (2, 10, 6), (3, 4, 7), (9, 10, 8)])
+    def test_tail_table(self, point, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(search, "_TAIL_RUNS", budget)
+        n, b, k = point
+        width = 2 * k + 1
+        options = [[] for _ in range(n)]  # the kernel's unrestricted, unpinned rows
+        for carry, row in enumerate(options):
+            for d in range(b):
+                p, c = divmod(b * carry + d, n)
+                row.append((d, p, c, d, p, width**d - width**p))
+        h, tables = search._tails(options, n, k)
+        assert 0 <= h <= k // 2 and len(tables) == n
+        runs = [run for table in tables for listed in table.values() for run in listed]
+        assert h == 0 or len(runs) <= search._TAIL_RUNS
+        if h < k // 2:  # one level more would have exceeded the budget
+            grown = sum(len(r) for row in options for o in row for r in tables[o[2]].values())
+            assert grown > search._TAIL_RUNS
+        for carry, table in enumerate(tables):
+            expected = []  # every run of h digits from this carry to carry 0
+            stack = [(carry, ())]
+            while stack:
+                at, run = stack.pop()
+                if len(run) < h:
+                    stack.extend((o[2], (o,) + run) for o in reversed(options[at]))
+                elif at == 0:
+                    expected.append(run)
+            assert sorted(r for listed in table.values() for r in listed) == sorted(expected)
+            for code, listed in table.items():
+                for run in listed:
+                    assert len(run) == h and sum(o[5] for o in run) == code
+                    at = carry
+                    for option in reversed(run):  # from carry c down to carry 0
+                        assert option in options[at]
+                        at = option[2]
+                    assert at == 0
+                shown = [[o[0] for o in reversed(run)] for run in listed]
+                assert shown == sorted(shown)
+
+    @pytest.mark.parametrize("budget", [0, 1, 50])
+    @settings(max_examples=15, deadline=None)
+    @given(point=small_points(), data=st.data())
+    def test_tail_budgets_match_references(self, budget, point, data):
+        # the walk is the same with any tail height the budget leaves
+        n, b, k = point
+        mother = build_mother_graph(n, b).edges
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(search, "_TAIL_RUNS", budget)
+            walked = {
+                allow: list(walk_records(n, b, k, allow_leading_zero=allow)) for allow in (False, True)
+            }
+            for allow, records in walked.items():
+                assert records == reference_records(n, b, k, mother, allow_leading_zero=allow)
+                assert records == brute_force_oracle(n, b, k, allow)
+            record = data.draw(st.sampled_from(walked[True]))
+            edges = graph_of_permutiple(record).edges
+            pinned = record.digits.digits
+            for allow in (False, True):
+                members = list(walk_records(n, b, k, edges, pinned, allow))
+                assert members == reference_records(n, b, k, edges, pinned, allow)
+                assert members == [
+                    r for r in brute_force_oracle(n, b, k, allow)
+                    if sorted(r.digits.digits) == sorted(pinned) and set(r.string) <= set(edges)
+                ]
+
+    @pytest.mark.parametrize("budget", [0, 1, 50, None])
+    @pytest.mark.parametrize("length", [1, 2])
+    def test_short_canonical_walks(self, length, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(search, "_TAIL_RUNS", budget)
+        for b in range(3, 11):
+            for n in range(2, b):
+                mother = build_mother_graph(n, b).edges
+                records = list(walk_records(n, b, length, allow_leading_zero=False))
+                assert records == reference_records(n, b, length, mother, allow_leading_zero=False)
+                assert records == brute_force_oracle(n, b, length, False), (n, b)
 
     def test_pinned_digits_outside_the_edges(self):
         assert list(walk_records(4, 10, 2, [(0, 0)], (0, 1))) == []
