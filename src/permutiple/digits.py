@@ -6,6 +6,17 @@ only at formatting boundaries.  All arithmetic is exact integer arithmetic.
 The classes here are the library's validated values (see
 :mod:`permutiple.value`); CLI ``find`` does not build them per line.
 :func:`check_equation` is the one proof of a permutiple equation.
+
+Two paths build a :class:`PermutipleRecord`.  Its public constructor, and
+so :func:`verify_permutiple`, pickling and copying, validates every part:
+the base and digits of the :class:`DigitString`, the bijection of the
+:class:`Permutation`, and the equation through :func:`check_equation`.
+The kernel's builder (:func:`permutiple.search.build_record`) takes the
+smallest bijection from :func:`smallest_bijection`, proves the equation
+once with :func:`check_equation`, and assembles the three values with
+:func:`_proved_record`, which checks nothing again.  A record's
+:attr:`~PermutipleRecord.preimage` is assembled the same way from its
+already validated digits.
 """
 
 from __future__ import annotations
@@ -200,7 +211,9 @@ class PermutipleRecord(Value):
 
     ``carries[j]`` is the carry entering position j of the single-digit
     multiplication; ``carries[0]`` and ``carries[-1]`` are zero and every
-    carry is below the multiplier.  Construction runs :func:`check_equation`.
+    carry is below the multiplier.  Construction validates the digit
+    string and the permutation and runs :func:`check_equation`; the
+    kernel's records skip the first two (see :func:`_proved_record`).
     """
 
     __slots__ = ("multiplier", "digits", "sigma", "carries")
@@ -225,7 +238,7 @@ class PermutipleRecord(Value):
     def preimage(self) -> DigitString:
         """The multiplicand: the digits of the record permuted by sigma."""
         d = self.digits.digits
-        return DigitString(self.base, tuple(d[self.sigma(j)] for j in range(len(d))))
+        return _digit_string(self.digits.base, tuple([d[i] for i in self.sigma.mapping]))
 
     @property
     def string(self) -> tuple[tuple[int, int], ...]:
@@ -251,6 +264,49 @@ class PermutipleRecord(Value):
 
     def __len__(self) -> int:
         return len(self.digits)
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _digit_string(base: int, digits: tuple[int, ...]) -> DigitString:
+    """A :class:`DigitString` of digits known to lie in 0..base-1, with
+    base >= 2 and at least one digit, assembled without re-checking them."""
+    string = _new(DigitString)
+    _set(string, "base", base)
+    _set(string, "digits", digits)
+    return string
+
+
+def _proved_record(multiplier: int, base: int, digits: tuple[int, ...],
+                   mapping: tuple[int, ...], carries: tuple[int, ...]) -> PermutipleRecord:
+    """The record of a proved equation, assembled without re-running the
+    ``__post_init__`` checks of its three values.
+
+    The caller has run ``mapping = smallest_bijection(digits, preimage)``
+    and ``check_equation(multiplier, base, digits, preimage, carries)``.
+    The checks skipped here are implied by those two calls:
+
+    - :func:`check_equation` proves 1 < n < b (so b >= 2), k >= 1 and
+      every digit in 0..b-1, which is all :class:`DigitString` checks;
+    - :func:`smallest_bijection` pops k distinct indices of ``digits``, so
+      ``mapping`` is a bijection on 0..k-1, which is all
+      :class:`Permutation` checks;
+    - its result satisfies ``digits[mapping[j]] == preimage[j]``, so the
+      preimage the record would rebuild is the one just proved, with the
+      same carries, which is all :class:`PermutipleRecord` checks.
+
+    Every field is a tuple, as the public constructors would leave it.
+    """
+    sigma = _new(Permutation)
+    _set(sigma, "mapping", mapping)
+    record = _new(PermutipleRecord)
+    _set(record, "multiplier", multiplier)
+    _set(record, "digits", _digit_string(base, digits))
+    _set(record, "sigma", sigma)
+    _set(record, "carries", carries)
+    return record
 
 
 def verify_permutiple(

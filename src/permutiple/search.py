@@ -26,9 +26,10 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .digits import (
     DigitString,
-    Permutation,
     PermutipleRecord,
+    _proved_record,
     canonical_sigma,
+    check_equation,
     check_multiplier,
     smallest_bijection,
     verify_permutiple,
@@ -310,14 +311,18 @@ def build_record(
     """The record of least-significant-first digits, preimage and carries.
 
     Sigma is the smallest bijection with ``digits[sigma(j)] == preimage[j]``,
-    and the record's :func:`permutiple.digits.check_equation` proves
-    digits = multiplier * preimage.  Raises
-    :class:`MultisetMismatchError` when the two digit multisets differ.
+    and one :func:`permutiple.digits.check_equation` proves
+    digits = multiplier * preimage, with every digit and carry in range.
+    Those two facts imply every check of the record's constructor, so the
+    record is assembled without repeating them.  Raises
+    :class:`MultisetMismatchError` when the two digit multisets differ
+    (tested first) and :class:`ParameterError` when the equation fails.
     """
     mapping = smallest_bijection(digits, preimage)
     if mapping is None:
         raise MultisetMismatchError("digit and preimage multisets differ")
-    return PermutipleRecord(multiplier, DigitString(base, digits), Permutation(mapping), carries)
+    check_equation(multiplier, base, digits, preimage, carries)
+    return _proved_record(multiplier, base, tuple(digits), tuple(mapping), tuple(carries))
 
 
 def string_to_permutiple(inputs: Sequence[Pair], multiplier: int, base: int) -> SearchResult:

@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -239,3 +240,24 @@ class TestCanonicalSigma:
         assert smallest_bijection((1, 2), (2, 2)) is None  # a digit used twice
         assert smallest_bijection((1, 2), (1, 3)) is None  # a digit missing
         assert smallest_bijection((1, 2), (1,)) is None  # lengths differ
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), base=st.integers(2, 6))
+    def test_bijection_against_brute_force(self, data, base):
+        # the kernel's records take this result as their sigma unchecked
+        digit = st.integers(0, base - 1)
+        digits = data.draw(st.lists(digit, max_size=6))
+        preimage = data.draw(
+            st.one_of(st.permutations(digits), st.lists(digit, max_size=6)), label="preimage"
+        )
+        mapping = smallest_bijection(digits, preimage)
+        if sorted(digits) != sorted(preimage):
+            assert mapping is None
+            return
+        assert sorted(mapping) == list(range(len(digits)))
+        assert all(digits[m] == p for m, p in zip(mapping, preimage))
+        assert mapping == min(
+            list(m)
+            for m in itertools.permutations(range(len(digits)))
+            if all(digits[i] == p for i, p in zip(m, preimage))
+        )

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 import sys
 from collections import Counter
@@ -9,9 +11,12 @@ from hypothesis import strategies as st
 from permutiple import (
     ClassSpec,
     DigitCycle,
+    DigitString,
     InfeasibleUnionError,
     MultisetMismatchError,
     ParameterError,
+    Permutation,
+    PermutipleRecord,
     ScanLimitError,
     WalkError,
     brute_force_oracle,
@@ -20,6 +25,7 @@ from permutiple import (
     class_reflection_exists,
     count_eulerian_circuits,
     decompose_into_cycles,
+    dihedral_siblings,
     duplicate_label_factor,
     enumerate_class_members,
     eulerian_strings,
@@ -34,9 +40,12 @@ from permutiple import (
     symmetric_closure,
     verify_permutiple,
 )
+from permutiple import digits as digits_module
 from permutiple import search
+from permutiple.digits import check_equation, smallest_bijection
 from permutiple.machine import StateMultigraph, empty_state_multigraph
-from permutiple.search import feasible_unions, walk_records
+from permutiple.search import build_record, division_walk, feasible_unions, walk_records
+from permutiple.serialize import seed_to_record
 from permutiple.symmetry import _fixing_images, class_unions
 
 from helpers import (
@@ -518,3 +527,116 @@ class TestWalkKernel:
         records = list(walk_records(4, 10, 3000, [(0, 0)], (0,) * 3000))
         assert [r.string for r in records] == [((0, 0),) * 3000]
         assert records[0].carries == (0,) * 3001
+
+
+@st.composite
+def builder_points(draw):
+    base = draw(st.integers(3, 12))
+    return draw(st.integers(2, base - 1)), base, draw(st.integers(1, 6))
+
+
+def assert_built_as_validated(record, n, b, digits, preimage, carries):
+    """``record`` is the record the validating constructors build."""
+    mapping = smallest_bijection(digits, preimage)
+    validated = PermutipleRecord(n, DigitString(b, digits), Permutation(mapping), carries)
+    assert record == validated and validated == record
+    assert hash(record) == hash(validated)
+    assert repr(record) == repr(validated)
+    assert record.key == validated.key
+    assert record.preimage == DigitString(b, preimage) == validated.preimage
+    for fields in (record.digits.digits, record.sigma.mapping, record.carries,
+                   record.preimage.digits):
+        assert type(fields) is tuple
+    for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record), copy.copy(record)):
+        assert copied == validated and hash(copied) == hash(validated)
+
+
+class TestBuildRecord:
+    @settings(max_examples=30, deadline=None)
+    @given(point=builder_points(), leading_zero=st.booleans(), data=st.data())
+    def test_matches_the_validating_constructors(self, point, leading_zero, data):
+        n, b, k = point
+        records = []
+        for digits, preimage, carries in division_walk(n, b, k, allow_leading_zero=leading_zero):
+            record = build_record(n, b, digits, preimage, carries)
+            assert_built_as_validated(record, n, b, digits, preimage, carries)
+            records.append(record)
+        if not records:
+            return
+        for record in data.draw(st.lists(st.sampled_from(records), min_size=1, max_size=5)):
+            built = dihedral_siblings(record) + [image for _, image in _fixing_images(record)]
+            for r in built:
+                d = r.digits.digits
+                p = tuple(d[i] for i in r.sigma.mapping)
+                assert_built_as_validated(r, n, b, d, p, r.carries)
+
+    @pytest.mark.parametrize(
+        "walk, error, message",
+        [
+            # n, b, digits, preimage and carries of 87912 = 4 * 21978 with
+            # its units digit, and the preimage digit it maps to, raised to the base
+            ((4, 10, (10, 1, 9, 7, 8), (8, 7, 9, 1, 10), (0, 3, 3, 3, 0, 0)),
+             ParameterError, "digit out of range for base 10"),
+            # the same pair lowered to -1
+            ((4, 10, (-1, 1, 9, 7, 8), (8, 7, 9, 1, -1), (0, 3, 3, 3, 0, 0)),
+             ParameterError, "digit out of range for base 10"),
+            # its units preimage digit, and the top digit, raised to the base
+            ((4, 10, (2, 1, 9, 7, 10), (10, 7, 9, 1, 2), (0, 3, 3, 3, 0, 0)),
+             ParameterError, "digit out of range for base 10"),
+            # a preimage digit raised to the base alone: the multisets differ
+            # and that is tested first
+            ((4, 10, (2, 1, 9, 7, 8), (8, 7, 9, 1, 10), (0, 3, 3, 3, 0, 0)),
+             MultisetMismatchError, "multisets differ"),
+            # carry c_1 equal to the multiplier
+            ((4, 10, (2, 1, 9, 7, 8), (8, 7, 9, 1, 2), (0, 4, 3, 3, 0, 0)),
+             ParameterError, "leaves 0..3"),
+            # carry c_4 off by one
+            ((4, 10, (2, 1, 9, 7, 8), (8, 7, 9, 1, 2), (0, 3, 3, 3, 1, 0)),
+             ParameterError, "recurrence"),
+            # a nonzero top carry c_5
+            ((4, 10, (2, 1, 9, 7, 8), (8, 7, 9, 1, 2), (0, 3, 3, 3, 0, 1)),
+             ParameterError, "end at 0"),
+            # carries one entry short
+            ((4, 10, (2, 1, 9, 7, 8), (8, 7, 9, 1, 2), (0, 3, 3, 3, 0)),
+             ParameterError, "k\\+1 carries"),
+            # no digits at all
+            ((4, 10, (), (), (0,)), ParameterError, "k >= 1"),
+            # the multiplier equal to the base
+            ((10, 10, (2, 1, 9, 7, 8), (8, 7, 9, 1, 2), (0, 3, 3, 3, 0, 0)),
+             ParameterError, "1 < n < base"),
+            # 48 = 4 * 12: a true equation on an unbalanced pair of strings
+            ((4, 10, (8, 4), (2, 1), (0, 0, 0)), MultisetMismatchError, "multisets differ"),
+        ],
+    )
+    def test_corrupted_walks_are_refused(self, walk, error, message):
+        good = ((2, 1, 9, 7, 8), (8, 7, 9, 1, 2), (0, 3, 3, 3, 0, 0))
+        assert good in division_walk(4, 10, 5)
+        assert build_record(4, 10, *good).value() == 87912
+        with pytest.raises(error, match=message):
+            build_record(*walk)
+
+    def test_each_class_member_is_proved_once(self, monkeypatch):
+        calls = {"check_equation": 0, "smallest_bijection": 0, "DigitString": 0, "Permutation": 0}
+
+        def counting(name, function):
+            def counted(*args):
+                calls[name] += 1
+                return function(*args)
+            return counted
+
+        record = seed_to_record("4x10:0008712=4*0002178")
+        for module in (digits_module, search):
+            monkeypatch.setattr(module, "check_equation", counting("check_equation", check_equation))
+        monkeypatch.setattr(
+            search, "smallest_bijection", counting("smallest_bijection", smallest_bijection)
+        )
+        for cls in (DigitString, Permutation):
+            monkeypatch.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
+        members = enumerate_class_members(record)
+        assert len(members) == 20 and sum(not m.canonical for m in members) == 12
+        assert calls == {
+            "check_equation": 20, "smallest_bijection": 20, "DigitString": 0, "Permutation": 0
+        }
+        # reading a member's preimage validates nothing again
+        assert [m.preimage.value() * 4 for m in members] == [m.value() for m in members]
+        assert calls["DigitString"] == 0
