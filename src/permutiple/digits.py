@@ -11,12 +11,13 @@ Two paths build a :class:`PermutipleRecord`.  Its public constructor, and
 so :func:`verify_permutiple`, pickling and copying, validates every part:
 the base and digits of the :class:`DigitString`, the bijection of the
 :class:`Permutation`, and the equation through :func:`check_equation`.
-The kernel's builder (:func:`permutiple.search.build_record`) takes the
-smallest bijection from :func:`smallest_bijection`, proves the equation
-once with :func:`check_equation`, and assembles the three values with
-:func:`_proved_record`, which checks nothing again.  A record's
-:attr:`~PermutipleRecord.preimage` is assembled the same way from its
-already validated digits.
+The kernel's builder (:func:`permutiple.search.build_record`) proves that
+the preimage rearranges the digits with :func:`is_rearrangement`, proves
+the equation once with :func:`check_equation`, and assembles the record
+with :func:`_proved_record`, which checks nothing again and leaves sigma
+unset.  Every record keeps its proved preimage digits, which its
+:attr:`~PermutipleRecord.preimage`, ``key`` and ``string`` read; a kernel
+record's sigma is derived by :func:`smallest_bijection` when first read.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "canonical_sigma",
     "check_equation",
     "check_multiplier",
+    "is_rearrangement",
     "lambda_residue",
     "smallest_bijection",
     "verify_permutiple",
@@ -206,7 +208,14 @@ class Permutation(Value):
         return Permutation(tuple(inv))
 
 
-class PermutipleRecord(Value):
+class _Preimage:
+    """The slot in which a :class:`PermutipleRecord` keeps its proved
+    preimage digits, outside the record's fields."""
+
+    __slots__ = ("_preimage",)
+
+
+class PermutipleRecord(Value, _Preimage):
     """A verified digit-preserving multiplication digits = multiplier * permuted digits.
 
     ``carries[j]`` is the carry entering position j of the single-digit
@@ -214,6 +223,11 @@ class PermutipleRecord(Value):
     carry is below the multiplier.  Construction validates the digit
     string and the permutation and runs :func:`check_equation`; the
     kernel's records skip the first two (see :func:`_proved_record`).
+    Every record keeps the preimage digits it proved, which
+    :attr:`preimage`, :attr:`key` and :attr:`string` read.  A kernel
+    record leaves ``sigma`` unset until it is first read, and then takes
+    the smallest bijection onto that preimage; equality, hashing, repr
+    and pickling read it as a field like any other.
     """
 
     __slots__ = ("multiplier", "digits", "sigma", "carries")
@@ -227,8 +241,18 @@ class PermutipleRecord(Value):
         d = self.digits.digits
         if self.sigma.size != len(d):
             raise ParameterError("permutation size must match the digit count")
-        preimage = [d[i] for i in self.sigma.mapping]
+        preimage = tuple([d[i] for i in self.sigma.mapping])
         check_equation(self.multiplier, self.digits.base, d, preimage, self.carries)
+        object.__setattr__(self, "_preimage", preimage)
+
+    def __getattr__(self, name: str) -> Permutation:
+        # reached only when a slot is unset: a kernel record's sigma
+        if name != "sigma":
+            raise AttributeError(name)
+        sigma = _new(Permutation)
+        _set(sigma, "mapping", tuple(smallest_bijection(self.digits.digits, self._preimage)))
+        _set(self, "sigma", sigma)
+        return sigma
 
     @property
     def base(self) -> int:
@@ -237,14 +261,12 @@ class PermutipleRecord(Value):
     @property
     def preimage(self) -> DigitString:
         """The multiplicand: the digits of the record permuted by sigma."""
-        d = self.digits.digits
-        return _digit_string(self.digits.base, tuple([d[i] for i in self.sigma.mapping]))
+        return _digit_string(self.digits.base, self._preimage)
 
     @property
     def string(self) -> tuple[tuple[int, int], ...]:
         """Input pairs (d_j, d_sigma(j)) in position order."""
-        d = self.digits.digits
-        return tuple((d[j], d[self.sigma(j)]) for j in range(len(d)))
+        return tuple(zip(self.digits.digits, self._preimage))
 
     @property
     def canonical(self) -> bool:
@@ -253,8 +275,7 @@ class PermutipleRecord(Value):
     @property
     def key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Dedup/sort key: display digits plus display preimage."""
-        d = self.digits.digits
-        return (self.digits.display, tuple([d[i] for i in reversed(self.sigma.mapping)]))
+        return (self.digits.display, self._preimage[::-1])
 
     def value(self) -> int:
         return self.digits.value()
@@ -280,33 +301,36 @@ def _digit_string(base: int, digits: tuple[int, ...]) -> DigitString:
 
 
 def _proved_record(multiplier: int, base: int, digits: tuple[int, ...],
-                   mapping: tuple[int, ...], carries: tuple[int, ...]) -> PermutipleRecord:
+                   preimage: tuple[int, ...], carries: tuple[int, ...]) -> PermutipleRecord:
     """The record of a proved equation, assembled without re-running the
-    ``__post_init__`` checks of its three values.
+    ``__post_init__`` checks of its values, with sigma left unset.
 
-    The caller has run ``mapping = smallest_bijection(digits, preimage)``
-    and ``check_equation(multiplier, base, digits, preimage, carries)``.
-    The checks skipped here are implied by those two calls:
+    The caller has proved ``is_rearrangement(digits, preimage)`` and run
+    ``check_equation(multiplier, base, digits, preimage, carries)``.  The
+    checks skipped here are implied by those two:
 
     - :func:`check_equation` proves 1 < n < b (so b >= 2), k >= 1 and
       every digit in 0..b-1, which is all :class:`DigitString` checks;
-    - :func:`smallest_bijection` pops k distinct indices of ``digits``, so
-      ``mapping`` is a bijection on 0..k-1, which is all
-      :class:`Permutation` checks;
-    - its result satisfies ``digits[mapping[j]] == preimage[j]``, so the
-      preimage the record would rebuild is the one just proved, with the
-      same carries, which is all :class:`PermutipleRecord` checks.
+    - as the preimage rearranges the digits, :func:`smallest_bijection`
+      finds a bijection on 0..k-1 with ``digits[sigma[j]] == preimage[j]``
+      when sigma is first read, which is all :class:`Permutation` checks;
+    - so the preimage the record would rebuild from sigma is the one just
+      proved, with the same carries, which is all
+      :class:`PermutipleRecord` checks.
 
     Every field is a tuple, as the public constructors would leave it.
     """
-    sigma = _new(Permutation)
-    _set(sigma, "mapping", mapping)
     record = _new(PermutipleRecord)
     _set(record, "multiplier", multiplier)
     _set(record, "digits", _digit_string(base, digits))
-    _set(record, "sigma", sigma)
     _set(record, "carries", carries)
+    _set(record, "_preimage", preimage)
     return record
+
+
+def is_rearrangement(digits: Sequence[int], preimage: Sequence[int]) -> bool:
+    """Whether ``preimage`` holds the same digit multiset as ``digits``."""
+    return sorted(digits) == sorted(preimage)
 
 
 def verify_permutiple(

@@ -31,7 +31,7 @@ from .digits import (
     canonical_sigma,
     check_equation,
     check_multiplier,
-    smallest_bijection,
+    is_rearrangement,
     verify_permutiple,
 )
 from .errors import (
@@ -310,19 +310,21 @@ def build_record(
 ) -> PermutipleRecord:
     """The record of least-significant-first digits, preimage and carries.
 
-    Sigma is the smallest bijection with ``digits[sigma(j)] == preimage[j]``,
-    and one :func:`permutiple.digits.check_equation` proves
-    digits = multiplier * preimage, with every digit and carry in range.
-    Those two facts imply every check of the record's constructor, so the
-    record is assembled without repeating them.  Raises
-    :class:`MultisetMismatchError` when the two digit multisets differ
-    (tested first) and :class:`ParameterError` when the equation fails.
+    :func:`permutiple.digits.is_rearrangement` proves that the preimage
+    rearranges the digits, and one :func:`permutiple.digits.check_equation`
+    proves digits = multiplier * preimage, with every digit and carry in
+    range.  Those two facts imply every check of the record's constructor,
+    so the record is assembled without repeating them.  It keeps the
+    preimage, and its sigma, the smallest bijection with
+    ``digits[sigma(j)] == preimage[j]``, is derived when first read.
+    Raises :class:`MultisetMismatchError` when the two digit multisets
+    differ (tested first) and :class:`ParameterError` when the equation
+    fails.
     """
-    mapping = smallest_bijection(digits, preimage)
-    if mapping is None:
+    if not is_rearrangement(digits, preimage):
         raise MultisetMismatchError("digit and preimage multisets differ")
     check_equation(multiplier, base, digits, preimage, carries)
-    return _proved_record(multiplier, base, tuple(digits), tuple(mapping), tuple(carries))
+    return _proved_record(multiplier, base, tuple(digits), tuple(preimage), tuple(carries))
 
 
 def string_to_permutiple(inputs: Sequence[Pair], multiplier: int, base: int) -> SearchResult:

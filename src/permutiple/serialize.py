@@ -19,6 +19,7 @@ from .digits import (
     PermutipleRecord,
     canonical_sigma,
     check_equation,
+    is_rearrangement,
     smallest_bijection,
     verify_permutiple,
 )
@@ -84,10 +85,11 @@ def permutiple_line(
     c_0..c_k are least-significant first, as
     :func:`permutiple.search.division_walk` yields them.  The line is
     written only once :func:`permutiple.digits.check_equation` has proved
-    d = n*p and :func:`permutiple.digits.smallest_bijection` has found
-    sigma, the smallest mapping with d[sigma(j)] = p_j, which exists
-    exactly when p rearranges d.  A failed check raises
-    :class:`InvariantError`.
+    d = n*p and p is shown to rearrange d: for the JSON line by
+    :func:`permutiple.digits.smallest_bijection`, which finds sigma, the
+    smallest mapping with d[sigma(j)] = p_j, and for the text line, which
+    shows no sigma, by :func:`permutiple.digits.is_rearrangement`.  A
+    failed check raises :class:`InvariantError`.
 
     The JSON object is compact, with sorted keys: ``base``, ``canonical``
     (nonzero top digit), ``carries`` c_{k-1}..c_0, ``class_edges`` (the
@@ -98,14 +100,21 @@ def permutiple_line(
         check_equation(multiplier, base, digits, preimage, carries)
     except ParameterError as exc:
         raise InvariantError(str(exc)) from None
-    sigma = smallest_bijection(digits, preimage)
-    if sigma is None:
-        raise InvariantError("digit and preimage multisets differ")
+    if text:
+        sigma = None
+        if not is_rearrangement(digits, preimage):
+            raise InvariantError("digit and preimage multisets differ")
+    else:
+        sigma = smallest_bijection(digits, preimage)
+        if sigma is None:
+            raise InvariantError("digit and preimage multisets differ")
     return _line(multiplier, base, digits, preimage, carries, sigma, text)
 
 
 def _line(n: int, b: int, digits: Sequence[int], preimage: Sequence[int],
-          carries: Sequence[int], sigma: Sequence[int], text: bool) -> str:
+          carries: Sequence[int], sigma: Sequence[int] | None, text: bool) -> str:
+    """The line of a proved permutiple; ``sigma`` is read, and needed, for
+    JSON only."""
     display = ",".join(map(str, digits[::-1]))
     display_preimage = ",".join(map(str, preimage[::-1]))
     shown_carries = ",".join(map(str, carries[-2::-1]))
@@ -124,8 +133,9 @@ def _line(n: int, b: int, digits: Sequence[int], preimage: Sequence[int],
 
 
 def _record_line(r: PermutipleRecord, text: bool) -> str:
-    d, sigma = r.digits.digits, r.sigma.mapping
-    return _line(r.multiplier, r.base, d, [d[i] for i in sigma], r.carries, sigma, text)
+    # the record's stored preimage; a text line leaves a kernel record's sigma unread
+    sigma = None if text else r.sigma.mapping
+    return _line(r.multiplier, r.base, r.digits.digits, r._preimage, r.carries, sigma, text)
 
 
 def record_to_text(record: PermutipleRecord) -> str:

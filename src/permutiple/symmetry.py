@@ -5,10 +5,11 @@ strings generate new permutiples from known ones: carries equal to n-1 mark
 reflective siblings, zero carries mark rotational siblings, and together
 these are the dihedral siblings.  A sibling takes the record's carries
 rotated (and mapped to n-1-c when reflected), a transition-fixing image
-keeps them, and each is built like a search result: smallest sigma, with
-the record checking the carry recurrence.  Class-level reflection,
-symmetric closures, string symmetries that fix the state-transition
-sequence, and coarse conjugacy complete the picture.
+keeps them, and each is built like a search result: one multiset check
+and one check of the carry recurrence, with the smallest sigma derived
+when first read.  Class-level reflection, symmetric closures, string
+symmetries that fix the state-transition sequence, and coarse conjugacy
+complete the picture.
 """
 
 from __future__ import annotations

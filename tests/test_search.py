@@ -42,7 +42,7 @@ from permutiple import (
 )
 from permutiple import digits as digits_module
 from permutiple import search
-from permutiple.digits import check_equation, smallest_bijection
+from permutiple.digits import check_equation, is_rearrangement, smallest_bijection
 from permutiple.machine import StateMultigraph, empty_state_multigraph
 from permutiple.search import build_record, division_walk, feasible_unions, walk_records
 from permutiple.serialize import seed_to_record
@@ -535,20 +535,62 @@ def builder_points(draw):
     return draw(st.integers(2, base - 1)), base, draw(st.integers(1, 6))
 
 
-def assert_built_as_validated(record, n, b, digits, preimage, carries):
-    """``record`` is the record the validating constructors build."""
+def sigma_is_read(record):
+    """Whether the record's sigma slot is set, read without deriving it."""
+    try:
+        PermutipleRecord.sigma.__get__(record)
+    except AttributeError:
+        return False
+    return True
+
+
+def assert_built_as_validated(build, n, b, digits, preimage, carries):
+    """``build()`` makes the record the validating constructors build.
+
+    Each comparison runs on a fresh record, once before its sigma is read
+    and once after.  A record the constructors build with another sigma
+    that maps onto the same preimage, one swap of two equal digits away,
+    is a different record.
+    """
     mapping = smallest_bijection(digits, preimage)
     validated = PermutipleRecord(n, DigitString(b, digits), Permutation(mapping), carries)
-    assert record == validated and validated == record
-    assert hash(record) == hash(validated)
-    assert repr(record) == repr(validated)
-    assert record.key == validated.key
-    assert record.preimage == DigitString(b, preimage) == validated.preimage
-    for fields in (record.digits.digits, record.sigma.mapping, record.carries,
-                   record.preimage.digits):
-        assert type(fields) is tuple
-    for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record), copy.copy(record)):
-        assert copied == validated and hash(copied) == hash(validated)
+    j = next((j for j in range(1, len(mapping)) if preimage[j] in preimage[:j]), None)
+    swapped = None
+    if j is not None:
+        i = preimage.index(preimage[j])
+        other = list(mapping)
+        other[i], other[j] = other[j], other[i]
+        swapped = PermutipleRecord(n, DigitString(b, digits), Permutation(other), carries)
+    for sigma_read in (False, True):
+        def fresh():
+            record = build()
+            if sigma_read:
+                assert record.sigma == validated.sigma
+            assert sigma_is_read(record) == sigma_read
+            return record
+
+        # the readers of the stored preimage leave sigma as they found it
+        record = fresh()
+        assert record.key == validated.key
+        assert record.preimage == DigitString(b, preimage) == validated.preimage
+        assert record.string == validated.string
+        assert graph_of_permutiple(record) == graph_of_permutiple(validated)
+        for fields in (record.digits.digits, record.carries, record.preimage.digits):
+            assert type(fields) is tuple
+        assert sigma_is_read(record) == sigma_read
+        # the field-wise readers derive it
+        record = fresh()
+        assert record == validated and validated == record
+        assert type(record.sigma.mapping) is tuple
+        assert hash(fresh()) == hash(validated)
+        assert repr(fresh()) == repr(validated)
+        for copier in (lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy, copy.copy):
+            copied = copier(fresh())
+            assert copied == validated and hash(copied) == hash(validated)
+            assert repr(copied) == repr(validated)
+        if swapped is not None:
+            assert fresh() != swapped and swapped != fresh()
+            assert repr(fresh()) != repr(swapped)
 
 
 class TestBuildRecord:
@@ -558,17 +600,21 @@ class TestBuildRecord:
         n, b, k = point
         records = []
         for digits, preimage, carries in division_walk(n, b, k, allow_leading_zero=leading_zero):
-            record = build_record(n, b, digits, preimage, carries)
-            assert_built_as_validated(record, n, b, digits, preimage, carries)
-            records.append(record)
+            def build(walk=(digits, preimage, carries)):
+                return build_record(n, b, *walk)
+
+            assert_built_as_validated(build, n, b, digits, preimage, carries)
+            records.append(build())
         if not records:
             return
         for record in data.draw(st.lists(st.sampled_from(records), min_size=1, max_size=5)):
-            built = dihedral_siblings(record) + [image for _, image in _fixing_images(record)]
-            for r in built:
-                d = r.digits.digits
-                p = tuple(d[i] for i in r.sigma.mapping)
-                assert_built_as_validated(r, n, b, d, p, r.carries)
+            # every sibling and fixing image, rebuilt fresh for each comparison
+            builds = [lambda: dihedral_siblings(record),
+                      lambda: [image for _, image in _fixing_images(record)]]
+            for built in builds:
+                for i, r in enumerate(built()):
+                    assert_built_as_validated(lambda i=i, built=built: built()[i], n, b,
+                                              r.digits.digits, r.preimage.digits, r.carries)
 
     @pytest.mark.parametrize(
         "walk, error, message",
@@ -616,7 +662,8 @@ class TestBuildRecord:
             build_record(*walk)
 
     def test_each_class_member_is_proved_once(self, monkeypatch):
-        calls = {"check_equation": 0, "smallest_bijection": 0, "DigitString": 0, "Permutation": 0}
+        calls = {"check_equation": 0, "is_rearrangement": 0, "smallest_bijection": 0,
+                 "DigitString": 0, "Permutation": 0}
 
         def counting(name, function):
             def counted(*args):
@@ -628,15 +675,26 @@ class TestBuildRecord:
         for module in (digits_module, search):
             monkeypatch.setattr(module, "check_equation", counting("check_equation", check_equation))
         monkeypatch.setattr(
-            search, "smallest_bijection", counting("smallest_bijection", smallest_bijection)
+            search, "is_rearrangement", counting("is_rearrangement", is_rearrangement)
+        )
+        monkeypatch.setattr(
+            digits_module, "smallest_bijection", counting("smallest_bijection", smallest_bijection)
         )
         for cls in (DigitString, Permutation):
             monkeypatch.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
         members = enumerate_class_members(record)
         assert len(members) == 20 and sum(not m.canonical for m in members) == 12
-        assert calls == {
-            "check_equation": 20, "smallest_bijection": 20, "DigitString": 0, "Permutation": 0
-        }
+        assert calls == {"check_equation": 20, "is_rearrangement": 20, "smallest_bijection": 0,
+                         "DigitString": 0, "Permutation": 0}
         # reading a member's preimage validates nothing again
         assert [m.preimage.value() * 4 for m in members] == [m.value() for m in members]
         assert calls["DigitString"] == 0
+        # nor does reading its key, string or graph derive sigma
+        assert all(m.key and m.string and graph_of_permutiple(m).edges for m in members)
+        assert calls["smallest_bijection"] == 0
+        # the first read of sigma derives it, once per member, and keeps it
+        first = [m.sigma for m in members]
+        assert calls["smallest_bijection"] == 20
+        assert all(m.sigma is sigma for m, sigma in zip(members, first))
+        assert calls == {"check_equation": 20, "is_rearrangement": 20, "smallest_bijection": 20,
+                         "DigitString": 0, "Permutation": 0}
