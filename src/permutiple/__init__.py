@@ -21,7 +21,7 @@ _EXPORTS = {
     "graphs": """DigitCycle DigitGraph build_mother_graph enumerate_cycles graph_of_permutiple
         is_cycle_union""",
     "machine": """StateGraph StateMultigraph build_state_graph build_state_multigraph
-        cycle_image multi_image multiset_union transition union_images walk_states""",
+        cycle_image transition union_images walk_states""",
     "search": """CycleMultiset SearchResult brute_force_oracle check_feasible
         count_eulerian_circuits decompose_into_cycles duplicate_label_factor
         eulerian_strings feasible_unions find_permutiples string_to_permutiple

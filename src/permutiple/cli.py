@@ -18,8 +18,8 @@ error or a failed internal check (:class:`InvariantError`), 2 usage error;
 :func:`main` returns them, argparse's own included.  A stdout closed by its
 reader (``find ... | head -1``) ends the command with 1 and nothing on
 stderr.  Output is written as it is made; ``--output`` is replaced whole
-through a sibling temporary file.  ``find`` writes its lines straight from
-the search kernel's digits through :func:`serialize.permutiple_line`.
+through a sibling temporary file.  Every permutiple line is written from a
+record by :func:`serialize.record_to_json` or :func:`serialize.record_to_text`.
 
 A process runs one command, so :func:`main` builds the parser of the
 command that the first argument names, alone; with no command first (no
@@ -46,7 +46,7 @@ from .digits import (
     verify_permutiple,
 )
 from .errors import BFileError, ParameterError, PermutipleError, SeedError
-from .search import DEFAULT_SCAN_LIMIT, brute_force_oracle, division_walk
+from .search import DEFAULT_SCAN_LIMIT, brute_force_oracle, division_walk, walk_records
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -225,10 +225,9 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_find(args: argparse.Namespace) -> int:
-    n, b, text = args.multiplier, args.base, args.format == "text"
-    walks = division_walk(n, b, args.length, allow_leading_zero=args.allow_leading_zero)
-    lines = (serialize.permutiple_line(n, b, d, p, c, text=text) + "\n" for d, p, c in walks)
-    _emit(args, lines)
+    n, b, k = args.multiplier, args.base, args.length
+    records = walk_records(n, b, k, allow_leading_zero=args.allow_leading_zero)
+    _emit(args, _record_lines(args, records))
     return EXIT_OK
 
 

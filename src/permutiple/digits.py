@@ -4,19 +4,16 @@ Digit sequences are stored least-significant-first, so ``digits[j]`` is the
 coefficient of ``base**j``.  Display order (most-significant first) appears
 only at formatting boundaries.  All arithmetic is exact integer arithmetic.
 The classes here are the library's validated values (see
-:mod:`permutiple.value`); CLI ``find`` does not build them per line.
-:func:`check_equation` is the one proof of a permutiple equation.
-
-Two paths build a :class:`PermutipleRecord`.  Its public constructor, and
-so :func:`verify_permutiple`, pickling and copying, validates every part:
-the base and digits of the :class:`DigitString`, the bijection of the
-:class:`Permutation`, and the equation through :func:`check_equation`.
-The kernel's builder (:func:`permutiple.search.build_record`) proves that
-the preimage rearranges the digits with :func:`is_rearrangement`, proves
-the equation once with :func:`check_equation`, and assembles the record
-with :func:`_proved_record`, which checks nothing again and leaves sigma
-unset.  Every record keeps its proved preimage digits, which its
-:attr:`~PermutipleRecord.preimage`, ``key`` and ``string`` read; a kernel
+:mod:`permutiple.value`).  :func:`check_equation` is the one proof of a
+permutiple equation, and two paths build a :class:`PermutipleRecord`.
+Its public constructor, and so :func:`verify_permutiple`, pickling and
+copying, validates every part: the base and digits of the
+:class:`DigitString`, the bijection of the :class:`Permutation`, and the
+equation through :func:`check_equation`.  :func:`build_record`, which
+builds every kernel record, sibling and transition-fixing image, proves
+the rearrangement and the equation once each and leaves sigma unset.
+Every record keeps its proved preimage digits, which its
+:attr:`~PermutipleRecord.preimage`, ``key`` and ``string`` read; a built
 record's sigma is derived by :func:`smallest_bijection` when first read.
 """
 
@@ -24,13 +21,14 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import ParameterError
+from .errors import MultisetMismatchError, ParameterError
 from .value import Value
 
 __all__ = [
     "DigitString",
     "Permutation",
     "PermutipleRecord",
+    "build_record",
     "canonical_sigma",
     "check_equation",
     "check_multiplier",
@@ -221,10 +219,10 @@ class PermutipleRecord(Value, _Preimage):
     ``carries[j]`` is the carry entering position j of the single-digit
     multiplication; ``carries[0]`` and ``carries[-1]`` are zero and every
     carry is below the multiplier.  Construction validates the digit
-    string and the permutation and runs :func:`check_equation`; the
-    kernel's records skip the first two (see :func:`_proved_record`).
+    string and the permutation and runs :func:`check_equation`;
+    :func:`build_record` skips the first two.
     Every record keeps the preimage digits it proved, which
-    :attr:`preimage`, :attr:`key` and :attr:`string` read.  A kernel
+    :attr:`preimage`, :attr:`key` and :attr:`string` read.  A built
     record leaves ``sigma`` unset until it is first read, and then takes
     the smallest bijection onto that preimage; equality, hashing, repr
     and pickling read it as a field like any other.
@@ -300,14 +298,15 @@ def _digit_string(base: int, digits: tuple[int, ...]) -> DigitString:
     return string
 
 
-def _proved_record(multiplier: int, base: int, digits: tuple[int, ...],
-                   preimage: tuple[int, ...], carries: tuple[int, ...]) -> PermutipleRecord:
-    """The record of a proved equation, assembled without re-running the
-    ``__post_init__`` checks of its values, with sigma left unset.
+def build_record(multiplier: int, base: int, digits: Sequence[int],
+                 preimage: Sequence[int], carries: Sequence[int]) -> PermutipleRecord:
+    """The record of least-significant-first digits, preimage and carries.
 
-    The caller has proved ``is_rearrangement(digits, preimage)`` and run
-    ``check_equation(multiplier, base, digits, preimage, carries)``.  The
-    checks skipped here are implied by those two:
+    :func:`is_rearrangement` proves that the preimage rearranges the digits
+    (tested first, else :class:`MultisetMismatchError`) and one
+    :func:`check_equation` proves the equation (else :class:`ParameterError`).
+    The ``__post_init__`` checks of the record's values are skipped, as
+    those two imply them:
 
     - :func:`check_equation` proves 1 < n < b (so b >= 2), k >= 1 and
       every digit in 0..b-1, which is all :class:`DigitString` checks;
@@ -318,13 +317,17 @@ def _proved_record(multiplier: int, base: int, digits: tuple[int, ...],
       proved, with the same carries, which is all
       :class:`PermutipleRecord` checks.
 
-    Every field is a tuple, as the public constructors would leave it.
+    The record keeps the preimage and leaves sigma unset; every field is a
+    tuple, as the public constructors would leave it.
     """
+    if not is_rearrangement(digits, preimage):
+        raise MultisetMismatchError("digit and preimage multisets differ")
+    check_equation(multiplier, base, digits, preimage, carries)
     record = _new(PermutipleRecord)
     _set(record, "multiplier", multiplier)
-    _set(record, "digits", _digit_string(base, digits))
-    _set(record, "carries", carries)
-    _set(record, "_preimage", preimage)
+    _set(record, "digits", _digit_string(base, tuple(digits)))
+    _set(record, "carries", tuple(carries))
+    _set(record, "_preimage", tuple(preimage))
     return record
 
 

@@ -27,10 +27,6 @@ __all__ = [
     "cycle_image",
     "edge_image",
     "edge_multi_image",
-    "empty_state_graph",
-    "empty_state_multigraph",
-    "multi_image",
-    "multiset_union",
     "transition",
     "union_images",
     "walk_states",
@@ -182,14 +178,6 @@ class StateMultigraph(Value):
         return strongly_connected(self.states(), ((c1, c2) for c1, c2, _ in self.edges))
 
 
-def empty_state_graph(multiplier: int, base: int) -> StateGraph:
-    return StateGraph.make(multiplier, base, (), {})
-
-
-def empty_state_multigraph(multiplier: int, base: int) -> StateMultigraph:
-    return StateMultigraph.make(multiplier, base, ())
-
-
 def build_state_graph(multiplier: int, base: int) -> StateGraph:
     """The full machine graph: every mother edge grouped under its state pair.
 
@@ -232,24 +220,11 @@ def cycle_image(cycle: DigitCycle, multiplier: int, base: int) -> StateGraph:
     return edge_image(cycle.edges, multiplier, base)
 
 
-def multi_image(cycle: DigitCycle, multiplier: int, base: int) -> StateMultigraph:
-    """As :func:`cycle_image` but with one multi-edge per cycle edge."""
-    return edge_multi_image(cycle.edges, multiplier, base)
-
-
-def _check_same_parameters(parts: Sequence) -> tuple[int, int]:
-    if not parts:
-        raise ParameterError("need at least one graph to union")
-    n, b = parts[0].multiplier, parts[0].base
-    for part in parts[1:]:
-        if (part.multiplier, part.base) != (n, b):
-            raise ParameterError("cannot union graphs with mixed multiplier/base")
-    return n, b
-
-
 def union_images(parts: Sequence[StateGraph]) -> StateGraph:
     """Set-union of labeled subgraphs: states, edges, and label sets unite."""
-    n, b = _check_same_parameters(parts)
+    if not parts or len({(part.multiplier, part.base) for part in parts}) != 1:
+        raise ParameterError("need graphs of one multiplier and base to union")
+    n, b = parts[0].multiplier, parts[0].base
     states: set[int] = set()
     merged: dict[Pair, set[Pair]] = {}
     for part in parts:
@@ -257,15 +232,6 @@ def union_images(parts: Sequence[StateGraph]) -> StateGraph:
         for edge, labels in part.edges:
             merged.setdefault(edge, set()).update(labels)
     return StateGraph.make(n, b, states, {e: sorted(ls) for e, ls in merged.items()})
-
-
-def multiset_union(parts: Sequence[StateMultigraph]) -> StateMultigraph:
-    """Multiset sum of multigraphs: parallel copies accumulate."""
-    n, b = _check_same_parameters(parts)
-    triples: list[tuple[int, int, Pair]] = []
-    for part in parts:
-        triples.extend(part.edges)
-    return StateMultigraph.make(n, b, triples)
 
 
 def walk_states(

@@ -8,14 +8,14 @@ digit, which yields each permutiple's digits, preimage and carries (the
 division's remainders) in output order.  It meets in the middle: the top
 k - h digits are walked, and the bottom h <= k/2 are joined from a tail
 table, built once per call, of every run of h digits down to carry 0,
-keyed by carry and packed balance (:func:`_tails`).  CLI ``find`` writes
-its lines straight from those tuples; :func:`walk_records` builds
-library records from them.  The paper's cycle theory stays as checked
-mathematics: every such string orders a cycle multiset whose multigraph
-union passes :func:`check_feasible`, :func:`eulerian_strings` lists the
-orderings of a union and :func:`count_eulerian_circuits` counts them by
-the BEST theorem.  An independent integer-scan oracle cross-checks the
-whole pipeline.
+keyed by carry and packed balance (:func:`_tails`).  :func:`walk_records`
+builds a record of each through :func:`permutiple.digits.build_record`,
+and CLI ``find`` writes those records.  The paper's cycle theory stays as
+checked mathematics: every such string orders a cycle multiset whose
+multigraph union passes :func:`check_feasible`, :func:`eulerian_strings`
+lists the orderings of a union and :func:`count_eulerian_circuits` counts
+them by the BEST theorem.  An independent integer-scan oracle
+cross-checks the whole pipeline.
 """
 
 from __future__ import annotations
@@ -27,11 +27,9 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 from .digits import (
     DigitString,
     PermutipleRecord,
-    _proved_record,
+    build_record,
     canonical_sigma,
-    check_equation,
     check_multiplier,
-    is_rearrangement,
     verify_permutiple,
 )
 from .errors import (
@@ -123,11 +121,6 @@ class SearchResult(Value):
     __slots__ = ("record", "string")
     record: PermutipleRecord
     string: InputString
-
-    @property
-    def cycle_multiset(self) -> CycleMultiset:
-        """The string's cycle decomposition, computed on each access."""
-        return decompose_into_cycles(self.string, self.record.base)
 
 
 def check_feasible(delta: StateMultigraph) -> bool:
@@ -301,32 +294,6 @@ def decompose_into_cycles(edges: Iterable[Pair], base: int) -> CycleMultiset:
     return CycleMultiset.from_counts(found)
 
 
-def build_record(
-    multiplier: int,
-    base: int,
-    digits: Sequence[int],
-    preimage: Sequence[int],
-    carries: Sequence[int],
-) -> PermutipleRecord:
-    """The record of least-significant-first digits, preimage and carries.
-
-    :func:`permutiple.digits.is_rearrangement` proves that the preimage
-    rearranges the digits, and one :func:`permutiple.digits.check_equation`
-    proves digits = multiplier * preimage, with every digit and carry in
-    range.  Those two facts imply every check of the record's constructor,
-    so the record is assembled without repeating them.  It keeps the
-    preimage, and its sigma, the smallest bijection with
-    ``digits[sigma(j)] == preimage[j]``, is derived when first read.
-    Raises :class:`MultisetMismatchError` when the two digit multisets
-    differ (tested first) and :class:`ParameterError` when the equation
-    fails.
-    """
-    if not is_rearrangement(digits, preimage):
-        raise MultisetMismatchError("digit and preimage multisets differ")
-    check_equation(multiplier, base, digits, preimage, carries)
-    return _proved_record(multiplier, base, tuple(digits), tuple(preimage), tuple(carries))
-
-
 def string_to_permutiple(inputs: Sequence[Pair], multiplier: int, base: int) -> SearchResult:
     """Read an input string through the machine into a verified permutiple.
 
@@ -488,10 +455,16 @@ def walk_records(
     allow_leading_zero: bool = True,
 ) -> Iterator[PermutipleRecord]:
     """The walks of :func:`division_walk` (same arguments, same order) as
-    records; each record checks its carries."""
+    records of :func:`permutiple.digits.build_record`.  A walk that fails
+    its proof is a defect of the kernel, raised as :class:`InvariantError`
+    with the proof's message."""
     walks = division_walk(multiplier, base, length, edges, left_digits, allow_leading_zero)
     for digits, preimage, carries in walks:
-        yield build_record(multiplier, base, digits, preimage, carries)
+        try:
+            record = build_record(multiplier, base, digits, preimage, carries)
+        except (MultisetMismatchError, ParameterError) as exc:
+            raise InvariantError(str(exc)) from None
+        yield record
 
 
 def group_unions(

@@ -1,11 +1,9 @@
 """Text, JSON, and DOT renderings plus seed/equation/b-file parsing.
 
 All output is byte-deterministic: edges, labels, and JSON keys are sorted
-before rendering.  A permutiple's JSON and text lines are formatted in one
-place.  :func:`permutiple_line` formats the search kernel's tuples for CLI
-``find`` once :func:`permutiple.digits.check_equation` has proved them;
-:func:`record_to_json` and :func:`record_to_text` format a record, which
-was proved when it was built, and prove nothing again.
+before rendering.  A permutiple's JSON and text lines are written in one
+place, by :func:`record_to_json` and :func:`record_to_text`, from a record
+that was proved when it was built; this module proves nothing again.
 """
 
 from __future__ import annotations
@@ -18,12 +16,9 @@ from .digits import (
     Permutation,
     PermutipleRecord,
     canonical_sigma,
-    check_equation,
-    is_rearrangement,
-    smallest_bijection,
     verify_permutiple,
 )
-from .errors import BFileError, InvariantError, ParameterError, SeedError
+from .errors import BFileError, ParameterError, SeedError
 
 if TYPE_CHECKING:
     from .graphs import DigitGraph
@@ -39,7 +34,6 @@ __all__ = [
     "format_pair",
     "parse_bfile",
     "parse_seed",
-    "permutiple_line",
     "record_from_json",
     "record_to_json",
     "record_to_text",
@@ -71,50 +65,10 @@ def format_equation(record: PermutipleRecord) -> str:
     return f"{n}x{b}:{lhs}={n}*{rhs}"
 
 
-def permutiple_line(
-    multiplier: int,
-    base: int,
-    digits: Sequence[int],
-    preimage: Sequence[int],
-    carries: Sequence[int],
-    text: bool = False,
-) -> str:
-    """The JSON (or, with ``text``, text) line of one permutiple, unterminated.
-
-    ``digits`` d_0..d_{k-1}, ``preimage`` p_0..p_{k-1} and ``carries``
-    c_0..c_k are least-significant first, as
-    :func:`permutiple.search.division_walk` yields them.  The line is
-    written only once :func:`permutiple.digits.check_equation` has proved
-    d = n*p and p is shown to rearrange d: for the JSON line by
-    :func:`permutiple.digits.smallest_bijection`, which finds sigma, the
-    smallest mapping with d[sigma(j)] = p_j, and for the text line, which
-    shows no sigma, by :func:`permutiple.digits.is_rearrangement`.  A
-    failed check raises :class:`InvariantError`.
-
-    The JSON object is compact, with sorted keys: ``base``, ``canonical``
-    (nonzero top digit), ``carries`` c_{k-1}..c_0, ``class_edges`` (the
-    sorted distinct pairs (d_j,p_j)), ``digits`` and ``preimage``
-    most-significant first, ``multiplier``, ``sigma`` and ``value``.
-    """
-    try:
-        check_equation(multiplier, base, digits, preimage, carries)
-    except ParameterError as exc:
-        raise InvariantError(str(exc)) from None
-    if text:
-        sigma = None
-        if not is_rearrangement(digits, preimage):
-            raise InvariantError("digit and preimage multisets differ")
-    else:
-        sigma = smallest_bijection(digits, preimage)
-        if sigma is None:
-            raise InvariantError("digit and preimage multisets differ")
-    return _line(multiplier, base, digits, preimage, carries, sigma, text)
-
-
-def _line(n: int, b: int, digits: Sequence[int], preimage: Sequence[int],
-          carries: Sequence[int], sigma: Sequence[int] | None, text: bool) -> str:
-    """The line of a proved permutiple; ``sigma`` is read, and needed, for
-    JSON only."""
+def _record_line(r: PermutipleRecord, text: bool) -> str:
+    """The JSON (or, with ``text``, text) line of a record, unterminated; a
+    text line leaves a built record's sigma unread."""
+    n, b, digits, preimage, carries = r.multiplier, r.base, r.digits.digits, r._preimage, r.carries
     display = ",".join(map(str, digits[::-1]))
     display_preimage = ",".join(map(str, preimage[::-1]))
     shown_carries = ",".join(map(str, carries[-2::-1]))
@@ -128,39 +82,53 @@ def _line(n: int, b: int, digits: Sequence[int], preimage: Sequence[int],
         f'{{"base":{b},"canonical":{"true" if digits[-1] else "false"},'
         f'"carries":[{shown_carries}],"class_edges":[{edges}],"digits":[{display}],'
         f'"multiplier":{n},"preimage":[{display_preimage}],'
-        f'"sigma":[{",".join(map(str, sigma))}],"value":{value}}}'
+        f'"sigma":[{",".join(map(str, r.sigma.mapping))}],"value":{value}}}'
     )
 
 
-def _record_line(r: PermutipleRecord, text: bool) -> str:
-    # the record's stored preimage; a text line leaves a kernel record's sigma unread
-    sigma = None if text else r.sigma.mapping
-    return _line(r.multiplier, r.base, r.digits.digits, r._preimage, r.carries, sigma, text)
-
-
 def record_to_text(record: PermutipleRecord) -> str:
-    """The text line of a record, formatted as :func:`permutiple_line` does."""
+    """``(digits)_b = n * (preimage)_b  [carries c_{k-1},...,c_0]``, digits
+    most-significant first."""
     return _record_line(record, True)
 
 
 def record_to_json(record: PermutipleRecord) -> str:
-    """One compact JSON object per record, formatted as :func:`permutiple_line`
-    does with the record's own sigma, sigma(0)..sigma(k-1) over
-    least-significant-first positions; nothing is checked again."""
+    """One compact JSON object per record, with sorted keys: ``base``,
+    ``canonical`` (nonzero top digit), ``carries`` c_{k-1}..c_0,
+    ``class_edges`` (the sorted distinct pairs (d_j,p_j)), ``digits`` and
+    ``preimage`` most-significant first, ``multiplier``, ``sigma`` (the
+    record's own, sigma(0)..sigma(k-1) over least-significant-first
+    positions) and ``value``."""
     return _record_line(record, False)
 
 
 def record_from_json(text: str) -> PermutipleRecord:
+    """The record of a line that :func:`record_to_json` wrote.
+
+    ``base``, ``multiplier``, ``digits`` and ``sigma`` build the record,
+    which must verify as a permutiple.  The other fields may be left out,
+    but a field that is present must equal what :func:`record_to_json`
+    writes for that record, in value and JSON type.  Anything else, from
+    text that is not JSON to an unknown key, raises :class:`ParameterError`.
+    """
     import json
 
-    payload = json.loads(text)
-    digits = DigitString.from_display(payload["base"], payload["digits"])
-    record = verify_permutiple(digits, Permutation(tuple(payload["sigma"])), payload["multiplier"])
+    try:
+        payload = json.loads(text)
+        n, b, display, mapping = (payload[key] for key in ("multiplier", "base", "digits", "sigma"))
+        # JSON strings and objects unpack to strings, so only integer lists pass
+        integral = all(type(x) is int for x in (n, b, *display, *mapping))
+    except (ValueError, RecursionError, TypeError, KeyError) as exc:
+        raise ParameterError(f"not a JSON record: {exc!r}") from None
+    if not integral:
+        raise ParameterError("JSON record base, multiplier, digits or sigma is not integral")
+    record = verify_permutiple(DigitString.from_display(b, display), Permutation(tuple(mapping)), n)
     if record is None:
         raise ParameterError("JSON record does not verify as a permutiple")
-    expected = list(reversed(record.carries[:-1]))
-    if payload.get("carries") not in (None, expected):
-        raise ParameterError("JSON carries disagree with the carry recurrence")
+    written = json.loads(record_to_json(record))
+    for key, value in payload.items():
+        if key not in written or json.dumps(value) != json.dumps(written[key]):
+            raise ParameterError(f"JSON record key {key!r} is unknown or disagrees with the record")
     return record
 
 

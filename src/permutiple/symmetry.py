@@ -17,11 +17,11 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator, Sequence
 
-from .digits import Permutation, PermutipleRecord, smallest_bijection
+from .digits import Permutation, PermutipleRecord, build_record, smallest_bijection
 from .errors import MultisetMismatchError, NoReflectionError, ParameterError, WalkError
 from .graphs import DigitGraph, graph_of_permutiple, is_cycle_union
 from .machine import StateGraph, StateMultigraph, edge_image
-from .search import CycleMultiset, build_record, group_unions, string_to_permutiple, walk_records
+from .search import CycleMultiset, group_unions, string_to_permutiple, walk_records
 from .value import Value
 
 __all__ = [

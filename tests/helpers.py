@@ -33,6 +33,7 @@ from permutiple import (
 )
 from permutiple.digits import check_multiplier
 from permutiple.errors import ParameterError, WalkError
+from permutiple.machine import StateGraph, StateMultigraph, edge_multi_image
 from permutiple.serialize import format_pair
 
 
@@ -146,9 +147,8 @@ def reference_oracle(multiplier, base, length, allow_leading_zero=False):
 def reference_record_to_text(record: PermutipleRecord) -> str:
     """The text line of a record, written field by field from the record.
 
-    ``permutiple.serialize`` writes both formats through one checked line
-    builder; these two renderers are the plain versions it must match byte
-    for byte.
+    ``permutiple.serialize`` writes both formats through one line builder;
+    these two renderers are the plain versions it must match byte for byte.
     """
     digits = ",".join(str(d) for d in record.digits.display)
     preimage = ",".join(str(d) for d in record.preimage.display)
@@ -174,6 +174,34 @@ def reference_record_to_json(record: PermutipleRecord) -> str:
         "value": record.value(),
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+# ---------------------------------------------------------------------------
+# Machine images that only tests build: the images of single cycles, their
+# multiset sums and the empty graphs.  The library traces edge sets and
+# multisets in one pass (``edge_image``, ``edge_multi_image``).
+
+
+def multi_image(cycle, multiplier: int, base: int) -> StateMultigraph:
+    """As ``cycle_image`` but with one multi-edge per cycle edge."""
+    return edge_multi_image(cycle.edges, multiplier, base)
+
+
+def multiset_union(parts) -> StateMultigraph:
+    """Multiset sum of multigraphs of one multiplier and base: parallel
+    copies accumulate."""
+    if not parts or len({(part.multiplier, part.base) for part in parts}) != 1:
+        raise ParameterError("need graphs of one multiplier and base to union")
+    triples = [triple for part in parts for triple in part.edges]
+    return StateMultigraph.make(parts[0].multiplier, parts[0].base, triples)
+
+
+def empty_state_graph(multiplier: int, base: int) -> StateGraph:
+    return StateGraph.make(multiplier, base, (), {})
+
+
+def empty_state_multigraph(multiplier: int, base: int) -> StateMultigraph:
+    return StateMultigraph.make(multiplier, base, ())
 
 
 # ---------------------------------------------------------------------------

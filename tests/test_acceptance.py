@@ -28,8 +28,6 @@ from permutiple import (
     find_permutiples,
     graph_of_permutiple,
     is_symmetric_class,
-    multi_image,
-    multiset_union,
     reflected_class_witness,
     reflective_siblings,
     rotational_siblings,
@@ -49,6 +47,8 @@ from helpers import (
     distinct_orderings,
     is_permutiple_string,
     make_record,
+    multi_image,
+    multiset_union,
 )
 
 

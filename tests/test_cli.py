@@ -11,6 +11,7 @@ import pytest
 from permutiple import cli, search, symmetry
 from permutiple.cli import build_parser, main
 from permutiple.errors import InvariantError
+from permutiple.search import division_walk
 from permutiple.value import Value
 
 from helpers import child_env
@@ -44,7 +45,7 @@ def _disk_full(*args):
 
 def _two_walks_then_disk_full(*args, **kwargs):
     """The search kernel's first two walks, then a failed write."""
-    yield from islice(search.division_walk(*args, **kwargs), 2)
+    yield from islice(division_walk(*args, **kwargs), 2)
     _disk_full()
 
 
@@ -119,7 +120,7 @@ class TestGraphCommands:
         elif failure == "replace":
             monkeypatch.setattr(os, "replace", _disk_full)
         else:  # lines are written as they are found, and the search fails
-            monkeypatch.setattr(cli, "division_walk", _two_walks_then_disk_full)
+            monkeypatch.setattr(search, "division_walk", _two_walks_then_disk_full)
         code, out, err = run_cli(capsys, "find", "-n", "4", "-b", "10", "-k", "4", "-o", str(target))
         assert (code, out) == (1, "")
         assert "No space left" in err
@@ -128,7 +129,7 @@ class TestGraphCommands:
 
     def test_a_walk_that_fails_its_checks_keeps_the_old_file(self, capsys, tmp_path, monkeypatch):
         def two_walks_then_a_bad_one(*args, **kwargs):
-            walks = search.division_walk(*args, **kwargs)
+            walks = division_walk(*args, **kwargs)
             yield next(walks)
             digits, preimage, carries = next(walks)
             yield digits, preimage, carries
@@ -136,7 +137,7 @@ class TestGraphCommands:
 
         target = tmp_path / "found.json"
         target.write_bytes(b"old\n")
-        monkeypatch.setattr(cli, "division_walk", two_walks_then_a_bad_one)
+        monkeypatch.setattr(search, "division_walk", two_walks_then_a_bad_one)
         code, out, err = run_cli(capsys, "find", "-n", "4", "-b", "10", "-k", "4", "-o", str(target))
         assert (code, out) == (1, "")
         assert err.startswith("error: carr")

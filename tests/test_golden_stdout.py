@@ -33,6 +33,9 @@ DIGESTS = [
     ("verify --seed 4x10:87912=4*21978 --format json", 0, "fb5cf15a45e2b0984150f06fabab97890dddd175d5900a904a13e9c144979bdb"),
     ("verify --seed 4x10:87912=4*21978 --format text", 0, "7d7b26d26349afe0e7a41aabf644a233053e92282c17194f5f9bfbe26c35467d"),
     ("verify --seed 4x10:87912=4*21978 --sigma 4,3,2,1,0", 0, "fb5cf15a45e2b0984150f06fabab97890dddd175d5900a904a13e9c144979bdb"),
+    # a given sigma, not the smallest one ([3,2,1,0,4,5,6]), is the one printed
+    ("verify --seed 4x10:0008712=4*0002178 --sigma 3,2,1,0,5,4,6 --format json", 0, "c1a34e128185e5405aaf4f2f86e82e431edae7f917a7a96581f745a9ea7ca01b"),
+    ("verify --seed 4x10:0008712=4*0002178 --sigma 3,2,1,0,5,4,6 --format text", 0, "9bacf1d0e184cedd4a744007efc22c7a758868a6b2cc41f6a1ccccca641a839b"),
     ("siblings --seed 4x10:86712=4*21678", 0, "b2222d835df8ef4410c35240f3c7f672b49983d39211e4218b8633cbde7fe645"),
     ("class --seed 4x10:727119288=4*181779822 --format json", 0, "d8f00a570db8b03bfc613c7b6151e61b7463cbae98b83cbe03843a473b5f3515"),
     ("class --seed 4x10:727119288=4*181779822 --format text", 0, "4c6f1ac403c2e0ab9099c5eb554eecbd45af96986a7dea4c3a362ccfa781cd93"),

@@ -16,23 +16,20 @@ from permutiple import (
     build_state_multigraph,
     cycle_image,
     enumerate_cycles,
-    multi_image,
-    multiset_union,
     transition,
     union_images,
     walk_states,
 )
-from permutiple.machine import (
-    StateGraph,
-    edge_multi_image,
-    empty_state_graph,
-    empty_state_multigraph,
-)
+from permutiple.machine import StateGraph, edge_multi_image
 
 from helpers import (
     MACHINE_EDGES_3_4,
     MACHINE_EDGES_4_10,
+    empty_state_graph,
+    empty_state_multigraph,
     make_record,
+    multi_image,
+    multiset_union,
     reference_strongly_connected,
 )
 

@@ -27,8 +27,7 @@ EXPORTS = {
     ],
     "machine": [
         "StateGraph", "StateMultigraph", "build_state_graph", "build_state_multigraph",
-        "cycle_image", "multi_image", "multiset_union", "transition", "union_images",
-        "walk_states",
+        "cycle_image", "transition", "union_images", "walk_states",
     ],
     "search": [
         "CycleMultiset", "SearchResult", "brute_force_oracle", "check_feasible",
@@ -48,7 +47,7 @@ NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
 
 
 def test_the_export_list_is_complete():
-    assert len(NAMES) == 61
+    assert len(NAMES) == 59
     assert sorted(permutiple.__all__) == sorted(name for _, name in NAMES)
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,9 +18,10 @@ from permutiple import (
     verify_permutiple,
 )
 from permutiple import digits as digits_module
-from permutiple import serialize
+from permutiple import search
 from permutiple.cli import main
 from permutiple.digits import check_equation, smallest_bijection
+from permutiple.errors import ParameterError
 from permutiple.machine import build_state_multigraph
 from permutiple.search import division_walk, walk_records
 from permutiple.serialize import (
@@ -28,7 +30,6 @@ from permutiple.serialize import (
     format_equation,
     parse_bfile,
     parse_seed,
-    permutiple_line,
     record_from_json,
     record_to_json,
     record_to_text,
@@ -100,6 +101,41 @@ class TestRecordJson:
             record = make_record(*row)
             again = record_from_json(record_to_json(record))
             assert again == record
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda line: "{}",
+            lambda line: "[1]",
+            lambda line: "not json",
+            lambda line: line.replace('"digits":[8,7,9,1,2]', '"digits":"87912"'),
+            lambda line: line.replace('"value":87912', '"value":1'),
+            lambda line: line.replace('"value":87912', '"value":87912.0'),
+            lambda line: line.replace('"preimage":[2,1,9,7,8]', '"preimage":[1,2,3,4,5]'),
+            lambda line: line.replace('"canonical":true', '"canonical":false'),
+            lambda line: line.replace('"canonical":true', '"canonical":1'),
+            lambda line: re.sub(r'"class_edges":\[[^]]*\]', '"class_edges":[]', line),
+            lambda line: line.replace('"base":10', '"base":10,"unknown":0'),
+            lambda line: line.replace('"carries":[0,3,3,3,0]', '"carries":[0,3,3,3,1]'),
+            lambda line: line.replace('"sigma":[4,3,2,1,0]', '"sigma":[4,3,2,1,1]'),
+            lambda line: line.replace('"multiplier":4,', ''),
+        ],
+        ids=["empty", "list", "not-json", "digits-string", "value", "value-float", "preimage",
+             "canonical", "canonical-int", "class-edges", "unknown-key", "carries", "sigma",
+             "no-multiplier"],
+    )
+    def test_outside_input_is_refused(self, change):
+        line = record_to_json(make_record(4, 10, (8, 7, 9, 1, 2), (2, 1, 9, 7, 8)))
+        assert record_from_json(line).value() == 87912
+        changed = change(line)
+        assert changed != line
+        with pytest.raises(ParameterError):
+            record_from_json(changed)
+
+    def test_derived_fields_may_be_left_out(self):
+        record = make_record(4, 10, (8, 7, 9, 1, 2), (2, 1, 9, 7, 8))
+        line = '{"base":10,"digits":[8,7,9,1,2],"multiplier":4,"sigma":[4,3,2,1,0]}'
+        assert record_from_json(line) == record
 
     def test_text_form(self):
         record = make_record(4, 10, (8, 7, 9, 1, 2), (2, 1, 9, 7, 8))
@@ -174,14 +210,15 @@ class TestLineBuilder:
             # n, b, digits, preimage and carries of 87912 = 4 * 21978 with
             # carry c_4 off by one
             ((4, 10, (2, 1, 9, 7, 8), (8, 7, 9, 1, 2), (0, 3, 3, 3, 1, 0)), "recurrence"),
-            # its units digit raised to the base
-            ((4, 10, (10, 1, 9, 7, 8), (8, 7, 9, 1, 2), (0, 3, 3, 3, 0, 0)), "out of range"),
+            # its units digit, and the preimage digit it maps to, raised to the
+            # base (raised alone, it would fail the multiset test, which runs first)
+            ((4, 10, (10, 1, 9, 7, 8), (8, 7, 9, 1, 10), (0, 3, 3, 3, 0, 0)), "out of range"),
             # 48 = 4 * 12: a true equation on an unbalanced pair of strings
             ((4, 10, (8, 4), (2, 1), (0, 0, 0)), "multisets differ"),
             # a nonzero top carry c_5
             ((4, 10, (2, 1, 9, 7, 8), (8, 7, 9, 1, 2), (0, 3, 3, 3, 0, 1)), "end at 0"),
-            # its top preimage digit raised to the base
-            ((4, 10, (2, 1, 9, 7, 8), (8, 7, 9, 1, 10), (0, 3, 3, 3, 0, 0)), "out of range"),
+            # its units preimage digit, and the top digit, raised to the base
+            ((4, 10, (2, 1, 9, 7, 10), (10, 7, 9, 1, 2), (0, 3, 3, 3, 0, 0)), "out of range"),
             # carries one entry short
             ((4, 10, (2, 1, 9, 7, 8), (8, 7, 9, 1, 2), (0, 3, 3, 3, 0)), "k\\+1 carries"),
             # carry c_1 equal to the multiplier
@@ -190,12 +227,26 @@ class TestLineBuilder:
             ((10, 10, (2, 1, 9, 7, 8), (8, 7, 9, 1, 2), (0, 3, 3, 3, 0, 0)), "1 < n < base"),
         ],
     )
-    def test_corrupted_walks_are_refused(self, walk, message, text):
+    def test_corrupted_walks_are_refused(self, monkeypatch, walk, message, text):
+        # a kernel that yields one walk; walk_records proves it, and find
+        # writes nothing and fails with the proof's message
+        def kernel(*walks):
+            monkeypatch.setattr(search, "division_walk", lambda *args, **kwargs: iter(walks))
+
+        n, b, *parts = walk
         good = ((2, 1, 9, 7, 8), (8, 7, 9, 1, 2), (0, 3, 3, 3, 0, 0))
         assert good in division_walk(4, 10, 5)
-        assert "87912" in permutiple_line(4, 10, *good, text=text).replace(",", "")
+        kernel(good)
+        assert [r.value() for r in walk_records(4, 10, 5)] == [87912]
+        kernel(tuple(parts))
         with pytest.raises(InvariantError, match=message):
-            permutiple_line(*walk, text=text)
+            list(walk_records(n, b, 5))
+        out, err = io.StringIO(), io.StringIO()
+        fmt = "text" if text else "json"
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["find", "-n", str(n), "-b", str(b), "-k", "5", "--format", fmt])
+        assert (code, out.getvalue()) == (1, "")
+        assert err.getvalue().startswith("error: ") and re.search(message, err.getvalue())
 
     def test_each_equation_is_proved_once(self, monkeypatch):
         calls = []
@@ -205,7 +256,6 @@ class TestLineBuilder:
             return check_equation(*args)
 
         monkeypatch.setattr(digits_module, "check_equation", counting)
-        monkeypatch.setattr(serialize, "check_equation", counting)
 
         def lines(*argv):
             out = io.StringIO()
