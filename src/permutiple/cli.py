@@ -46,7 +46,7 @@ from .digits import (
     verify_permutiple,
 )
 from .errors import BFileError, ParameterError, PermutipleError, SeedError
-from .search import DEFAULT_SCAN_LIMIT, brute_force_oracle, division_walk, walk_records
+from .search import DEFAULT_SCAN_LIMIT, brute_force_oracle, walk_records
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -374,15 +374,13 @@ def oeis_report(
     representation is an anagram of the product's.  Misses are derived
     values our enumeration should have found (within its length bound);
     extras are our values inside the b-file's coverage that it lacks.
-    Values come straight from the search kernel's digits.
+    Values are those of the search kernel's proved records.
     """
     derived = sorted(multiplier * value for _, value in entries)
     ours: set[int] = set()
     for length in range(1, max_length + 1):
-        walks = division_walk(multiplier, base, length, allow_leading_zero=False)
-        for digits, preimage, _ in walks:
-            if preimage[-1]:
-                ours.add(sum(d * base**j for j, d in enumerate(digits)))
+        records = walk_records(multiplier, base, length, allow_leading_zero=False)
+        ours.update(r.value() for r in records if r.preimage.canonical)
     our_limit = base**max_length - 1
     derived_limit = max(derived) if derived else -1
     derived_set = set(derived)

@@ -8,7 +8,7 @@ digit, which yields each permutiple's digits, preimage and carries (the
 division's remainders) in output order.  It meets in the middle: the top
 k - h digits are walked, and the bottom h <= k/2 are joined from a tail
 table, built once per call, of every run of h digits down to carry 0,
-keyed by carry and packed balance (:func:`_tails`).  :func:`walk_records`
+keyed by carry and packed code (:func:`_tails`).  :func:`walk_records`
 builds a record of each through :func:`permutiple.digits.build_record`,
 and CLI ``find`` writes those records.  The paper's cycle theory stays as
 checked mathematics: every such string orders a cycle multiset whose
@@ -312,7 +312,7 @@ def string_to_permutiple(inputs: Sequence[Pair], multiplier: int, base: int) -> 
 
 
 def _tails(
-    options: list[list[tuple[int, int, int, int, int, int]]], carries: int, length: int
+    options: list[list[tuple[int, int, int, int]]], carries: int, length: int
 ) -> tuple[int, list[dict[int, list[tuple]]]]:
     """The bottom h digits of every walk, tabled by carry and packed code.
 
@@ -330,8 +330,8 @@ def _tails(
         total = 0
         for row, table in zip(options, grown):
             for option in row:
-                step = option[5]
-                for code, runs in tables[option[2]].items():
+                _, _, c, step = option
+                for code, runs in tables[c].items():
                     total += len(runs)
                     if total > _TAIL_RUNS:
                         return h, tables
@@ -357,35 +357,41 @@ def division_walk(
     (p_j, c_j) = divmod(base*c_{j+1} + d_j, n), and p_j < base always.
     From c_k = 0, digits tried in ascending order, the walk accepts when
     c_0 = 0 with every digit balanced (as many uses in the digits as in the
-    preimage p).  It meets in the middle: the top k - h digits are walked,
-    with states (carry, digits left, balance) pruned when the balance's
-    positive part exceeds the digits left and memoised once dead, and the
-    bottom h digits are looked up in a table of runs to carry 0 keyed by
-    their packed balance (:func:`_tails`, h <= k // 2).  ``edges``
-    restricts the (d, p) pairs, ``left_digits`` pins the digit multiset,
-    and unless ``allow_leading_zero`` the top digit is nonzero.  The stack
-    is explicit.
+    preimage p).  A walk's state is its carry, its depth and one packed
+    code of every digit's balance (and, pinned, its uses).  It meets in
+    the middle: the top k - h digits are walked, skipping a pinned digit
+    already used as often as pinned, with states memoised once dead, and
+    the bottom h digits are looked up in a table of runs to carry 0 keyed
+    by their packed code (:func:`_tails`, h <= k // 2).
+    ``edges`` restricts the (d, p) pairs, ``left_digits`` pins the digit
+    multiset, and unless ``allow_leading_zero`` the top digit is nonzero.
+    The stack is explicit.
     """
     n, b, k = multiplier, base, length
     check_multiplier(n, b)
-    if k < 1 or (left_digits is not None and len(left_digits) != k):
-        raise ParameterError(f"length must be at least 1 and match the pinned digits; got {k}")
+    if k < 1:
+        raise ParameterError(f"length must be at least 1; got {k}")
+    if left_digits is not None and len(left_digits) != k:
+        raise ParameterError(f"{len(left_digits)} pinned digits for length {k}")
     allowed = None if edges is None else set(edges)
     digits = range(b) if allowed is None else sorted({d for edge in allowed for d in edge})
     index = {d: i for i, d in enumerate(digits)}
-    left = [k if left_digits is None else left_digits.count(d) for d in digits]
-    if left_digits is not None and sum(left) != k:
-        return  # a pinned digit lies on none of the edges
 
-    # Balance entries lie in -k..k and left-use counts in 0..k, so powers of
-    # 2k+1 pack the balance (and, when pinned, the left uses above it) into
-    # one int that each digit shifts by a fixed step; the memo keys on it,
-    # and a whole walk's code equals ``final`` exactly when it is balanced
-    # (and, pinned, uses each digit as often as pinned).  Row c lists, by
-    # ascending digit d: d, preimage digit, next carry, the digit indices of
-    # both and the packed step.
+    # Balance entries lie in -k..k and use counts in 0..k, so powers of 2k+1
+    # pack the balance (and, when pinned, the uses above it) into one int
+    # that each digit shifts by a fixed step; the memo keys on it with the
+    # depth and carry, and a whole walk's code equals ``final`` exactly when
+    # it is balanced (and, pinned, uses each digit as often as pinned).  Row
+    # c lists, by ascending digit d: d, preimage digit, next carry and the
+    # packed step.
     width = 2 * k + 1
-    options: list[list[tuple[int, int, int, int, int, int]]] = []
+    left = [k if left_digits is None else left_digits.count(d) for d in range(b)]
+    final = 0
+    if left_digits is not None:
+        if sum(left[d] for d in digits) != k:
+            return  # a pinned digit lies on none of the edges
+        final = sum(left[d] * width ** (len(digits) + x) for x, d in enumerate(digits))
+    options: list[list[tuple[int, int, int, int]]] = []
     for carry in range(n):
         row = []
         for d in range(b):
@@ -393,57 +399,47 @@ def division_walk(
             if allowed is None or (d, p) in allowed:
                 x, y = index[d], index[p]
                 pinned = width ** (len(digits) + x) if left_digits is not None else 0
-                row.append((d, p, c, x, y, width**x - width**y + pinned))
+                row.append((d, p, c, width**x - width**y + pinned))
         options.append(row)
-    final = 0
-    if left_digits is not None:
-        final = sum(count * width ** (len(digits) + x) for x, count in enumerate(left))
     h, tails = _tails(options, n, k)
 
-    path: list[tuple[int, int, int, int, int, int]] = []
-    balance = [0] * len(digits)
+    path: list[tuple[int, int, int, int]] = []
     dead: set[int] = set()
     roots = options[0] if allow_leading_zero else [o for o in options[0] if o[0]]
-    # frame: untried options, packed code, positive part of the balance,
-    # whether anything below was accepted, memo key
-    stack: list[list] = [[iter(roots), 0, 0, False, 0]]
+    # frame: untried options, packed code, whether anything below was
+    # accepted, memo key
+    stack: list[list] = [[iter(roots), 0, False, 0]]
     while stack:
         frame = stack[-1]
-        code, surplus, steps = frame[1], frame[2], k - len(path)
+        code, steps = frame[1], k - len(path)
         for option in frame[0]:
-            _, _, c, x, y, step = option
-            after = surplus + (balance[x] >= 0) - (balance[y] > 0) if x != y else surplus
-            if after >= steps or not left[x]:
-                continue
+            d, _, c, step = option
+            if not left[d]:
+                continue  # a pinned digit is used up
             if steps - 1 == h:  # the rest is a tail: look it up
                 runs = tails[c].get(final - code - step)
                 if runs:
-                    frame[3] = True
+                    frame[2] = True
                     head = (option, *reversed(path))
                     for run in runs:
-                        ds, ps, cs, *_ = zip(*run, *head)  # least-significant first
+                        ds, ps, cs, _ = zip(*run, *head)  # least-significant first
                         yield ds, ps, (*cs, 0)
                 continue
             key = ((code + step) * k + steps - 1) * n + c
             if key in dead:
                 continue
-            balance[x] += 1
-            balance[y] -= 1
-            left[x] -= 1
+            left[d] -= 1
             path.append(option)
-            stack.append([iter(options[c]), code + step, after, False, key])
+            stack.append([iter(options[c]), code + step, False, key])
             break
         else:
             stack.pop()
             if path:
-                x, y = path.pop()[3:5]
-                balance[x] -= 1
-                balance[y] += 1
-                left[x] += 1
-                if frame[3]:
-                    stack[-1][3] = True
+                left[path.pop()[0]] += 1
+                if frame[2]:
+                    stack[-1][2] = True
                 else:
-                    dead.add(frame[4])
+                    dead.add(frame[3])
 
 
 def walk_records(

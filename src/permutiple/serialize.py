@@ -229,10 +229,10 @@ def _json_dump(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def digit_graph_to_json(graph: DigitGraph, kind: str = "mother-graph") -> str:
+def digit_graph_to_json(graph: DigitGraph) -> str:
     return _json_dump(
         {
-            "kind": kind,
+            "kind": "mother-graph",
             "base": graph.base,
             "vertices": list(graph.vertices),
             "edges": [f"{d1}->{d2}" for d1, d2 in graph.sorted_edges],
@@ -240,10 +240,10 @@ def digit_graph_to_json(graph: DigitGraph, kind: str = "mother-graph") -> str:
     )
 
 
-def state_graph_to_json(graph: StateGraph, kind: str = "hs-graph") -> str:
+def state_graph_to_json(graph: StateGraph) -> str:
     return _json_dump(
         {
-            "kind": kind,
+            "kind": "hs-graph",
             "multiplier": graph.multiplier,
             "base": graph.base,
             "states": sorted(graph.states),
@@ -255,10 +255,10 @@ def state_graph_to_json(graph: StateGraph, kind: str = "hs-graph") -> str:
     )
 
 
-def state_multigraph_to_json(graph: StateMultigraph, kind: str = "hs-multigraph") -> str:
+def state_multigraph_to_json(graph: StateMultigraph) -> str:
     return _json_dump(
         {
-            "kind": kind,
+            "kind": "hs-multigraph",
             "multiplier": graph.multiplier,
             "base": graph.base,
             "states": sorted(graph.states()),

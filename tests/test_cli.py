@@ -216,6 +216,10 @@ class TestSearchCommands:
         assert code == 0
         assert out
 
+    def test_zero_length_names_only_the_length(self, capsys):
+        code, out, err = run_cli(capsys, "find", "-n", "4", "-b", "10", "-k", "0")
+        assert (code, out, err) == (2, "", "error: length must be at least 1; got 0\n")
+
 
 class TestConfig:
     def test_config_supplies_values(self, capsys, tmp_path):
@@ -478,6 +482,25 @@ class TestOeisCheck:
         assert code == 0
         payload = json.loads(out)
         assert payload["matches"] == [] and payload["misses"] == [] and payload["extras"] == []
+
+    def test_a_walk_that_fails_its_checks_is_refused(self, capsys, tmp_path, monkeypatch):
+        def every_walk_then_a_bad_one(*args, **kwargs):
+            walk = None
+            for walk in division_walk(*args, **kwargs):
+                yield walk
+            if walk is not None:
+                digits, preimage, carries = walk
+                yield digits, preimage, (0, 1) + carries[2:]
+
+        bfile = tmp_path / "b.txt"
+        bfile.write_text("# nothing\n")  # clean without the bad walk
+        monkeypatch.setattr(search, "division_walk", every_walk_then_a_bad_one)
+        code, out, err = run_cli(
+            capsys, "oeis-check", "--bfile", str(bfile), "-n", "3", "-b", "4",
+            "--length", "7",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: carr")
 
     def test_bad_bfile_is_usage_error(self, capsys, tmp_path):
         bfile = tmp_path / "b.txt"

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import random
 import re
 import sys
 from collections import Counter
@@ -400,6 +401,11 @@ def small_points(draw):
     return draw(st.integers(2, base - 1)), base, draw(st.integers(1, 5))
 
 
+# deeper points, where the dead-state memo, the tail table and a used-up
+# pinned digit are all that cut the walk
+DEEP_POINTS = [(2, 3, 10), (3, 4, 8), (4, 5, 7), (5, 6, 6), (4, 10, 6), (9, 10, 6)]
+
+
 class TestWalkKernel:
     @settings(max_examples=30, deadline=None)
     @given(point=small_points(), data=st.data())
@@ -449,7 +455,7 @@ class TestWalkKernel:
         for carry, row in enumerate(options):
             for d in range(b):
                 p, c = divmod(b * carry + d, n)
-                row.append((d, p, c, d, p, width**d - width**p))
+                row.append((d, p, c, width**d - width**p))
         h, tables = search._tails(options, n, k)
         assert 0 <= h <= k // 2 and len(tables) == n
         runs = [run for table in tables for listed in table.values() for run in listed]
@@ -469,7 +475,7 @@ class TestWalkKernel:
             assert sorted(r for listed in table.values() for r in listed) == sorted(expected)
             for code, listed in table.items():
                 for run in listed:
-                    assert len(run) == h and sum(o[5] for o in run) == code
+                    assert len(run) == h and sum(o[3] for o in run) == code
                     at = carry
                     for option in reversed(run):  # from carry c down to carry 0
                         assert option in options[at]
@@ -478,31 +484,49 @@ class TestWalkKernel:
                 shown = [[o[0] for o in reversed(run)] for run in listed]
                 assert shown == sorted(shown)
 
-    @pytest.mark.parametrize("budget", [0, 1, 50])
+    @pytest.mark.parametrize(
+        "budget, deep",
+        [
+            *(pytest.param(budget, False, id=str(budget)) for budget in (0, 1, 50)),
+            *(pytest.param(budget, True, id=f"deep-{budget}") for budget in (0, None)),
+        ],
+    )
     @settings(max_examples=15, deadline=None)
-    @given(point=small_points(), data=st.data())
-    def test_tail_budgets_match_references(self, budget, point, data):
-        # the walk is the same with any tail height the budget leaves
-        n, b, k = point
-        mother = build_mother_graph(n, b).edges
+    @given(data=st.data())
+    def test_tail_budgets_match_references(self, budget, deep, data):
+        # the walk is the same with any tail height the budget leaves.  The
+        # deep points draw nothing, so they run once, at the budget 0 (the
+        # top walk spans every level) and at the default, each with up to
+        # five class walks sampled with a fixed seed
+        points = DEEP_POINTS if deep else [data.draw(small_points())]
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(search, "_TAIL_RUNS", budget)
-            walked = {
-                allow: list(walk_records(n, b, k, allow_leading_zero=allow)) for allow in (False, True)
-            }
-            for allow, records in walked.items():
-                assert records == reference_records(n, b, k, mother, allow_leading_zero=allow)
-                assert records == brute_force_oracle(n, b, k, allow)
-            record = data.draw(st.sampled_from(walked[True]))
-            edges = graph_of_permutiple(record).edges
-            pinned = record.digits.digits
-            for allow in (False, True):
-                members = list(walk_records(n, b, k, edges, pinned, allow))
-                assert members == reference_records(n, b, k, edges, pinned, allow)
-                assert members == [
-                    r for r in brute_force_oracle(n, b, k, allow)
-                    if sorted(r.digits.digits) == sorted(pinned) and set(r.string) <= set(edges)
-                ]
+            if budget is not None:
+                patch.setattr(search, "_TAIL_RUNS", budget)
+            for n, b, k in points:
+                mother = build_mother_graph(n, b).edges
+                walked, oracle = {}, {}
+                for allow in (False, True):
+                    walked[allow] = list(walk_records(n, b, k, allow_leading_zero=allow))
+                    oracle[allow] = brute_force_oracle(n, b, k, allow)
+                    assert walked[allow] == oracle[allow]
+                    assert walked[allow] == reference_records(
+                        n, b, k, mother, allow_leading_zero=allow
+                    )
+                if deep:
+                    seeds = random.Random(k).sample(walked[True], min(5, len(walked[True])))
+                else:
+                    seeds = [data.draw(st.sampled_from(walked[True]))]
+                for record in seeds:
+                    edges = graph_of_permutiple(record).edges
+                    pinned = record.digits.digits
+                    for allow in (False, True):
+                        members = list(walk_records(n, b, k, edges, pinned, allow))
+                        assert members == reference_records(n, b, k, edges, pinned, allow)
+                        assert members == [
+                            r for r in oracle[allow]
+                            if sorted(r.digits.digits) == sorted(pinned)
+                            and set(r.string) <= set(edges)
+                        ]
 
     @pytest.mark.parametrize("budget", [0, 1, 50, None])
     @pytest.mark.parametrize("length", [1, 2])
@@ -520,8 +544,31 @@ class TestWalkKernel:
         assert list(walk_records(4, 10, 2, [(0, 0)], (0, 1))) == []
 
     def test_pinned_length_mismatch(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"^2 pinned digits for length 3$"):
             list(walk_records(4, 10, 3, [(0, 0)], (0, 0)))
+
+    def test_zero_length(self):
+        with pytest.raises(ParameterError, match=r"^length must be at least 1; got 0$"):
+            list(walk_records(4, 10, 0))
+
+    def test_long_class_walk_stays_small(self, monkeypatch):
+        # 4 x 21(9^56)78 = 87(9^56)12 pins each digit but 9 to one use, so a
+        # used-up pinned digit leaves a few states a depth; the memo alone
+        # would keep about depth**3 / 6.  The walk calls iter once per push
+        k = 60
+        record = seed_to_record(f"4x10:87{'9' * (k - 4)}12=4*21{'9' * (k - 4)}78")
+        edges = graph_of_permutiple(record).edges
+        pushed = []
+
+        def counting_iter(options):
+            pushed.append(options)
+            return iter(options)
+
+        monkeypatch.setattr(search, "iter", counting_iter, raising=False)
+        members = list(walk_records(4, 10, k, edges, record.digits.digits))
+        monkeypatch.undo()
+        assert members == reference_records(4, 10, k, edges, record.digits.digits)
+        assert record in members and len(pushed) < k * k
 
     def test_depth_beyond_the_recursion_limit(self):
         # an explicit stack: 3000 steps, past the interpreter's default limit
