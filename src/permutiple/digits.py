@@ -10,9 +10,9 @@ Its public constructor, and so :func:`verify_permutiple`, pickling and
 copying, validates every part: the base and digits of the
 :class:`DigitString`, the bijection of the :class:`Permutation`, and the
 equation through :func:`check_equation`.  :func:`build_record`, which
-builds every kernel record, sibling and transition-fixing image, proves
-the rearrangement and the equation once each and leaves sigma unset.
-Every record keeps its proved preimage digits, which its
+builds every kernel record, sibling, transition-fixing image and seed,
+proves the rearrangement and the equation once each and leaves sigma
+unset.  Every record keeps its proved preimage digits, which its
 :attr:`~PermutipleRecord.preimage`, ``key`` and ``string`` read; a built
 record's sigma is derived by :func:`smallest_bijection` when first read.
 """
@@ -64,7 +64,8 @@ def check_equation(multiplier: int, base: int, digits: Sequence[int],
     at every position j, which telescopes to value(d) = n * value(p).
     """
     n, b, k = multiplier, base, len(digits)
-    check_multiplier(n, b)
+    if not 1 < n < b:
+        check_multiplier(n, b)
     if not k or len(preimage) != k or len(carries) != k + 1:
         raise ParameterError(f"need k >= 1 digits, k preimage digits and k+1 carries; k = {k}")
     if carries[0] or carries[k]:
@@ -287,14 +288,21 @@ class PermutipleRecord(Value, _Preimage):
 
 _new = object.__new__
 _set = object.__setattr__
+# the slots' own setters, which skip the attribute lookup of ``_set``
+_set_base = DigitString.base.__set__
+_set_digits = DigitString.digits.__set__
+_set_multiplier = PermutipleRecord.multiplier.__set__
+_set_record_digits = PermutipleRecord.digits.__set__
+_set_carries = PermutipleRecord.carries.__set__
+_set_preimage = _Preimage._preimage.__set__
 
 
 def _digit_string(base: int, digits: tuple[int, ...]) -> DigitString:
     """A :class:`DigitString` of digits known to lie in 0..base-1, with
     base >= 2 and at least one digit, assembled without re-checking them."""
     string = _new(DigitString)
-    _set(string, "base", base)
-    _set(string, "digits", digits)
+    _set_base(string, base)
+    _set_digits(string, digits)
     return string
 
 
@@ -324,10 +332,10 @@ def build_record(multiplier: int, base: int, digits: Sequence[int],
         raise MultisetMismatchError("digit and preimage multisets differ")
     check_equation(multiplier, base, digits, preimage, carries)
     record = _new(PermutipleRecord)
-    _set(record, "multiplier", multiplier)
-    _set(record, "digits", _digit_string(base, tuple(digits)))
-    _set(record, "carries", tuple(carries))
-    _set(record, "_preimage", tuple(preimage))
+    _set_multiplier(record, multiplier)
+    _set_record_digits(record, _digit_string(base, tuple(digits)))
+    _set_carries(record, tuple(carries))
+    _set_preimage(record, tuple(preimage))
     return record
 
 

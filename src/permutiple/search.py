@@ -21,7 +21,7 @@ cross-checks the whole pipeline.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from math import factorial
+from math import factorial, gcd
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .digits import (
@@ -335,7 +335,9 @@ def _tails(
                     total += len(runs)
                     if total > _TAIL_RUNS:
                         return h, tables
-                    table.setdefault(code + step, []).extend([run + (option,) for run in runs])
+                    bucket = table.setdefault(code + step, [])
+                    for run in runs:
+                        bucket.append(run + (option,))
         tables = grown
     return length // 2, tables
 
@@ -363,9 +365,12 @@ def division_walk(
     already used as often as pinned, with states memoised once dead, and
     the bottom h digits are looked up in a table of runs to carry 0 keyed
     by their packed code (:func:`_tails`, h <= k // 2).
-    ``edges`` restricts the (d, p) pairs, ``left_digits`` pins the digit
-    multiset, and unless ``allow_leading_zero`` the top digit is nonzero.
-    The stack is explicit.
+    The options come from the (d, p) pairs, ``edges`` or else every
+    mother-graph edge: each mother-graph edge is exactly one transition of
+    the machine, so a class walk's rows cost as many steps as its class
+    graph has edges, and a pair outside the mother graph is dropped.
+    ``left_digits`` pins the digit multiset, and unless
+    ``allow_leading_zero`` the top digit is nonzero.  The stack is explicit.
     """
     n, b, k = multiplier, base, length
     check_multiplier(n, b)
@@ -373,8 +378,10 @@ def division_walk(
         raise ParameterError(f"length must be at least 1; got {k}")
     if left_digits is not None and len(left_digits) != k:
         raise ParameterError(f"{len(left_digits)} pinned digits for length {k}")
-    allowed = None if edges is None else set(edges)
-    digits = range(b) if allowed is None else sorted({d for edge in allowed for d in edge})
+    if edges is None:  # the mother graph: one edge per (carry, digit)
+        edges = [(d, (b * carry + d) // n) for carry in range(n) for d in range(b)]
+    pairs = sorted(set(edges))
+    digits = sorted({x for edge in pairs for x in edge if 0 <= x < b})
     index = {d: i for i, d in enumerate(digits)}
 
     # Balance entries lie in -k..k and use counts in 0..k, so powers of 2k+1
@@ -385,22 +392,29 @@ def division_walk(
     # c lists, by ascending digit d: d, preimage digit, next carry and the
     # packed step.
     width = 2 * k + 1
-    left = [k if left_digits is None else left_digits.count(d) for d in range(b)]
-    final = 0
-    if left_digits is not None:
+    if left_digits is None:
+        left = [k] * b
+        final = 0
+    else:
+        left = [0] * b
+        for d in left_digits:
+            if 0 <= d < b:
+                left[d] += 1
         if sum(left[d] for d in digits) != k:
             return  # a pinned digit lies on none of the edges
         final = sum(left[d] * width ** (len(digits) + x) for x, d in enumerate(digits))
-    options: list[list[tuple[int, int, int, int]]] = []
-    for carry in range(n):
-        row = []
-        for d in range(b):
-            p, c = divmod(b * carry + d, n)
-            if allowed is None or (d, p) in allowed:
-                x, y = index[d], index[p]
-                pinned = width ** (len(digits) + x) if left_digits is not None else 0
-                row.append((d, p, c, width**x - width**y + pinned))
-        options.append(row)
+    # Each mother-graph edge (d, p) is one transition, carry -> c with
+    # b*carry + d = n*p + c, and c < n <= b - 1 makes it unique: carry is
+    # the ceiling of (n*p - d) / b.  A pair outside the mother graph, or with
+    # a digit outside 0..b-1, has no such carries and is dropped; sorted
+    # pairs fill each row by ascending d.
+    options: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
+    for d, p in pairs:
+        carry = (n * p - d + b - 1) // b
+        c = b * carry + d - n * p
+        if 0 <= d < b and 0 <= carry < n and c < n:
+            pinned = width ** (len(digits) + index[d]) if left_digits is not None else 0
+            options[carry].append((d, p, c, width ** index[d] - width ** index[p] + pinned))
     h, tails = _tails(options, n, k)
 
     path: list[tuple[int, int, int, int]] = []
@@ -565,10 +579,13 @@ def brute_force_oracle(
 ) -> list[PermutipleRecord]:
     """Exhaustive integer scan, independent of the graph machinery.
 
-    Visits every multiple ``n*q`` below ``base**length`` and keeps those
+    Visits the multiples ``n*q`` below ``base**length`` and keeps those
     whose zero-padded digits are a permutation of the digits of ``q``.
-    Each candidate compares packed digit-count signatures, read from two
-    tables of half-width blocks (:func:`_count_signatures`); every hit is
+    A rearrangement keeps the digit sum, and a number is congruent to its
+    digit sum modulo ``base - 1``, so every hit has n*q = q (mod b-1): only
+    q divisible by s = (b-1) / gcd(n-1, b-1) are visited (s >= 2, as the
+    gcd is at most n-1 < b-1).  Each candidate compares packed digit-count
+    signatures, read from two tables of half-width blocks (:func:`_count_signatures`); every hit is
     then rebuilt as digit strings and re-verified by :func:`canonical_sigma`
     and :func:`verify_permutiple`.  Refuses scans beyond ``scan_limit``
     candidate strings, and signature tables beyond about 128 MiB (a
@@ -594,7 +611,7 @@ def brute_force_oracle(
     lo = _count_signatures(b, half, length)
     hi = _count_signatures(b, length - half, length)
     records = []
-    for q in range((b**length - 1) // n + 1):
+    for q in range(0, (b**length - 1) // n + 1, (b - 1) // gcd(n - 1, b - 1)):
         v = n * q
         if lo[v % m] + hi[v // m] != lo[q % m] + hi[q // m]:
             continue

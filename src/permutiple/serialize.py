@@ -15,10 +15,11 @@ from .digits import (
     DigitString,
     Permutation,
     PermutipleRecord,
-    canonical_sigma,
+    build_record,
+    check_multiplier,
     verify_permutiple,
 )
-from .errors import BFileError, ParameterError, SeedError
+from .errors import BFileError, MultisetMismatchError, ParameterError, SeedError
 
 if TYPE_CHECKING:
     from .graphs import DigitGraph
@@ -184,14 +185,26 @@ def parse_seed(
 
 
 def seed_to_record(text: str, default_base: int | None = None) -> PermutipleRecord | None:
-    """Parse a seed and verify it; None when the equation fails to verify."""
+    """Parse a seed and prove it like a search result; None when it fails.
+
+    The carries of n * preimage are computed from the bottom digit up, and
+    :func:`~permutiple.digits.build_record` proves the record.  A
+    multiplier outside 1 < n < base raises :class:`ParameterError`, unless
+    the two sides are not rearrangements of each other (then None).
+    """
     n, base, lhs, rhs = parse_seed(text, default_base)
-    digits = DigitString.from_display(base, lhs)
-    preimage = DigitString.from_display(base, rhs)
-    sigma = canonical_sigma(digits, preimage)
-    if sigma is None:
+    digits, preimage = lhs[::-1], rhs[::-1]
+    carries = [0]
+    for p in preimage:
+        carries.append((n * p + carries[-1]) // base)
+    try:
+        return build_record(n, base, digits, preimage, carries)
+    except MultisetMismatchError:
         return None
-    return verify_permutiple(digits, sigma, n)
+    except ParameterError:
+        pass
+    check_multiplier(n, base)  # a multiplier out of range is an error, not a false equation
+    return None
 
 
 def _dot_lines(name: str, nodes: Iterable[str], arcs: Iterable[str]) -> str:

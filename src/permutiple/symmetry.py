@@ -341,12 +341,12 @@ def enumerate_class_members(
     """All permutiples sharing the record's digit multiset whose graph is a
     subgraph of the record's class graph.
 
-    The records of :func:`walk_records` over the class graph's edges with
-    the digit multiset pinned to the record's, sorted by display digits;
-    zero-led ones only if ``allow_leading_zero``.
+    The records of :func:`walk_records` over the class graph's edges, the
+    record's (d, p) pairs, with the digit multiset pinned to the record's,
+    sorted by display digits; zero-led ones only if ``allow_leading_zero``.
     """
-    n, b, edges = record.multiplier, record.base, graph_of_permutiple(record).edges
-    return list(walk_records(n, b, len(record), edges, record.digits.digits, allow_leading_zero))
+    n, b, digits = record.multiplier, record.base, record.digits.digits
+    return list(walk_records(n, b, len(digits), record.string, digits, allow_leading_zero))
 
 
 def check_sym_rev(record: PermutipleRecord, j: int) -> bool:

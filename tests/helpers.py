@@ -34,7 +34,7 @@ from permutiple import (
 from permutiple.digits import check_multiplier
 from permutiple.errors import ParameterError, WalkError
 from permutiple.machine import StateGraph, StateMultigraph, edge_multi_image
-from permutiple.serialize import format_pair
+from permutiple.serialize import format_pair, parse_seed
 
 
 def child_env() -> dict[str, str]:
@@ -142,6 +142,17 @@ def reference_oracle(multiplier, base, length, allow_leading_zero=False):
         if allow_leading_zero or record.canonical:
             records.append(record)
     return records
+
+
+def reference_seed_to_record(text: str) -> PermutipleRecord | None:
+    """A seed through the validating constructors: the smallest sigma onto
+    the preimage, then the multiplication re-run by ``verify_permutiple``.
+    None when the multisets differ or the equation fails."""
+    n, base, lhs, rhs = parse_seed(text)
+    digits = DigitString.from_display(base, lhs)
+    preimage = DigitString.from_display(base, rhs)
+    sigma = canonical_sigma(digits, preimage)
+    return None if sigma is None else verify_permutiple(digits, sigma, n)
 
 
 def reference_record_to_text(record: PermutipleRecord) -> str:

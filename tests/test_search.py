@@ -4,6 +4,8 @@ import random
 import re
 import sys
 from collections import Counter
+from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -46,6 +48,7 @@ from permutiple.machine import StateMultigraph
 from permutiple.search import division_walk, feasible_unions, walk_records
 from permutiple.serialize import seed_to_record
 from permutiple.symmetry import _fixing_images, class_unions
+from permutiple.value import Value
 
 from helpers import (
     cycle_combinations,
@@ -358,11 +361,26 @@ class TestOracle:
     @example(point=(11, 12, 1))
     @example(point=(3, 7, 5))  # odd k: blocks of 2 and 3 digits
     @example(point=(5, 12, 4))  # even k: blocks of 2 and 2 digits
+    # gcd(n-1, b-1) > 1, so the scan steps by less than b-1
+    @example(point=(4, 10, 5))
+    @example(point=(7, 10, 5))
+    @example(point=(5, 9, 5))
+    @example(point=(3, 7, 6))
     def test_matches_reference_oracle(self, point):
         n, b, k = point
         every = reference_oracle(n, b, k, True)
         assert brute_force_oracle(n, b, k, True) == every
         assert brute_force_oracle(n, b, k, False) == [r for r in every if r.canonical]
+
+    @settings(max_examples=25, deadline=None)
+    @given(point=oracle_points())
+    @example(point=(4, 10, 5))
+    def test_every_hit_is_a_multiple_of_the_scan_step(self, point):
+        # n*q and q share a digit sum, so (n-1)*q = 0 modulo b-1
+        n, b, k = point
+        step = (b - 1) // gcd(n - 1, b - 1)
+        assert step >= 2
+        assert all(r.preimage_value() % step == 0 for r in reference_oracle(n, b, k, True))
 
 
 class TestCircuitCounts:
@@ -539,6 +557,56 @@ class TestWalkKernel:
                 records = list(walk_records(n, b, length, allow_leading_zero=False))
                 assert records == reference_records(n, b, length, mother, allow_leading_zero=False)
                 assert records == brute_force_oracle(n, b, length, False), (n, b)
+
+    @settings(max_examples=30, deadline=None)
+    @given(point=small_points(), data=st.data())
+    def test_rows_from_the_edges(self, point, data):
+        # every mother-graph edge is one transition, so rows built from the
+        # edges equal the unrestricted rows, and a pair outside the mother
+        # graph has no transition and changes nothing
+        n, b, k = point
+        mother = sorted(build_mother_graph(n, b).edges)
+        outside = sorted(set(product(range(b), repeat=2)) - set(mother))
+        extra = data.draw(st.lists(st.sampled_from(outside), max_size=6))
+        for allow in (False, True):
+            walks = list(division_walk(n, b, k, allow_leading_zero=allow))
+            assert list(division_walk(n, b, k, mother, allow_leading_zero=allow)) == walks
+            assert list(division_walk(n, b, k, mother + extra, allow_leading_zero=allow)) == walks
+        digits, preimage, _ = data.draw(st.sampled_from(walks))
+        string = list(zip(digits, preimage))
+        for allow in (False, True):
+            assert list(division_walk(n, b, k, string + extra, digits, allow)) == list(
+                division_walk(n, b, k, string, digits, allow)
+            )
+
+    def test_pairs_outside_the_mother_graph_are_dropped(self):
+        # at (4,10), (5, 0) would leave carry 0 for carry 5 and (0, 9) would
+        # leave carry 4 for carry 0; neither carry exists.  The rest hold a
+        # digit out of range, yet solve b*c' + d = n*p + c with c' < 4 and
+        # c < 4 ((0, -3) from c' = -1, which would index the last row)
+        n, b, k = 4, 10, 5
+        outside = [(5, 0), (0, 9), (13, 3), (-2, 2), (0, -3)]
+        mother = sorted(build_mother_graph(n, b).edges)
+        for allow in (False, True):
+            walks = list(division_walk(n, b, k, allow_leading_zero=allow))
+            assert list(division_walk(n, b, k, mother + outside, allow_leading_zero=allow)) == walks
+        record = seed_to_record("4x10:87912=4*21978")
+        digits = record.digits.digits
+        members = list(walk_records(n, b, k, [*record.string, *outside], digits))
+        assert members == enumerate_class_members(record)
+        assert list(walk_records(n, b, k, outside, digits)) == []
+
+    def test_class_walk_builds_no_digit_graph(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"built a {type(self).__name__}")
+
+        record = seed_to_record("4x10:0008712=4*0002178")
+        members = enumerate_class_members(record)
+        for cls in Value.__subclasses__():
+            monkeypatch.setattr(cls, "__init__", refuse)
+        assert enumerate_class_members(record) == members
+        with pytest.raises(AssertionError, match="built a DigitGraph"):  # the guard is live
+            graph_of_permutiple(record)
 
     def test_pinned_digits_outside_the_edges(self):
         assert list(walk_records(4, 10, 2, [(0, 0)], (0, 1))) == []

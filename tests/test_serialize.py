@@ -15,6 +15,7 @@ from permutiple import (
     brute_force_oracle,
     build_mother_graph,
     build_state_graph,
+    find_permutiples,
     verify_permutiple,
 )
 from permutiple import digits as digits_module
@@ -39,9 +40,40 @@ from permutiple.serialize import (
     state_multigraph_to_json,
 )
 
-from helpers import make_record, reference_record_to_json, reference_record_to_text
+from helpers import (
+    make_record,
+    reference_record_to_json,
+    reference_record_to_text,
+    reference_seed_to_record,
+)
 
 REFERENCE = {"json": reference_record_to_json, "text": reference_record_to_text}
+
+
+@st.composite
+def seed_texts(draw):
+    """Seeds from search results, each kept or mutated: a digit of either
+    side changed, two preimage digits swapped (the multisets still agree),
+    or a multiplier in or out of 1 < n < b.  Digits are written bare up to
+    base 10 and comma-separated beyond."""
+    base = draw(st.integers(3, 12))
+    n, k = draw(st.integers(2, base - 1)), draw(st.integers(1, 4))
+    records = [r.record for r in find_permutiples(n, base, k, True)]
+    record = draw(st.sampled_from(records))
+    lhs, rhs = list(record.digits.display), list(record.preimage.display)
+    mutation = draw(st.sampled_from(["none", "lhs", "rhs", "swap", "multiplier"]))
+    position = draw(st.integers(0, k - 1))
+    if mutation == "lhs":
+        lhs[position] = draw(st.integers(0, base - 1))
+    elif mutation == "rhs":
+        rhs[position] = draw(st.integers(0, base - 1))
+    elif mutation == "swap":
+        other = draw(st.integers(0, k - 1))
+        rhs[position], rhs[other] = rhs[other], rhs[position]
+    elif mutation == "multiplier":
+        n = draw(st.sampled_from([0, 1, base, base + 1, *range(2, base)]))
+    sep = "" if base <= 10 else ","
+    return f"{n}x{base}:{sep.join(map(str, lhs))}={n}*{sep.join(map(str, rhs))}"
 
 
 class TestSeeds:
@@ -79,6 +111,28 @@ class TestSeeds:
 
     def test_non_permutiple_seed(self):
         assert seed_to_record("4x10:12345=4*12345") is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(text=seed_texts())
+    @example(text="4x10:87912=4*21978")
+    @example(text="4x10:87912=4*21979")  # a wrong preimage
+    @example(text="4x10:87913=4*21978")  # a wrong product
+    @example(text="10x10:87912=10*21978")  # n = b on equal multisets: raises
+    @example(text="10x10:12=10*34")  # n = b on unequal multisets: None
+    @example(text="1x10:12=1*12")
+    @example(text="4x10:21=4*12")  # a false equation on equal multisets
+    @example(text="4x10:871=4*2178")  # unequal lengths: the parser refuses both
+    def test_matches_the_validating_path(self, text):
+        def outcome(parse):
+            try:
+                record = parse(text)
+            except (ParameterError, SeedError) as exc:
+                return type(exc), str(exc)
+            if record is None:
+                return None
+            return record, record.sigma, repr(record), record_to_json(record)
+
+        assert outcome(seed_to_record) == outcome(reference_seed_to_record)
 
 
 class TestRecordJson:
