@@ -7,22 +7,37 @@ the same multiset.  ``find`` and ``class`` both search with one kernel,
 digit, which yields each permutiple's digits, preimage and carries (the
 division's remainders) in output order.  It meets in the middle: the top
 k - h digits are walked, and the bottom h <= k/2 are joined from a tail
-table, built once per call, of every run of h digits down to carry 0,
-keyed by carry and packed code (:func:`_tails`).  :func:`walk_records`
-builds a record of each through :func:`permutiple.digits.build_record`,
-and CLI ``find`` writes those records.  The paper's cycle theory stays as
-checked mathematics: every such string orders a cycle multiset whose
-multigraph union passes :func:`check_feasible`, :func:`eulerian_strings`
-lists the orderings of a union and :func:`count_eulerian_circuits` counts
-them by the BEST theorem.  An independent integer-scan oracle
-cross-checks the whole pipeline.
+table of every run of h digits down to carry 0, keyed by carry and packed
+code (:func:`_tails`).  :func:`walk_records` builds a record of each
+through :func:`permutiple.digits.build_record`, and CLI ``find`` writes
+those records.
+
+Two caches keep work that repeats, both least recently used first and
+bounded by what they hold rather than by their entries.  A walk's plan
+(its option rows and tail table, :func:`_plan`) depends only on n, b, k,
+the distinct (d, p) pairs, the pinned digit multiset and the tail budget
+``_TAIL_RUNS``, so every record of one class shares it; plans are kept up
+to ``_TAIL_RUNS`` tail runs in all, a plan with more rows and options than
+runs counting those (:func:`_plan_size`).  The walk itself runs on every
+call, and every record it yields is built and proved again.
+:func:`find_permutiples` keeps whole searches, keyed by n, b, k and
+whether zero-led ones are allowed, up to ``_CACHE_RECORDS`` results in
+all.  Each has ``cache_info()`` and ``cache_clear()``, as
+:func:`functools.lru_cache` gives.
+
+The paper's cycle theory stays as checked mathematics: every such string
+orders a cycle multiset whose multigraph union passes
+:func:`check_feasible`, :func:`eulerian_strings` lists the orderings of a
+union and :func:`count_eulerian_circuits` counts them by the BEST
+theorem.  An independent integer-scan oracle cross-checks the whole
+pipeline.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
 from math import factorial, gcd
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from .digits import (
     DigitString,
@@ -311,8 +326,51 @@ def string_to_permutiple(inputs: Sequence[Pair], multiplier: int, base: int) -> 
     return SearchResult(build_record(multiplier, base, digits, preimage, carries), inputs)
 
 
+_MISSING = object()
+
+
+def _bounded_cache(bound: Callable[[], int], size: Callable[[Any], int]):
+    """Cache a function as :func:`functools.lru_cache` does, least recently
+    used first, but bounded by what the entries hold rather than by how many
+    there are: ``size`` of every value kept, each counted as at least 1,
+    sums to at most ``bound()``, read on every call.  A value larger than
+    the whole bound is returned but not kept.  ``cache_info`` reports
+    ``maxsize`` in the units of ``size``."""
+
+    def decorate(compute):
+        entries: dict[tuple, Any] = {}  # the most recently used last
+        counts = [0, 0, 0]  # hits, misses, size held
+
+        def cached(*key):
+            value = entries.pop(key, _MISSING)
+            if value is not _MISSING:
+                counts[0] += 1
+            else:
+                counts[1] += 1
+                value = compute(*key)
+                held = max(1, size(value))
+                if held > bound():
+                    return value
+                counts[2] += held
+            entries[key] = value
+            while counts[2] > bound():
+                counts[2] -= max(1, size(entries.pop(next(iter(entries)))))
+            return value
+
+        def cache_clear() -> None:
+            entries.clear()
+            counts[:] = [0, 0, 0]
+
+        cached.cache_info = lambda: _CacheInfo(counts[0], counts[1], bound(), len(entries))
+        cached.cache_clear = cache_clear
+        cached.entries = entries
+        return cached
+
+    return decorate
+
+
 def _tails(
-    options: list[list[tuple[int, int, int, int]]], carries: int, length: int
+    options: Sequence[Sequence[tuple[int, int, int, int]]], carries: int, length: int, budget: int
 ) -> tuple[int, list[dict[int, list[tuple]]]]:
     """The bottom h digits of every walk, tabled by carry and packed code.
 
@@ -321,7 +379,7 @@ def _tails(
     tuple of ``options`` entries, least-significant first, and each list is
     in display order (options ascending at every level).  Levels are built
     bottom-up from the empty run at carry 0; h grows up to length // 2 and
-    stops before a level would hold more than ``_TAIL_RUNS`` runs.
+    stops before a level would hold more than ``budget`` runs.
     """
     tables: list[dict[int, list[tuple]]] = [{} for _ in range(carries)]
     tables[0][0] = [()]
@@ -333,13 +391,81 @@ def _tails(
                 _, _, c, step = option
                 for code, runs in tables[c].items():
                     total += len(runs)
-                    if total > _TAIL_RUNS:
+                    if total > budget:
                         return h, tables
                     bucket = table.setdefault(code + step, [])
                     for run in runs:
                         bucket.append(run + (option,))
         tables = grown
     return length // 2, tables
+
+
+def _plan_size(plan: tuple | None) -> int:
+    """What a walk plan holds, in tail runs: the runs of its table, or its
+    rows and options where those are more (a large base with a short
+    length), so that one full table always fits the bound and no plan
+    counts for less than it holds.  Nothing when no walk can exist."""
+    if plan is None:
+        return 0
+    options, tails = plan[0], plan[-1]
+    runs = sum(len(bucket) for table in tails for bucket in table.values())
+    return max(runs, len(options) + sum(map(len, options)))
+
+
+@_bounded_cache(lambda: _TAIL_RUNS, _plan_size)
+def _plan(
+    n: int,
+    b: int,
+    k: int,
+    pairs: tuple[Pair, ...] | None,
+    pinned: tuple[int, ...] | None,
+    budget: int,
+) -> tuple | None:
+    """What a division walk needs before its first step: the option rows,
+    the ``final`` code, the pinned-count template and the tail height and
+    table, all tuples; None when a pinned digit lies on none of the pairs.
+    It depends only on its arguments, so :func:`division_walk` keeps the
+    last few, up to ``budget`` (``_TAIL_RUNS``) in all, counted by
+    :func:`_plan_size`."""
+    if pairs is None:  # the mother graph: one edge per (carry, digit)
+        pairs = tuple(sorted({(d, (b * carry + d) // n) for carry in range(n) for d in range(b)}))
+    digits = sorted({x for edge in pairs for x in edge if 0 <= x < b})
+    index = {d: i for i, d in enumerate(digits)}
+
+    # Balance entries lie in -k..k and use counts in 0..k, so powers of 2k+1
+    # pack the balance (and, when pinned, the uses above it) into one int
+    # that each digit shifts by a fixed step; the memo keys on it with the
+    # depth and carry, and a whole walk's code equals ``final`` exactly when
+    # it is balanced (and, pinned, uses each digit as often as pinned).  Row
+    # c lists, by ascending digit d: d, preimage digit, next carry and the
+    # packed step.
+    width = 2 * k + 1
+    if pinned is None:
+        left = [k] * b
+        final = 0
+    else:
+        left = [0] * b
+        for d in pinned:
+            if 0 <= d < b:
+                left[d] += 1
+        if sum(left[d] for d in digits) != k:
+            return None  # a pinned digit lies on none of the edges
+        final = sum(left[d] * width ** (len(digits) + x) for x, d in enumerate(digits))
+    # Each mother-graph edge (d, p) is one transition, carry -> c with
+    # b*carry + d = n*p + c, and c < n <= b - 1 makes it unique: carry is
+    # the ceiling of (n*p - d) / b.  A pair outside the mother graph, or with
+    # a digit outside 0..b-1, has no such carries and is dropped; sorted
+    # pairs fill each row by ascending d.
+    options: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
+    for d, p in pairs:
+        carry = (n * p - d + b - 1) // b
+        c = b * carry + d - n * p
+        if 0 <= d < b and 0 <= carry < n and c < n:
+            step = width ** (len(digits) + index[d]) if pinned is not None else 0
+            options[carry].append((d, p, c, width ** index[d] - width ** index[p] + step))
+    h, tails = _tails(options, n, k, budget)
+    frozen = tuple({code: tuple(runs) for code, runs in table.items()} for table in tails)
+    return tuple(map(tuple, options)), final, tuple(left), h, frozen
 
 
 def division_walk(
@@ -371,6 +497,9 @@ def division_walk(
     graph has edges, and a pair outside the mother graph is dropped.
     ``left_digits`` pins the digit multiset, and unless
     ``allow_leading_zero`` the top digit is nonzero.  The stack is explicit.
+    The rows and the tail table come from :func:`_plan`, cached by n, b, k,
+    the distinct pairs, the pinned multiset and ``_TAIL_RUNS``; the walk
+    itself, and its memo, are made afresh on every call.
     """
     n, b, k = multiplier, base, length
     check_multiplier(n, b)
@@ -378,44 +507,13 @@ def division_walk(
         raise ParameterError(f"length must be at least 1; got {k}")
     if left_digits is not None and len(left_digits) != k:
         raise ParameterError(f"{len(left_digits)} pinned digits for length {k}")
-    if edges is None:  # the mother graph: one edge per (carry, digit)
-        edges = [(d, (b * carry + d) // n) for carry in range(n) for d in range(b)]
-    pairs = sorted(set(edges))
-    digits = sorted({x for edge in pairs for x in edge if 0 <= x < b})
-    index = {d: i for i, d in enumerate(digits)}
-
-    # Balance entries lie in -k..k and use counts in 0..k, so powers of 2k+1
-    # pack the balance (and, when pinned, the uses above it) into one int
-    # that each digit shifts by a fixed step; the memo keys on it with the
-    # depth and carry, and a whole walk's code equals ``final`` exactly when
-    # it is balanced (and, pinned, uses each digit as often as pinned).  Row
-    # c lists, by ascending digit d: d, preimage digit, next carry and the
-    # packed step.
-    width = 2 * k + 1
-    if left_digits is None:
-        left = [k] * b
-        final = 0
-    else:
-        left = [0] * b
-        for d in left_digits:
-            if 0 <= d < b:
-                left[d] += 1
-        if sum(left[d] for d in digits) != k:
-            return  # a pinned digit lies on none of the edges
-        final = sum(left[d] * width ** (len(digits) + x) for x, d in enumerate(digits))
-    # Each mother-graph edge (d, p) is one transition, carry -> c with
-    # b*carry + d = n*p + c, and c < n <= b - 1 makes it unique: carry is
-    # the ceiling of (n*p - d) / b.  A pair outside the mother graph, or with
-    # a digit outside 0..b-1, has no such carries and is dropped; sorted
-    # pairs fill each row by ascending d.
-    options: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
-    for d, p in pairs:
-        carry = (n * p - d + b - 1) // b
-        c = b * carry + d - n * p
-        if 0 <= d < b and 0 <= carry < n and c < n:
-            pinned = width ** (len(digits) + index[d]) if left_digits is not None else 0
-            options[carry].append((d, p, c, width ** index[d] - width ** index[p] + pinned))
-    h, tails = _tails(options, n, k)
+    pairs = None if edges is None else tuple(sorted(set(edges)))
+    pinned = None if left_digits is None else tuple(sorted(left_digits))
+    plan = _plan(n, b, k, pairs, pinned, _TAIL_RUNS)
+    if plan is None:
+        return
+    options, final, template, h, tails = plan
+    left = list(template)
 
     path: list[tuple[int, int, int, int]] = []
     dead: set[int] = set()
@@ -502,41 +600,7 @@ def feasible_unions(
     return group_unions((tuple(zip(d, p)) for d, p, _ in walks), multiplier, base)
 
 
-def _bounded_by_results(search):
-    """Cache ``search`` as :func:`functools.lru_cache` does, least recently
-    used first, but bounded by the results held, ``_CACHE_RECORDS`` over
-    all entries, rather than by entries: one dense grid point holds tens
-    of thousands.  A search larger than the whole bound is returned but
-    not kept.  ``cache_info`` reports ``maxsize`` in results."""
-    entries: dict[tuple, tuple] = {}  # the most recently used last
-    counts = [0, 0, 0]  # hits, misses, results held
-
-    def cached(*key):
-        results = entries.pop(key, None)
-        if results is not None:
-            counts[0] += 1
-        else:
-            counts[1] += 1
-            results = search(*key)
-            if len(results) > _CACHE_RECORDS:
-                return results
-            counts[2] += len(results)
-        entries[key] = results
-        while counts[2] > _CACHE_RECORDS:
-            counts[2] -= len(entries.pop(next(iter(entries))))
-        return results
-
-    def cache_clear() -> None:
-        entries.clear()
-        counts[:] = [0, 0, 0]
-
-    cached.cache_info = lambda: _CacheInfo(counts[0], counts[1], _CACHE_RECORDS, len(entries))
-    cached.cache_clear = cache_clear
-    cached.entries = entries
-    return cached
-
-
-@_bounded_by_results
+@_bounded_cache(lambda: _CACHE_RECORDS, len)
 def _search(
     multiplier: int, base: int, length: int, allow_leading_zero: bool
 ) -> tuple[SearchResult, ...]:

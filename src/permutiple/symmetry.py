@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 from .digits import Permutation, PermutipleRecord, build_record, smallest_bijection
 from .errors import MultisetMismatchError, NoReflectionError, ParameterError, WalkError
 from .graphs import DigitGraph, graph_of_permutiple, is_cycle_union
-from .machine import StateGraph, StateMultigraph, edge_image
+from .machine import StateGraph, StateMultigraph, edge_image, union_images
 from .search import CycleMultiset, group_unions, string_to_permutiple, walk_records
 from .value import Value
 
@@ -158,7 +158,18 @@ class ClassSpec(Value):
 
     @classmethod
     def from_record(cls, record: PermutipleRecord) -> "ClassSpec":
-        return cls.from_graph(record.multiplier, graph_of_permutiple(record))
+        """The class of a record's graph, read off its carries.
+
+        Input j of the record's walk is the transition (c_j, c_{j+1}), so
+        the images group the pairs by those carries, and every carry is an
+        image vertex.  A proved record's digit multigraph is balanced, so
+        its graph is a nonempty cycle union and needs no further check.
+        """
+        n, b, c = record.multiplier, record.base, record.carries
+        grouped: dict[Pair, list[Pair]] = {}
+        for j, pair in enumerate(record.string):
+            grouped.setdefault((c[j], c[j + 1]), []).append(pair)
+        return cls(n, b, graph_of_permutiple(record), StateGraph.make(n, b, c, grouped))
 
 
 def class_reflection_exists(spec: ClassSpec) -> bool:
@@ -178,14 +189,19 @@ def _require_reflection(spec: ClassSpec) -> None:
 
 
 def reflect_class(spec: ClassSpec) -> ClassSpec:
+    """The class of the reflected graph.  Reflection maps each transition
+    (c, c') to (n-1-c, n-1-c'), so its images are the reflected images."""
     _require_reflection(spec)
-    return ClassSpec.from_graph(spec.multiplier, spec.graph.reflect())
+    return ClassSpec(spec.multiplier, spec.base, spec.graph.reflect(), spec.images.reflect())
 
 
 def symmetric_closure(spec: ClassSpec) -> ClassSpec:
-    """The class over the union of the graph with its reflection."""
+    """The class over the union of the graph with its reflection, whose
+    images are the label union of the images and their reflection."""
     _require_reflection(spec)
-    return ClassSpec.from_graph(spec.multiplier, spec.graph.union(spec.graph.reflect()))
+    graph = spec.graph.union(spec.graph.reflect())
+    images = union_images((spec.images, spec.images.reflect()))
+    return ClassSpec(spec.multiplier, spec.base, graph, images)
 
 
 def is_symmetric_class(spec: ClassSpec) -> bool:

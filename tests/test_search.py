@@ -4,7 +4,7 @@ import random
 import re
 import sys
 from collections import Counter
-from itertools import product
+from itertools import islice, product
 from math import gcd
 
 import pytest
@@ -474,7 +474,7 @@ class TestWalkKernel:
             for d in range(b):
                 p, c = divmod(b * carry + d, n)
                 row.append((d, p, c, width**d - width**p))
-        h, tables = search._tails(options, n, k)
+        h, tables = search._tails(options, n, k, search._TAIL_RUNS)
         assert 0 <= h <= k // 2 and len(tables) == n
         runs = [run for table in tables for listed in table.values() for run in listed]
         assert h == 0 or len(runs) <= search._TAIL_RUNS
@@ -643,6 +643,131 @@ class TestWalkKernel:
         records = list(walk_records(4, 10, 3000, [(0, 0)], (0,) * 3000))
         assert [r.string for r in records] == [((0, 0),) * 3000]
         assert records[0].carries == (0,) * 3001
+
+
+def cold_walks(*args):
+    """The walks of a call made with an empty plan cache."""
+    search._plan.cache_clear()
+    return list(division_walk(*args))
+
+
+def held():
+    """The plan cache's holdings, in the units of its bound."""
+    return sum(search._plan_size(plan) for plan in search._plan.entries.values())
+
+
+class TestWalkPlanCache:
+    @settings(max_examples=30, deadline=None)
+    @given(point=small_points(), data=st.data())
+    def test_warm_walks_equal_cold_ones(self, point, data):
+        # every call shape: the mother graph, edges, edges and pinned digits,
+        # pinned digits alone, each with and without zero-led walks
+        n, b, k = point
+        digits, preimage, _ = data.draw(st.sampled_from(cold_walks(n, b, k)))
+        string = tuple(zip(digits, preimage))
+        shapes = [(None, None), (string, None), (string, digits), (None, digits)]
+        calls = [
+            (n, b, k, edges, pinned, allow) for edges, pinned in shapes for allow in (False, True)
+        ]
+        cold = [cold_walks(*args) for args in calls]
+        search._plan.cache_clear()
+        for _ in range(2):  # the first round fills the cache, the second reads it
+            assert [list(division_walk(*args)) for args in calls] == cold
+        # one plan per shape, whichever way zero-led walks are taken
+        assert search._plan.cache_info()[:2] == (12, 4)
+        # the pairs are keyed as a set, in any order and with repeats
+        shuffled = data.draw(st.permutations(string + string))
+        cold = cold_walks(n, b, k, string, digits)
+        assert list(division_walk(n, b, k, shuffled, digits)) == cold
+
+    @pytest.mark.parametrize("seed", ["3x4:00020313=3*00002331", "4x10:0008712=4*0002178", None])
+    def test_an_abandoned_walk_leaves_the_plan_intact(self, seed):
+        if seed is None:  # the mother graph
+            args = (3, 4, 8)
+        else:
+            record = seed_to_record(seed)
+            n, b = record.multiplier, record.base
+            args = (n, b, len(record), record.string, record.digits.digits)
+        cold = cold_walks(*args)
+        assert len(cold) > 3
+        for taken in (1, 3):
+            walk = division_walk(*args)
+            assert list(islice(walk, taken)) == cold[:taken]
+            walk.close()
+            assert list(division_walk(*args)) == cold
+        assert search._plan.cache_info()[:2] == (4, 1)
+
+    @pytest.mark.parametrize("budget", [20, 50, 400, None])
+    def test_plans_held_never_exceed_the_bound(self, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(search, "_TAIL_RUNS", budget)
+        for n, b, k in [(4, 10, 6), (3, 4, 8), (5, 12, 6)]:
+            records = list(walk_records(n, b, k))
+            for record in records[:: max(1, len(records) // 20)]:
+                assert list(walk_records(n, b, k, record.string, record.digits.digits))
+                assert held() <= search._TAIL_RUNS
+            assert held() <= search._TAIL_RUNS
+        info = search._plan.cache_info()
+        assert info.maxsize == search._TAIL_RUNS and info.currsize == len(search._plan.entries)
+        assert info.currsize > 0
+
+    def test_a_plan_beyond_the_bound_is_used_but_not_kept(self, monkeypatch):
+        # (3,4,6) tables all 4**h runs of h digits down to carry 0, and its
+        # 3 rows hold 12 options: a plan counts the larger of 4**h and 15.
+        # The table stops growing before a level passes the budget, so only
+        # the rows can make a plan too large to keep
+        cold = cold_walks(3, 4, 6)
+        assert held() == 64
+        for budget, kept in [(63, 16), (15, 15), (14, 0), (0, 0)]:
+            monkeypatch.setattr(search, "_TAIL_RUNS", budget)
+            search._plan.cache_clear()
+            assert list(division_walk(3, 4, 6)) == cold
+            assert held() == kept and search._plan.cache_info().misses == 1
+
+    def test_rows_count_against_the_bound(self):
+        # a one-digit walk tables one empty run but holds n rows of b
+        # options each; counted by runs alone, 58 such plans of base 60 held
+        # about 12 MB
+        for n in range(2, 60):
+            assert len(list(division_walk(n, 60, 1))) == len(brute_force_oracle(n, 60, 1, True))
+            assert held() <= search._TAIL_RUNS
+        assert 0 < search._plan.cache_info().currsize < 58
+
+    @pytest.mark.parametrize("budget", [0, 1, 9, 50])
+    def test_the_budget_is_in_the_key(self, budget, monkeypatch):
+        # a plan built at the default budget is not reused under another:
+        # the walk builds its tail table again, at the patched budget
+        built = []
+
+        def recording(options, carries, length, budget):
+            built.append(budget)
+            return tails(options, carries, length, budget)
+
+        tails = search._tails
+        monkeypatch.setattr(search, "_tails", recording)
+        record = seed_to_record("4x10:0008712=4*0002178")
+        calls = [(4, 10, 6), (4, 10, 7, record.string, record.digits.digits)]
+        expected = [list(division_walk(*args)) for args in calls]
+        assert built == [search._TAIL_RUNS] * 2
+        monkeypatch.setattr(search, "_TAIL_RUNS", budget)
+        assert [list(division_walk(*args)) for args in calls] == expected
+        assert built[2:] == [budget] * 2
+
+    def test_every_walk_is_built_on_warm_and_cold_calls(self, monkeypatch):
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return build_record(*args)
+
+        monkeypatch.setattr(search, "build_record", counting)
+        record = seed_to_record("4x10:0008712=4*0002178")
+        args = (4, 10, 7, record.string, record.digits.digits)
+        cold = list(walk_records(*args))
+        assert len(built) == len(cold) == 20
+        warm = list(walk_records(*args))
+        assert warm == cold and len(built) == 40
+        assert search._plan.cache_info()[:2] == (1, 1)
 
 
 @st.composite

@@ -25,6 +25,8 @@ from permutiple import (
     symmetric_closure,
     symmetries_fixing_sequence,
 )
+from permutiple import machine, symmetry
+from permutiple.search import walk_records
 from permutiple.symmetry import _fixing_images
 
 from helpers import (
@@ -224,6 +226,42 @@ class TestSymmetricClosure:
             graph_sym = candidate.graph == candidate.graph.reflect()
             images_sym = candidate.images == candidate.images.reflect()
             assert graph_sym == images_sym == is_symmetric_class(candidate)
+
+    @pytest.mark.parametrize("point", [(4, 10, 7), (3, 4, 8), (5, 12, 6)])
+    def test_classes_read_off_the_carries_match_the_graph_route(self, point):
+        # from_record reads the images off the record's carries, and the
+        # reflection and the closure map them; from_graph traces every edge
+        # again and checks the graph is a cycle union
+        n = point[0]
+        reflectable = 0
+        for record in walk_records(*point):
+            spec = ClassSpec.from_record(record)
+            graph = graph_of_permutiple(record)
+            assert spec == ClassSpec.from_graph(n, graph)
+            if (n - 1) not in ClassSpec.from_graph(n, graph).images.states:
+                for derive in (reflect_class, symmetric_closure):
+                    with pytest.raises(NoReflectionError):
+                        derive(spec)
+                continue
+            reflectable += 1
+            assert reflect_class(spec) == ClassSpec.from_graph(n, graph.reflect())
+            closure = ClassSpec.from_graph(n, graph.union(graph.reflect()))
+            assert symmetric_closure(spec) == closure
+        assert reflectable > 0
+
+    def test_record_classes_trace_no_edge(self, rec_nine, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("traced an edge or checked a cycle union")
+
+        spec = ClassSpec.from_record(rec_nine)
+        derived = (reflect_class(spec), symmetric_closure(spec))
+        for module, name in [(symmetry, "edge_image"), (symmetry, "is_cycle_union"),
+                             (machine, "transition")]:
+            monkeypatch.setattr(module, name, refuse)
+        assert ClassSpec.from_record(rec_nine) == spec
+        assert (reflect_class(spec), symmetric_closure(spec)) == derived
+        with pytest.raises(AssertionError, match="traced an edge"):  # the guard is live
+            ClassSpec.from_graph(4, spec.graph)
 
 
 class TestFixingSymmetries:
