@@ -63,8 +63,7 @@ class DigitGraph(Value):
 
     def reflect(self) -> "DigitGraph":
         """Map every edge (d1, d2) to (base-1-d1, base-1-d2); an involution."""
-        m = self.base - 1
-        return DigitGraph(self.base, frozenset((m - d1, m - d2) for d1, d2 in self.edges))
+        return DigitGraph(self.base, reflect_pairs(self.edges, self.base - 1))
 
     def union(self, other: "DigitGraph") -> "DigitGraph":
         if self.base != other.base:
@@ -73,6 +72,12 @@ class DigitGraph(Value):
 
     def issubgraph(self, other: "DigitGraph") -> bool:
         return self.base == other.base and self.edges <= other.edges
+
+
+def reflect_pairs(pairs: Iterable[tuple[int, int]], top: int) -> list[tuple[int, int]]:
+    """Each pair (x, y) as (top - x, top - y), an involution: the reflection
+    of digit pairs with top = b - 1, and of carry pairs with top = n - 1."""
+    return [(top - x, top - y) for x, y in pairs]
 
 
 class DigitCycle(Value):

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .digits import check_multiplier, lambda_residue
 from .errors import InvariantError, ParameterError, WalkError
-from .graphs import DigitCycle, build_mother_graph, strongly_connected
+from .graphs import DigitCycle, build_mother_graph, reflect_pairs, strongly_connected
 from .value import Value
 
 __all__ = [
@@ -118,10 +118,8 @@ class StateGraph(Value):
     def reflect(self) -> "StateGraph":
         """States map to n-1-c, labels to (b-1-d1, b-1-d2); an involution."""
         n, b = self.multiplier, self.base
-        edge_labels = {
-            (n - 1 - c1, n - 1 - c2): [(b - 1 - d1, b - 1 - d2) for d1, d2 in labels]
-            for (c1, c2), labels in self.edges
-        }
+        pairs = reflect_pairs((pair for pair, _ in self.edges), n - 1)
+        edge_labels = {pair: reflect_pairs(ls, b - 1) for pair, (_, ls) in zip(pairs, self.edges)}
         return StateGraph.make(n, b, (n - 1 - c for c in self.states), edge_labels)
 
     def is_strongly_connected(self) -> bool:

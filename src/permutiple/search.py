@@ -7,10 +7,14 @@ the same multiset.  ``find`` and ``class`` both search with one kernel,
 digit, which yields each permutiple's digits, preimage and carries (the
 division's remainders) in output order.  It meets in the middle: the top
 k - h digits are walked, and the bottom h <= k/2 are joined from a tail
-table of every run of h digits down to carry 0, keyed by carry and packed
-code (:func:`_tails`).  :func:`walk_records` builds a record of each
-through :func:`permutiple.digits.build_record`, and CLI ``find`` writes
-those records.
+table of every run of h digits down to carry 0 (:func:`_tails`).  The
+table is one dict per plan keyed by ``code * n + c``, the run's packed
+code and the carry it starts from, and holds each run as its digits,
+preimage and carries, least-significant first; the walk keeps the same
+three tuples for the digits above, so a permutiple is a run's tuples and
+the walk's joined by concatenation.  :func:`walk_records` builds a record
+of each through :func:`permutiple.digits.build_record`, and CLI ``find``
+writes those records.
 
 Two caches keep work that repeats, both least recently used first and
 bounded by what they hold rather than by their entries.  A walk's plan
@@ -371,31 +375,34 @@ def _bounded_cache(bound: Callable[[], int], size: Callable[[Any], int]):
 
 def _tails(
     options: Sequence[Sequence[tuple[int, int, int, int]]], carries: int, length: int, budget: int
-) -> tuple[int, list[dict[int, list[tuple]]]]:
+) -> tuple[int, list[dict[int, list[Walk]]]]:
     """The bottom h digits of every walk, tabled by carry and packed code.
 
-    ``tables[c][code]`` lists every run of h options that goes from carry c
-    down to carry 0 and whose packed steps sum to ``code``.  A run is a
-    tuple of ``options`` entries, least-significant first, and each list is
-    in display order (options ascending at every level).  Levels are built
-    bottom-up from the empty run at carry 0; h grows up to length // 2 and
-    stops before a level would hold more than ``budget`` runs.
+    ``tables[c][code]`` lists every run of h digits that goes from carry c
+    down to carry 0 and whose packed steps sum to ``code``.  A run is three
+    tuples, least-significant first: its digits d_0..d_{h-1}, its preimage
+    digits p_0..p_{h-1} and its lower carries c_0..c_{h-1}, so that a walk's
+    top digits, preimage and carries c_h..c_k join it by concatenation.
+    Each list is in display order (options ascending at every level).
+    Levels are built bottom-up from the empty run at carry 0, each run
+    extended by one digit on top; h grows up to length // 2 and stops
+    before a level would hold more than ``budget`` runs.
     """
-    tables: list[dict[int, list[tuple]]] = [{} for _ in range(carries)]
-    tables[0][0] = [()]
+    tables: list[dict[int, list[Walk]]] = [{} for _ in range(carries)]
+    tables[0][0] = [((), (), ())]
     for h in range(length // 2):
-        grown: list[dict[int, list[tuple]]] = [{} for _ in range(carries)]
+        grown: list[dict[int, list[Walk]]] = [{} for _ in range(carries)]
         total = 0
         for row, table in zip(options, grown):
-            for option in row:
-                _, _, c, step = option
+            for d, p, c, step in row:
+                td, tp, tc = (d,), (p,), (c,)
                 for code, runs in tables[c].items():
                     total += len(runs)
                     if total > budget:
                         return h, tables
-                    bucket = table.setdefault(code + step, [])
-                    for run in runs:
-                        bucket.append(run + (option,))
+                    table.setdefault(code + step, []).extend(
+                        [(ds + td, ps + tp, cs + tc) for ds, ps, cs in runs]
+                    )
         tables = grown
     return length // 2, tables
 
@@ -408,7 +415,7 @@ def _plan_size(plan: tuple | None) -> int:
     if plan is None:
         return 0
     options, tails = plan[0], plan[-1]
-    runs = sum(len(bucket) for table in tails for bucket in table.values())
+    runs = sum(map(len, tails.values()))
     return max(runs, len(options) + sum(map(len, options)))
 
 
@@ -422,11 +429,13 @@ def _plan(
     budget: int,
 ) -> tuple | None:
     """What a division walk needs before its first step: the option rows,
-    the ``final`` code, the pinned-count template and the tail height and
-    table, all tuples; None when a pinned digit lies on none of the pairs.
-    It depends only on its arguments, so :func:`division_walk` keeps the
-    last few, up to ``budget`` (``_TAIL_RUNS``) in all, counted by
-    :func:`_plan_size`."""
+    the ``final`` code, the pinned-count template, the tail height and the
+    tail table; None when a pinned digit lies on none of the pairs.  The
+    table is frozen into one dict keyed by ``code * n + c`` for the runs
+    from carry c whose packed code is ``code``, each bucket a tuple of the
+    runs of :func:`_tails` as they were built.  It depends only on its
+    arguments, so :func:`division_walk` keeps the last few, up to
+    ``budget`` (``_TAIL_RUNS``) in all, counted by :func:`_plan_size`."""
     if pairs is None:  # the mother graph: one edge per (carry, digit)
         pairs = tuple(sorted({(d, (b * carry + d) // n) for carry in range(n) for d in range(b)}))
     digits = sorted({x for edge in pairs for x in edge if 0 <= x < b})
@@ -464,7 +473,11 @@ def _plan(
             step = width ** (len(digits) + index[d]) if pinned is not None else 0
             options[carry].append((d, p, c, width ** index[d] - width ** index[p] + step))
     h, tails = _tails(options, n, k, budget)
-    frozen = tuple({code: tuple(runs) for code, runs in table.items()} for table in tails)
+    # one table for every carry: 0 <= c < n, so code * n + c keys each
+    # (code, c) once, negative codes included
+    frozen = {
+        code * n + c: tuple(runs) for c, table in enumerate(tails) for code, runs in table.items()
+    }
     return tuple(map(tuple, options)), final, tuple(left), h, frozen
 
 
@@ -490,7 +503,10 @@ def division_walk(
     the middle: the top k - h digits are walked, skipping a pinned digit
     already used as often as pinned, with states memoised once dead, and
     the bottom h digits are looked up in a table of runs to carry 0 keyed
-    by their packed code (:func:`_tails`, h <= k // 2).
+    by their packed code and carry (:func:`_tails`, h <= k // 2).  Each
+    stack frame holds the digits, preimage digits and carries above it,
+    least-significant first ((), () and (0,) at the root), and each hit
+    yields a run's tuples concatenated with them.
     The options come from the (d, p) pairs, ``edges`` or else every
     mother-graph edge: each mother-graph edge is exactly one transition of
     the machine, so a class walk's rows cost as many steps as its class
@@ -515,39 +531,39 @@ def division_walk(
     options, final, template, h, tails = plan
     left = list(template)
 
-    path: list[tuple[int, int, int, int]] = []
     dead: set[int] = set()
     roots = options[0] if allow_leading_zero else [o for o in options[0] if o[0]]
     # frame: untried options, packed code, whether anything below was
-    # accepted, memo key
-    stack: list[list] = [[iter(roots), 0, False, 0]]
+    # accepted, memo key, and the digits, preimage and carries above it
+    stack: list[list] = [[iter(roots), 0, False, 0, (), (), (0,)]]
     while stack:
         frame = stack[-1]
-        code, steps = frame[1], k - len(path)
-        for option in frame[0]:
-            d, _, c, step = option
+        code, above = frame[1], frame[4]
+        steps = k - len(above)
+        for d, p, c, step in frame[0]:
             if not left[d]:
                 continue  # a pinned digit is used up
             if steps - 1 == h:  # the rest is a tail: look it up
-                runs = tails[c].get(final - code - step)
+                runs = tails.get((final - code - step) * n + c)
                 if runs:
                     frame[2] = True
-                    head = (option, *reversed(path))
-                    for run in runs:
-                        ds, ps, cs, _ = zip(*run, *head)  # least-significant first
-                        yield ds, ps, (*cs, 0)
+                    hd, hp, hc = (d,) + above, (p,) + frame[5], (c,) + frame[6]
+                    for rd, rp, rc in runs:  # least-significant first
+                        yield rd + hd, rp + hp, rc + hc
                 continue
             key = ((code + step) * k + steps - 1) * n + c
             if key in dead:
                 continue
             left[d] -= 1
-            path.append(option)
-            stack.append([iter(options[c]), code + step, False, key])
+            stack.append(
+                [iter(options[c]), code + step, False, key,
+                 (d,) + above, (p,) + frame[5], (c,) + frame[6]]
+            )
             break
         else:
             stack.pop()
-            if path:
-                left[path.pop()[0]] += 1
+            if stack:
+                left[above[0]] += 1
                 if frame[2]:
                     stack[-1][2] = True
                 else:

@@ -19,8 +19,8 @@ from typing import Iterator, Sequence
 
 from .digits import Permutation, PermutipleRecord, build_record, smallest_bijection
 from .errors import MultisetMismatchError, NoReflectionError, ParameterError, WalkError
-from .graphs import DigitGraph, graph_of_permutiple, is_cycle_union
-from .machine import StateGraph, StateMultigraph, edge_image, union_images
+from .graphs import DigitGraph, graph_of_permutiple, is_cycle_union, reflect_pairs
+from .machine import StateGraph, StateMultigraph, edge_image
 from .search import CycleMultiset, group_unions, string_to_permutiple, walk_records
 from .value import Value
 
@@ -87,9 +87,9 @@ def _sibling(record: PermutipleRecord, j: int, reflect: bool) -> PermutipleRecor
     d, p, c = record.digits.digits, record.preimage.digits, record.carries
     digits, preimage, carries = d[j:] + d[:j], p[j:] + p[:j], c[j:-1] + c[:j] + (c[j],)
     if reflect:
-        digits = tuple(b - 1 - x for x in digits)
-        preimage = tuple(b - 1 - x for x in preimage)
-        carries = tuple(n - 1 - x for x in carries)
+        digits = tuple(map((b - 1).__sub__, digits))
+        preimage = tuple(map((b - 1).__sub__, preimage))
+        carries = tuple(map((n - 1).__sub__, carries))
     return build_record(n, b, digits, preimage, carries)
 
 
@@ -123,8 +123,9 @@ def rotational_siblings(record: PermutipleRecord) -> list[tuple[int, PermutipleR
 def dihedral_siblings(record: PermutipleRecord) -> list[PermutipleRecord]:
     """Reflective and rotational siblings together, one record per equation."""
     seen = {}
-    for _, sibling in rotational_siblings(record) + reflective_siblings(record):
-        seen.setdefault(sibling.key, sibling)
+    for reflect in (False, True):
+        for _, sibling in _siblings(record, reflect):
+            seen.setdefault(sibling.key, sibling)
     return [seen[key] for key in sorted(seen)]
 
 
@@ -197,11 +198,25 @@ def reflect_class(spec: ClassSpec) -> ClassSpec:
 
 def symmetric_closure(spec: ClassSpec) -> ClassSpec:
     """The class over the union of the graph with its reflection, whose
-    images are the label union of the images and their reflection."""
+    images are the label union of the images and their reflection.
+
+    Each is built once, from the edges and labels merged with their
+    reflections: one :class:`DigitGraph` and one :meth:`StateGraph.make`
+    over the states and their reflections.  Its checks (states in range,
+    edges between states, no label on two edges) run on the whole closure,
+    so bad images of a hand-built spec still raise :class:`ParameterError`;
+    an edge is checked against the closure's states, which include the
+    reflections of the spec's own.
+    """
     _require_reflection(spec)
-    graph = spec.graph.union(spec.graph.reflect())
-    images = union_images((spec.images, spec.images.reflect()))
-    return ClassSpec(spec.multiplier, spec.base, graph, images)
+    n, b, edges, images = spec.multiplier, spec.base, spec.graph.edges, spec.images
+    graph = DigitGraph(b, edges.union(reflect_pairs(edges, b - 1)))
+    labels = {pair: set(ls) for pair, ls in images.edges}
+    pairs = reflect_pairs((pair for pair, _ in images.edges), n - 1)
+    for pair, (_, ls) in zip(pairs, images.edges):
+        labels.setdefault(pair, set()).update(reflect_pairs(ls, b - 1))
+    states = images.states.union([n - 1 - c for c in images.states])
+    return ClassSpec(n, b, graph, StateGraph.make(n, b, states, labels))
 
 
 def is_symmetric_class(spec: ClassSpec) -> bool:
@@ -267,10 +282,10 @@ def _distinct_arrangements(items: Sequence[Pair]) -> Iterator[tuple[Pair, ...]]:
 def _fixing_images(record: PermutipleRecord) -> list[tuple[Permutation, PermutipleRecord]]:
     """(phi, image) for every transition-fixing symmetry of the record,
     sorted by phi's mapping: see :func:`symmetries_fixing_sequence`."""
-    n, b, s = record.multiplier, record.base, record.string
+    n, b, s, c = record.multiplier, record.base, record.string, record.carries
     groups: dict[Pair, list[int]] = {}
-    for i, t in enumerate(state_sequence(record).transitions):
-        groups.setdefault(t, []).append(i)
+    for i, transition in enumerate(zip(c, c[1:])):  # input i takes (c_i, c_{i+1})
+        groups.setdefault(transition, []).append(i)
     group_list = sorted(groups.values())
     per_group = [list(_distinct_arrangements([s[i] for i in g])) for g in group_list]
 

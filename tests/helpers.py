@@ -12,6 +12,8 @@ from collections import Counter
 from itertools import combinations_with_replacement, permutations, product
 from typing import Iterable, Sequence
 
+from hypothesis import strategies as st
+
 import permutiple
 from permutiple import (
     CycleMultiset,
@@ -660,3 +662,10 @@ MOTHER_EDGES_3_4 = {
     (2, 0), (2, 2), (2, 3),
     (3, 1), (3, 2), (3, 3),
 }
+
+
+@st.composite
+def small_points(draw):
+    """A grid point (n, b, k) with b <= 8 and k <= 5, where every walk is quick."""
+    base = draw(st.integers(3, 8))
+    return draw(st.integers(2, base - 1)), base, draw(st.integers(1, 5))

@@ -67,6 +67,7 @@ from helpers import (
     reference_records,
     reference_siblings,
     reference_strings,
+    small_points,
 )
 
 
@@ -413,12 +414,6 @@ class TestCircuitCounts:
             count_eulerian_circuits(unbalanced_six_edge_union())
 
 
-@st.composite
-def small_points(draw):
-    base = draw(st.integers(3, 8))
-    return draw(st.integers(2, base - 1)), base, draw(st.integers(1, 5))
-
-
 # deeper points, where the dead-state memo, the tail table and a used-up
 # pinned digit are all that cut the walk
 DEEP_POINTS = [(2, 3, 10), (3, 4, 8), (4, 5, 7), (5, 6, 6), (4, 10, 6), (9, 10, 6)]
@@ -482,25 +477,48 @@ class TestWalkKernel:
             grown = sum(len(r) for row in options for o in row for r in tables[o[2]].values())
             assert grown > search._TAIL_RUNS
         for carry, table in enumerate(tables):
-            expected = []  # every run of h digits from this carry to carry 0
-            stack = [(carry, ())]
+            # every run of h digits from this carry to carry 0: its digits,
+            # preimage and lower carries c_0..c_{h-1}, least-significant first
+            expected = []
+            stack = [(carry, (), (), ())]
             while stack:
-                at, run = stack.pop()
-                if len(run) < h:
-                    stack.extend((o[2], (o,) + run) for o in reversed(options[at]))
+                at, ds, ps, cs = stack.pop()
+                if len(ds) < h:
+                    stack.extend(
+                        (c, (d,) + ds, (p,) + ps, (c,) + cs) for d, p, c, _ in reversed(options[at])
+                    )
                 elif at == 0:
-                    expected.append(run)
+                    expected.append((ds, ps, cs))
             assert sorted(r for listed in table.values() for r in listed) == sorted(expected)
             for code, listed in table.items():
-                for run in listed:
-                    assert len(run) == h and sum(o[3] for o in run) == code
+                for ds, ps, cs in listed:
+                    assert len(ds) == len(ps) == len(cs) == h
+                    assert sum(width**d - width**p for d, p in zip(ds, ps)) == code
                     at = carry
-                    for option in reversed(run):  # from carry c down to carry 0
-                        assert option in options[at]
-                        at = option[2]
+                    for j in reversed(range(h)):  # from carry c down to carry 0
+                        assert (ds[j], ps[j], cs[j], width**ds[j] - width**ps[j]) in options[at]
+                        at = cs[j]
                     assert at == 0
-                shown = [[o[0] for o in reversed(run)] for run in listed]
+                shown = [ds[::-1] for ds, _, _ in listed]
                 assert shown == sorted(shown)
+
+    # at (4,10,7) a budget of 9 stops the tail at h = 0, 50 at h = 1 (level
+    # 1 holds 10 runs, level 2 100), and the default reaches h = k // 2 = 3
+    @pytest.mark.parametrize("budget, height", [(9, 0), (50, 1), (None, 3)])
+    def test_walks_are_tuples_of_ints(self, budget, height, monkeypatch):
+        n, b, k = 4, 10, 7
+        record = seed_to_record("4x10:0008712=4*0002178")
+        calls = [(), (record.string, record.digits.digits)]
+        expected = [list(division_walk(n, b, k, *args)) for args in calls]
+        if budget is not None:
+            monkeypatch.setattr(search, "_TAIL_RUNS", budget)
+        assert search._plan(n, b, k, None, None, search._TAIL_RUNS)[3] == height
+        for args, walks in zip(calls, expected):
+            assert list(division_walk(n, b, k, *args)) == walks and walks
+            for walk in walks:
+                assert type(walk) is tuple and list(map(len, walk)) == [k, k, k + 1]
+                for part in walk:
+                    assert type(part) is tuple and all(type(x) is int for x in part)
 
     @pytest.mark.parametrize(
         "budget, deep",
@@ -723,6 +741,28 @@ class TestWalkPlanCache:
             search._plan.cache_clear()
             assert list(division_walk(3, 4, 6)) == cold
             assert held() == kept and search._plan.cache_info().misses == 1
+
+    @pytest.mark.parametrize("point", [(4, 10, 7), (3, 4, 8), (5, 12, 6), (7, 60, 1)])
+    def test_the_size_of_a_flat_table(self, point):
+        # one table for the plan, keyed by code * n + c: divmod reads back
+        # the code, negative ones included, and the carry the runs leave
+        n, b, k = point
+        plan = search._plan(n, b, k, None, None, search._TAIL_RUNS)
+        options, _, _, h, tails = plan
+        assert type(tails) is dict
+        runs = sum(len(bucket) for bucket in tails.values())
+        rows = len(options) + sum(map(len, options))
+        assert search._plan_size(plan) == max(runs, rows)
+        assert (runs < rows) == (point == (7, 60, 1))
+        steps = {(d, p): step for row in options for d, p, _, step in row}
+        assert any(key < 0 for key in tails) == (h > 0)
+        for key, bucket in tails.items():
+            code, carry = divmod(key, n)
+            for ds, ps, cs in bucket:
+                assert sum(steps[pair] for pair in zip(ds, ps)) == code and cs[:1] in ((), (0,))
+                assert [cs[j] for j in range(h)] == [
+                    (b * above + d) % n for above, d in zip((*cs[1:], carry), ds)
+                ]
 
     def test_rows_count_against_the_bound(self):
         # a one-digit walk tables one empty run but holds n rows of b

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permutiple import (
     ClassSpec,
@@ -26,7 +28,9 @@ from permutiple import (
     symmetries_fixing_sequence,
 )
 from permutiple import machine, symmetry
+from permutiple.machine import StateGraph, union_images
 from permutiple.search import walk_records
+from permutiple.serialize import seed_to_record
 from permutiple.symmetry import _fixing_images
 
 from helpers import (
@@ -35,6 +39,7 @@ from helpers import (
     OUTSIDE_ROW,
     make_record,
     reference_symmetries_fixing_sequence,
+    small_points,
 )
 
 
@@ -248,6 +253,53 @@ class TestSymmetricClosure:
             closure = ClassSpec.from_graph(n, graph.union(graph.reflect()))
             assert symmetric_closure(spec) == closure
         assert reflectable > 0
+
+    # hand-built specs whose images skip StateGraph.make's checks: the
+    # closure's one image build runs them on the merged image and raises
+    @pytest.mark.parametrize(
+        "seed, change, message",
+        [
+            # (8, 2) copied onto the edge (3, 3), whose reflection holds (1, 7)
+            ("4x10:86712=4*21678", {(3, 3): ((1, 7), (8, 2))},
+             "label (1, 7) appears on more than one edge"),
+            # an edge at state 1, which neither the images nor their reflection hold
+            ("3x4:00020313=3*00002331", {(1, 1): ((1, 2),)},
+             "edge (1,1) uses a state outside the graph"),
+            ("4x10:86712=4*21678", -1, "state 4 out of range 0..3"),
+        ],
+    )
+    def test_bad_images_still_raise(self, seed, change, message):
+        spec = ClassSpec.from_record(seed_to_record(seed))
+        n, b, images = spec.multiplier, spec.base, spec.images
+        if isinstance(change, dict):
+            edges, states = tuple(sorted({**dict(images.edges), **change}.items())), images.states
+        else:
+            edges, states = images.edges, images.states | {change}
+        bad = ClassSpec(n, b, spec.graph, StateGraph(n, b, states, edges))
+        with pytest.raises(ParameterError) as caught:
+            symmetric_closure(bad)
+        assert str(caught.value) == message
+
+    @settings(max_examples=40, deadline=None)
+    @given(point=small_points(), data=st.data())
+    def test_closure_equals_the_union_of_two_images(self, point, data):
+        # the closure's one build against the reflected graph and images
+        # built on their own and then united
+        spec = ClassSpec.from_record(data.draw(st.sampled_from(list(walk_records(*point)))))
+        n, b, g, i = spec.multiplier, spec.base, spec.graph, spec.images
+
+        def reference():
+            if n - 1 not in i.states:
+                raise NoReflectionError(f"state {n - 1} is not an image vertex")
+            return ClassSpec(n, b, g.union(g.reflect()), union_images((i, i.reflect())))
+
+        outcomes = []
+        for build in (lambda: symmetric_closure(spec), reference):
+            try:
+                outcomes.append(build())
+            except NoReflectionError:
+                outcomes.append(NoReflectionError)
+        assert outcomes[0] == outcomes[1]
 
     def test_record_classes_trace_no_edge(self, rec_nine, monkeypatch):
         def refuse(*args):
