@@ -14,8 +14,7 @@ __version__ = "0.1.0"
 
 # The public names of each submodule that the package re-exports
 _EXPORTS = {
-    "digits": """DigitString Permutation PermutipleRecord canonical_sigma lambda_residue
-        verify_permutiple""",
+    "digits": "DigitString Permutation PermutipleRecord canonical_sigma verify_permutiple",
     "errors": """BFileError InfeasibleUnionError InvariantError MultisetMismatchError
         NoReflectionError ParameterError PermutipleError ScanLimitError SeedError WalkError""",
     "graphs": """DigitCycle DigitGraph build_mother_graph enumerate_cycles graph_of_permutiple

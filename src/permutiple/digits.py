@@ -30,20 +30,13 @@ __all__ = [
     "PermutipleRecord",
     "build_record",
     "canonical_sigma",
+    "carry_step",
     "check_equation",
     "check_multiplier",
     "is_rearrangement",
-    "lambda_residue",
     "smallest_bijection",
     "verify_permutiple",
 ]
-
-
-def lambda_residue(x: int, base: int) -> int:
-    """Least non-negative residue of ``x`` modulo ``base``, exact for negative ``x``."""
-    if base < 2:
-        raise ParameterError(f"base must be at least 2, got {base}")
-    return x % base
 
 
 def check_multiplier(multiplier: int, base: int) -> None:
@@ -79,6 +72,21 @@ def check_equation(multiplier: int, base: int, digits: Sequence[int],
             raise ParameterError(f"carry {carry} at position {j + 1} leaves 0..{n - 1}")
         if b * carry - carries[j] != n * p - d:
             raise ParameterError(f"carry recurrence violated at position {j}")
+
+
+def carry_step(multiplier: int, base: int, digit: int, preimage: int) -> tuple[int, int] | None:
+    """The carries (c, c') into and out of one position of digits = n * preimage.
+
+    The one solution of b*c' + d = n*p + c, the recurrence that
+    :func:`check_equation` proves, with c and c' in 0..n-1: c' = -q for
+    ``q, c = divmod(d - n*p, b)``, in range whenever c < n and d and p lie
+    in 0..b-1.  None when (d, p) is not a mother-graph edge or a digit is
+    out of range.  This is the machine's one transition formula.
+    """
+    q, c = divmod(digit - multiplier * preimage, base)
+    if c < multiplier and 0 <= digit < base and 0 <= preimage < base:
+        return c, -q
+    return None
 
 
 class DigitString(Value):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, Mapping
 
-from .digits import PermutipleRecord, check_multiplier, lambda_residue
+from .digits import PermutipleRecord, carry_step, check_multiplier
 from .errors import ParameterError
 from .value import Value
 
@@ -118,17 +118,13 @@ class DigitCycle(Value):
 
 def build_mother_graph(multiplier: int, base: int) -> DigitGraph:
     """The graph of all digit pairs that can occur in a digit-preserving
-    multiplication: edge (d1, d2) is present iff
-    ``lambda_residue(d1 + (base-multiplier)*d2, base) <= multiplier - 1``.
+    multiplication: edge (d1, d2) is present iff the machine has a
+    transition for it, b*c2 + d1 = n*d2 + c1 with carries in 0..n-1
+    (:func:`permutiple.digits.carry_step`).
     """
     n, b = multiplier, base
     check_multiplier(n, b)
-    edges = frozenset(
-        (d1, d2)
-        for d1 in range(b)
-        for d2 in range(b)
-        if lambda_residue(d1 + (b - n) * d2, b) <= n - 1
-    )
+    edges = ((d, p) for d in range(b) for p in range(b) if carry_step(n, b, d, p) is not None)
     return DigitGraph(b, edges)
 
 

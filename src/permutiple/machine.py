@@ -1,10 +1,11 @@
 """The Hoey-Sloane carry machine for single-digit multiplication.
 
-States are the carries 0..n-1; an input pair (d1, d2) drives the transition
-``c2 = (n*d2 - d1 + c1) / b`` where ``c1`` is forced by the input.  The
-machine has two equivalent presentations: a state graph whose edges carry
-label sets, and a multigraph with one labeled multi-edge per input.
-:func:`edge_image` traces a set of mother-graph edges into the first and
+States are the carries 0..n-1, and a mother-graph edge (d1, d2) drives the
+one transition c1 -> c2 with ``b*c2 + d1 = n*d2 + c1``, as
+:func:`permutiple.digits.carry_step` solves it.  The machine has two
+equivalent presentations: a state graph whose edges carry label sets, and
+a multigraph with one labeled multi-edge per input.  :func:`edge_image`
+traces a set of mother-graph edges into the first and
 :func:`edge_multi_image` a multiset of them into the second; every other
 image builder calls one of the two.
 """
@@ -14,8 +15,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Mapping, Sequence
 
-from .digits import check_multiplier, lambda_residue
-from .errors import InvariantError, ParameterError, WalkError
+from .digits import carry_step, check_multiplier
+from .errors import ParameterError, WalkError
 from .graphs import DigitCycle, build_mother_graph, reflect_pairs, strongly_connected
 from .value import Value
 
@@ -36,27 +37,18 @@ Pair = tuple[int, int]
 
 
 def transition(edge: Pair, multiplier: int, base: int) -> Pair:
-    """The unique state pair (c1, c2) enabled by a mother-graph input.
-
-    ``c1 = lambda_residue(d1 + (b-n)*d2, b)`` and ``c2 = (n*d2 - d1 + c1)/b``
-    with exact divisibility; both carries land in 0..n-1.  Raises
-    :class:`ParameterError` when the edge fails the mother-graph inequality.
-    """
+    """The unique state pair (c1, c2) enabled by a mother-graph input: the
+    carries that :func:`permutiple.digits.carry_step` solves for.  Raises
+    :class:`ParameterError` for a digit out of range or a non-edge."""
     n, b = multiplier, base
     check_multiplier(n, b)
     d1, d2 = edge
     if not (0 <= d1 < b and 0 <= d2 < b):
         raise ParameterError(f"edge ({d1},{d2}) out of range for base {b}")
-    c1 = lambda_residue(d1 + (b - n) * d2, b)
-    if c1 > n - 1:
+    carries = carry_step(n, b, d1, d2)
+    if carries is None:
         raise ParameterError(f"({d1},{d2}) is not a mother-graph edge for n={n}, b={b}")
-    numerator = n * d2 - d1 + c1
-    if numerator % b != 0:
-        raise InvariantError(f"carry transition for ({d1},{d2}) is not divisible by {b}")
-    c2 = numerator // b
-    if not 0 <= c2 <= n - 1:
-        raise InvariantError(f"carry transition for ({d1},{d2}) left 0..{n - 1}")
-    return c1, c2
+    return carries
 
 
 class StateGraph(Value):
@@ -127,8 +119,8 @@ class StateGraph(Value):
 
 
 class StateMultigraph(Value):
-    """One labeled multi-edge per input pair; ``edges`` is a sorted multiset
-    of (c1, c2, label) triples.  Vertices are the incident states only."""
+    """One labeled multi-edge per input pair: ``edges`` is a sorted multiset
+    of machine transitions (c1, c2, label).  Vertices are the incident states only."""
 
     __slots__ = ("multiplier", "base", "edges")
     multiplier: int
@@ -143,7 +135,7 @@ class StateMultigraph(Value):
         check_multiplier(n, b)
         normalized = []
         for c1, c2, (d1, d2) in triples:
-            if b * c2 != n * d2 - d1 + c1:
+            if carry_step(n, b, d1, d2) != (c1, c2):
                 raise ParameterError(f"triple ({c1},{c2},({d1},{d2})) violates the transition equation")
             normalized.append((c1, c2, (d1, d2)))
         return cls(n, b, tuple(sorted(normalized)))

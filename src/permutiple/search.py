@@ -48,6 +48,7 @@ from .digits import (
     PermutipleRecord,
     build_record,
     canonical_sigma,
+    carry_step,
     check_multiplier,
     verify_permutiple,
 )
@@ -436,8 +437,8 @@ def _plan(
     runs of :func:`_tails` as they were built.  It depends only on its
     arguments, so :func:`division_walk` keeps the last few, up to
     ``budget`` (``_TAIL_RUNS``) in all, counted by :func:`_plan_size`."""
-    if pairs is None:  # the mother graph: one edge per (carry, digit)
-        pairs = tuple(sorted({(d, (b * carry + d) // n) for carry in range(n) for d in range(b)}))
+    if pairs is None:  # the mother graph: every pair, its non-edges dropped below
+        pairs = tuple((d, p) for d in range(b) for p in range(b))
     digits = sorted({x for edge in pairs for x in edge if 0 <= x < b})
     index = {d: i for i, d in enumerate(digits)}
 
@@ -460,16 +461,14 @@ def _plan(
         if sum(left[d] for d in digits) != k:
             return None  # a pinned digit lies on none of the edges
         final = sum(left[d] * width ** (len(digits) + x) for x, d in enumerate(digits))
-    # Each mother-graph edge (d, p) is one transition, carry -> c with
-    # b*carry + d = n*p + c, and c < n <= b - 1 makes it unique: carry is
-    # the ceiling of (n*p - d) / b.  A pair outside the mother graph, or with
-    # a digit outside 0..b-1, has no such carries and is dropped; sorted
-    # pairs fill each row by ascending d.
+    # Each mother-graph edge (d, p) is one transition carry -> c, with
+    # b*carry + d = n*p + c (carry_step); any other pair has none and is
+    # dropped.  Sorted pairs fill each row by ascending d.
     options: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
     for d, p in pairs:
-        carry = (n * p - d + b - 1) // b
-        c = b * carry + d - n * p
-        if 0 <= d < b and 0 <= carry < n and c < n:
+        carries = carry_step(n, b, d, p)
+        if carries is not None:
+            c, carry = carries
             step = width ** (len(digits) + index[d]) if pinned is not None else 0
             options[carry].append((d, p, c, width ** index[d] - width ** index[p] + step))
     h, tails = _tails(options, n, k, budget)
@@ -495,7 +494,8 @@ def division_walk(
     preimage digits p_0..p_{k-1} with n*p = d, and carries c_0..c_k.  They
     come sorted by display digits.  The carry machine run from the top
     digit is long division: from carry c_{j+1}, digit d_j gives
-    (p_j, c_j) = divmod(base*c_{j+1} + d_j, n), and p_j < base always.
+    (p_j, c_j) = divmod(base*c_{j+1} + d_j, n), the one transition
+    b*c_{j+1} + d_j = n*p_j + c_j of :func:`permutiple.digits.carry_step`.
     From c_k = 0, digits tried in ascending order, the walk accepts when
     c_0 = 0 with every digit balanced (as many uses in the digits as in the
     preimage p).  A walk's state is its carry, its depth and one packed
@@ -507,10 +507,10 @@ def division_walk(
     stack frame holds the digits, preimage digits and carries above it,
     least-significant first ((), () and (0,) at the root), and each hit
     yields a run's tuples concatenated with them.
-    The options come from the (d, p) pairs, ``edges`` or else every
-    mother-graph edge: each mother-graph edge is exactly one transition of
-    the machine, so a class walk's rows cost as many steps as its class
-    graph has edges, and a pair outside the mother graph is dropped.
+    The options come from the (d, p) pairs, ``edges`` or else every pair
+    of digits: each mother-graph edge is exactly one such transition, so a
+    class walk's rows cost as many steps as its class graph has edges, and
+    a pair outside the mother graph is dropped.
     ``left_digits`` pins the digit multiset, and unless
     ``allow_leading_zero`` the top digit is nonzero.  The stack is explicit.
     The rows and the tail table come from :func:`_plan`, cached by n, b, k,

@@ -96,6 +96,19 @@ def is_permutiple_string(inputs, multiplier: int, base: int) -> bool:
     return Counter(d1 for d1, _ in inputs) == Counter(d2 for _, d2 in inputs)
 
 
+def reference_transitions(multiplier: int, base: int) -> dict[tuple[int, int], tuple[int, int]]:
+    """Every machine transition as {(d, p): (c, c')}, found by solving
+    b*c' + d = n*p + c over every carry c, c' in 0..n-1 and preimage digit p
+    in 0..b-1, keeping the solutions whose digit d lies in 0..b-1."""
+    found = {}
+    for c, c_out, p in product(range(multiplier), range(multiplier), range(base)):
+        d = multiplier * p + c - base * c_out
+        if 0 <= d < base:
+            assert (d, p) not in found, f"({d}, {p}) has two transitions"
+            found[d, p] = (c, c_out)
+    return found
+
+
 def transitive_closure(nodes, edges):
     """Every pair (u, v) of ``nodes`` with u reaching v, each node reaching
     itself; Warshall's algorithm.  ``nodes`` must hold every edge end."""

@@ -10,7 +10,6 @@ from permutiple import (
     ParameterError,
     Permutation,
     canonical_sigma,
-    lambda_residue,
     verify_permutiple,
 )
 from permutiple.digits import smallest_bijection
@@ -48,25 +47,6 @@ class TestValue:
             DigitString(10, (10,))
         with pytest.raises(ParameterError):
             DigitString(1, (0,))
-
-
-class TestLambdaResidue:
-    @pytest.mark.parametrize(
-        "x, base, expected",
-        [(50, 10, 0), (2 + 6 * 8, 10, 0), (-3, 10, 7), (9 + 6 * 1, 10, 5)],
-    )
-    def test_examples(self, x, base, expected):
-        assert lambda_residue(x, base) == expected
-
-    @given(st.integers(min_value=-(10**6), max_value=10**6), st.integers(min_value=2, max_value=16))
-    def test_range_and_divisibility(self, x, base):
-        r = lambda_residue(x, base)
-        assert 0 <= r < base
-        assert (x - r) % base == 0
-
-    def test_bad_base(self):
-        with pytest.raises(ParameterError):
-            lambda_residue(3, 1)
 
 
 class TestReflect:

@@ -13,7 +13,6 @@ from permutiple import (
     enumerate_cycles,
     graph_of_permutiple,
     is_cycle_union,
-    lambda_residue,
 )
 
 from permutiple.graphs import strongly_connected
@@ -78,7 +77,6 @@ class TestMotherGraph:
         mother = build_mother_graph(2, 3)
         assert (0, 0) in mother.edges
         assert (2, 1) in mother.edges
-        assert lambda_residue(2 + 1 * 1, 3) == 0
 
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):

@@ -20,7 +20,9 @@ from permutiple import (
     union_images,
     walk_states,
 )
+from permutiple.digits import carry_step
 from permutiple.machine import StateGraph, edge_multi_image
+from permutiple.search import _TAIL_RUNS, _plan
 
 from helpers import (
     MACHINE_EDGES_3_4,
@@ -31,6 +33,7 @@ from helpers import (
     multi_image,
     multiset_union,
     reference_strongly_connected,
+    reference_transitions,
 )
 
 
@@ -52,17 +55,27 @@ class TestTransition:
             transition((9, 1), 4, 10)
 
     def test_validity_sweep(self):
-        # every mother edge yields carries in range, with exact division, and
-        # every other pair raises (ClassSpec.from_graph relies on this)
-        for b in range(3, 17):
+        # carry_step, transition, the mother graph and the division walk's
+        # option rows all agree with a brute-force solve of the carry
+        # equation; every mother edge yields carries in range, with exact
+        # division, and every other pair, out-of-range digits included,
+        # raises (ClassSpec.from_graph relies on this)
+        for b in range(3, 25):
             for n in range(2, b):
+                reference = reference_transitions(n, b)
                 mother = build_mother_graph(n, b).edges
-                for edge in product(range(b), repeat=2):
+                assert mother == set(reference)
+                options = _plan(n, b, 1, None, None, _TAIL_RUNS)[0]
+                rows = {(d, p): (c, carry) for carry, row in enumerate(options) for d, p, c, _ in row}
+                assert rows == reference
+                for edge in product(range(-1, b + 1), repeat=2):
+                    assert carry_step(n, b, *edge) == reference.get(edge)
                     if edge not in mother:
                         with pytest.raises(ParameterError):
                             transition(edge, n, b)
                         continue
                     c1, c2 = transition(edge, n, b)
+                    assert (c1, c2) == reference[edge]
                     assert 0 <= c1 <= n - 1 and 0 <= c2 <= n - 1
                     d1, d2 = edge
                     assert b * c2 == n * d2 - d1 + c1
@@ -122,6 +135,11 @@ class TestStateMultigraph:
 
         with pytest.raises(ParameterError):
             StateMultigraph.make(4, 10, [(0, 1, (2, 8))])
+        # these satisfy the equation, but state 4 is not below n = 4 and
+        # digit 12 is not below b = 10: neither is a machine transition
+        for triple in [(4, 4, (0, 9)), (0, 0, (12, 3))]:
+            with pytest.raises(ParameterError, match="violates the transition equation"):
+                StateMultigraph.make(4, 10, [triple])
 
 
 class TestCycleImages:

@@ -1,8 +1,10 @@
 """The package's public surface: every name it exported when it imported
 every submodule eagerly resolves to the same object, loaded on first use."""
 
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,8 +15,7 @@ from helpers import child_env
 # submodule -> the names the package re-exports from it
 EXPORTS = {
     "digits": [
-        "DigitString", "Permutation", "PermutipleRecord", "canonical_sigma", "lambda_residue",
-        "verify_permutiple",
+        "DigitString", "Permutation", "PermutipleRecord", "canonical_sigma", "verify_permutiple",
     ],
     "errors": [
         "BFileError", "InfeasibleUnionError", "InvariantError", "MultisetMismatchError",
@@ -47,7 +48,7 @@ NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
 
 
 def test_the_export_list_is_complete():
-    assert len(NAMES) == 59
+    assert len(NAMES) == 58
     assert sorted(permutiple.__all__) == sorted(name for _, name in NAMES)
 
 
@@ -85,3 +86,19 @@ def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'find_everything'"):
         permutiple.find_everything
     assert not hasattr(permutiple, "walk_strings")
+
+
+def test_the_package_needs_only_the_standard_library():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    imported = set()
+    for path in sorted((root / "src" / "permutiple").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module)
+    assert imported, "no absolute imports found"
+    assert {name.split(".")[0] for name in imported} <= sys.stdlib_module_names
+    with open(root / "pyproject.toml", "rb") as handle:
+        assert tomllib.load(handle)["project"]["dependencies"] == []
