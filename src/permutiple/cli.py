@@ -374,8 +374,11 @@ def oeis_report(
     representation is an anagram of the product's.  Misses are derived
     values our enumeration should have found (within its length bound);
     extras are our values inside the b-file's coverage that it lacks.
-    Values are those of the search kernel's proved records.
+    Values are those of the search kernel's proved records.  A
+    ``max_length`` below 1 raises :class:`ParameterError`.
     """
+    if max_length < 1:
+        raise ParameterError(f"length must be at least 1; got {max_length}")
     derived = sorted(multiplier * value for _, value in entries)
     ours: set[int] = set()
     for length in range(1, max_length + 1):

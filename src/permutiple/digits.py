@@ -5,16 +5,18 @@ coefficient of ``base**j``.  Display order (most-significant first) appears
 only at formatting boundaries.  All arithmetic is exact integer arithmetic.
 The classes here are the library's validated values (see
 :mod:`permutiple.value`).  :func:`check_equation` is the one proof of a
-permutiple equation, and two paths build a :class:`PermutipleRecord`.
-Its public constructor, and so :func:`verify_permutiple`, pickling and
-copying, validates every part: the base and digits of the
-:class:`DigitString`, the bijection of the :class:`Permutation`, and the
-equation through :func:`check_equation`.  :func:`build_record`, which
-builds every kernel record, sibling, transition-fixing image and seed,
-proves the rearrangement and the equation once each and leaves sigma
-unset.  Every record keeps its proved preimage digits, which its
-:attr:`~PermutipleRecord.preimage`, ``key`` and ``string`` read; a built
-record's sigma is derived by :func:`smallest_bijection` when first read.
+permutiple equation and the one source of a record's carries: it
+multiplies the preimage out from the bottom digit and returns them.  Two
+paths build a :class:`PermutipleRecord`.  Its public constructor, and so
+pickling and copying, validates every part: the :class:`DigitString`, the
+:class:`Permutation`, and the equation, whose carries the given ones must
+equal.  :func:`build_record`, which builds every other record (kernel
+records, siblings, symmetry images, seeds and verified equations), proves
+the rearrangement and the equation once each and leaves sigma unset
+unless :func:`verify_permutiple` gives one.  Every record keeps its proved
+preimage digits, which its :attr:`~PermutipleRecord.preimage`, ``key``
+and ``string`` read; a built record's sigma is derived by
+:func:`smallest_bijection` when first read.
 """
 
 from __future__ import annotations
@@ -48,30 +50,33 @@ def check_multiplier(multiplier: int, base: int) -> None:
 
 
 def check_equation(multiplier: int, base: int, digits: Sequence[int],
-                   preimage: Sequence[int], carries: Sequence[int]) -> None:
-    """Prove digits = multiplier * preimage, or raise :class:`ParameterError`.
+                   preimage: Sequence[int]) -> tuple[int, ...]:
+    """Prove digits = multiplier * preimage and return the carries c_0..c_k.
 
-    The sequences d_0..d_{k-1}, p_0..p_{k-1} and c_0..c_k are
-    least-significant first.  Needs 1 < n < b, k >= 1, digits in 0..b-1,
-    carries in 0..n-1 with c_0 = c_k = 0, and b*c_{j+1} - c_j = n*p_j - d_j
-    at every position j, which telescopes to value(d) = n * value(p).
+    The sequences are least-significant first.  Needs 1 < n < b, k >= 1
+    and every digit in 0..b-1; then, from c_0 = 0,
+    ``c_{j+1}, low = divmod(n*p_j + c_j, b)`` must give ``low == d_j`` at
+    every position j, and c_k must be 0.  Each carry lies in 0..n-1, as
+    n*p_j + c_j < n*b.  Any failure raises :class:`ParameterError`.
     """
     n, b, k = multiplier, base, len(digits)
     if not 1 < n < b:
         check_multiplier(n, b)
-    if not k or len(preimage) != k or len(carries) != k + 1:
-        raise ParameterError(f"need k >= 1 digits, k preimage digits and k+1 carries; k = {k}")
-    if carries[0] or carries[k]:
-        raise ParameterError(f"carries {tuple(carries)} do not start and end at 0")
-    # one pass: in Python 3.11 it costs every record less than min() and max()
+    if not k or len(preimage) != k:
+        raise ParameterError(f"need k >= 1 digits and k preimage digits; k = {k}")
+    carries = [0]
+    carry = 0
     for j in range(k):
-        d, p, carry = digits[j], preimage[j], carries[j + 1]
+        d, p = digits[j], preimage[j]
         if not (0 <= d < b and 0 <= p < b):
             raise ParameterError(f"digit out of range for base {b}")
-        if not 0 <= carry < n:
-            raise ParameterError(f"carry {carry} at position {j + 1} leaves 0..{n - 1}")
-        if b * carry - carries[j] != n * p - d:
+        carry, low = divmod(n * p + carry, b)
+        if low != d:
             raise ParameterError(f"carry recurrence violated at position {j}")
+        carries.append(carry)
+    if carry:
+        raise ParameterError(f"carries of {n} * preimage do not end at 0: top carry {carry}")
+    return tuple(carries)
 
 
 def carry_step(multiplier: int, base: int, digit: int, preimage: int) -> tuple[int, int] | None:
@@ -228,8 +233,9 @@ class PermutipleRecord(Value, _Preimage):
     ``carries[j]`` is the carry entering position j of the single-digit
     multiplication; ``carries[0]`` and ``carries[-1]`` are zero and every
     carry is below the multiplier.  Construction validates the digit
-    string and the permutation and runs :func:`check_equation`;
-    :func:`build_record` skips the first two.
+    string and the permutation, runs :func:`check_equation` and requires
+    the given carries to be the ones it returns; :func:`build_record`
+    skips the first two and stores the proved carries.
     Every record keeps the preimage digits it proved, which
     :attr:`preimage`, :attr:`key` and :attr:`string` read.  A built
     record leaves ``sigma`` unset until it is first read, and then takes
@@ -249,7 +255,9 @@ class PermutipleRecord(Value, _Preimage):
         if self.sigma.size != len(d):
             raise ParameterError("permutation size must match the digit count")
         preimage = tuple([d[i] for i in self.sigma.mapping])
-        check_equation(self.multiplier, self.digits.base, d, preimage, self.carries)
+        proved = check_equation(self.multiplier, self.digits.base, d, preimage)
+        if self.carries != proved:
+            raise ParameterError(f"carries {self.carries} differ from the proved carries {proved}")
         object.__setattr__(self, "_preimage", preimage)
 
     def __getattr__(self, name: str) -> Permutation:
@@ -315,12 +323,13 @@ def _digit_string(base: int, digits: tuple[int, ...]) -> DigitString:
 
 
 def build_record(multiplier: int, base: int, digits: Sequence[int],
-                 preimage: Sequence[int], carries: Sequence[int]) -> PermutipleRecord:
-    """The record of least-significant-first digits, preimage and carries.
+                 preimage: Sequence[int]) -> PermutipleRecord:
+    """The record of least-significant-first digits and preimage.
 
     :func:`is_rearrangement` proves that the preimage rearranges the digits
     (tested first, else :class:`MultisetMismatchError`) and one
-    :func:`check_equation` proves the equation (else :class:`ParameterError`).
+    :func:`check_equation` proves the equation (else :class:`ParameterError`)
+    and gives the record its carries.
     The ``__post_init__`` checks of the record's values are skipped, as
     those two imply them:
 
@@ -330,7 +339,7 @@ def build_record(multiplier: int, base: int, digits: Sequence[int],
       finds a bijection on 0..k-1 with ``digits[sigma[j]] == preimage[j]``
       when sigma is first read, which is all :class:`Permutation` checks;
     - so the preimage the record would rebuild from sigma is the one just
-      proved, with the same carries, which is all
+      proved, and the carries are the ones proved for it, which is all
       :class:`PermutipleRecord` checks.
 
     The record keeps the preimage and leaves sigma unset; every field is a
@@ -338,11 +347,11 @@ def build_record(multiplier: int, base: int, digits: Sequence[int],
     """
     if not is_rearrangement(digits, preimage):
         raise MultisetMismatchError("digit and preimage multisets differ")
-    check_equation(multiplier, base, digits, preimage, carries)
+    carries = check_equation(multiplier, base, digits, preimage)
     record = _new(PermutipleRecord)
     _set_multiplier(record, multiplier)
     _set_record_digits(record, _digit_string(base, tuple(digits)))
-    _set_carries(record, tuple(carries))
+    _set_carries(record, carries)
     _set_preimage(record, tuple(preimage))
     return record
 
@@ -357,25 +366,22 @@ def verify_permutiple(
 ) -> PermutipleRecord | None:
     """Run the single-digit multiplication and check it reproduces ``digits``.
 
-    Position j computes ``t = multiplier * digits[sigma(j)] + carry`` and
-    the next carry ``t // base``.  The record's :func:`check_equation`
-    holds iff every ``t % base`` is ``digits[j]`` and the final carry is
-    zero; None when it fails (not digit-preserving).  Parameter-domain
-    problems raise :class:`ParameterError`.
+    The preimage is the digits permuted by ``sigma``, and
+    :func:`build_record` proves the equation with the one
+    :func:`check_equation`, which multiplies it out; the record keeps the
+    given sigma.  None when the proof fails (not digit-preserving).
+    Parameter-domain problems raise :class:`ParameterError`.
     """
-    b = digits.base
-    n = multiplier
-    check_multiplier(n, b)
+    check_multiplier(multiplier, digits.base)
     if sigma.size != len(digits):
         raise ParameterError("permutation size must match the digit count")
     d = digits.digits
-    carries = [0]
-    for i in sigma.mapping:
-        carries.append((n * d[i] + carries[-1]) // b)
     try:
-        return PermutipleRecord(n, digits, sigma, carries)
+        record = build_record(multiplier, digits.base, d, [d[i] for i in sigma.mapping])
     except ParameterError:
         return None
+    _set(record, "sigma", sigma)
+    return record
 
 
 def smallest_bijection(digits: Sequence[int], preimage: Sequence[int]) -> list[int] | None:

@@ -4,17 +4,17 @@ A permutiple string is an input string the carry machine accepts (a walk
 from carry 0 back to carry 0) whose left and right digit components form
 the same multiset.  ``find`` and ``class`` both search with one kernel,
 :func:`division_walk`, the machine run as long division from the top
-digit, which yields each permutiple's digits, preimage and carries (the
-division's remainders) in output order.  It meets in the middle: the top
-k - h digits are walked, and the bottom h <= k/2 are joined from a tail
-table of every run of h digits down to carry 0 (:func:`_tails`).  The
-table is one dict per plan keyed by ``code * n + c``, the run's packed
-code and the carry it starts from, and holds each run as its digits,
-preimage and carries, least-significant first; the walk keeps the same
-three tuples for the digits above, so a permutiple is a run's tuples and
-the walk's joined by concatenation.  :func:`walk_records` builds a record
-of each through :func:`permutiple.digits.build_record`, and CLI ``find``
-writes those records.
+digit, which yields each permutiple's digits and preimage in output
+order.  It meets in the middle: the top k - h digits are walked, and the
+bottom h <= k/2 are joined from a tail table of every run of h digits
+down to carry 0 (:func:`_tails`).  The table is one dict per plan keyed
+by ``code * n + c``, the run's packed code and the carry it starts from,
+and holds each run as its digits and preimage, least-significant first;
+the walk keeps the same two tuples for the digits above, so a permutiple
+is a run's tuples and the walk's joined by concatenation.  The carries
+are not kept: :func:`walk_records` builds a record of each walk through
+:func:`permutiple.digits.build_record`, whose proof multiplies them out,
+and CLI ``find`` writes those records.
 
 Two caches keep work that repeats, both least recently used first and
 bounded by what they hold rather than by their entries.  A walk's plan
@@ -85,7 +85,7 @@ __all__ = [
 
 Pair = tuple[int, int]
 InputString = tuple[Pair, ...]
-Walk = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]  # digits, preimage, carries
+Walk = tuple[tuple[int, ...], tuple[int, ...]]  # digits, preimage
 
 DEFAULT_SCAN_LIMIT = 10**8
 _SIGNATURE_TABLE_BYTES = 2**27  # 128 MiB
@@ -317,18 +317,18 @@ def decompose_into_cycles(edges: Iterable[Pair], base: int) -> CycleMultiset:
 def string_to_permutiple(inputs: Sequence[Pair], multiplier: int, base: int) -> SearchResult:
     """Read an input string through the machine into a verified permutiple.
 
-    The left components are the digits, the right ones the preimage and
-    the walk's states the carries, put together by the kernel's builder.
-    Raises :class:`WalkError` when the machine rejects the string and
-    :class:`MultisetMismatchError` when the two component multisets differ.
+    The left components are the digits and the right ones the preimage,
+    put together by the kernel's builder.  Raises :class:`WalkError` when
+    the machine rejects the string and :class:`MultisetMismatchError` when
+    the two component multisets differ.
     """
     from .machine import walk_states
 
     inputs = tuple(inputs)
-    carries = walk_states(inputs, multiplier, base)
+    walk_states(inputs, multiplier, base)
     digits = [d for d, _ in inputs]
     preimage = [p for _, p in inputs]
-    return SearchResult(build_record(multiplier, base, digits, preimage, carries), inputs)
+    return SearchResult(build_record(multiplier, base, digits, preimage), inputs)
 
 
 _MISSING = object()
@@ -380,29 +380,29 @@ def _tails(
     """The bottom h digits of every walk, tabled by carry and packed code.
 
     ``tables[c][code]`` lists every run of h digits that goes from carry c
-    down to carry 0 and whose packed steps sum to ``code``.  A run is three
-    tuples, least-significant first: its digits d_0..d_{h-1}, its preimage
-    digits p_0..p_{h-1} and its lower carries c_0..c_{h-1}, so that a walk's
-    top digits, preimage and carries c_h..c_k join it by concatenation.
+    down to carry 0 and whose packed steps sum to ``code``.  A run is two
+    tuples, least-significant first: its digits d_0..d_{h-1} and its
+    preimage digits p_0..p_{h-1}, so that a walk's top digits and preimage
+    join it by concatenation.
     Each list is in display order (options ascending at every level).
     Levels are built bottom-up from the empty run at carry 0, each run
     extended by one digit on top; h grows up to length // 2 and stops
     before a level would hold more than ``budget`` runs.
     """
     tables: list[dict[int, list[Walk]]] = [{} for _ in range(carries)]
-    tables[0][0] = [((), (), ())]
+    tables[0][0] = [((), ())]
     for h in range(length // 2):
         grown: list[dict[int, list[Walk]]] = [{} for _ in range(carries)]
         total = 0
         for row, table in zip(options, grown):
             for d, p, c, step in row:
-                td, tp, tc = (d,), (p,), (c,)
+                td, tp = (d,), (p,)
                 for code, runs in tables[c].items():
                     total += len(runs)
                     if total > budget:
                         return h, tables
                     table.setdefault(code + step, []).extend(
-                        [(ds + td, ps + tp, cs + tc) for ds, ps, cs in runs]
+                        [(ds + td, ps + tp) for ds, ps in runs]
                     )
         tables = grown
     return length // 2, tables
@@ -488,12 +488,12 @@ def division_walk(
     left_digits: Sequence[int] | None = None,
     allow_leading_zero: bool = True,
 ) -> Iterator[Walk]:
-    """Every permutiple with ``length`` digits as (digits, preimage, carries).
+    """Every permutiple with ``length`` digits as (digits, preimage).
 
-    The three tuples are least-significant first: digits d_0..d_{k-1},
-    preimage digits p_0..p_{k-1} with n*p = d, and carries c_0..c_k.  They
-    come sorted by display digits.  The carry machine run from the top
-    digit is long division: from carry c_{j+1}, digit d_j gives
+    The two tuples are least-significant first: digits d_0..d_{k-1} and
+    preimage digits p_0..p_{k-1} with n*p = d.  They come sorted by
+    display digits.  The carry machine run from the top digit is long
+    division: from carry c_{j+1}, digit d_j gives
     (p_j, c_j) = divmod(base*c_{j+1} + d_j, n), the one transition
     b*c_{j+1} + d_j = n*p_j + c_j of :func:`permutiple.digits.carry_step`.
     From c_k = 0, digits tried in ascending order, the walk accepts when
@@ -504,9 +504,9 @@ def division_walk(
     already used as often as pinned, with states memoised once dead, and
     the bottom h digits are looked up in a table of runs to carry 0 keyed
     by their packed code and carry (:func:`_tails`, h <= k // 2).  Each
-    stack frame holds the digits, preimage digits and carries above it,
-    least-significant first ((), () and (0,) at the root), and each hit
-    yields a run's tuples concatenated with them.
+    stack frame holds the digits and preimage digits above it,
+    least-significant first (empty at the root), and each hit yields a
+    run's tuples concatenated with them.
     The options come from the (d, p) pairs, ``edges`` or else every pair
     of digits: each mother-graph edge is exactly one such transition, so a
     class walk's rows cost as many steps as its class graph has edges, and
@@ -534,8 +534,8 @@ def division_walk(
     dead: set[int] = set()
     roots = options[0] if allow_leading_zero else [o for o in options[0] if o[0]]
     # frame: untried options, packed code, whether anything below was
-    # accepted, memo key, and the digits, preimage and carries above it
-    stack: list[list] = [[iter(roots), 0, False, 0, (), (), (0,)]]
+    # accepted, memo key, and the digits and preimage above it
+    stack: list[list] = [[iter(roots), 0, False, 0, (), ()]]
     while stack:
         frame = stack[-1]
         code, above = frame[1], frame[4]
@@ -547,17 +547,16 @@ def division_walk(
                 runs = tails.get((final - code - step) * n + c)
                 if runs:
                     frame[2] = True
-                    hd, hp, hc = (d,) + above, (p,) + frame[5], (c,) + frame[6]
-                    for rd, rp, rc in runs:  # least-significant first
-                        yield rd + hd, rp + hp, rc + hc
+                    hd, hp = (d,) + above, (p,) + frame[5]
+                    for rd, rp in runs:  # least-significant first
+                        yield rd + hd, rp + hp
                 continue
             key = ((code + step) * k + steps - 1) * n + c
             if key in dead:
                 continue
             left[d] -= 1
             stack.append(
-                [iter(options[c]), code + step, False, key,
-                 (d,) + above, (p,) + frame[5], (c,) + frame[6]]
+                [iter(options[c]), code + step, False, key, (d,) + above, (p,) + frame[5]]
             )
             break
         else:
@@ -583,9 +582,9 @@ def walk_records(
     its proof is a defect of the kernel, raised as :class:`InvariantError`
     with the proof's message."""
     walks = division_walk(multiplier, base, length, edges, left_digits, allow_leading_zero)
-    for digits, preimage, carries in walks:
+    for digits, preimage in walks:
         try:
-            record = build_record(multiplier, base, digits, preimage, carries)
+            record = build_record(multiplier, base, digits, preimage)
         except (MultisetMismatchError, ParameterError) as exc:
             raise InvariantError(str(exc)) from None
         yield record
@@ -613,7 +612,7 @@ def feasible_unions(
     :func:`check_feasible`, one decomposition each.
     """
     walks = division_walk(multiplier, base, length)
-    return group_unions((tuple(zip(d, p)) for d, p, _ in walks), multiplier, base)
+    return group_unions((tuple(zip(d, p)) for d, p in walks), multiplier, base)
 
 
 @_bounded_cache(lambda: _CACHE_RECORDS, len)

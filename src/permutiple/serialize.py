@@ -187,18 +187,13 @@ def parse_seed(
 def seed_to_record(text: str, default_base: int | None = None) -> PermutipleRecord | None:
     """Parse a seed and prove it like a search result; None when it fails.
 
-    The carries of n * preimage are computed from the bottom digit up, and
     :func:`~permutiple.digits.build_record` proves the record.  A
     multiplier outside 1 < n < base raises :class:`ParameterError`, unless
     the two sides are not rearrangements of each other (then None).
     """
     n, base, lhs, rhs = parse_seed(text, default_base)
-    digits, preimage = lhs[::-1], rhs[::-1]
-    carries = [0]
-    for p in preimage:
-        carries.append((n * p + carries[-1]) // base)
     try:
-        return build_record(n, base, digits, preimage, carries)
+        return build_record(n, base, lhs[::-1], rhs[::-1])
     except MultisetMismatchError:
         return None
     except ParameterError:

@@ -3,13 +3,13 @@
 Reflection (digit d to b-1-d, carry c to n-1-c) and rotation of input
 strings generate new permutiples from known ones: carries equal to n-1 mark
 reflective siblings, zero carries mark rotational siblings, and together
-these are the dihedral siblings.  A sibling takes the record's carries
-rotated (and mapped to n-1-c when reflected), a transition-fixing image
-keeps them, and each is built like a search result: one multiset check
-and one check of the carry recurrence, with the smallest sigma derived
-when first read.  Class-level reflection, symmetric closures, string
-symmetries that fix the state-transition sequence, and coarse conjugacy
-complete the picture.
+these are the dihedral siblings.  A sibling, a transition-fixing image and
+an :func:`apply_symmetry` image are each the record's digits and preimage
+rearranged (and reflected), built like a search result: one multiset
+check and one :func:`~permutiple.digits.check_equation`, which multiplies
+out their carries, with the smallest sigma derived when first read.
+Class-level reflection, symmetric closures, string symmetries that fix
+the state-transition sequence, and coarse conjugacy complete the picture.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from .digits import Permutation, PermutipleRecord, build_record, smallest_bijection
-from .errors import MultisetMismatchError, NoReflectionError, ParameterError, WalkError
+from .errors import NoReflectionError, ParameterError
 from .graphs import DigitGraph, graph_of_permutiple, is_cycle_union, reflect_pairs
 from .machine import StateGraph, StateMultigraph, edge_image
-from .search import CycleMultiset, group_unions, string_to_permutiple, walk_records
+from .search import CycleMultiset, group_unions, walk_records
 from .value import Value
 
 __all__ = [
@@ -74,23 +74,26 @@ def state_sequence(record: PermutipleRecord) -> StateSequence:
     return StateSequence(tuple((c[j], c[j + 1]) for j in range(len(record))))
 
 
+def _rearranged(record: PermutipleRecord, order: Sequence[int], reflect: bool) -> PermutipleRecord:
+    """The record of the input string whose position i holds the record's
+    input ``order[i]``, each pair (d, p) mapped to (b-1-d, b-1-p) when
+    ``reflect``.  Its proof raises :class:`ParameterError` when that string
+    is no permutiple; the two digit multisets stay equal."""
+    b, d, p = record.base, record.digits.digits, record.preimage.digits
+    digits = [d[i] for i in order]
+    preimage = [p[i] for i in order]
+    if reflect:
+        digits = [b - 1 - x for x in digits]
+        preimage = [b - 1 - x for x in preimage]
+    return build_record(record.multiplier, b, digits, preimage)
+
+
 def _sibling(record: PermutipleRecord, j: int, reflect: bool) -> PermutipleRecord:
     """The record's input string rotated to start at position ``j``, each
-    pair (d, p) mapped to (b-1-d, b-1-p) when ``reflect``.
-
-    Its carries are the record's rotated the same way, c_j..c_{k-1},
-    c_0..c_j, and mapped to n-1-c when ``reflect``: a rotation at a zero
-    carry, or a reflection at an n-1 carry, is again a closed walk from
-    state 0, and the built record checks every carry.
-    """
-    n, b = record.multiplier, record.base
-    d, p, c = record.digits.digits, record.preimage.digits, record.carries
-    digits, preimage, carries = d[j:] + d[:j], p[j:] + p[:j], c[j:-1] + c[:j] + (c[j],)
-    if reflect:
-        digits = tuple(map((b - 1).__sub__, digits))
-        preimage = tuple(map((b - 1).__sub__, preimage))
-        carries = tuple(map((n - 1).__sub__, carries))
-    return build_record(n, b, digits, preimage, carries)
+    pair reflected when ``reflect``.  A rotation at a zero carry, or a
+    reflection at an n-1 carry, is again a closed walk from state 0, so
+    the sibling is a permutiple."""
+    return _rearranged(record, [*range(j, len(record)), *range(j)], reflect)
 
 
 def _siblings(record: PermutipleRecord, reflect: bool) -> Iterator[tuple[int, PermutipleRecord]]:
@@ -103,11 +106,8 @@ def _siblings(record: PermutipleRecord, reflect: bool) -> Iterator[tuple[int, Pe
 
 
 def reflective_siblings(record: PermutipleRecord) -> list[tuple[int, PermutipleRecord]]:
-    """One sibling for every position 0 < j < k whose carry equals n-1.
-
-    The sibling is the reflected input string rotated to start at j; its
-    carries are the reflected, rotated carries of the original.
-    """
+    """One sibling for every position 0 < j < k whose carry equals n-1:
+    the reflected input string rotated to start at j."""
     return list(_siblings(record, reflect=True))
 
 
@@ -242,19 +242,14 @@ def apply_symmetry(
     """Permute the record's input pairs by ``phi``; optionally reflect them.
 
     Position i of the new string holds input ``phi(i)`` of the old one (so
-    the new digits are d[phi(i)]).  Returns the verified record when the
-    permuted string is accepted, None when it leaves the language.
+    the new digits are d[phi(i)]).  Returns the proved record when the
+    permuted string is a permutiple, None when it leaves the language.
     """
     if phi.size != len(record):
         raise ParameterError("permutation size must match the digit count")
-    s = record.string
-    permuted = tuple(s[phi(i)] for i in range(len(s)))
-    if reflect:
-        m = record.base - 1
-        permuted = tuple((m - d1, m - d2) for d1, d2 in permuted)
     try:
-        return string_to_permutiple(permuted, record.multiplier, record.base).record
-    except (WalkError, MultisetMismatchError):
+        return _rearranged(record, phi.mapping, reflect)
+    except ParameterError:
         return None
 
 
@@ -282,7 +277,7 @@ def _distinct_arrangements(items: Sequence[Pair]) -> Iterator[tuple[Pair, ...]]:
 def _fixing_images(record: PermutipleRecord) -> list[tuple[Permutation, PermutipleRecord]]:
     """(phi, image) for every transition-fixing symmetry of the record,
     sorted by phi's mapping: see :func:`symmetries_fixing_sequence`."""
-    n, b, s, c = record.multiplier, record.base, record.string, record.carries
+    s, c = record.string, record.carries
     groups: dict[Pair, list[int]] = {}
     for i, transition in enumerate(zip(c, c[1:])):  # input i takes (c_i, c_{i+1})
         groups.setdefault(transition, []).append(i)
@@ -298,13 +293,12 @@ def _fixing_images(record: PermutipleRecord) -> list[tuple[Permutation, Permutip
         moved = [i for i in range(len(s)) if target[i] != s[i]]
         if not moved:
             continue
-        # each pair fixes its transition, so the rearranged string keeps every carry
-        image = build_record(n, b, [d for d, _ in target], [p for _, p in target], record.carries)
         mapping = list(range(len(s)))
         matched = smallest_bijection([s[i] for i in moved], [target[i] for i in moved])
         for i, m in zip(moved, matched):  # type: ignore[arg-type]
             mapping[i] = moved[m]
-        out.append((Permutation(tuple(mapping)), image))
+        # each pair fixes its transition, so the rearranged string is again a permutiple
+        out.append((Permutation(tuple(mapping)), _rearranged(record, mapping, False)))
     out.sort(key=lambda pair: pair[0].mapping)
     return out
 

@@ -131,9 +131,9 @@ class TestGraphCommands:
         def two_walks_then_a_bad_one(*args, **kwargs):
             walks = division_walk(*args, **kwargs)
             yield next(walks)
-            digits, preimage, carries = next(walks)
-            yield digits, preimage, carries
-            yield digits, preimage, (0, 1) + carries[2:]
+            digits, preimage = next(walks)
+            yield digits, preimage
+            yield (digits[1], digits[0]) + digits[2:], preimage  # two low digits swapped
 
         target = tmp_path / "found.json"
         target.write_bytes(b"old\n")
@@ -489,8 +489,8 @@ class TestOeisCheck:
             for walk in division_walk(*args, **kwargs):
                 yield walk
             if walk is not None:
-                digits, preimage, carries = walk
-                yield digits, preimage, (0, 1) + carries[2:]
+                digits, preimage = walk
+                yield (digits[1], digits[0]) + digits[2:], preimage  # two low digits swapped
 
         bfile = tmp_path / "b.txt"
         bfile.write_text("# nothing\n")  # clean without the bad walk
@@ -501,6 +501,19 @@ class TestOeisCheck:
         )
         assert (code, out) == (1, "")
         assert err.startswith("error: carr")
+
+    @pytest.mark.parametrize("length", ["0", "-3"])
+    def test_a_length_below_1_is_usage_error(self, capsys, tmp_path, length):
+        # a length below 1 compares nothing, so it is refused as find refuses it
+        bfile = tmp_path / "b.txt"
+        bfile.write_text("1 5\n")
+        for command in ("oeis-check", "find"):
+            argv = [command, "-n", "3", "-b", "4", "--length", length]
+            if command == "oeis-check":
+                argv += ["--bfile", str(bfile)]
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == f"error: length must be at least 1; got {length}\n"
 
     def test_bad_bfile_is_usage_error(self, capsys, tmp_path):
         bfile = tmp_path / "b.txt"

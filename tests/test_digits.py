@@ -1,5 +1,6 @@
 import functools
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -145,8 +146,10 @@ class TestVerify:
         with pytest.raises(ParameterError):
             verify_permutiple(digits, Permutation.identity(3), 4)
 
+    # each fault names what the given carries break; the constructor finds
+    # it by comparing them with the proved carries (0, 3, 3, 3, 0, 0)
     @pytest.mark.parametrize(
-        "carries, message",
+        "carries, fault",
         [
             ((0, 0, 0, 0, 0, 0), "recurrence"),
             # c_4 off by one
@@ -159,12 +162,14 @@ class TestVerify:
             ((0, 4, 3, 3, 0, 0), "leaves 0..3"),
         ],
     )
-    def test_record_invariants_enforced(self, carries, message):
+    def test_record_invariants_enforced(self, carries, fault):
         record = make_record(4, 10, (8, 7, 9, 1, 2), (2, 1, 9, 7, 8))
         from permutiple import PermutipleRecord
 
-        with pytest.raises(ParameterError, match=message):
+        message = f"carries {carries} differ from the proved carries (0, 3, 3, 3, 0, 0)"
+        with pytest.raises(ParameterError, match=re.escape(message)):
             PermutipleRecord(4, record.digits, record.sigma, carries)
+        assert PermutipleRecord(4, record.digits, record.sigma, record.carries) == record
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())

@@ -22,11 +22,14 @@ from permutiple import (
 )
 from permutiple.digits import carry_step
 from permutiple.machine import StateGraph, edge_multi_image
-from permutiple.search import _TAIL_RUNS, _plan
+from permutiple.search import _TAIL_RUNS, _plan, walk_records
+from permutiple.serialize import format_equation, seed_to_record
+from permutiple.symmetry import _fixing_images, dihedral_siblings
 
 from helpers import (
     MACHINE_EDGES_3_4,
     MACHINE_EDGES_4_10,
+    carries_by_value,
     empty_state_graph,
     empty_state_multigraph,
     make_record,
@@ -306,13 +309,31 @@ class TestWalkStates:
         assert walk_states((), 4, 10) == (0,)
 
     def test_record_strings_walk_to_their_carries(self):
-        for row in [
-            (4, 10, (8, 7, 9, 1, 2), (2, 1, 9, 7, 8)),
-            (4, 10, (8, 6, 7, 1, 2), (2, 1, 6, 7, 8)),
-            (3, 4, (3, 1, 1, 0, 2, 2), (1, 0, 1, 2, 3, 2)),
-        ]:
-            record = make_record(*row)
-            assert walk_states(record.string, record.multiplier, record.base) == record.carries
+        # every way a record is made: verified, walked, as a sibling or a
+        # fixing image, and parsed from a seed.  Its carries are the proof's;
+        # the machine and prefix values find them independently
+        records = [
+            make_record(*row)
+            for row in [
+                (4, 10, (8, 7, 9, 1, 2), (2, 1, 9, 7, 8)),
+                (4, 10, (8, 6, 7, 1, 2), (2, 1, 6, 7, 8)),
+                (3, 4, (3, 1, 1, 0, 2, 2), (1, 0, 1, 2, 3, 2)),
+            ]
+        ]
+        for point in [(4, 10, 7), (3, 4, 8), (2, 10, 7), (5, 12, 6)]:
+            walked = list(walk_records(*point))
+            assert walked
+            records += walked
+            for record in walked:
+                records += dihedral_siblings(record)
+                records += [image for _, image in _fixing_images(record)]
+                records.append(seed_to_record(format_equation(record)))
+        for record in records:
+            n, b = record.multiplier, record.base
+            assert walk_states(record.string, n, b) == record.carries
+            assert record.carries == carries_by_value(
+                n, b, record.digits.display, record.preimage.display
+            )
 
     def test_non_mother_input_is_domain_error(self):
         with pytest.raises(ParameterError):

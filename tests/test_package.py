@@ -2,6 +2,8 @@
 every submodule eagerly resolves to the same object, loaded on first use."""
 
 import ast
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -102,3 +104,39 @@ def test_the_package_needs_only_the_standard_library():
     assert {name.split(".")[0] for name in imported} <= sys.stdlib_module_names
     with open(root / "pyproject.toml", "rb") as handle:
         assert tomllib.load(handle)["project"]["dependencies"] == []
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_blocks(language):
+    """The bodies of the README's fenced code blocks in ``language``."""
+    return re.findall(rf"^```{language}\n(.*?)^```", README.read_text(), re.M | re.S)
+
+
+def test_the_readme_library_example_runs():
+    (block,) = readme_blocks("python")
+    namespace: dict = {}
+    exec(block, namespace)
+    assert namespace["record"].carries == (0, 3, 3, 3, 0, 0)
+
+
+def test_the_readme_command_examples_run(capsys):
+    from permutiple.cli import main
+
+    examples = [
+        shlex.split(line, comments=True)
+        for block in readme_blocks("sh")
+        for line in block.splitlines()
+        if line.startswith("permutiple ")
+    ]
+    # oeis-check reads a b-file, which the README names but does not ship
+    commands = [argv[1] for argv in examples if argv[1] != "oeis-check"]
+    assert commands == ["hs-graph", "find", "verify", "siblings", "class"]
+    for argv in examples:
+        if argv[1] != "oeis-check":
+            assert main(argv[1:]) == 0, argv
+            out = capsys.readouterr().out
+            assert out
+            if argv[1] == "class":
+                assert len(out.splitlines()) == 72

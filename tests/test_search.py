@@ -51,6 +51,7 @@ from permutiple.symmetry import _fixing_images, class_unions
 from permutiple.value import Value
 
 from helpers import (
+    carries_by_value,
     cycle_combinations,
     distinct_orderings,
     empty_state_multigraph,
@@ -446,7 +447,7 @@ class TestWalkKernel:
         assert {d for _, d in class_unions(record)} == {
             d for _, d in reference_class_unions(record)
         }
-        # siblings and images built from carries, against re-walked strings
+        # siblings and images built by rearranging, against re-walked strings
         assert reflective_siblings(record) == reference_siblings(record, reflect=True)
         assert rotational_siblings(record) == reference_siblings(record, reflect=False)
         assert _fixing_images(record) == reference_fixing_images(record)
@@ -477,29 +478,27 @@ class TestWalkKernel:
             grown = sum(len(r) for row in options for o in row for r in tables[o[2]].values())
             assert grown > search._TAIL_RUNS
         for carry, table in enumerate(tables):
-            # every run of h digits from this carry to carry 0: its digits,
-            # preimage and lower carries c_0..c_{h-1}, least-significant first
+            # every run of h digits from this carry to carry 0: its digits
+            # and preimage, least-significant first
             expected = []
-            stack = [(carry, (), (), ())]
+            stack = [(carry, (), ())]
             while stack:
-                at, ds, ps, cs = stack.pop()
+                at, ds, ps = stack.pop()
                 if len(ds) < h:
-                    stack.extend(
-                        (c, (d,) + ds, (p,) + ps, (c,) + cs) for d, p, c, _ in reversed(options[at])
-                    )
+                    stack.extend((c, (d,) + ds, (p,) + ps) for d, p, c, _ in reversed(options[at]))
                 elif at == 0:
-                    expected.append((ds, ps, cs))
+                    expected.append((ds, ps))
             assert sorted(r for listed in table.values() for r in listed) == sorted(expected)
             for code, listed in table.items():
-                for ds, ps, cs in listed:
-                    assert len(ds) == len(ps) == len(cs) == h
+                for ds, ps in listed:
+                    assert len(ds) == len(ps) == h
                     assert sum(width**d - width**p for d, p in zip(ds, ps)) == code
                     at = carry
                     for j in reversed(range(h)):  # from carry c down to carry 0
-                        assert (ds[j], ps[j], cs[j], width**ds[j] - width**ps[j]) in options[at]
-                        at = cs[j]
+                        lower = {(d, p): c for d, p, c, _ in options[at]}
+                        at = lower[ds[j], ps[j]]
                     assert at == 0
-                shown = [ds[::-1] for ds, _, _ in listed]
+                shown = [ds[::-1] for ds, _ in listed]
                 assert shown == sorted(shown)
 
     # at (4,10,7) a budget of 9 stops the tail at h = 0, 50 at h = 1 (level
@@ -516,7 +515,7 @@ class TestWalkKernel:
         for args, walks in zip(calls, expected):
             assert list(division_walk(n, b, k, *args)) == walks and walks
             for walk in walks:
-                assert type(walk) is tuple and list(map(len, walk)) == [k, k, k + 1]
+                assert type(walk) is tuple and list(map(len, walk)) == [k, k]
                 for part in walk:
                     assert type(part) is tuple and all(type(x) is int for x in part)
 
@@ -590,7 +589,7 @@ class TestWalkKernel:
             walks = list(division_walk(n, b, k, allow_leading_zero=allow))
             assert list(division_walk(n, b, k, mother, allow_leading_zero=allow)) == walks
             assert list(division_walk(n, b, k, mother + extra, allow_leading_zero=allow)) == walks
-        digits, preimage, _ = data.draw(st.sampled_from(walks))
+        digits, preimage = data.draw(st.sampled_from(walks))
         string = list(zip(digits, preimage))
         for allow in (False, True):
             assert list(division_walk(n, b, k, string + extra, digits, allow)) == list(
@@ -681,7 +680,7 @@ class TestWalkPlanCache:
         # every call shape: the mother graph, edges, edges and pinned digits,
         # pinned digits alone, each with and without zero-led walks
         n, b, k = point
-        digits, preimage, _ = data.draw(st.sampled_from(cold_walks(n, b, k)))
+        digits, preimage = data.draw(st.sampled_from(cold_walks(n, b, k)))
         string = tuple(zip(digits, preimage))
         shapes = [(None, None), (string, None), (string, digits), (None, digits)]
         calls = [
@@ -758,11 +757,13 @@ class TestWalkPlanCache:
         assert any(key < 0 for key in tails) == (h > 0)
         for key, bucket in tails.items():
             code, carry = divmod(key, n)
-            for ds, ps, cs in bucket:
-                assert sum(steps[pair] for pair in zip(ds, ps)) == code and cs[:1] in ((), (0,))
-                assert [cs[j] for j in range(h)] == [
-                    (b * above + d) % n for above, d in zip((*cs[1:], carry), ds)
-                ]
+            for ds, ps in bucket:
+                assert sum(steps[pair] for pair in zip(ds, ps)) == code
+                at = carry
+                for j in reversed(range(h)):  # long division from the carry down to carry 0
+                    quotient, at = divmod(b * at + ds[j], n)
+                    assert quotient == ps[j]
+                assert at == 0
 
     def test_rows_count_against_the_bound(self):
         # a one-digit walk tables one empty run but holds n rows of b
@@ -825,14 +826,16 @@ def sigma_is_read(record):
     return True
 
 
-def assert_built_as_validated(build, n, b, digits, preimage, carries):
+def assert_built_as_validated(build, n, b, digits, preimage):
     """``build()`` makes the record the validating constructors build.
 
+    The constructors are given the carries derived from prefix values.
     Each comparison runs on a fresh record, once before its sigma is read
     and once after.  A record the constructors build with another sigma
     that maps onto the same preimage, one swap of two equal digits away,
     is a different record.
     """
+    carries = carries_by_value(n, b, digits[::-1], preimage[::-1])
     mapping = smallest_bijection(digits, preimage)
     validated = PermutipleRecord(n, DigitString(b, digits), Permutation(mapping), carries)
     j = next((j for j in range(1, len(mapping)) if preimage[j] in preimage[:j]), None)
@@ -852,6 +855,7 @@ def assert_built_as_validated(build, n, b, digits, preimage, carries):
 
         # the readers of the stored preimage leave sigma as they found it
         record = fresh()
+        assert record.carries == carries
         assert record.key == validated.key
         assert record.preimage == DigitString(b, preimage) == validated.preimage
         assert record.string == validated.string
@@ -880,11 +884,11 @@ class TestBuildRecord:
     def test_matches_the_validating_constructors(self, point, leading_zero, data):
         n, b, k = point
         records = []
-        for digits, preimage, carries in division_walk(n, b, k, allow_leading_zero=leading_zero):
-            def build(walk=(digits, preimage, carries)):
+        for digits, preimage in division_walk(n, b, k, allow_leading_zero=leading_zero):
+            def build(walk=(digits, preimage)):
                 return build_record(n, b, *walk)
 
-            assert_built_as_validated(build, n, b, digits, preimage, carries)
+            assert_built_as_validated(build, n, b, digits, preimage)
             records.append(build())
         if not records:
             return
@@ -895,50 +899,48 @@ class TestBuildRecord:
             for built in builds:
                 for i, r in enumerate(built()):
                     assert_built_as_validated(lambda i=i, built=built: built()[i], n, b,
-                                              r.digits.digits, r.preimage.digits, r.carries)
+                                              r.digits.digits, r.preimage.digits)
 
     @pytest.mark.parametrize(
         "walk, error, message",
         [
-            # n, b, digits, preimage and carries of 87912 = 4 * 21978 with
-            # its units digit, and the preimage digit it maps to, raised to the base
-            ((4, 10, (10, 1, 9, 7, 8), (8, 7, 9, 1, 10), (0, 3, 3, 3, 0, 0)),
+            # n, b, digits and preimage of 87912 = 4 * 21978 with its units
+            # digit, and the preimage digit it maps to, raised to the base
+            ((4, 10, (10, 1, 9, 7, 8), (8, 7, 9, 1, 10)),
              ParameterError, "digit out of range for base 10"),
             # the same pair lowered to -1
-            ((4, 10, (-1, 1, 9, 7, 8), (8, 7, 9, 1, -1), (0, 3, 3, 3, 0, 0)),
+            ((4, 10, (-1, 1, 9, 7, 8), (8, 7, 9, 1, -1)),
              ParameterError, "digit out of range for base 10"),
             # its units preimage digit, and the top digit, raised to the base
-            ((4, 10, (2, 1, 9, 7, 10), (10, 7, 9, 1, 2), (0, 3, 3, 3, 0, 0)),
+            ((4, 10, (2, 1, 9, 7, 10), (10, 7, 9, 1, 2)),
              ParameterError, "digit out of range for base 10"),
             # a preimage digit raised to the base alone: the multisets differ
             # and that is tested first
-            ((4, 10, (2, 1, 9, 7, 8), (8, 7, 9, 1, 10), (0, 3, 3, 3, 0, 0)),
+            ((4, 10, (2, 1, 9, 7, 8), (8, 7, 9, 1, 10)),
              MultisetMismatchError, "multisets differ"),
-            # carry c_1 equal to the multiplier
-            ((4, 10, (2, 1, 9, 7, 8), (8, 7, 9, 1, 2), (0, 4, 3, 3, 0, 0)),
-             ParameterError, "leaves 0..3"),
-            # carry c_4 off by one
-            ((4, 10, (2, 1, 9, 7, 8), (8, 7, 9, 1, 2), (0, 3, 3, 3, 1, 0)),
+            # digits 3 and 4 swapped: 4 * 1978 + 3 ends in 7, not 8
+            ((4, 10, (2, 1, 9, 8, 7), (8, 7, 9, 1, 2)),
+             ParameterError, "violated at position 3"),
+            # the two lowest digits swapped: 4 * 8 ends in 2, not 1
+            ((4, 10, (1, 2, 9, 7, 8), (8, 7, 9, 1, 2)),
              ParameterError, "recurrence"),
-            # a nonzero top carry c_5
-            ((4, 10, (2, 1, 9, 7, 8), (8, 7, 9, 1, 2), (0, 3, 3, 3, 0, 1)),
-             ParameterError, "end at 0"),
-            # carries one entry short
-            ((4, 10, (2, 1, 9, 7, 8), (8, 7, 9, 1, 2), (0, 3, 3, 3, 0)),
-             ParameterError, "k\\+1 carries"),
+            # 4 * 82 = 328: the low digits rearrange 82, the top carry is 3
+            ((4, 10, (8, 2), (2, 8)), ParameterError, "end at 0"),
+            # 4 * 83002 = 332008: the same at five digits
+            ((4, 10, (8, 0, 0, 2, 3), (2, 0, 0, 3, 8)), ParameterError, "top carry 3"),
             # no digits at all
-            ((4, 10, (), (), (0,)), ParameterError, "k >= 1"),
+            ((4, 10, (), ()), ParameterError, "k >= 1"),
             # the multiplier equal to the base
-            ((10, 10, (2, 1, 9, 7, 8), (8, 7, 9, 1, 2), (0, 3, 3, 3, 0, 0)),
-             ParameterError, "1 < n < base"),
+            ((10, 10, (2, 1, 9, 7, 8), (8, 7, 9, 1, 2)), ParameterError, "1 < n < base"),
             # 48 = 4 * 12: a true equation on an unbalanced pair of strings
-            ((4, 10, (8, 4), (2, 1), (0, 0, 0)), MultisetMismatchError, "multisets differ"),
+            ((4, 10, (8, 4), (2, 1)), MultisetMismatchError, "multisets differ"),
         ],
     )
     def test_corrupted_walks_are_refused(self, walk, error, message):
-        good = ((2, 1, 9, 7, 8), (8, 7, 9, 1, 2), (0, 3, 3, 3, 0, 0))
+        good = ((2, 1, 9, 7, 8), (8, 7, 9, 1, 2))
         assert good in division_walk(4, 10, 5)
-        assert build_record(4, 10, *good).value() == 87912
+        record = build_record(4, 10, *good)
+        assert (record.value(), record.carries) == (87912, (0, 3, 3, 3, 0, 0))
         with pytest.raises(error, match=message):
             build_record(*walk)
 

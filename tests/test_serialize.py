@@ -261,24 +261,24 @@ class TestLineBuilder:
     @pytest.mark.parametrize(
         "walk, message",
         [
-            # n, b, digits, preimage and carries of 87912 = 4 * 21978 with
-            # carry c_4 off by one
-            ((4, 10, (2, 1, 9, 7, 8), (8, 7, 9, 1, 2), (0, 3, 3, 3, 1, 0)), "recurrence"),
+            # n, b, digits and preimage of 87912 = 4 * 21978 with its two
+            # lowest digits swapped: 4 * 8 ends in 2, not 1
+            ((4, 10, (1, 2, 9, 7, 8), (8, 7, 9, 1, 2)), "recurrence"),
             # its units digit, and the preimage digit it maps to, raised to the
             # base (raised alone, it would fail the multiset test, which runs first)
-            ((4, 10, (10, 1, 9, 7, 8), (8, 7, 9, 1, 10), (0, 3, 3, 3, 0, 0)), "out of range"),
+            ((4, 10, (10, 1, 9, 7, 8), (8, 7, 9, 1, 10)), "out of range"),
             # 48 = 4 * 12: a true equation on an unbalanced pair of strings
-            ((4, 10, (8, 4), (2, 1), (0, 0, 0)), "multisets differ"),
-            # a nonzero top carry c_5
-            ((4, 10, (2, 1, 9, 7, 8), (8, 7, 9, 1, 2), (0, 3, 3, 3, 0, 1)), "end at 0"),
+            ((4, 10, (8, 4), (2, 1)), "multisets differ"),
+            # 4 * 82 = 328: the low digits rearrange 82, the top carry is 3
+            ((4, 10, (8, 2), (2, 8)), "end at 0"),
             # its units preimage digit, and the top digit, raised to the base
-            ((4, 10, (2, 1, 9, 7, 10), (10, 7, 9, 1, 2), (0, 3, 3, 3, 0, 0)), "out of range"),
-            # carries one entry short
-            ((4, 10, (2, 1, 9, 7, 8), (8, 7, 9, 1, 2), (0, 3, 3, 3, 0)), "k\\+1 carries"),
-            # carry c_1 equal to the multiplier
-            ((4, 10, (2, 1, 9, 7, 8), (8, 7, 9, 1, 2), (0, 4, 3, 3, 0, 0)), "leaves 0..3"),
+            ((4, 10, (2, 1, 9, 7, 10), (10, 7, 9, 1, 2)), "out of range"),
+            # digits 3 and 4 swapped: 4 * 1978 + 3 ends in 7, not 8
+            ((4, 10, (2, 1, 9, 8, 7), (8, 7, 9, 1, 2)), "violated at position 3"),
+            # 4 * 83002 = 332008: the low five digits rearrange 83002
+            ((4, 10, (8, 0, 0, 2, 3), (2, 0, 0, 3, 8)), "top carry 3"),
             # the multiplier equal to the base
-            ((10, 10, (2, 1, 9, 7, 8), (8, 7, 9, 1, 2), (0, 3, 3, 3, 0, 0)), "1 < n < base"),
+            ((10, 10, (2, 1, 9, 7, 8), (8, 7, 9, 1, 2)), "1 < n < base"),
         ],
     )
     def test_corrupted_walks_are_refused(self, monkeypatch, walk, message, text):
@@ -288,7 +288,7 @@ class TestLineBuilder:
             monkeypatch.setattr(search, "division_walk", lambda *args, **kwargs: iter(walks))
 
         n, b, *parts = walk
-        good = ((2, 1, 9, 7, 8), (8, 7, 9, 1, 2), (0, 3, 3, 3, 0, 0))
+        good = ((2, 1, 9, 7, 8), (8, 7, 9, 1, 2))
         assert good in division_walk(4, 10, 5)
         kernel(good)
         assert [r.value() for r in walk_records(4, 10, 5)] == [87912]

@@ -8,6 +8,7 @@ from permutiple import (
     NoReflectionError,
     ParameterError,
     Permutation,
+    WalkError,
     apply_symmetry,
     build_mother_graph,
     check_sym_rev,
@@ -24,6 +25,7 @@ from permutiple import (
     reflective_siblings,
     rotational_siblings,
     state_sequence,
+    string_to_permutiple,
     symmetric_closure,
     symmetries_fixing_sequence,
 )
@@ -389,6 +391,24 @@ class TestApplySymmetry:
     def test_size_mismatch(self, rec_86712):
         with pytest.raises(ParameterError):
             apply_symmetry(rec_86712, Permutation.identity(4))
+
+    @settings(max_examples=200, deadline=None)
+    @given(point=small_points(), data=st.data())
+    def test_matches_the_string_read_through_the_machine(self, point, data):
+        n, b, k = point
+        record = data.draw(st.sampled_from(list(walk_records(n, b, k))))
+        phi = Permutation(tuple(data.draw(st.permutations(range(k)))))
+        reflect = data.draw(st.booleans())
+        permuted = [record.string[phi(i)] for i in range(k)]
+        if reflect:
+            permuted = [(b - 1 - d, b - 1 - p) for d, p in permuted]
+        image = apply_symmetry(record, phi, reflect)
+        try:
+            expected = string_to_permutiple(permuted, n, b).record
+        except WalkError:
+            assert image is None
+        else:
+            assert image == expected and image.carries == expected.carries
 
 
 class TestCoarseConjugacy:
