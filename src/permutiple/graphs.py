@@ -65,11 +65,6 @@ class DigitGraph(Value):
         """Map every edge (d1, d2) to (base-1-d1, base-1-d2); an involution."""
         return DigitGraph(self.base, reflect_pairs(self.edges, self.base - 1))
 
-    def union(self, other: "DigitGraph") -> "DigitGraph":
-        if self.base != other.base:
-            raise ParameterError("cannot union digit graphs over different bases")
-        return DigitGraph(self.base, self.edges | other.edges)
-
     def issubgraph(self, other: "DigitGraph") -> bool:
         return self.base == other.base and self.edges <= other.edges
 
@@ -145,8 +140,11 @@ def enumerate_cycles(graph: DigitGraph, max_length: int | None = None) -> list[D
     root and record a cycle whenever an edge returns to the root.  Every
     cycle is found exactly once (at its minimum vertex), loops count as
     length-1 cycles, and the output is sorted by vertex tuple, so the
-    inventory order is deterministic.
+    inventory order is deterministic.  A ``max_length`` keeps only cycles of
+    at most that many vertices, and below 1 raises :class:`ParameterError`.
     """
+    if max_length is not None and max_length < 1:
+        raise ParameterError(f"max_length must be at least 1; got {max_length}")
     adj: dict[int, list[int]] = {}
     for d1, d2 in sorted(graph.edges):
         adj.setdefault(d1, []).append(d2)

@@ -4,16 +4,18 @@ States are the carries 0..n-1, and a mother-graph edge (d1, d2) drives the
 one transition c1 -> c2 with ``b*c2 + d1 = n*d2 + c1``, as
 :func:`permutiple.digits.carry_step` solves it.  The machine has two
 equivalent presentations: a state graph whose edges carry label sets, and
-a multigraph with one labeled multi-edge per input.  :func:`edge_image`
-traces a set of mother-graph edges into the first and
-:func:`edge_multi_image` a multiset of them into the second; every other
-image builder calls one of the two.
+a multigraph with one labeled multi-edge per input; each holds only
+machine transitions, checked on construction.  :func:`edge_image` traces a
+set of mother-graph edges into the first and :func:`edge_multi_image` a
+multiset of them into the second; every other image builder calls one of
+the two.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Mapping
+from typing import Iterable, Sequence
 
 from .digits import carry_step, check_multiplier
 from .errors import ParameterError, WalkError
@@ -54,10 +56,11 @@ def transition(edge: Pair, multiplier: int, base: int) -> Pair:
 class StateGraph(Value):
     """Edge-labeled state graph; each edge holds a sorted set of input pairs.
 
-    ``edges`` is a canonical tuple of ((c1, c2), labels) items sorted by
-    state pair, which makes structural equality the graph equality used by
-    the symmetry results.  A digit-pair label never appears on two distinct
-    edges.
+    ``edges`` is given as a mapping from state pairs (c1, c2) to labels, or
+    its items, and kept as a canonical tuple of items sorted by state pair,
+    which makes structural equality the graph equality used by the symmetry
+    results.  Every label (d1, d2) must drive its edge's transition
+    (:func:`permutiple.digits.carry_step`), so no label is on two edges.
     """
 
     __slots__ = ("multiplier", "base", "states", "edges")
@@ -66,34 +69,25 @@ class StateGraph(Value):
     states: frozenset[int]
     edges: tuple[tuple[Pair, tuple[Pair, ...]], ...]
 
-    @classmethod
-    def make(
-        cls,
-        multiplier: int,
-        base: int,
-        states: Iterable[int],
-        edge_labels: Mapping[Pair, Iterable[Pair]],
-    ) -> "StateGraph":
-        n, b = multiplier, base
+    def __post_init__(self) -> None:
+        n, b, given = self.multiplier, self.base, self.edges
         check_multiplier(n, b)
-        state_set = frozenset(states)
-        for c in state_set:
+        states = frozenset(self.states)
+        for c in states:
             if not 0 <= c <= n - 1:
                 raise ParameterError(f"state {c} out of range 0..{n - 1}")
-        items = []
-        seen_labels: set[Pair] = set()
-        for (c1, c2), labels in edge_labels.items():
-            label_tuple = tuple(sorted(set(labels)))
-            if not label_tuple:
-                continue
-            if c1 not in state_set or c2 not in state_set:
+        edges: dict[Pair, tuple[Pair, ...]] = {}
+        for (c1, c2), labels in given.items() if isinstance(given, Mapping) else given:
+            if (c1, c2) in edges:
+                raise ParameterError(f"edge ({c1},{c2}) is given more than once")
+            edges[c1, c2] = labels = tuple(sorted(set(labels)))
+            if labels and (c1 not in states or c2 not in states):
                 raise ParameterError(f"edge ({c1},{c2}) uses a state outside the graph")
-            for lab in label_tuple:
-                if lab in seen_labels:
-                    raise ParameterError(f"label {lab} appears on more than one edge")
-                seen_labels.add(lab)
-            items.append(((c1, c2), label_tuple))
-        return cls(n, b, state_set, tuple(sorted(items)))
+            for d1, d2 in labels:
+                if carry_step(n, b, d1, d2) != (c1, c2):
+                    raise ParameterError(f"label ({d1},{d2}) does not drive ({c1},{c2})")
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "edges", tuple(sorted(item for item in edges.items() if item[1])))
 
     def label_map(self) -> dict[Pair, tuple[Pair, ...]]:
         return dict(self.edges)
@@ -112,7 +106,7 @@ class StateGraph(Value):
         n, b = self.multiplier, self.base
         pairs = reflect_pairs((pair for pair, _ in self.edges), n - 1)
         edge_labels = {pair: reflect_pairs(ls, b - 1) for pair, (_, ls) in zip(pairs, self.edges)}
-        return StateGraph.make(n, b, (n - 1 - c for c in self.states), edge_labels)
+        return StateGraph(n, b, (n - 1 - c for c in self.states), edge_labels)
 
     def is_strongly_connected(self) -> bool:
         return strongly_connected(self.states, (pair for pair, _ in self.edges))
@@ -127,18 +121,15 @@ class StateMultigraph(Value):
     base: int
     edges: tuple[tuple[int, int, Pair], ...]
 
-    @classmethod
-    def make(
-        cls, multiplier: int, base: int, triples: Iterable[tuple[int, int, Pair]]
-    ) -> "StateMultigraph":
-        n, b = multiplier, base
+    def __post_init__(self) -> None:
+        n, b = self.multiplier, self.base
         check_multiplier(n, b)
-        normalized = []
-        for c1, c2, (d1, d2) in triples:
+        triples = []
+        for c1, c2, (d1, d2) in self.edges:
             if carry_step(n, b, d1, d2) != (c1, c2):
                 raise ParameterError(f"triple ({c1},{c2},({d1},{d2})) violates the transition equation")
-            normalized.append((c1, c2, (d1, d2)))
-        return cls(n, b, tuple(sorted(normalized)))
+            triples.append((c1, c2, (d1, d2)))
+        object.__setattr__(self, "edges", tuple(sorted(triples)))
 
     def counter(self) -> Counter:
         return Counter(self.edges)
@@ -155,7 +146,7 @@ class StateMultigraph(Value):
 
     def reflect(self) -> "StateMultigraph":
         n, b = self.multiplier, self.base
-        return StateMultigraph.make(
+        return StateMultigraph(
             n,
             b,
             (
@@ -174,7 +165,7 @@ def build_state_graph(multiplier: int, base: int) -> StateGraph:
     All states 0..n-1 are retained even if some end up isolated.
     """
     image = edge_image(build_mother_graph(multiplier, base).edges, multiplier, base)
-    return StateGraph.make(multiplier, base, range(multiplier), image.label_map())
+    return StateGraph(multiplier, base, range(multiplier), image.edges)
 
 
 def build_state_multigraph(multiplier: int, base: int) -> StateMultigraph:
@@ -195,14 +186,14 @@ def edge_image(edges: Iterable[Pair], multiplier: int, base: int) -> StateGraph:
         grouped.setdefault((c1, c2), []).append(edge)
         incident.add(c1)
         incident.add(c2)
-    return StateGraph.make(multiplier, base, incident, grouped)
+    return StateGraph(multiplier, base, incident, grouped)
 
 
 def edge_multi_image(edges: Iterable[Pair], multiplier: int, base: int) -> StateMultigraph:
     """The multigraph traced by a multiset of mother-graph edges: one
     (c1, c2, edge) triple per edge, repeats kept."""
     triples = [(*transition(edge, multiplier, base), edge) for edge in edges]
-    return StateMultigraph.make(multiplier, base, triples)
+    return StateMultigraph(multiplier, base, triples)
 
 
 def cycle_image(cycle: DigitCycle, multiplier: int, base: int) -> StateGraph:
@@ -221,7 +212,7 @@ def union_images(parts: Sequence[StateGraph]) -> StateGraph:
         states |= part.states
         for edge, labels in part.edges:
             merged.setdefault(edge, set()).update(labels)
-    return StateGraph.make(n, b, states, {e: sorted(ls) for e, ls in merged.items()})
+    return StateGraph(n, b, states, merged)
 
 
 def walk_states(

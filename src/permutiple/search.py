@@ -47,10 +47,8 @@ from .digits import (
     DigitString,
     PermutipleRecord,
     build_record,
-    canonical_sigma,
     carry_step,
     check_multiplier,
-    verify_permutiple,
 )
 from .errors import (
     InfeasibleUnionError,
@@ -136,11 +134,14 @@ class CycleMultiset(Value):
 
 
 class SearchResult(Value):
-    """A found permutiple together with its input string."""
+    """A found permutiple, read with its input string."""
 
-    __slots__ = ("record", "string")
+    __slots__ = ("record",)
     record: PermutipleRecord
-    string: InputString
+
+    @property
+    def string(self) -> InputString:
+        return self.record.string
 
 
 def check_feasible(delta: StateMultigraph) -> bool:
@@ -328,7 +329,7 @@ def string_to_permutiple(inputs: Sequence[Pair], multiplier: int, base: int) -> 
     walk_states(inputs, multiplier, base)
     digits = [d for d, _ in inputs]
     preimage = [p for _, p in inputs]
-    return SearchResult(build_record(multiplier, base, digits, preimage), inputs)
+    return SearchResult(build_record(multiplier, base, digits, preimage))
 
 
 _MISSING = object()
@@ -569,6 +570,17 @@ def division_walk(
                     dead.add(frame[3])
 
 
+def _proved(n: int, b: int, digits: Sequence[int], preimage: Sequence[int],
+            found: str = "") -> PermutipleRecord:
+    """:func:`permutiple.digits.build_record` on digits and a preimage that a
+    search found; a failed proof is a defect of the search, raised as
+    :class:`InvariantError` with ``found`` and the proof's message."""
+    try:
+        return build_record(n, b, digits, preimage)
+    except (MultisetMismatchError, ParameterError) as exc:
+        raise InvariantError(f"{found}{exc}") from None
+
+
 def walk_records(
     multiplier: int,
     base: int,
@@ -583,11 +595,7 @@ def walk_records(
     with the proof's message."""
     walks = division_walk(multiplier, base, length, edges, left_digits, allow_leading_zero)
     for digits, preimage in walks:
-        try:
-            record = build_record(multiplier, base, digits, preimage)
-        except (MultisetMismatchError, ParameterError) as exc:
-            raise InvariantError(str(exc)) from None
-        yield record
+        yield _proved(multiplier, base, digits, preimage)
 
 
 def group_unions(
@@ -620,7 +628,7 @@ def _search(
     multiplier: int, base: int, length: int, allow_leading_zero: bool
 ) -> tuple[SearchResult, ...]:
     records = walk_records(multiplier, base, length, allow_leading_zero=allow_leading_zero)
-    return tuple(SearchResult(r, r.string) for r in records)
+    return tuple(map(SearchResult, records))
 
 
 def find_permutiples(
@@ -665,9 +673,8 @@ def brute_force_oracle(
     q divisible by s = (b-1) / gcd(n-1, b-1) are visited (s >= 2, as the
     gcd is at most n-1 < b-1).  Each candidate compares packed digit-count
     signatures, read from two tables of half-width blocks (:func:`_count_signatures`); every hit is
-    then rebuilt as digit strings and re-verified by :func:`canonical_sigma`
-    and :func:`verify_permutiple`.  Refuses scans beyond ``scan_limit``
-    candidate strings, and signature tables beyond about 128 MiB (a
+    then rebuilt as digit strings and proved by :func:`build_record`, as a
+    walk is.  Refuses scans beyond ``scan_limit`` candidate strings, and signature tables beyond about 128 MiB (a
     signature takes ``base * log2(length + 1)`` bits, so at the default
     limit this refuses only one-digit scans in bases above about 23,000).
     """
@@ -694,14 +701,9 @@ def brute_force_oracle(
         v = n * q
         if lo[v % m] + hi[v // m] != lo[q % m] + hi[q // m]:
             continue
-        digits = DigitString.from_int(b, v, width=length)
-        preimage = DigitString.from_int(b, q, width=length)
-        sigma = canonical_sigma(digits, preimage)
-        if sigma is None:
-            raise InvariantError(f"oracle hit {v} = {n} * {q} has no digit bijection")
-        record = verify_permutiple(digits, sigma, n)
-        if record is None:
-            raise InvariantError(f"oracle hit {v} = {n} * {q} but verification failed")
+        digits = DigitString.from_int(b, v, width=length).digits
+        preimage = DigitString.from_int(b, q, width=length).digits
+        record = _proved(n, b, digits, preimage, f"oracle hit {v} = {n} * {q}: ")
         if allow_leading_zero or record.canonical:
             records.append(record)
     return records

@@ -8,8 +8,9 @@ an :func:`apply_symmetry` image are each the record's digits and preimage
 rearranged (and reflected), built like a search result: one multiset
 check and one :func:`~permutiple.digits.check_equation`, which multiplies
 out their carries, with the smallest sigma derived when first read.
-Class-level reflection, symmetric closures, string symmetries that fix
-the state-transition sequence, and coarse conjugacy complete the picture.
+A class is its machine image, whose labels are its graph.  Class-level
+reflection, symmetric closures, string symmetries that fix the
+state-transition sequence, and coarse conjugacy complete the picture.
 """
 
 from __future__ import annotations
@@ -130,17 +131,24 @@ def dihedral_siblings(record: PermutipleRecord) -> list[PermutipleRecord]:
 
 
 class ClassSpec(Value):
-    """A permutiple class: its digit graph plus the union of cycle images.
+    """A permutiple class as its machine image: the labeled state subgraph
+    traced by all of its graph's cycles.  Each mother-graph edge drives one
+    transition, so the image's labels are the class :attr:`graph`."""
 
-    The graph must be a union of simple mother-graph cycles; ``images`` is
-    the labeled state subgraph traced by all of its cycles.
-    """
-
-    __slots__ = ("multiplier", "base", "graph", "images")
-    multiplier: int
-    base: int
-    graph: DigitGraph
+    __slots__ = ("images",)
     images: StateGraph
+
+    @property
+    def multiplier(self) -> int:
+        return self.images.multiplier
+
+    @property
+    def base(self) -> int:
+        return self.images.base
+
+    @property
+    def graph(self) -> DigitGraph:
+        return DigitGraph(self.images.base, self.images.all_labels())
 
     @classmethod
     def from_graph(cls, multiplier: int, graph: DigitGraph) -> "ClassSpec":
@@ -151,11 +159,10 @@ class ClassSpec(Value):
         edge outside the mother graph has no transition, so reading the
         image raises :class:`ParameterError` for it.
         """
-        n, b = multiplier, graph.base
-        images = edge_image(graph.edges, n, b)
+        images = edge_image(graph.edges, multiplier, graph.base)
         if not graph.edges or not is_cycle_union(graph):
             raise ParameterError("class graph must be a nonempty union of simple cycles")
-        return cls(n, b, graph, images)
+        return cls(images)
 
     @classmethod
     def from_record(cls, record: PermutipleRecord) -> "ClassSpec":
@@ -166,11 +173,11 @@ class ClassSpec(Value):
         image vertex.  A proved record's digit multigraph is balanced, so
         its graph is a nonempty cycle union and needs no further check.
         """
-        n, b, c = record.multiplier, record.base, record.carries
+        c = record.carries
         grouped: dict[Pair, list[Pair]] = {}
         for j, pair in enumerate(record.string):
             grouped.setdefault((c[j], c[j + 1]), []).append(pair)
-        return cls(n, b, graph_of_permutiple(record), StateGraph.make(n, b, c, grouped))
+        return cls(StateGraph(record.multiplier, record.base, c, grouped))
 
 
 def class_reflection_exists(spec: ClassSpec) -> bool:
@@ -193,30 +200,25 @@ def reflect_class(spec: ClassSpec) -> ClassSpec:
     """The class of the reflected graph.  Reflection maps each transition
     (c, c') to (n-1-c, n-1-c'), so its images are the reflected images."""
     _require_reflection(spec)
-    return ClassSpec(spec.multiplier, spec.base, spec.graph.reflect(), spec.images.reflect())
+    return ClassSpec(spec.images.reflect())
 
 
 def symmetric_closure(spec: ClassSpec) -> ClassSpec:
     """The class over the union of the graph with its reflection, whose
     images are the label union of the images and their reflection.
 
-    Each is built once, from the edges and labels merged with their
-    reflections: one :class:`DigitGraph` and one :meth:`StateGraph.make`
-    over the states and their reflections.  Its checks (states in range,
-    edges between states, no label on two edges) run on the whole closure,
-    so bad images of a hand-built spec still raise :class:`ParameterError`;
-    an edge is checked against the closure's states, which include the
-    reflections of the spec's own.
+    The closure's images are one :class:`StateGraph` over the states and
+    their reflections, built from the labels merged with their
+    reflections; its graph is read off those labels.
     """
     _require_reflection(spec)
-    n, b, edges, images = spec.multiplier, spec.base, spec.graph.edges, spec.images
-    graph = DigitGraph(b, edges.union(reflect_pairs(edges, b - 1)))
+    n, b, images = spec.multiplier, spec.base, spec.images
     labels = {pair: set(ls) for pair, ls in images.edges}
     pairs = reflect_pairs((pair for pair, _ in images.edges), n - 1)
     for pair, (_, ls) in zip(pairs, images.edges):
         labels.setdefault(pair, set()).update(reflect_pairs(ls, b - 1))
     states = images.states.union([n - 1 - c for c in images.states])
-    return ClassSpec(n, b, graph, StateGraph.make(n, b, states, labels))
+    return ClassSpec(StateGraph(n, b, states, labels))
 
 
 def is_symmetric_class(spec: ClassSpec) -> bool:

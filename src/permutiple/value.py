@@ -1,8 +1,9 @@
 """The immutable base of the package's value classes.
 
-A subclass names its fields in ``__slots__``, in constructor order, and may
-define ``__post_init__`` to normalise them (through ``object.__setattr__``)
-and validate them.  The base gives positional and keyword construction,
+A subclass names its fields in ``__slots__``, in constructor order, none
+determined by the others, and defines ``__post_init__`` to normalise them
+(through ``object.__setattr__``) and validate them, unless each is itself a
+validated value.  The base gives positional and keyword construction,
 equality and hashing by field values between objects of one class, a
 ``Name(field=value, ...)`` repr, refusal of assignment and deletion, and
 pickling (hence ``copy`` and ``deepcopy``) that rebuilds through the

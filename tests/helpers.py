@@ -219,15 +219,15 @@ def multiset_union(parts) -> StateMultigraph:
     if not parts or len({(part.multiplier, part.base) for part in parts}) != 1:
         raise ParameterError("need graphs of one multiplier and base to union")
     triples = [triple for part in parts for triple in part.edges]
-    return StateMultigraph.make(parts[0].multiplier, parts[0].base, triples)
+    return StateMultigraph(parts[0].multiplier, parts[0].base, triples)
 
 
 def empty_state_graph(multiplier: int, base: int) -> StateGraph:
-    return StateGraph.make(multiplier, base, (), {})
+    return StateGraph(multiplier, base, (), {})
 
 
 def empty_state_multigraph(multiplier: int, base: int) -> StateMultigraph:
-    return StateMultigraph.make(multiplier, base, ())
+    return StateMultigraph(multiplier, base, ())
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 
 from permutiple import cli, search, symmetry
 from permutiple.cli import build_parser, main
+from permutiple.digits import build_record
 from permutiple.errors import InvariantError
 from permutiple.search import division_walk
 from permutiple.value import Value
@@ -339,7 +340,10 @@ def test_a_missing_or_unknown_command_is_named_command(capsys, argv, message):
 
 
 def test_invariant_failure_is_an_error_line(capsys, monkeypatch):
-    monkeypatch.setattr(search, "verify_permutiple", lambda *args: None)
+    def unprovable(multiplier, base, digits, preimage):  # every hit but 0 fails its proof
+        return build_record(multiplier, base, digits[::-1], preimage)
+
+    monkeypatch.setattr(search, "build_record", unprovable)
     code, out, err = run_cli(capsys, "oracle", "-n", "4", "-b", "10", "-k", "5")
     assert code == 1
     assert out == ""

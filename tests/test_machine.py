@@ -104,7 +104,18 @@ class TestStateGraph:
 
     def test_label_uniqueness_enforced(self):
         with pytest.raises(ParameterError):
-            StateGraph.make(4, 10, {0, 3}, {(0, 0): [(8, 2)], (0, 3): [(8, 2)]})
+            StateGraph(4, 10, {0, 3}, {(0, 0): [(8, 2)], (0, 3): [(8, 2)]})
+
+    def test_every_label_is_its_edges_transition(self):
+        # (9, 9) drives (3, 3), not (0, 3); it is on no other edge
+        message = r"label \(9,9\) does not drive \(0,3\)"
+        with pytest.raises(ParameterError, match=message):
+            StateGraph(4, 10, {0, 3}, {(0, 3): [(9, 9)]})
+        # the items of a mapping, one state pair twice
+        items = (((0, 3), ((2, 8),)), ((0, 3), ((2, 8),)))
+        with pytest.raises(ParameterError, match="given more than once"):
+            StateGraph(4, 10, {0, 3}, items)
+        assert StateGraph(4, 10, {0, 3}, items[:1]) == StateGraph(4, 10, {0, 3}, dict(items))
 
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):
@@ -137,12 +148,12 @@ class TestStateMultigraph:
         from permutiple.machine import StateMultigraph
 
         with pytest.raises(ParameterError):
-            StateMultigraph.make(4, 10, [(0, 1, (2, 8))])
+            StateMultigraph(4, 10, [(0, 1, (2, 8))])
         # these satisfy the equation, but state 4 is not below n = 4 and
         # digit 12 is not below b = 10: neither is a machine transition
         for triple in [(4, 4, (0, 9)), (0, 0, (12, 3))]:
             with pytest.raises(ParameterError, match="violates the transition equation"):
-                StateMultigraph.make(4, 10, [triple])
+                StateMultigraph(4, 10, [triple])
 
 
 class TestCycleImages:

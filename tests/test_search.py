@@ -39,7 +39,6 @@ from permutiple import (
     rotational_siblings,
     string_to_permutiple,
     symmetric_closure,
-    verify_permutiple,
 )
 from permutiple import digits as digits_module
 from permutiple import search
@@ -140,7 +139,7 @@ class TestEulerianStrings:
 
     def test_circuit_longer_than_the_recursion_limit(self):
         size = sys.getrecursionlimit() + 100
-        loops = StateMultigraph.make(4, 10, [(0, 0, (0, 0))] * size)
+        loops = StateMultigraph(4, 10, [(0, 0, (0, 0))] * size)
         assert eulerian_strings(loops) == [((0, 0),) * size]
 
     def test_infeasible_union_has_no_ordering(self):
@@ -347,15 +346,16 @@ class TestOracle:
             brute_force_oracle(2, 10**5, 1)
 
     def test_every_hit_is_verified(self, monkeypatch):
+        # each hit is proved by build_record, as a walk is
         calls = []
 
-        def counting(digits, sigma, multiplier):
-            calls.append(digits)
-            return verify_permutiple(digits, sigma, multiplier)
+        def counting(multiplier, base, digits, preimage):
+            calls.append(tuple(digits))
+            return build_record(multiplier, base, digits, preimage)
 
-        monkeypatch.setattr(search, "verify_permutiple", counting)
+        monkeypatch.setattr(search, "build_record", counting)
         records = brute_force_oracle(4, 10, 5, True)
-        assert calls == [r.digits for r in records]
+        assert calls == [r.digits.digits for r in records]
 
     @settings(max_examples=25, deadline=None)
     @given(point=oracle_points())
@@ -901,39 +901,57 @@ class TestBuildRecord:
                     assert_built_as_validated(lambda i=i, built=built: built()[i], n, b,
                                               r.digits.digits, r.preimage.digits)
 
+    # each case has a fixed id, so that rewording an error message or
+    # dropping a case renames no case
     @pytest.mark.parametrize(
         "walk, error, message",
         [
             # n, b, digits and preimage of 87912 = 4 * 21978 with its units
             # digit, and the preimage digit it maps to, raised to the base
-            ((4, 10, (10, 1, 9, 7, 8), (8, 7, 9, 1, 10)),
-             ParameterError, "digit out of range for base 10"),
+            pytest.param((4, 10, (10, 1, 9, 7, 8), (8, 7, 9, 1, 10)),
+                         ParameterError, "digit out of range for base 10",
+                         id="walk0-ParameterError-digit out of range for base 10"),
             # the same pair lowered to -1
-            ((4, 10, (-1, 1, 9, 7, 8), (8, 7, 9, 1, -1)),
-             ParameterError, "digit out of range for base 10"),
+            pytest.param((4, 10, (-1, 1, 9, 7, 8), (8, 7, 9, 1, -1)),
+                         ParameterError, "digit out of range for base 10",
+                         id="walk1-ParameterError-digit out of range for base 10"),
             # its units preimage digit, and the top digit, raised to the base
-            ((4, 10, (2, 1, 9, 7, 10), (10, 7, 9, 1, 2)),
-             ParameterError, "digit out of range for base 10"),
+            pytest.param((4, 10, (2, 1, 9, 7, 10), (10, 7, 9, 1, 2)),
+                         ParameterError, "digit out of range for base 10",
+                         id="walk2-ParameterError-digit out of range for base 10"),
             # a preimage digit raised to the base alone: the multisets differ
             # and that is tested first
-            ((4, 10, (2, 1, 9, 7, 8), (8, 7, 9, 1, 10)),
-             MultisetMismatchError, "multisets differ"),
+            pytest.param((4, 10, (2, 1, 9, 7, 8), (8, 7, 9, 1, 10)),
+                         MultisetMismatchError, "multisets differ",
+                         id="walk3-MultisetMismatchError-multisets differ"),
             # digits 3 and 4 swapped: 4 * 1978 + 3 ends in 7, not 8
-            ((4, 10, (2, 1, 9, 8, 7), (8, 7, 9, 1, 2)),
-             ParameterError, "violated at position 3"),
+            pytest.param((4, 10, (2, 1, 9, 8, 7), (8, 7, 9, 1, 2)),
+                         ParameterError, "violated at position 3",
+                         id="walk4-ParameterError-violated at position 3"),
             # the two lowest digits swapped: 4 * 8 ends in 2, not 1
-            ((4, 10, (1, 2, 9, 7, 8), (8, 7, 9, 1, 2)),
-             ParameterError, "recurrence"),
+            pytest.param((4, 10, (1, 2, 9, 7, 8), (8, 7, 9, 1, 2)),
+                         ParameterError, "recurrence",
+                         id="walk5-ParameterError-recurrence"),
             # 4 * 82 = 328: the low digits rearrange 82, the top carry is 3
-            ((4, 10, (8, 2), (2, 8)), ParameterError, "end at 0"),
+            pytest.param((4, 10, (8, 2), (2, 8)),
+                         ParameterError, "end at 0",
+                         id="walk6-ParameterError-end at 0"),
             # 4 * 83002 = 332008: the same at five digits
-            ((4, 10, (8, 0, 0, 2, 3), (2, 0, 0, 3, 8)), ParameterError, "top carry 3"),
+            pytest.param((4, 10, (8, 0, 0, 2, 3), (2, 0, 0, 3, 8)),
+                         ParameterError, "top carry 3",
+                         id="walk7-ParameterError-top carry 3"),
             # no digits at all
-            ((4, 10, (), ()), ParameterError, "k >= 1"),
+            pytest.param((4, 10, (), ()),
+                         ParameterError, "k >= 1",
+                         id="walk8-ParameterError-k >= 1"),
             # the multiplier equal to the base
-            ((10, 10, (2, 1, 9, 7, 8), (8, 7, 9, 1, 2)), ParameterError, "1 < n < base"),
+            pytest.param((10, 10, (2, 1, 9, 7, 8), (8, 7, 9, 1, 2)),
+                         ParameterError, "1 < n < base",
+                         id="walk9-ParameterError-1 < n < base"),
             # 48 = 4 * 12: a true equation on an unbalanced pair of strings
-            ((4, 10, (8, 4), (2, 1)), MultisetMismatchError, "multisets differ"),
+            pytest.param((4, 10, (8, 4), (2, 1)),
+                         MultisetMismatchError, "multisets differ",
+                         id="walk10-MultisetMismatchError-multisets differ"),
         ],
     )
     def test_corrupted_walks_are_refused(self, walk, error, message):

@@ -257,28 +257,36 @@ class TestLineBuilder:
             assert record_to_json(r) == reference_record_to_json(r)
             assert record_to_text(r) == reference_record_to_text(r)
 
+    # each case has a fixed id, so that rewording an error message or
+    # dropping a case renames no case
     @pytest.mark.parametrize("text", [False, True])
     @pytest.mark.parametrize(
         "walk, message",
         [
             # n, b, digits and preimage of 87912 = 4 * 21978 with its two
             # lowest digits swapped: 4 * 8 ends in 2, not 1
-            ((4, 10, (1, 2, 9, 7, 8), (8, 7, 9, 1, 2)), "recurrence"),
+            pytest.param((4, 10, (1, 2, 9, 7, 8), (8, 7, 9, 1, 2)), "recurrence",
+                         id="walk0-recurrence"),
             # its units digit, and the preimage digit it maps to, raised to the
             # base (raised alone, it would fail the multiset test, which runs first)
-            ((4, 10, (10, 1, 9, 7, 8), (8, 7, 9, 1, 10)), "out of range"),
+            pytest.param((4, 10, (10, 1, 9, 7, 8), (8, 7, 9, 1, 10)), "out of range",
+                         id="walk1-out of range"),
             # 48 = 4 * 12: a true equation on an unbalanced pair of strings
-            ((4, 10, (8, 4), (2, 1)), "multisets differ"),
+            pytest.param((4, 10, (8, 4), (2, 1)), "multisets differ", id="walk2-multisets differ"),
             # 4 * 82 = 328: the low digits rearrange 82, the top carry is 3
-            ((4, 10, (8, 2), (2, 8)), "end at 0"),
+            pytest.param((4, 10, (8, 2), (2, 8)), "end at 0", id="walk3-end at 0"),
             # its units preimage digit, and the top digit, raised to the base
-            ((4, 10, (2, 1, 9, 7, 10), (10, 7, 9, 1, 2)), "out of range"),
+            pytest.param((4, 10, (2, 1, 9, 7, 10), (10, 7, 9, 1, 2)), "out of range",
+                         id="walk4-out of range"),
             # digits 3 and 4 swapped: 4 * 1978 + 3 ends in 7, not 8
-            ((4, 10, (2, 1, 9, 8, 7), (8, 7, 9, 1, 2)), "violated at position 3"),
+            pytest.param((4, 10, (2, 1, 9, 8, 7), (8, 7, 9, 1, 2)), "violated at position 3",
+                         id="walk5-violated at position 3"),
             # 4 * 83002 = 332008: the low five digits rearrange 83002
-            ((4, 10, (8, 0, 0, 2, 3), (2, 0, 0, 3, 8)), "top carry 3"),
+            pytest.param((4, 10, (8, 0, 0, 2, 3), (2, 0, 0, 3, 8)), "top carry 3",
+                         id="walk6-top carry 3"),
             # the multiplier equal to the base
-            ((10, 10, (2, 1, 9, 7, 8), (8, 7, 9, 1, 2)), "1 < n < base"),
+            pytest.param((10, 10, (2, 1, 9, 7, 8), (8, 7, 9, 1, 2)), "1 < n < base",
+                         id="walk7-1 < n < base"),
         ],
     )
     def test_corrupted_walks_are_refused(self, monkeypatch, walk, message, text):

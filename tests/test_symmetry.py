@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -252,34 +255,51 @@ class TestSymmetricClosure:
                 continue
             reflectable += 1
             assert reflect_class(spec) == ClassSpec.from_graph(n, graph.reflect())
-            closure = ClassSpec.from_graph(n, graph.union(graph.reflect()))
+            united = DigitGraph(graph.base, graph.edges | graph.reflect().edges)
+            closure = ClassSpec.from_graph(n, united)
             assert symmetric_closure(spec) == closure
         assert reflectable > 0
 
-    # hand-built specs whose images skip StateGraph.make's checks: the
-    # closure's one image build runs them on the merged image and raises
+    # images that break the checks of StateGraph's constructor, which runs
+    # on every build and on unpickling, so no ClassSpec can hold them; the
+    # ids name each corruption
     @pytest.mark.parametrize(
         "seed, change, message",
         [
-            # (8, 2) copied onto the edge (3, 3), whose reflection holds (1, 7)
-            ("4x10:86712=4*21678", {(3, 3): ((1, 7), (8, 2))},
-             "label (1, 7) appears on more than one edge"),
-            # an edge at state 1, which neither the images nor their reflection hold
-            ("3x4:00020313=3*00002331", {(1, 1): ((1, 2),)},
-             "edge (1,1) uses a state outside the graph"),
-            ("4x10:86712=4*21678", -1, "state 4 out of range 0..3"),
+            # (1, 7), the label of the edge (3, 3), copied onto the edge (0, 0)
+            pytest.param(
+                "4x10:86712=4*21678", {(0, 0): ((1, 7), (8, 2))},
+                "label (1,7) does not drive (0,0)",
+                id="4x10:86712=4*21678-change0-label (1, 7) appears on more than one edge",
+            ),
+            # an edge at state 1, which the images do not hold
+            pytest.param(
+                "3x4:00020313=3*00002331", {(1, 1): ((1, 2),)},
+                "edge (1,1) uses a state outside the graph",
+                id="3x4:00020313=3*00002331-change1-edge (1,1) uses a state outside the graph",
+            ),
+            # state 4, not below n = 4
+            pytest.param(
+                "4x10:86712=4*21678", 4, "state 4 out of range 0..3",
+                id="4x10:86712=4*21678--1-state 4 out of range 0..3",
+            ),
         ],
     )
     def test_bad_images_still_raise(self, seed, change, message):
-        spec = ClassSpec.from_record(seed_to_record(seed))
-        n, b, images = spec.multiplier, spec.base, spec.images
+        images = ClassSpec.from_record(seed_to_record(seed)).images
+        n, b = images.multiplier, images.base
         if isinstance(change, dict):
             edges, states = tuple(sorted({**dict(images.edges), **change}.items())), images.states
         else:
             edges, states = images.edges, images.states | {change}
-        bad = ClassSpec(n, b, spec.graph, StateGraph(n, b, states, edges))
         with pytest.raises(ParameterError) as caught:
-            symmetric_closure(bad)
+            StateGraph(n, b, states, edges)
+        assert str(caught.value) == message
+        corrupt = copy.copy(images)
+        object.__setattr__(corrupt, "states", states)  # as a tampered pickle would
+        object.__setattr__(corrupt, "edges", edges)
+        with pytest.raises(ParameterError) as caught:
+            pickle.loads(pickle.dumps(corrupt))
         assert str(caught.value) == message
 
     @settings(max_examples=40, deadline=None)
@@ -293,7 +313,9 @@ class TestSymmetricClosure:
         def reference():
             if n - 1 not in i.states:
                 raise NoReflectionError(f"state {n - 1} is not an image vertex")
-            return ClassSpec(n, b, g.union(g.reflect()), union_images((i, i.reflect())))
+            closure = ClassSpec(union_images((i, i.reflect())))
+            assert closure.graph == DigitGraph(b, g.edges | g.reflect().edges)
+            return closure
 
         outcomes = []
         for build in (lambda: symmetric_closure(spec), reference):

@@ -2,9 +2,13 @@
 as a frozen record of its fields, and copies re-validate."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 
 import pytest
+
+import permutiple
 
 from permutiple import (
     ClassSpec,
@@ -16,6 +20,7 @@ from permutiple import (
     Permutation,
     PermutipleRecord,
     SearchResult,
+    StateGraph,
     StateMultigraph,
     StateSequence,
     verify_permutiple,
@@ -46,7 +51,7 @@ INSTANCES = [
         "StateGraph(multiplier=4, base=10, states=frozenset({0, 3}), edges=(((0, 3), ((2, 8),)),))",
     ),
     (
-        StateMultigraph.make(3, 4, [(0, 0, (0, 0))]),
+        StateMultigraph(3, 4, [(0, 0, (0, 0))]),
         "StateMultigraph(multiplier=3, base=4, edges=((0, 0, (0, 0)),))",
     ),
     (
@@ -54,23 +59,22 @@ INSTANCES = [
         "CycleMultiset(cycles=(DigitCycle(base=10, vertices=(0,)),), multiplicities=(2,))",
     ),
     (
-        SearchResult(_ZERO, _ZERO.string),
+        SearchResult(_ZERO),
         "SearchResult(record=PermutipleRecord(multiplier=4, digits=DigitString(base=10, "
-        "digits=(0,)), sigma=Permutation(mapping=(0,)), carries=(0, 0)), string=((0, 0),))",
+        "digits=(0,)), sigma=Permutation(mapping=(0,)), carries=(0, 0)))",
     ),
     (StateSequence(((0, 1), (1, 0))), "StateSequence(transitions=((0, 1), (1, 0)))"),
     (
         ClassSpec.from_record(_ZERO),
-        "ClassSpec(multiplier=4, base=10, graph=DigitGraph(base=10, edges=frozenset({(0, 0)})), "
-        "images=StateGraph(multiplier=4, base=10, states=frozenset({0}), "
+        "ClassSpec(images=StateGraph(multiplier=4, base=10, states=frozenset({0}), "
         "edges=(((0, 0), ((0, 0),)),)))",
     ),
 ]
 OBJECTS = [obj for obj, _ in INSTANCES]
 IDS = [type(obj).__name__ for obj in OBJECTS]
 
-# (class, one field and a value for it that the class's checks refuse); the
-# other four classes are validated by their factories, not on construction
+# (class, one field and a value for it that the class's checks refuse), for
+# every class but the two whose one field is itself a checked value
 CORRUPTIONS = [
     (DigitString, "base", 1),
     (Permutation, "mapping", (0, 0, 2)),
@@ -79,7 +83,10 @@ CORRUPTIONS = [
     (DigitCycle, "vertices", (1, 1)),
     (CycleMultiset, "multiplicities", (0,)),
     (StateSequence, "transitions", ((0, 1), (0, 0))),
+    (StateGraph, "states", frozenset({0, 3, 9})),  # state 9 at n = 4
+    (StateMultigraph, "edges", ((7, 7, (1, 1)),)),  # no transition of the machine
 ]
+COMPOSED = {ClassSpec, SearchResult}
 
 
 def fields(obj):
@@ -87,9 +94,17 @@ def fields(obj):
 
 
 def test_every_value_class_is_covered():
-    classes = {type(obj) for obj in OBJECTS}
-    assert len(classes) == 11
-    assert all(issubclass(cls, Value) for cls in classes)
+    defined = set()
+    for module in pkgutil.iter_modules(permutiple.__path__):
+        namespace = vars(importlib.import_module(f"permutiple.{module.name}"))
+        defined |= {
+            obj for obj in namespace.values()
+            if isinstance(obj, type) and issubclass(obj, Value) and obj is not Value
+            and obj.__module__.startswith("permutiple.")
+        }
+    assert defined == {type(obj) for obj in OBJECTS}
+    assert defined - COMPOSED == {cls for cls, _, _ in CORRUPTIONS}
+    assert all(len(cls.__slots__) == 1 for cls in COMPOSED)
 
 
 @pytest.mark.parametrize("obj, text", INSTANCES, ids=IDS)
