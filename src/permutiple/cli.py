@@ -42,6 +42,7 @@ from .digits import (
     Permutation,
     PermutipleRecord,
     canonical_sigma,
+    check_length,
     check_multiplier,
     verify_permutiple,
 )
@@ -205,22 +206,20 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     from .graphs import build_mother_graph
     from .machine import build_state_graph, build_state_multigraph
 
-    # command: builder, DOT name prefix, and the dot, json and text renderers
-    build, prefix, to_dot, to_json, to_text = {
-        "mother-graph": (build_mother_graph, "mother", serialize.digit_graph_to_dot,
-                         serialize.digit_graph_to_json, serialize.digit_graph_to_text),
-        "hs-graph": (build_state_graph, "machine", serialize.state_graph_to_dot,
-                     serialize.state_graph_to_json, serialize.state_graph_to_text),
-        "hs-multigraph": (build_state_multigraph, "machine", serialize.state_multigraph_to_dot,
-                          serialize.state_multigraph_to_json, serialize.state_multigraph_to_text),
+    # command: builder and DOT name prefix
+    build, prefix = {
+        "mother-graph": (build_mother_graph, "mother"),
+        "hs-graph": (build_state_graph, "machine"),
+        "hs-multigraph": (build_state_multigraph, "machine"),
     }[args.command]
     graph = build(args.multiplier, args.base)
-    renderers = {
-        "dot": lambda: to_dot(graph, f"{prefix}_{args.multiplier}_{args.base}"),
-        "json": lambda: to_json(graph),
-        "text": lambda: to_text(graph),
-    }
-    _emit(args, [renderers[args.format]()])
+    if args.format == "dot":
+        text = serialize.graph_to_dot(graph, f"{prefix}_{args.multiplier}_{args.base}")
+    elif args.format == "json":
+        text = serialize.graph_to_json(graph)
+    else:
+        text = serialize.graph_to_text(graph)
+    _emit(args, [text])
     return EXIT_OK
 
 
@@ -377,8 +376,7 @@ def oeis_report(
     Values are those of the search kernel's proved records.  A
     ``max_length`` below 1 raises :class:`ParameterError`.
     """
-    if max_length < 1:
-        raise ParameterError(f"length must be at least 1; got {max_length}")
+    check_length(max_length)
     derived = sorted(multiplier * value for _, value in entries)
     ours: set[int] = set()
     for length in range(1, max_length + 1):

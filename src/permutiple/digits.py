@@ -34,6 +34,7 @@ __all__ = [
     "canonical_sigma",
     "carry_step",
     "check_equation",
+    "check_length",
     "check_multiplier",
     "is_rearrangement",
     "smallest_bijection",
@@ -47,6 +48,12 @@ def check_multiplier(multiplier: int, base: int) -> None:
         raise ParameterError(
             f"multiplier must satisfy 1 < n < base; got n={multiplier}, base={base}"
         )
+
+
+def check_length(length: int) -> None:
+    """Raise :class:`ParameterError` unless ``length >= 1``."""
+    if length < 1:
+        raise ParameterError(f"length must be at least 1; got {length}")
 
 
 def check_equation(multiplier: int, base: int, digits: Sequence[int],

@@ -206,8 +206,9 @@ def strongly_connected(
     return nodes <= _reach(root, forward) and nodes <= _reach(root, backward)
 
 
-def is_cycle_union(graph: DigitGraph) -> bool:
-    """True iff every edge lies on at least one simple cycle of ``graph``.
+def is_cycle_union(edges: Iterable[tuple[Hashable, Hashable]]) -> bool:
+    """True iff every edge lies on at least one simple cycle of the graph
+    that ``edges`` form.
 
     An edge lies on a simple cycle exactly when it is a loop or its ends
     reach each other, that is, exactly when every weakly connected part of
@@ -215,8 +216,8 @@ def is_cycle_union(graph: DigitGraph) -> bool:
     part is strongly connected iff the root's forward and backward reach
     are the same set.  Linear time, with an explicit stack.
     """
-    forward, backward = _adjacency(graph.edges)
-    placed: set[int] = set()
+    forward, backward = _adjacency(edges)
+    placed: set = set()
     for root in forward:
         if root not in placed:
             part = _reach(root, forward)

@@ -48,6 +48,7 @@ from .digits import (
     PermutipleRecord,
     build_record,
     carry_step,
+    check_length,
     check_multiplier,
 )
 from .errors import (
@@ -520,8 +521,7 @@ def division_walk(
     """
     n, b, k = multiplier, base, length
     check_multiplier(n, b)
-    if k < 1:
-        raise ParameterError(f"length must be at least 1; got {k}")
+    check_length(k)
     if left_digits is not None and len(left_digits) != k:
         raise ParameterError(f"{len(left_digits)} pinned digits for length {k}")
     pairs = None if edges is None else tuple(sorted(set(edges)))
@@ -680,8 +680,7 @@ def brute_force_oracle(
     """
     n, b = multiplier, base
     check_multiplier(n, b)
-    if length < 1:
-        raise ParameterError("length must be at least 1")
+    check_length(length)
     if b**length > scan_limit:
         raise ScanLimitError(
             f"scan of {b}**{length} digit strings exceeds the limit {scan_limit}"

@@ -4,6 +4,9 @@ All output is byte-deterministic: edges, labels, and JSON keys are sorted
 before rendering.  A permutiple's JSON and text lines are written in one
 place, by :func:`record_to_json` and :func:`record_to_text`, from a record
 that was proved when it was built; this module proves nothing again.
+The mother graph, the machine's state graph and its multigraph have one
+writer per format, :func:`graph_to_dot`, :func:`graph_to_json` and
+:func:`graph_to_text`, each reading the graph as one list of arcs.
 """
 
 from __future__ import annotations
@@ -25,26 +28,22 @@ if TYPE_CHECKING:
     from .graphs import DigitGraph
     from .machine import StateGraph, StateMultigraph
 
+    Graph = DigitGraph | StateGraph | StateMultigraph
+
 Pair = tuple[int, int]
 
 __all__ = [
-    "digit_graph_to_dot",
-    "digit_graph_to_json",
-    "digit_graph_to_text",
     "format_equation",
     "format_pair",
+    "graph_to_dot",
+    "graph_to_json",
+    "graph_to_text",
     "parse_bfile",
     "parse_seed",
     "record_from_json",
     "record_to_json",
     "record_to_text",
     "seed_to_record",
-    "state_graph_to_dot",
-    "state_graph_to_json",
-    "state_graph_to_text",
-    "state_multigraph_to_dot",
-    "state_multigraph_to_json",
-    "state_multigraph_to_text",
 ]
 
 
@@ -202,33 +201,34 @@ def seed_to_record(text: str, default_base: int | None = None) -> PermutipleReco
     return None
 
 
-def _dot_lines(name: str, nodes: Iterable[str], arcs: Iterable[str]) -> str:
+def _graph_view(graph: Graph) -> tuple[str, list[int], list[tuple[int, int, list[str]]]]:
+    """A graph as its node word, its sorted nodes, and its arcs
+    ``(source, target, label strings)`` in the graph's order: no labels on
+    a mother-graph arc, all of an edge's on a state-graph arc, and one on a
+    multigraph arc."""
+    from .graphs import DigitGraph
+    from .machine import StateGraph
+
+    if isinstance(graph, DigitGraph):
+        return "vertices", list(graph.vertices), [(d1, d2, []) for d1, d2 in graph.sorted_edges]
+    if isinstance(graph, StateGraph):
+        arcs = [(c1, c2, [format_pair(p) for p in labels]) for (c1, c2), labels in graph.edges]
+        return "states", sorted(graph.states), arcs
+    arcs = [(c1, c2, [format_pair(label)]) for c1, c2, label in graph.edges]
+    return "states", sorted(graph.states()), arcs
+
+
+def graph_to_dot(graph: Graph, name: str) -> str:
+    """``digraph name``, left to right, one line per node and per arc; an
+    arc's labels, comma-joined, are its DOT label."""
+    _, nodes, arcs = _graph_view(graph)
     lines = [f"digraph {name} {{", "  rankdir=LR;"]
     lines.extend(f"  {node};" for node in nodes)
-    lines.extend(f"  {arc};" for arc in arcs)
+    for source, target, labels in arcs:
+        label = f' [label="{",".join(labels)}"]' if labels else ""
+        lines.append(f"  {source} -> {target}{label};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def digit_graph_to_dot(graph: DigitGraph, name: str = "mother") -> str:
-    nodes = [str(v) for v in graph.vertices]
-    arcs = [f"{d1} -> {d2}" for d1, d2 in graph.sorted_edges]
-    return _dot_lines(name, nodes, arcs)
-
-
-def state_graph_to_dot(graph: StateGraph, name: str = "machine") -> str:
-    nodes = [str(c) for c in sorted(graph.states)]
-    arcs = [
-        f'{c1} -> {c2} [label="{",".join(format_pair(p) for p in labels)}"]'
-        for (c1, c2), labels in graph.edges
-    ]
-    return _dot_lines(name, nodes, arcs)
-
-
-def state_multigraph_to_dot(graph: StateMultigraph, name: str = "machine") -> str:
-    nodes = [str(c) for c in sorted(graph.states())]
-    arcs = [f'{c1} -> {c2} [label="{format_pair(label)}"]' for c1, c2, label in graph.edges]
-    return _dot_lines(name, nodes, arcs)
 
 
 def _json_dump(payload: dict) -> str:
@@ -237,60 +237,32 @@ def _json_dump(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def digit_graph_to_json(graph: DigitGraph) -> str:
-    return _json_dump(
-        {
-            "kind": "mother-graph",
-            "base": graph.base,
-            "vertices": list(graph.vertices),
-            "edges": [f"{d1}->{d2}" for d1, d2 in graph.sorted_edges],
-        }
-    )
+def graph_to_json(graph: Graph) -> str:
+    """The kind, the base, the machine's multiplier, the nodes and the
+    edges: ``"s->t"`` with each label appended after a colon, except that
+    the state graph maps ``"s->t"`` to its labels."""
+    from .graphs import DigitGraph
+    from .machine import StateGraph
+
+    word, nodes, arcs = _graph_view(graph)
+    if isinstance(graph, StateGraph):
+        kind, edges = "hs-graph", {f"{s}->{t}": labels for s, t, labels in arcs}
+    else:
+        kind = "mother-graph" if isinstance(graph, DigitGraph) else "hs-multigraph"
+        edges = [":".join([f"{s}->{t}", *labels]) for s, t, labels in arcs]
+    payload = {"kind": kind, "base": graph.base, word: nodes, "edges": edges}
+    if not isinstance(graph, DigitGraph):
+        payload["multiplier"] = graph.multiplier
+    return _json_dump(payload)
 
 
-def state_graph_to_json(graph: StateGraph) -> str:
-    return _json_dump(
-        {
-            "kind": "hs-graph",
-            "multiplier": graph.multiplier,
-            "base": graph.base,
-            "states": sorted(graph.states),
-            "edges": {
-                f"{c1}->{c2}": [format_pair(p) for p in labels]
-                for (c1, c2), labels in graph.edges
-            },
-        }
-    )
-
-
-def state_multigraph_to_json(graph: StateMultigraph) -> str:
-    return _json_dump(
-        {
-            "kind": "hs-multigraph",
-            "multiplier": graph.multiplier,
-            "base": graph.base,
-            "states": sorted(graph.states()),
-            "edges": [f"{c1}->{c2}:{format_pair(label)}" for c1, c2, label in graph.edges],
-        }
-    )
-
-
-def digit_graph_to_text(graph: DigitGraph) -> str:
-    lines = [f"vertices: {' '.join(str(v) for v in graph.vertices)}"]
-    lines.extend(f"{d1} -> {d2}" for d1, d2 in graph.sorted_edges)
-    return "\n".join(lines) + "\n"
-
-
-def state_graph_to_text(graph: StateGraph) -> str:
-    lines = [f"states: {' '.join(str(c) for c in sorted(graph.states))}"]
-    for (c1, c2), labels in graph.edges:
-        lines.append(f"{c1} -> {c2}  {','.join(format_pair(p) for p in labels)}")
-    return "\n".join(lines) + "\n"
-
-
-def state_multigraph_to_text(graph: StateMultigraph) -> str:
-    lines = [f"states: {' '.join(str(c) for c in sorted(graph.states()))}"]
-    lines.extend(f"{c1} -> {c2}  {format_pair(label)}" for c1, c2, label in graph.edges)
+def graph_to_text(graph: Graph) -> str:
+    """``word: nodes``, then ``s -> t`` per arc, its labels comma-joined
+    after two spaces."""
+    word, nodes, arcs = _graph_view(graph)
+    lines = [f"{word}: {' '.join(map(str, nodes))}"]
+    for source, target, labels in arcs:
+        lines.append(f"{source} -> {target}" + (f"  {','.join(labels)}" if labels else ""))
     return "\n".join(lines) + "\n"
 
 

@@ -133,10 +133,15 @@ def dihedral_siblings(record: PermutipleRecord) -> list[PermutipleRecord]:
 class ClassSpec(Value):
     """A permutiple class as its machine image: the labeled state subgraph
     traced by all of its graph's cycles.  Each mother-graph edge drives one
-    transition, so the image's labels are the class :attr:`graph`."""
+    transition, so the image's labels are the class :attr:`graph`, which
+    must be a nonempty union of simple cycles."""
 
     __slots__ = ("images",)
     images: StateGraph
+
+    def __post_init__(self) -> None:
+        if not self.images.edges or not is_cycle_union(self.images.all_labels()):
+            raise ParameterError("class graph must be a nonempty union of simple cycles")
 
     @property
     def multiplier(self) -> int:
@@ -157,12 +162,10 @@ class ClassSpec(Value):
         Every edge of a cycle union lies on one of its simple cycles, so the
         union of the cycle images is the image of the edge set itself.  An
         edge outside the mother graph has no transition, so reading the
-        image raises :class:`ParameterError` for it.
+        image raises :class:`ParameterError` for it, as the class does for
+        a graph that is no nonempty cycle union.
         """
-        images = edge_image(graph.edges, multiplier, graph.base)
-        if not graph.edges or not is_cycle_union(graph):
-            raise ParameterError("class graph must be a nonempty union of simple cycles")
-        return cls(images)
+        return cls(edge_image(graph.edges, multiplier, graph.base))
 
     @classmethod
     def from_record(cls, record: PermutipleRecord) -> "ClassSpec":
@@ -171,7 +174,7 @@ class ClassSpec(Value):
         Input j of the record's walk is the transition (c_j, c_{j+1}), so
         the images group the pairs by those carries, and every carry is an
         image vertex.  A proved record's digit multigraph is balanced, so
-        its graph is a nonempty cycle union and needs no further check.
+        its graph is a nonempty cycle union and passes the class's check.
         """
         c = record.carries
         grouped: dict[Pair, list[Pair]] = {}

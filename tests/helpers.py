@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import permutiple
 from permutiple import (
     CycleMultiset,
+    DigitGraph,
     DigitString,
     Permutation,
     PermutipleRecord,
@@ -200,6 +201,101 @@ def reference_record_to_json(record: PermutipleRecord) -> str:
         "value": record.value(),
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+# ---------------------------------------------------------------------------
+# Reference graph renderers: one per graph and format, as the library wrote
+# them before its three writers read every graph as one list of arcs.
+
+
+def _reference_dot_lines(name: str, nodes: Iterable[str], arcs: Iterable[str]) -> str:
+    lines = [f"digraph {name} {{", "  rankdir=LR;"]
+    lines.extend(f"  {node};" for node in nodes)
+    lines.extend(f"  {arc};" for arc in arcs)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_digit_graph_to_dot(graph: DigitGraph, name: str) -> str:
+    nodes = [str(v) for v in graph.vertices]
+    arcs = [f"{d1} -> {d2}" for d1, d2 in graph.sorted_edges]
+    return _reference_dot_lines(name, nodes, arcs)
+
+
+def reference_state_graph_to_dot(graph: StateGraph, name: str) -> str:
+    nodes = [str(c) for c in sorted(graph.states)]
+    arcs = [
+        f'{c1} -> {c2} [label="{",".join(format_pair(p) for p in labels)}"]'
+        for (c1, c2), labels in graph.edges
+    ]
+    return _reference_dot_lines(name, nodes, arcs)
+
+
+def reference_state_multigraph_to_dot(graph: StateMultigraph, name: str) -> str:
+    nodes = [str(c) for c in sorted(graph.states())]
+    arcs = [f'{c1} -> {c2} [label="{format_pair(label)}"]' for c1, c2, label in graph.edges]
+    return _reference_dot_lines(name, nodes, arcs)
+
+
+def _reference_json_dump(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def reference_digit_graph_to_json(graph: DigitGraph) -> str:
+    return _reference_json_dump(
+        {
+            "kind": "mother-graph",
+            "base": graph.base,
+            "vertices": list(graph.vertices),
+            "edges": [f"{d1}->{d2}" for d1, d2 in graph.sorted_edges],
+        }
+    )
+
+
+def reference_state_graph_to_json(graph: StateGraph) -> str:
+    return _reference_json_dump(
+        {
+            "kind": "hs-graph",
+            "multiplier": graph.multiplier,
+            "base": graph.base,
+            "states": sorted(graph.states),
+            "edges": {
+                f"{c1}->{c2}": [format_pair(p) for p in labels]
+                for (c1, c2), labels in graph.edges
+            },
+        }
+    )
+
+
+def reference_state_multigraph_to_json(graph: StateMultigraph) -> str:
+    return _reference_json_dump(
+        {
+            "kind": "hs-multigraph",
+            "multiplier": graph.multiplier,
+            "base": graph.base,
+            "states": sorted(graph.states()),
+            "edges": [f"{c1}->{c2}:{format_pair(label)}" for c1, c2, label in graph.edges],
+        }
+    )
+
+
+def reference_digit_graph_to_text(graph: DigitGraph) -> str:
+    lines = [f"vertices: {' '.join(str(v) for v in graph.vertices)}"]
+    lines.extend(f"{d1} -> {d2}" for d1, d2 in graph.sorted_edges)
+    return "\n".join(lines) + "\n"
+
+
+def reference_state_graph_to_text(graph: StateGraph) -> str:
+    lines = [f"states: {' '.join(str(c) for c in sorted(graph.states))}"]
+    for (c1, c2), labels in graph.edges:
+        lines.append(f"{c1} -> {c2}  {','.join(format_pair(p) for p in labels)}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_state_multigraph_to_text(graph: StateMultigraph) -> str:
+    lines = [f"states: {' '.join(str(c) for c in sorted(graph.states()))}"]
+    lines.extend(f"{c1} -> {c2}  {format_pair(label)}" for c1, c2, label in graph.edges)
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -511,7 +511,7 @@ class TestOeisCheck:
         # a length below 1 compares nothing, so it is refused as find refuses it
         bfile = tmp_path / "b.txt"
         bfile.write_text("1 5\n")
-        for command in ("oeis-check", "find"):
+        for command in ("oeis-check", "find", "oracle"):
             argv = [command, "-n", "3", "-b", "4", "--length", length]
             if command == "oeis-check":
                 argv += ["--bfile", str(bfile)]

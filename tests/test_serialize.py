@@ -26,25 +26,32 @@ from permutiple.errors import ParameterError
 from permutiple.machine import build_state_multigraph
 from permutiple.search import division_walk, walk_records
 from permutiple.serialize import (
-    digit_graph_to_dot,
-    digit_graph_to_json,
     format_equation,
+    graph_to_dot,
+    graph_to_json,
+    graph_to_text,
     parse_bfile,
     parse_seed,
     record_from_json,
     record_to_json,
     record_to_text,
     seed_to_record,
-    state_graph_to_dot,
-    state_graph_to_json,
-    state_multigraph_to_json,
 )
 
 from helpers import (
     make_record,
+    reference_digit_graph_to_dot,
+    reference_digit_graph_to_json,
+    reference_digit_graph_to_text,
     reference_record_to_json,
     reference_record_to_text,
     reference_seed_to_record,
+    reference_state_graph_to_dot,
+    reference_state_graph_to_json,
+    reference_state_graph_to_text,
+    reference_state_multigraph_to_dot,
+    reference_state_multigraph_to_json,
+    reference_state_multigraph_to_text,
 )
 
 REFERENCE = {"json": reference_record_to_json, "text": reference_record_to_text}
@@ -345,26 +352,60 @@ class TestLineBuilder:
 
 class TestGraphRendering:
     def test_mother_dot_arc_count(self):
-        dot = digit_graph_to_dot(build_mother_graph(3, 4))
+        dot = graph_to_dot(build_mother_graph(3, 4), "mother")
         assert dot.count("->") == 12
 
     def test_dot_is_stable(self):
         graph = build_state_graph(4, 10)
-        assert state_graph_to_dot(graph) == state_graph_to_dot(graph)
+        assert graph_to_dot(graph, "machine") == graph_to_dot(graph, "machine")
 
     def test_state_graph_json_labels(self):
-        payload = json.loads(state_graph_to_json(build_state_graph(4, 10)))
+        payload = json.loads(graph_to_json(build_state_graph(4, 10)))
         assert payload["edges"]["0->3"] == ["(2,8)", "(6,9)"]
         assert payload["states"] == [0, 1, 2, 3]
 
     def test_multigraph_json_counts(self):
-        payload = json.loads(state_multigraph_to_json(build_state_multigraph(3, 4)))
+        payload = json.loads(graph_to_json(build_state_multigraph(3, 4)))
         assert len(payload["edges"]) == 12
 
     def test_digit_graph_json(self):
-        payload = json.loads(digit_graph_to_json(build_mother_graph(3, 4)))
+        payload = json.loads(graph_to_json(build_mother_graph(3, 4)))
         assert "0->0" in payload["edges"]
         assert len(payload["edges"]) == 12
+
+    # graph: its builder and its reference dot, json and text renderers
+    GRAPHS = {
+        "mother": (
+            build_mother_graph,
+            reference_digit_graph_to_dot,
+            reference_digit_graph_to_json,
+            reference_digit_graph_to_text,
+        ),
+        "state": (
+            build_state_graph,
+            reference_state_graph_to_dot,
+            reference_state_graph_to_json,
+            reference_state_graph_to_text,
+        ),
+        "multi": (
+            build_state_multigraph,
+            reference_state_multigraph_to_dot,
+            reference_state_multigraph_to_json,
+            reference_state_multigraph_to_text,
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", GRAPHS)
+    def test_writers_match_the_per_graph_renderers(self, kind):
+        # every 2 <= n < b <= 16: one writer per format serves all three graphs
+        build, to_dot, to_json, to_text = self.GRAPHS[kind]
+        for b in range(3, 17):
+            for n in range(2, b):
+                graph = build(n, b)
+                name = f"{kind}_{n}_{b}"
+                assert graph_to_dot(graph, name) == to_dot(graph, name), (n, b)
+                assert graph_to_json(graph) == to_json(graph), (n, b)
+                assert graph_to_text(graph) == to_text(graph), (n, b)
 
 
 class TestBFile:

@@ -74,7 +74,7 @@ OBJECTS = [obj for obj, _ in INSTANCES]
 IDS = [type(obj).__name__ for obj in OBJECTS]
 
 # (class, one field and a value for it that the class's checks refuse), for
-# every class but the two whose one field is itself a checked value
+# every class but the one whose one field is itself a checked value
 CORRUPTIONS = [
     (DigitString, "base", 1),
     (Permutation, "mapping", (0, 0, 2)),
@@ -85,8 +85,10 @@ CORRUPTIONS = [
     (StateSequence, "transitions", ((0, 1), (0, 0))),
     (StateGraph, "states", frozenset({0, 3, 9})),  # state 9 at n = 4
     (StateMultigraph, "edges", ((7, 7, (1, 1)),)),  # no transition of the machine
+    (ClassSpec, "images", edge_image([(2, 8)], 4, 10)),  # graph {(2, 8)}: no cycle union
+    (ClassSpec, "images", StateGraph(4, 10, (), {})),  # the empty graph
 ]
-COMPOSED = {ClassSpec, SearchResult}
+COMPOSED = {SearchResult}
 
 
 def fields(obj):
