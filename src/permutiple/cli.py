@@ -68,7 +68,7 @@ def _str_to_bool(value: str) -> bool:
         return True
     if lowered in {"0", "false", "no", "off"}:
         return False
-    raise _UsageError(f"cannot interpret {value!r} as a boolean")
+    raise ValueError(f"cannot interpret {value!r} as a boolean")
 
 
 _REQUIRED = object()  # the default of an option that must be given

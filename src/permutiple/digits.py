@@ -6,17 +6,18 @@ only at formatting boundaries.  All arithmetic is exact integer arithmetic.
 The classes here are the library's validated values (see
 :mod:`permutiple.value`).  :func:`check_equation` is the one proof of a
 permutiple equation and the one source of a record's carries: it
-multiplies the preimage out from the bottom digit and returns them.  Two
-paths build a :class:`PermutipleRecord`.  Its public constructor, and so
-pickling and copying, validates every part: the :class:`DigitString`, the
-:class:`Permutation`, and the equation, whose carries the given ones must
-equal.  :func:`build_record`, which builds every other record (kernel
-records, siblings, symmetry images, seeds and verified equations), proves
-the rearrangement and the equation once each and leaves sigma unset
-unless :func:`verify_permutiple` gives one.  Every record keeps its proved
-preimage digits, which its :attr:`~PermutipleRecord.preimage`, ``key``
-and ``string`` read; a built record's sigma is derived by
-:func:`smallest_bijection` when first read.
+multiplies the preimage out from the bottom digit and returns them.  A
+:class:`PermutipleRecord`'s fields are its multiplier, digits and sigma;
+its carries are not a field but what the proof returns.  Two paths build
+one.  Its public constructor, and so pickling, copying and
+:func:`verify_permutiple`, validates every part: the
+:class:`DigitString`, the :class:`Permutation`, and the equation.
+:func:`build_record`, which builds every other record (kernel records,
+siblings, symmetry images and seeds), proves the rearrangement and the
+equation once each and leaves sigma unset.  Every record keeps its
+proved preimage digits and carries, which its
+:attr:`~PermutipleRecord.preimage`, ``key`` and ``string`` read; a built
+record's sigma is derived by :func:`smallest_bijection` when first read.
 """
 
 from __future__ import annotations
@@ -227,44 +228,44 @@ class Permutation(Value):
         return Permutation(tuple(inv))
 
 
-class _Preimage:
-    """The slot in which a :class:`PermutipleRecord` keeps its proved
-    preimage digits, outside the record's fields."""
+class _Proof:
+    """The slots in which a :class:`PermutipleRecord` keeps what its proof
+    gives, outside the record's fields: the preimage digits and the
+    carries."""
 
-    __slots__ = ("_preimage",)
+    __slots__ = ("_preimage", "carries")
+    _preimage: tuple[int, ...]
+    carries: tuple[int, ...]
 
 
-class PermutipleRecord(Value, _Preimage):
+class PermutipleRecord(Value, _Proof):
     """A verified digit-preserving multiplication digits = multiplier * permuted digits.
 
     ``carries[j]`` is the carry entering position j of the single-digit
     multiplication; ``carries[0]`` and ``carries[-1]`` are zero and every
     carry is below the multiplier.  Construction validates the digit
-    string and the permutation, runs :func:`check_equation` and requires
-    the given carries to be the ones it returns; :func:`build_record`
-    skips the first two and stores the proved carries.
-    Every record keeps the preimage digits it proved, which
-    :attr:`preimage`, :attr:`key` and :attr:`string` read.  A built
-    record leaves ``sigma`` unset until it is first read, and then takes
-    the smallest bijection onto that preimage; equality, hashing, repr
-    and pickling read it as a field like any other.
+    string and the permutation and runs :func:`check_equation`, which
+    gives the carries; :func:`build_record` skips the first two.  The
+    carries and the preimage digits the proof read (which
+    :attr:`preimage`, :attr:`key` and :attr:`string` read) are kept
+    outside the fields, as the fields determine them.  A built record
+    leaves ``sigma`` unset until it is first read, and then takes the
+    smallest bijection onto that preimage; equality, hashing, repr and
+    pickling read it as a field like any other.
     """
 
-    __slots__ = ("multiplier", "digits", "sigma", "carries")
+    __slots__ = ("multiplier", "digits", "sigma")
     multiplier: int
     digits: DigitString
     sigma: Permutation
-    carries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "carries", tuple(self.carries))
         d = self.digits.digits
         if self.sigma.size != len(d):
             raise ParameterError("permutation size must match the digit count")
         preimage = tuple([d[i] for i in self.sigma.mapping])
-        proved = check_equation(self.multiplier, self.digits.base, d, preimage)
-        if self.carries != proved:
-            raise ParameterError(f"carries {self.carries} differ from the proved carries {proved}")
+        carries = check_equation(self.multiplier, self.digits.base, d, preimage)
+        object.__setattr__(self, "carries", carries)
         object.__setattr__(self, "_preimage", preimage)
 
     def __getattr__(self, name: str) -> Permutation:
@@ -316,8 +317,8 @@ _set_base = DigitString.base.__set__
 _set_digits = DigitString.digits.__set__
 _set_multiplier = PermutipleRecord.multiplier.__set__
 _set_record_digits = PermutipleRecord.digits.__set__
-_set_carries = PermutipleRecord.carries.__set__
-_set_preimage = _Preimage._preimage.__set__
+_set_carries = _Proof.carries.__set__
+_set_preimage = _Proof._preimage.__set__
 
 
 def _digit_string(base: int, digits: tuple[int, ...]) -> DigitString:
@@ -346,11 +347,11 @@ def build_record(multiplier: int, base: int, digits: Sequence[int],
       finds a bijection on 0..k-1 with ``digits[sigma[j]] == preimage[j]``
       when sigma is first read, which is all :class:`Permutation` checks;
     - so the preimage the record would rebuild from sigma is the one just
-      proved, and the carries are the ones proved for it, which is all
-      :class:`PermutipleRecord` checks.
+      proved, which is all :class:`PermutipleRecord` checks.
 
-    The record keeps the preimage and leaves sigma unset; every field is a
-    tuple, as the public constructors would leave it.
+    The record keeps the preimage and the proved carries, as its
+    constructor would, and leaves sigma unset; every field is a tuple, as
+    the public constructors would leave it.
     """
     if not is_rearrangement(digits, preimage):
         raise MultisetMismatchError("digit and preimage multisets differ")
@@ -373,22 +374,18 @@ def verify_permutiple(
 ) -> PermutipleRecord | None:
     """Run the single-digit multiplication and check it reproduces ``digits``.
 
-    The preimage is the digits permuted by ``sigma``, and
-    :func:`build_record` proves the equation with the one
-    :func:`check_equation`, which multiplies it out; the record keeps the
-    given sigma.  None when the proof fails (not digit-preserving).
-    Parameter-domain problems raise :class:`ParameterError`.
+    The record's constructor proves the equation for the preimage, the
+    digits permuted by ``sigma``.  None when the proof fails (not
+    digit-preserving).  Parameter-domain problems, a multiplier out of
+    range or a permutation of another size, raise :class:`ParameterError`.
     """
     check_multiplier(multiplier, digits.base)
     if sigma.size != len(digits):
         raise ParameterError("permutation size must match the digit count")
-    d = digits.digits
     try:
-        record = build_record(multiplier, digits.base, d, [d[i] for i in sigma.mapping])
+        return PermutipleRecord(multiplier, digits, sigma)
     except ParameterError:
         return None
-    _set(record, "sigma", sigma)
-    return record
 
 
 def smallest_bijection(digits: Sequence[int], preimage: Sequence[int]) -> list[int] | None:

@@ -70,8 +70,8 @@ class DigitGraph(Value):
 
 
 def reflect_pairs(pairs: Iterable[tuple[int, int]], top: int) -> list[tuple[int, int]]:
-    """Each pair (x, y) as (top - x, top - y), an involution: the reflection
-    of digit pairs with top = b - 1, and of carry pairs with top = n - 1."""
+    """Each pair (x, y) as (top - x, top - y), an involution: with top = b - 1,
+    the reflection of digit pairs."""
     return [(top - x, top - y) for x, y in pairs]
 
 

@@ -2,19 +2,17 @@
 
 States are the carries 0..n-1, and a mother-graph edge (d1, d2) drives the
 one transition c1 -> c2 with ``b*c2 + d1 = n*d2 + c1``, as
-:func:`permutiple.digits.carry_step` solves it.  The machine has two
-equivalent presentations: a state graph whose edges carry label sets, and
-a multigraph with one labeled multi-edge per input; each holds only
-machine transitions, checked on construction.  :func:`edge_image` traces a
-set of mother-graph edges into the first and :func:`edge_multi_image` a
-multiset of them into the second; every other image builder calls one of
-the two.
+:func:`permutiple.digits.carry_step` solves it.  So a machine image is its
+labels: a set of mother-graph edges makes a :class:`StateGraph`, whose
+edges carry label sets, and a multiset of them a :class:`StateMultigraph`,
+with one labeled multi-edge per input.  Each computes its transitions once
+when it is built and refuses a label that is no mother-graph edge; every
+image builder passes labels.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping
 from typing import Iterable, Sequence
 
 from .digits import carry_step, check_multiplier
@@ -28,14 +26,13 @@ __all__ = [
     "build_state_graph",
     "build_state_multigraph",
     "cycle_image",
-    "edge_image",
-    "edge_multi_image",
     "transition",
     "union_images",
     "walk_states",
 ]
 
 Pair = tuple[int, int]
+_set = object.__setattr__
 
 
 def transition(edge: Pair, multiplier: int, base: int) -> Pair:
@@ -53,83 +50,87 @@ def transition(edge: Pair, multiplier: int, base: int) -> Pair:
     return carries
 
 
-class StateGraph(Value):
-    """Edge-labeled state graph; each edge holds a sorted set of input pairs.
+def _drives(labels: Iterable[Pair], multiplier: int, base: int) -> dict[Pair, Pair]:
+    """The state pair each distinct label drives; :func:`transition`'s
+    :class:`ParameterError` for a label that is no mother-graph edge."""
+    n, b = multiplier, base
+    check_multiplier(n, b)
+    # carry_step is None only where transition raises
+    return {label: carry_step(n, b, *label) or transition(label, n, b) for label in set(labels)}
 
-    ``edges`` is given as a mapping from state pairs (c1, c2) to labels, or
-    its items, and kept as a canonical tuple of items sorted by state pair,
-    which makes structural equality the graph equality used by the symmetry
-    results.  Every label (d1, d2) must drive its edge's transition
-    (:func:`permutiple.digits.carry_step`), so no label is on two edges.
-    """
 
-    __slots__ = ("multiplier", "base", "states", "edges")
-    multiplier: int
-    base: int
+class _StateEdges:
+    """The slots in which a :class:`StateGraph` keeps what its labels
+    determine, outside its fields."""
+
+    __slots__ = ("states", "edges")
     states: frozenset[int]
     edges: tuple[tuple[Pair, tuple[Pair, ...]], ...]
 
+
+class StateGraph(Value, _StateEdges):
+    """Edge-labeled state graph: the transitions driven by a set of
+    mother-graph edges, its ``labels``.
+
+    ``edges`` holds the labels grouped by the state pair (c1, c2) they
+    drive, as a tuple of items sorted by state pair with each label set
+    sorted, and ``states`` the ends of those edges.  Both are computed when
+    the graph is built, so equality of labels is the graph equality used
+    by the symmetry results.
+    """
+
+    __slots__ = ("multiplier", "base", "labels")
+    multiplier: int
+    base: int
+    labels: frozenset[Pair]
+
     def __post_init__(self) -> None:
-        n, b, given = self.multiplier, self.base, self.edges
-        check_multiplier(n, b)
-        states = frozenset(self.states)
-        for c in states:
-            if not 0 <= c <= n - 1:
-                raise ParameterError(f"state {c} out of range 0..{n - 1}")
-        edges: dict[Pair, tuple[Pair, ...]] = {}
-        for (c1, c2), labels in given.items() if isinstance(given, Mapping) else given:
-            if (c1, c2) in edges:
-                raise ParameterError(f"edge ({c1},{c2}) is given more than once")
-            edges[c1, c2] = labels = tuple(sorted(set(labels)))
-            if labels and (c1 not in states or c2 not in states):
-                raise ParameterError(f"edge ({c1},{c2}) uses a state outside the graph")
-            for d1, d2 in labels:
-                if carry_step(n, b, d1, d2) != (c1, c2):
-                    raise ParameterError(f"label ({d1},{d2}) does not drive ({c1},{c2})")
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "edges", tuple(sorted(item for item in edges.items() if item[1])))
+        labels = frozenset(self.labels)
+        grouped: dict[Pair, list[Pair]] = {}
+        for label, pair in sorted(_drives(labels, self.multiplier, self.base).items()):
+            grouped.setdefault(pair, []).append(label)
+        _set(self, "labels", labels)
+        _set(self, "edges", tuple(sorted((pair, tuple(ls)) for pair, ls in grouped.items())))
+        _set(self, "states", frozenset(c for pair in grouped for c in pair))
 
     def label_map(self) -> dict[Pair, tuple[Pair, ...]]:
         return dict(self.edges)
 
-    def labels(self, c1: int, c2: int) -> tuple[Pair, ...]:
-        return self.label_map().get((c1, c2), ())
-
-    def all_labels(self) -> tuple[Pair, ...]:
-        out: list[Pair] = []
-        for _, labels in self.edges:
-            out.extend(labels)
-        return tuple(sorted(out))
-
     def reflect(self) -> "StateGraph":
         """States map to n-1-c, labels to (b-1-d1, b-1-d2); an involution."""
-        n, b = self.multiplier, self.base
-        pairs = reflect_pairs((pair for pair, _ in self.edges), n - 1)
-        edge_labels = {pair: reflect_pairs(ls, b - 1) for pair, (_, ls) in zip(pairs, self.edges)}
-        return StateGraph(n, b, (n - 1 - c for c in self.states), edge_labels)
+        return StateGraph(self.multiplier, self.base, reflect_pairs(self.labels, self.base - 1))
 
     def is_strongly_connected(self) -> bool:
         return strongly_connected(self.states, (pair for pair, _ in self.edges))
 
 
-class StateMultigraph(Value):
-    """One labeled multi-edge per input pair: ``edges`` is a sorted multiset
-    of machine transitions (c1, c2, label).  Vertices are the incident states only."""
+class _MultiEdges:
+    """The slot in which a :class:`StateMultigraph` keeps its transitions,
+    outside its fields."""
 
-    __slots__ = ("multiplier", "base", "edges")
-    multiplier: int
-    base: int
+    __slots__ = ("edges",)
     edges: tuple[tuple[int, int, Pair], ...]
 
+
+class StateMultigraph(Value, _MultiEdges):
+    """One labeled multi-edge per input pair: the transitions driven by a
+    multiset of mother-graph edges, its ``labels``, kept sorted.
+
+    ``edges`` holds the sorted multiset of (c1, c2, label) triples,
+    computed when the multigraph is built.  Vertices are the incident
+    states only.
+    """
+
+    __slots__ = ("multiplier", "base", "labels")
+    multiplier: int
+    base: int
+    labels: tuple[Pair, ...]
+
     def __post_init__(self) -> None:
-        n, b = self.multiplier, self.base
-        check_multiplier(n, b)
-        triples = []
-        for c1, c2, (d1, d2) in self.edges:
-            if carry_step(n, b, d1, d2) != (c1, c2):
-                raise ParameterError(f"triple ({c1},{c2},({d1},{d2})) violates the transition equation")
-            triples.append((c1, c2, (d1, d2)))
-        object.__setattr__(self, "edges", tuple(sorted(triples)))
+        labels = tuple(sorted(self.labels))
+        drives = _drives(labels, self.multiplier, self.base)
+        _set(self, "labels", labels)
+        _set(self, "edges", tuple(sorted((*drives[label], label) for label in labels)))
 
     def counter(self) -> Counter:
         return Counter(self.edges)
@@ -146,73 +147,34 @@ class StateMultigraph(Value):
 
     def reflect(self) -> "StateMultigraph":
         n, b = self.multiplier, self.base
-        return StateMultigraph(
-            n,
-            b,
-            (
-                (n - 1 - c1, n - 1 - c2, (b - 1 - d1, b - 1 - d2))
-                for c1, c2, (d1, d2) in self.edges
-            ),
-        )
+        return StateMultigraph(n, b, reflect_pairs(self.labels, b - 1))
 
     def is_strongly_connected(self) -> bool:
         return strongly_connected(self.states(), ((c1, c2) for c1, c2, _ in self.edges))
 
 
 def build_state_graph(multiplier: int, base: int) -> StateGraph:
-    """The full machine graph: every mother edge grouped under its state pair.
-
-    All states 0..n-1 are retained even if some end up isolated.
-    """
-    image = edge_image(build_mother_graph(multiplier, base).edges, multiplier, base)
-    return StateGraph(multiplier, base, range(multiplier), image.edges)
+    """The full machine graph: every mother edge grouped under its state
+    pair.  It holds every state 0..n-1, as the label (c, 0) drives c -> 0."""
+    return StateGraph(multiplier, base, build_mother_graph(multiplier, base).edges)
 
 
 def build_state_multigraph(multiplier: int, base: int) -> StateMultigraph:
     """One triple per mother-graph edge."""
-    return edge_multi_image(build_mother_graph(multiplier, base).edges, multiplier, base)
-
-
-def edge_image(edges: Iterable[Pair], multiplier: int, base: int) -> StateGraph:
-    """The labeled subgraph traced by a set of mother-graph edges.
-
-    Each edge becomes a label on its transition's state pair; states with
-    neither in- nor out-edges are dropped.
-    """
-    grouped: dict[Pair, list[Pair]] = {}
-    incident: set[int] = set()
-    for edge in edges:
-        c1, c2 = transition(edge, multiplier, base)
-        grouped.setdefault((c1, c2), []).append(edge)
-        incident.add(c1)
-        incident.add(c2)
-    return StateGraph(multiplier, base, incident, grouped)
-
-
-def edge_multi_image(edges: Iterable[Pair], multiplier: int, base: int) -> StateMultigraph:
-    """The multigraph traced by a multiset of mother-graph edges: one
-    (c1, c2, edge) triple per edge, repeats kept."""
-    triples = [(*transition(edge, multiplier, base), edge) for edge in edges]
-    return StateMultigraph(multiplier, base, triples)
+    return StateMultigraph(multiplier, base, build_mother_graph(multiplier, base).edges)
 
 
 def cycle_image(cycle: DigitCycle, multiplier: int, base: int) -> StateGraph:
     """The labeled subgraph traced by one mother-graph cycle."""
-    return edge_image(cycle.edges, multiplier, base)
+    return StateGraph(multiplier, base, cycle.edges)
 
 
 def union_images(parts: Sequence[StateGraph]) -> StateGraph:
-    """Set-union of labeled subgraphs: states, edges, and label sets unite."""
+    """Set-union of labeled subgraphs: their labels unite."""
     if not parts or len({(part.multiplier, part.base) for part in parts}) != 1:
         raise ParameterError("need graphs of one multiplier and base to union")
-    n, b = parts[0].multiplier, parts[0].base
-    states: set[int] = set()
-    merged: dict[Pair, set[Pair]] = {}
-    for part in parts:
-        states |= part.states
-        for edge, labels in part.edges:
-            merged.setdefault(edge, set()).update(labels)
-    return StateGraph(n, b, states, merged)
+    labels = frozenset().union(*(part.labels for part in parts))
+    return StateGraph(parts[0].multiplier, parts[0].base, labels)
 
 
 def walk_states(

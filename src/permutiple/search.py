@@ -129,9 +129,9 @@ class CycleMultiset(Value):
 
     def multigraph(self, multiplier: int, base: int) -> StateMultigraph:
         """The multiset union of the multi-images of the member cycles."""
-        from .machine import edge_multi_image
+        from .machine import StateMultigraph
 
-        return edge_multi_image(self.edge_counter().elements(), multiplier, base)
+        return StateMultigraph(multiplier, base, self.edge_counter().elements())
 
 
 class SearchResult(Value):

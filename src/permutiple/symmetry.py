@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 from .digits import Permutation, PermutipleRecord, build_record, smallest_bijection
 from .errors import NoReflectionError, ParameterError
 from .graphs import DigitGraph, graph_of_permutiple, is_cycle_union, reflect_pairs
-from .machine import StateGraph, StateMultigraph, edge_image
+from .machine import StateGraph, StateMultigraph
 from .search import CycleMultiset, group_unions, walk_records
 from .value import Value
 
@@ -140,7 +140,7 @@ class ClassSpec(Value):
     images: StateGraph
 
     def __post_init__(self) -> None:
-        if not self.images.edges or not is_cycle_union(self.images.all_labels()):
+        if not self.images.labels or not is_cycle_union(self.images.labels):
             raise ParameterError("class graph must be a nonempty union of simple cycles")
 
     @property
@@ -153,7 +153,7 @@ class ClassSpec(Value):
 
     @property
     def graph(self) -> DigitGraph:
-        return DigitGraph(self.images.base, self.images.all_labels())
+        return DigitGraph(self.images.base, self.images.labels)
 
     @classmethod
     def from_graph(cls, multiplier: int, graph: DigitGraph) -> "ClassSpec":
@@ -161,26 +161,18 @@ class ClassSpec(Value):
 
         Every edge of a cycle union lies on one of its simple cycles, so the
         union of the cycle images is the image of the edge set itself.  An
-        edge outside the mother graph has no transition, so reading the
-        image raises :class:`ParameterError` for it, as the class does for
-        a graph that is no nonempty cycle union.
+        edge outside the mother graph is refused by the image, with
+        :class:`ParameterError`, as a graph that is no nonempty cycle union
+        is by the class.
         """
-        return cls(edge_image(graph.edges, multiplier, graph.base))
+        return cls(StateGraph(multiplier, graph.base, graph.edges))
 
     @classmethod
     def from_record(cls, record: PermutipleRecord) -> "ClassSpec":
-        """The class of a record's graph, read off its carries.
-
-        Input j of the record's walk is the transition (c_j, c_{j+1}), so
-        the images group the pairs by those carries, and every carry is an
-        image vertex.  A proved record's digit multigraph is balanced, so
-        its graph is a nonempty cycle union and passes the class's check.
-        """
-        c = record.carries
-        grouped: dict[Pair, list[Pair]] = {}
-        for j, pair in enumerate(record.string):
-            grouped.setdefault((c[j], c[j + 1]), []).append(pair)
-        return cls(StateGraph(record.multiplier, record.base, c, grouped))
+        """The class of a record's graph: the image of its input pairs.  A
+        proved record's digit multigraph is balanced, so its graph is a
+        nonempty cycle union and passes the class's check."""
+        return cls(StateGraph(record.multiplier, record.base, record.string))
 
 
 def class_reflection_exists(spec: ClassSpec) -> bool:
@@ -207,21 +199,11 @@ def reflect_class(spec: ClassSpec) -> ClassSpec:
 
 
 def symmetric_closure(spec: ClassSpec) -> ClassSpec:
-    """The class over the union of the graph with its reflection, whose
-    images are the label union of the images and their reflection.
-
-    The closure's images are one :class:`StateGraph` over the states and
-    their reflections, built from the labels merged with their
-    reflections; its graph is read off those labels.
-    """
+    """The class over the union of the graph with its reflection: one
+    image of its labels and their reflections."""
     _require_reflection(spec)
-    n, b, images = spec.multiplier, spec.base, spec.images
-    labels = {pair: set(ls) for pair, ls in images.edges}
-    pairs = reflect_pairs((pair for pair, _ in images.edges), n - 1)
-    for pair, (_, ls) in zip(pairs, images.edges):
-        labels.setdefault(pair, set()).update(reflect_pairs(ls, b - 1))
-    states = images.states.union([n - 1 - c for c in images.states])
-    return ClassSpec(StateGraph(n, b, states, labels))
+    n, b, labels = spec.multiplier, spec.base, spec.images.labels
+    return ClassSpec(StateGraph(n, b, [*labels, *reflect_pairs(labels, b - 1)]))
 
 
 def is_symmetric_class(spec: ClassSpec) -> bool:

@@ -3,7 +3,10 @@
 A subclass names its fields in ``__slots__``, in constructor order, none
 determined by the others, and defines ``__post_init__`` to normalise them
 (through ``object.__setattr__``) and validate them, unless each is itself a
-validated value.  The base gives positional and keyword construction,
+validated value.  What the fields determine, such as a record's carries or
+a machine graph's edges, is kept in slots of a base class outside the
+fields, filled by ``__post_init__``; the rule holds for every class of the
+package.  The base gives positional and keyword construction,
 equality and hashing by field values between objects of one class, a
 ``Name(field=value, ...)`` repr, refusal of assignment and deletion, and
 pickling (hence ``copy`` and ``deepcopy``) that rebuilds through the

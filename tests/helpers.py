@@ -36,7 +36,7 @@ from permutiple import (
 )
 from permutiple.digits import check_multiplier
 from permutiple.errors import ParameterError, WalkError
-from permutiple.machine import StateGraph, StateMultigraph, edge_multi_image
+from permutiple.machine import StateGraph, StateMultigraph
 from permutiple.serialize import format_pair, parse_seed
 
 
@@ -300,13 +300,13 @@ def reference_state_multigraph_to_text(graph: StateMultigraph) -> str:
 
 # ---------------------------------------------------------------------------
 # Machine images that only tests build: the images of single cycles, their
-# multiset sums and the empty graphs.  The library traces edge sets and
-# multisets in one pass (``edge_image``, ``edge_multi_image``).
+# multiset sums and the empty graphs.  The library builds an image from its
+# labels, a set or a multiset of mother-graph edges, in one pass.
 
 
 def multi_image(cycle, multiplier: int, base: int) -> StateMultigraph:
     """As ``cycle_image`` but with one multi-edge per cycle edge."""
-    return edge_multi_image(cycle.edges, multiplier, base)
+    return StateMultigraph(multiplier, base, cycle.edges)
 
 
 def multiset_union(parts) -> StateMultigraph:
@@ -314,12 +314,12 @@ def multiset_union(parts) -> StateMultigraph:
     copies accumulate."""
     if not parts or len({(part.multiplier, part.base) for part in parts}) != 1:
         raise ParameterError("need graphs of one multiplier and base to union")
-    triples = [triple for part in parts for triple in part.edges]
-    return StateMultigraph(parts[0].multiplier, parts[0].base, triples)
+    labels = [label for part in parts for label in part.labels]
+    return StateMultigraph(parts[0].multiplier, parts[0].base, labels)
 
 
 def empty_state_graph(multiplier: int, base: int) -> StateGraph:
-    return StateGraph(multiplier, base, (), {})
+    return StateGraph(multiplier, base, ())
 
 
 def empty_state_multigraph(multiplier: int, base: int) -> StateMultigraph:

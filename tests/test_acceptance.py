@@ -34,7 +34,7 @@ from permutiple import (
     symmetric_closure,
     union_images,
 )
-from permutiple.search import feasible_unions
+from permutiple.search import division_walk, feasible_unions
 from permutiple.symmetry import class_unions
 
 from helpers import (
@@ -49,6 +49,7 @@ from helpers import (
     make_record,
     multi_image,
     multiset_union,
+    reference_feasible_unions,
 )
 
 
@@ -64,8 +65,8 @@ def test_criterion_01_state_graph_exact():
     graph = build_state_graph(4, 10)
     assert graph.states == frozenset(range(4))
     assert graph.label_map() == MACHINE_EDGES_4_10
-    assert graph.labels(0, 0) == ((0, 0), (4, 1), (8, 2))
-    assert graph.labels(3, 0) == ((3, 0), (7, 1))
+    assert graph.label_map()[0, 0] == ((0, 0), (4, 1), (8, 2))
+    assert graph.label_map()[3, 0] == ((3, 0), (7, 1))
     _finish("01 machine-graph-(4,10)-exact", started, 1.0, "16 edges, 40 labels")
 
 
@@ -447,3 +448,24 @@ def test_criterion_10_circuit_count_crosscheck():
         120.0,
         f"{len(deltas)} feasible unions checked",
     )
+
+
+def test_criterion_10_circuit_counts_match_the_kernel():
+    # the check above takes its unions from the kernel's own walks; here the
+    # unions come from the reference cycle-multiset engine, and the BEST
+    # theorem's string count, summed over them, must equal the walk count
+    started = time.perf_counter()
+    points = [
+        (4, 10, 4), (4, 10, 5), (4, 10, 6), (3, 4, 6), (2, 3, 6), (2, 10, 4), (5, 6, 5),
+        (9, 10, 5),
+    ]
+    for point in points:
+        counted = 0
+        for _, delta in reference_feasible_unions(*point):
+            circuits = count_eulerian_circuits(delta) * delta.out_degree(0)
+            factor = duplicate_label_factor(delta)
+            assert circuits % factor == 0, (point, delta)
+            counted += circuits // factor
+        walks = sum(1 for _ in division_walk(*point))
+        assert walks > 0 and counted == walks, point
+    _finish("10 circuit-count-vs-kernel", started, 120.0, f"{len(points)} points")

@@ -245,6 +245,21 @@ class TestConfig:
         assert "bogus" in err
 
     @pytest.mark.parametrize(
+        "line, detail",
+        [
+            ("allow-leading-zero = maybe", "cannot interpret 'maybe' as a boolean"),
+            ("multiplier = x", "invalid literal for int() with base 10: 'x'"),
+        ],
+    )
+    def test_bad_config_value_names_its_key(self, capsys, tmp_path, line, detail):
+        config = tmp_path / "run.conf"
+        config.write_text(f"multiplier=3\nbase=4\nlength=4\n{line}\n")
+        code, out, err = run_cli(capsys, "find", "--config", str(config))
+        key = line.split("=")[0].strip()
+        assert (code, out) == (2, "")
+        assert f"error: config key {key}: {detail}" in err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("class", "--seed", "4x10:727119288=4*181779822"),

@@ -21,7 +21,7 @@ from permutiple import (
     walk_states,
 )
 from permutiple.digits import carry_step
-from permutiple.machine import StateGraph, edge_multi_image
+from permutiple.machine import StateGraph, StateMultigraph
 from permutiple.search import _TAIL_RUNS, _plan, walk_records
 from permutiple.serialize import format_equation, seed_to_record
 from permutiple.symmetry import _fixing_images, dihedral_siblings
@@ -96,26 +96,37 @@ class TestStateGraph:
         assert graph.label_map() == MACHINE_EDGES_3_4
 
     def test_label_partition_sweep(self):
-        # each mother edge appears exactly once among all label sets
+        # each mother edge appears exactly once among all label sets, and
+        # no state is isolated: the label (c, 0) drives c -> 0
         for b in range(3, 17):
             for n in range(2, b):
                 graph = build_state_graph(n, b)
-                assert graph.all_labels() == build_mother_graph(n, b).sorted_edges
+                mother = build_mother_graph(n, b)
+                assert graph.labels == mother.edges
+                grouped = sorted(label for _, labels in graph.edges for label in labels)
+                assert tuple(grouped) == mother.sorted_edges
+                assert graph.states == frozenset(range(n))
 
     def test_label_uniqueness_enforced(self):
-        with pytest.raises(ParameterError):
-            StateGraph(4, 10, {0, 3}, {(0, 0): [(8, 2)], (0, 3): [(8, 2)]})
+        # labels are a set: one given twice is one label, on its one edge
+        graph = StateGraph(4, 10, [(8, 2), (8, 2), (2, 8)])
+        assert graph == StateGraph(4, 10, {(2, 8), (8, 2)})
+        assert graph.edges == (((0, 0), ((8, 2),)), ((0, 3), ((2, 8),)))
 
     def test_every_label_is_its_edges_transition(self):
-        # (9, 9) drives (3, 3), not (0, 3); it is on no other edge
-        message = r"label \(9,9\) does not drive \(0,3\)"
-        with pytest.raises(ParameterError, match=message):
-            StateGraph(4, 10, {0, 3}, {(0, 3): [(9, 9)]})
-        # the items of a mapping, one state pair twice
-        items = (((0, 3), ((2, 8),)), ((0, 3), ((2, 8),)))
-        with pytest.raises(ParameterError, match="given more than once"):
-            StateGraph(4, 10, {0, 3}, items)
-        assert StateGraph(4, 10, {0, 3}, items[:1]) == StateGraph(4, 10, {0, 3}, dict(items))
+        # the edges are computed from the labels, so each label is on the
+        # edge it drives; a pair that drives none is refused, by name
+        for n, b in [(2, 3), (3, 4), (4, 10), (5, 12)]:
+            graph = build_state_graph(n, b)
+            for (c1, c2), labels in graph.edges:
+                assert all(carry_step(n, b, d, p) == (c1, c2) for d, p in labels)
+        for label, message in [
+            ((9, 1), "(9,1) is not a mother-graph edge for n=4, b=10"),
+            ((10, 0), "edge (10,0) out of range for base 10"),
+        ]:
+            with pytest.raises(ParameterError) as caught:
+                StateGraph(4, 10, [(2, 8), label])
+            assert str(caught.value) == message
 
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):
@@ -145,15 +156,19 @@ class TestStateMultigraph:
             assert labels == build_mother_graph(n, b).sorted_edges
 
     def test_transition_equation_enforced(self):
-        from permutiple.machine import StateMultigraph
-
-        with pytest.raises(ParameterError):
-            StateMultigraph(4, 10, [(0, 1, (2, 8))])
-        # these satisfy the equation, but state 4 is not below n = 4 and
-        # digit 12 is not below b = 10: neither is a machine transition
-        for triple in [(4, 4, (0, 9)), (0, 0, (12, 3))]:
-            with pytest.raises(ParameterError, match="violates the transition equation"):
-                StateMultigraph(4, 10, [triple])
+        # each triple is the transition its label drives, repeats kept
+        multigraph = StateMultigraph(4, 10, [(2, 8), (8, 2), (2, 8)])
+        assert multigraph.edges == ((0, 0, (8, 2)), (0, 3, (2, 8)), (0, 3, (2, 8)))
+        assert multigraph.labels == ((2, 8), (2, 8), (8, 2))
+        # (0, 9) solves the equation only from state 4, not below n = 4, and
+        # (12, 3) only with digit 12, not below b = 10: neither is an edge
+        for label, message in [
+            ((0, 9), "(0,9) is not a mother-graph edge for n=4, b=10"),
+            ((12, 3), "edge (12,3) out of range for base 10"),
+        ]:
+            with pytest.raises(ParameterError) as caught:
+                StateMultigraph(4, 10, [label])
+            assert str(caught.value) == message
 
 
 class TestCycleImages:
@@ -246,7 +261,7 @@ class TestUnions:
             for _ in range(mult)
         ]
         expected = multiset_union(parts)
-        assert edge_multi_image(multiset.edge_counter().elements(), n, b) == expected
+        assert StateMultigraph(n, b, multiset.edge_counter().elements()) == expected
         assert multiset.multigraph(n, b) == expected
 
     def test_mixed_parameters_rejected(self):

@@ -139,7 +139,7 @@ class TestEulerianStrings:
 
     def test_circuit_longer_than_the_recursion_limit(self):
         size = sys.getrecursionlimit() + 100
-        loops = StateMultigraph(4, 10, [(0, 0, (0, 0))] * size)
+        loops = StateMultigraph(4, 10, [(0, 0)] * size)
         assert eulerian_strings(loops) == [((0, 0),) * size]
 
     def test_infeasible_union_has_no_ordering(self):
@@ -829,22 +829,23 @@ def sigma_is_read(record):
 def assert_built_as_validated(build, n, b, digits, preimage):
     """``build()`` makes the record the validating constructors build.
 
-    The constructors are given the carries derived from prefix values.
-    Each comparison runs on a fresh record, once before its sigma is read
+    Its carries, and the validated record's, must be the ones derived from
+    prefix values.  Each comparison runs on a fresh record, once before its sigma is read
     and once after.  A record the constructors build with another sigma
     that maps onto the same preimage, one swap of two equal digits away,
     is a different record.
     """
     carries = carries_by_value(n, b, digits[::-1], preimage[::-1])
     mapping = smallest_bijection(digits, preimage)
-    validated = PermutipleRecord(n, DigitString(b, digits), Permutation(mapping), carries)
+    validated = PermutipleRecord(n, DigitString(b, digits), Permutation(mapping))
+    assert validated.carries == carries
     j = next((j for j in range(1, len(mapping)) if preimage[j] in preimage[:j]), None)
     swapped = None
     if j is not None:
         i = preimage.index(preimage[j])
         other = list(mapping)
         other[i], other[j] = other[j], other[i]
-        swapped = PermutipleRecord(n, DigitString(b, digits), Permutation(other), carries)
+        swapped = PermutipleRecord(n, DigitString(b, digits), Permutation(other))
     for sigma_read in (False, True):
         def fresh():
             record = build()

@@ -32,7 +32,8 @@ from permutiple import (
     symmetric_closure,
     symmetries_fixing_sequence,
 )
-from permutiple import machine, symmetry
+from permutiple import machine
+from permutiple.digits import carry_step
 from permutiple.machine import StateGraph, union_images
 from permutiple.search import walk_records
 from permutiple.serialize import seed_to_record
@@ -239,9 +240,9 @@ class TestSymmetricClosure:
 
     @pytest.mark.parametrize("point", [(4, 10, 7), (3, 4, 8), (5, 12, 6)])
     def test_classes_read_off_the_carries_match_the_graph_route(self, point):
-        # from_record reads the images off the record's carries, and the
-        # reflection and the closure map them; from_graph traces every edge
-        # again and checks the graph is a cycle union
+        # from_record builds the images from the record's input pairs, whose
+        # transitions are its carries, and the reflection and the closure
+        # map them; from_graph builds them from the graph's edge set
         n = point[0]
         reflectable = 0
         for record in walk_records(*point):
@@ -260,47 +261,78 @@ class TestSymmetricClosure:
             assert symmetric_closure(spec) == closure
         assert reflectable > 0
 
-    # images that break the checks of StateGraph's constructor, which runs
-    # on every build and on unpickling, so no ClassSpec can hold them; the
-    # ids name each corruption
+    # a label that is no mother-graph edge, added to a class's images:
+    # StateGraph's constructor refuses it on every build and on unpickling,
+    # so no ClassSpec can hold it; the ids name each label
     @pytest.mark.parametrize(
-        "seed, change, message",
+        "seed, label, message",
         [
-            # (1, 7), the label of the edge (3, 3), copied onto the edge (0, 0)
             pytest.param(
-                "4x10:86712=4*21678", {(0, 0): ((1, 7), (8, 2))},
-                "label (1,7) does not drive (0,0)",
-                id="4x10:86712=4*21678-change0-label (1, 7) appears on more than one edge",
+                "4x10:86712=4*21678", (9, 1), "(9,1) is not a mother-graph edge for n=4, b=10",
+                id="4x10:86712=4*21678-(9,1) drives no transition",
             ),
-            # an edge at state 1, which the images do not hold
             pytest.param(
-                "3x4:00020313=3*00002331", {(1, 1): ((1, 2),)},
-                "edge (1,1) uses a state outside the graph",
-                id="3x4:00020313=3*00002331-change1-edge (1,1) uses a state outside the graph",
+                "3x4:00020313=3*00002331", (1, 2), "(1,2) is not a mother-graph edge for n=3, b=4",
+                id="3x4:00020313=3*00002331-(1,2) drives no transition",
             ),
-            # state 4, not below n = 4
             pytest.param(
-                "4x10:86712=4*21678", 4, "state 4 out of range 0..3",
-                id="4x10:86712=4*21678--1-state 4 out of range 0..3",
+                "4x10:86712=4*21678", (10, 0), "edge (10,0) out of range for base 10",
+                id="4x10:86712=4*21678-(10,0) digit out of range",
             ),
         ],
     )
-    def test_bad_images_still_raise(self, seed, change, message):
-        images = ClassSpec.from_record(seed_to_record(seed)).images
-        n, b = images.multiplier, images.base
-        if isinstance(change, dict):
-            edges, states = tuple(sorted({**dict(images.edges), **change}.items())), images.states
-        else:
-            edges, states = images.edges, images.states | {change}
+    def test_bad_images_still_raise(self, seed, label, message):
+        spec = ClassSpec.from_record(seed_to_record(seed))
+        images = spec.images
+        n, b, labels = images.multiplier, images.base, images.labels | {label}
         with pytest.raises(ParameterError) as caught:
-            StateGraph(n, b, states, edges)
+            StateGraph(n, b, labels)
         assert str(caught.value) == message
         corrupt = copy.copy(images)
-        object.__setattr__(corrupt, "states", states)  # as a tampered pickle would
-        object.__setattr__(corrupt, "edges", edges)
-        with pytest.raises(ParameterError) as caught:
-            pickle.loads(pickle.dumps(corrupt))
-        assert str(caught.value) == message
+        object.__setattr__(corrupt, "labels", labels)  # as a tampered pickle would
+        tampered = copy.copy(spec)
+        object.__setattr__(tampered, "images", corrupt)
+        for obj in (corrupt, tampered):
+            with pytest.raises(ParameterError) as caught:
+                pickle.loads(pickle.dumps(obj))
+            assert str(caught.value) == message
+
+    def test_no_class_has_an_isolated_state(self):
+        # the images' states are the ends of their edges; a state passed
+        # beside the labels, which would make state 3 look like an image
+        # vertex of the class {(0, 0)}, can be neither built nor unpickled
+        with pytest.raises(TypeError):
+            StateGraph(4, 10, {0, 3}, {(0, 0): [(0, 0)]})
+        spec = ClassSpec(StateGraph(4, 10, [(0, 0)]))
+        assert spec.images.states == frozenset({0})
+        corrupt = copy.copy(spec.images)
+        object.__setattr__(corrupt, "states", frozenset({0, 3}))  # as a tampered object would hold
+        tampered = copy.copy(spec)
+        object.__setattr__(tampered, "images", corrupt)
+        assert class_reflection_exists(tampered)
+        again = pickle.loads(pickle.dumps(tampered))
+        assert again == spec and again.images.states == frozenset({0})
+        assert not class_reflection_exists(again)
+        with pytest.raises(NoReflectionError):
+            reflect_class(again)
+
+    @pytest.mark.parametrize("point", [(4, 10, 6), (3, 4, 7), (5, 12, 5)])
+    def test_image_states_are_the_ends_of_its_edges(self, point):
+        n, b, _ = point
+
+        def ends(images):
+            return frozenset(c for pair, _ in images.edges for c in pair)
+
+        specs = []
+        for record in walk_records(*point):
+            spec = ClassSpec.from_record(record)
+            assert spec.images.states == frozenset(record.carries)
+            specs += [spec, ClassSpec.from_graph(n, spec.graph)]
+            if class_reflection_exists(spec):
+                specs += [reflect_class(spec), symmetric_closure(spec)]
+        images = [spec.images for spec in specs] + [machine.build_state_graph(n, b)]
+        for image in images:
+            assert image.states == ends(image)
 
     @settings(max_examples=40, deadline=None)
     @given(point=small_points(), data=st.data())
@@ -325,20 +357,28 @@ class TestSymmetricClosure:
                 outcomes.append(NoReflectionError)
         assert outcomes[0] == outcomes[1]
 
-    def test_record_classes_trace_no_edge(self, rec_nine, monkeypatch):
-        # every class checks that its graph is a cycle union when built, but
-        # one read off a record's carries traces none of its edges
-        def refuse(*args):
-            raise AssertionError("traced an edge")
+    def test_class_builds_trace_each_label_once(self, rec_nine, monkeypatch):
+        # an image computes each distinct label's transition once, when it
+        # is built, with carry_step; transition only names a refused label
+        traced = []
 
+        def step(n, b, d, p):
+            traced.append((d, p))
+            return carry_step(n, b, d, p)
+
+        def refuse(*args):
+            raise AssertionError("named a label")
+
+        monkeypatch.setattr(machine, "carry_step", step)
+        monkeypatch.setattr(machine, "transition", refuse)
         spec = ClassSpec.from_record(rec_nine)
-        derived = (reflect_class(spec), symmetric_closure(spec))
-        for module, name in [(symmetry, "edge_image"), (machine, "transition")]:
-            monkeypatch.setattr(module, name, refuse)
-        assert ClassSpec.from_record(rec_nine) == spec
-        assert (reflect_class(spec), symmetric_closure(spec)) == derived
-        with pytest.raises(AssertionError, match="traced an edge"):  # the guard is live
-            ClassSpec.from_graph(4, spec.graph)
+        assert sorted(traced) == sorted(set(rec_nine.string))
+        for derive in (reflect_class, symmetric_closure):
+            traced.clear()
+            derived = derive(spec)
+            assert sorted(traced) == sorted(derived.images.labels)
+        with pytest.raises(AssertionError, match="named a label"):  # the guard is live
+            ClassSpec.from_graph(4, DigitGraph(10, {(9, 1), (1, 9)}))
 
 
 class TestFixingSymmetries:

@@ -25,7 +25,6 @@ from permutiple import (
     StateSequence,
     verify_permutiple,
 )
-from permutiple.machine import edge_image
 from permutiple.value import Value
 
 _set = object.__setattr__
@@ -42,17 +41,17 @@ INSTANCES = [
     (
         _RECORD,
         "PermutipleRecord(multiplier=4, digits=DigitString(base=10, digits=(2, 1, 9, 7, 8)), "
-        "sigma=Permutation(mapping=(4, 3, 2, 1, 0)), carries=(0, 3, 3, 3, 0, 0))",
+        "sigma=Permutation(mapping=(4, 3, 2, 1, 0)))",
     ),
     (DigitGraph(10, frozenset({(1, 7)})), "DigitGraph(base=10, edges=frozenset({(1, 7)}))"),
     (DigitCycle(10, (7, 1)), "DigitCycle(base=10, vertices=(1, 7))"),
     (
-        edge_image([(2, 8)], 4, 10),
-        "StateGraph(multiplier=4, base=10, states=frozenset({0, 3}), edges=(((0, 3), ((2, 8),)),))",
+        StateGraph(4, 10, [(2, 8)]),
+        "StateGraph(multiplier=4, base=10, labels=frozenset({(2, 8)}))",
     ),
     (
-        StateMultigraph(3, 4, [(0, 0, (0, 0))]),
-        "StateMultigraph(multiplier=3, base=4, edges=((0, 0, (0, 0)),))",
+        StateMultigraph(3, 4, [(0, 0)]),
+        "StateMultigraph(multiplier=3, base=4, labels=((0, 0),))",
     ),
     (
         CycleMultiset((DigitCycle(10, (0,)),), (2,)),
@@ -61,13 +60,12 @@ INSTANCES = [
     (
         SearchResult(_ZERO),
         "SearchResult(record=PermutipleRecord(multiplier=4, digits=DigitString(base=10, "
-        "digits=(0,)), sigma=Permutation(mapping=(0,)), carries=(0, 0)))",
+        "digits=(0,)), sigma=Permutation(mapping=(0,))))",
     ),
     (StateSequence(((0, 1), (1, 0))), "StateSequence(transitions=((0, 1), (1, 0)))"),
     (
         ClassSpec.from_record(_ZERO),
-        "ClassSpec(images=StateGraph(multiplier=4, base=10, states=frozenset({0}), "
-        "edges=(((0, 0), ((0, 0),)),)))",
+        "ClassSpec(images=StateGraph(multiplier=4, base=10, labels=frozenset({(0, 0)})))",
     ),
 ]
 OBJECTS = [obj for obj, _ in INSTANCES]
@@ -78,15 +76,15 @@ IDS = [type(obj).__name__ for obj in OBJECTS]
 CORRUPTIONS = [
     (DigitString, "base", 1),
     (Permutation, "mapping", (0, 0, 2)),
-    (PermutipleRecord, "carries", (0, 3, 3, 3, 1, 0)),
+    (PermutipleRecord, "sigma", Permutation((0, 1, 2, 3, 4))),  # 21978 = 4 * 21978 is false
     (DigitGraph, "edges", frozenset({(1, 10)})),
     (DigitCycle, "vertices", (1, 1)),
     (CycleMultiset, "multiplicities", (0,)),
     (StateSequence, "transitions", ((0, 1), (0, 0))),
-    (StateGraph, "states", frozenset({0, 3, 9})),  # state 9 at n = 4
-    (StateMultigraph, "edges", ((7, 7, (1, 1)),)),  # no transition of the machine
-    (ClassSpec, "images", edge_image([(2, 8)], 4, 10)),  # graph {(2, 8)}: no cycle union
-    (ClassSpec, "images", StateGraph(4, 10, (), {})),  # the empty graph
+    (StateGraph, "labels", frozenset({(2, 8), (9, 1)})),  # (9, 1) is no mother-graph edge
+    (StateMultigraph, "labels", ((1, 2),)),  # no mother-graph edge at n = 3, b = 4
+    (ClassSpec, "images", StateGraph(4, 10, [(2, 8)])),  # graph {(2, 8)}: no cycle union
+    (ClassSpec, "images", StateGraph(4, 10, ())),  # the empty graph
 ]
 COMPOSED = {SearchResult}
 
