@@ -4,20 +4,24 @@ Digit sequences are stored least-significant-first, so ``digits[j]`` is the
 coefficient of ``base**j``.  Display order (most-significant first) appears
 only at formatting boundaries.  All arithmetic is exact integer arithmetic.
 The classes here are the library's validated values (see
-:mod:`permutiple.value`).  :func:`check_equation` is the one proof of a
-permutiple equation and the one source of a record's carries: it
-multiplies the preimage out from the bottom digit and returns them.  A
+:mod:`permutiple.value`).  :func:`check_equation` proves a permutiple
+equation and gives a record its carries: it multiplies the preimage out
+from the bottom digit and returns them.  The search kernel
+(:func:`permutiple.search.division_walk`) proves its walks with the same
+step, one position at a time, and yields the same carries.  A
 :class:`PermutipleRecord`'s fields are its multiplier, digits and sigma;
-its carries are not a field but what the proof returns.  Two paths build
-one.  Its public constructor, and so pickling, copying and
+its carries are not a field but what the proof returns.  Three paths
+build one.  Its public constructor, and so pickling, copying and
 :func:`verify_permutiple`, validates every part: the
 :class:`DigitString`, the :class:`Permutation`, and the equation.
-:func:`build_record`, which builds every other record (kernel records,
-siblings, symmetry images and seeds), proves the rearrangement and the
-equation once each and leaves sigma unset.  Every record keeps its
-proved preimage digits and carries, which its
-:attr:`~PermutipleRecord.preimage`, ``key`` and ``string`` read; a built
-record's sigma is derived by :func:`smallest_bijection` when first read.
+:func:`build_record`, which builds siblings, symmetry images, seeds and
+oracle hits, proves the rearrangement and the equation once each and
+leaves sigma unset.  The kernel's records are assembled from its proved
+walks by the assembler that :func:`build_record` ends with, with no
+second proof.  Every record keeps its proved preimage digits and
+carries, which its :attr:`~PermutipleRecord.preimage`, ``key`` and
+``string`` read; a built record's sigma is derived by
+:func:`smallest_bijection` when first read.
 """
 
 from __future__ import annotations
@@ -66,6 +70,10 @@ def check_equation(multiplier: int, base: int, digits: Sequence[int],
     ``c_{j+1}, low = divmod(n*p_j + c_j, b)`` must give ``low == d_j`` at
     every position j, and c_k must be 0.  Each carry lies in 0..n-1, as
     n*p_j + c_j < n*b.  Any failure raises :class:`ParameterError`.
+    This is :func:`build_record`'s proof.  The search kernel proves its
+    walks with the same step in its own loops: a tail run from the bottom
+    up as its table is built, and the walked top digits from the top down
+    as they are pushed.
     """
     n, b, k = multiplier, base, len(digits)
     if not 1 < n < b:
@@ -356,11 +364,19 @@ def build_record(multiplier: int, base: int, digits: Sequence[int],
     if not is_rearrangement(digits, preimage):
         raise MultisetMismatchError("digit and preimage multisets differ")
     carries = check_equation(multiplier, base, digits, preimage)
+    return _assemble(multiplier, base, tuple(digits), tuple(preimage), carries)
+
+
+def _assemble(multiplier: int, base: int, digits: tuple[int, ...], preimage: tuple[int, ...],
+              carries: tuple[int, ...]) -> PermutipleRecord:
+    """The record of digits, preimage and carries, tuples already proved to
+    satisfy everything :func:`build_record` proves, assembled without
+    checking them again; sigma is left unset."""
     record = _new(PermutipleRecord)
     _set_multiplier(record, multiplier)
-    _set_record_digits(record, _digit_string(base, tuple(digits)))
+    _set_record_digits(record, _digit_string(base, digits))
     _set_carries(record, carries)
-    _set_preimage(record, tuple(preimage))
+    _set_preimage(record, preimage)
     return record
 
 

@@ -105,10 +105,11 @@ class StateGraph(Value, _StateEdges):
 
 
 class _MultiEdges:
-    """The slot in which a :class:`StateMultigraph` keeps its transitions,
-    outside its fields."""
+    """The slots in which a :class:`StateMultigraph` keeps what its labels
+    determine, outside its fields."""
 
-    __slots__ = ("edges",)
+    __slots__ = ("states", "edges")
+    states: frozenset[int]
     edges: tuple[tuple[int, int, Pair], ...]
 
 
@@ -116,9 +117,9 @@ class StateMultigraph(Value, _MultiEdges):
     """One labeled multi-edge per input pair: the transitions driven by a
     multiset of mother-graph edges, its ``labels``, kept sorted.
 
-    ``edges`` holds the sorted multiset of (c1, c2, label) triples,
-    computed when the multigraph is built.  Vertices are the incident
-    states only.
+    ``edges`` holds the sorted multiset of (c1, c2, label) triples and
+    ``states`` the ends of those edges, the incident states only; both are
+    computed when the multigraph is built, as a :class:`StateGraph`'s are.
     """
 
     __slots__ = ("multiplier", "base", "labels")
@@ -131,16 +132,10 @@ class StateMultigraph(Value, _MultiEdges):
         drives = _drives(labels, self.multiplier, self.base)
         _set(self, "labels", labels)
         _set(self, "edges", tuple(sorted((*drives[label], label) for label in labels)))
+        _set(self, "states", frozenset(c for pair in drives.values() for c in pair))
 
     def counter(self) -> Counter:
         return Counter(self.edges)
-
-    def states(self) -> frozenset[int]:
-        incident = set()
-        for c1, c2, _ in self.edges:
-            incident.add(c1)
-            incident.add(c2)
-        return frozenset(incident)
 
     def out_degree(self, state: int) -> int:
         return sum(1 for c1, _, _ in self.edges if c1 == state)
@@ -150,7 +145,7 @@ class StateMultigraph(Value, _MultiEdges):
         return StateMultigraph(n, b, reflect_pairs(self.labels, b - 1))
 
     def is_strongly_connected(self) -> bool:
-        return strongly_connected(self.states(), ((c1, c2) for c1, c2, _ in self.edges))
+        return strongly_connected(self.states, ((c1, c2) for c1, c2, _ in self.edges))
 
 
 def build_state_graph(multiplier: int, base: int) -> StateGraph:

@@ -4,26 +4,30 @@ A permutiple string is an input string the carry machine accepts (a walk
 from carry 0 back to carry 0) whose left and right digit components form
 the same multiset.  ``find`` and ``class`` both search with one kernel,
 :func:`division_walk`, the machine run as long division from the top
-digit, which yields each permutiple's digits and preimage in output
-order.  It meets in the middle: the top k - h digits are walked, and the
-bottom h <= k/2 are joined from a tail table of every run of h digits
-down to carry 0 (:func:`_tails`).  The table is one dict per plan keyed
-by ``code * n + c``, the run's packed code and the carry it starts from,
-and holds each run as its digits and preimage, least-significant first;
-the walk keeps the same two tuples for the digits above, so a permutiple
-is a run's tuples and the walk's joined by concatenation.  The carries
-are not kept: :func:`walk_records` builds a record of each walk through
-:func:`permutiple.digits.build_record`, whose proof multiplies them out,
-and CLI ``find`` writes those records.
+digit, which yields each permutiple's digits, preimage and carries in
+output order.  It meets in the middle: the top k - h digits are walked,
+and the bottom h <= k/2 are joined from a tail table of every run of h
+digits down to carry 0 (:func:`_tails`).  The table is one dict per plan
+keyed by ``code * n + c``, the run's packed code and the carry it starts
+from, and holds each run as its digits, preimage and carries,
+least-significant first; the walk keeps the same three tuples for the
+digits above, so a permutiple is a run's tuples and the walk's joined by
+concatenation.  Each walk is proved from these two halves with
+:func:`permutiple.digits.check_equation`'s step: a run position by
+position when its table is built, the walked top as each position is
+pushed, and the join by its carry and by the digit-count signatures of
+the halves.  :func:`walk_records` assembles a record of each walk
+without proving it again, and CLI ``find`` writes those records.
 
 Two caches keep work that repeats, both least recently used first and
 bounded by what they hold rather than by their entries.  A walk's plan
-(its option rows and tail table, :func:`_plan`) depends only on n, b, k,
-the distinct (d, p) pairs, the pinned digit multiset and the tail budget
-``_TAIL_RUNS``, so every record of one class shares it; plans are kept up
-to ``_TAIL_RUNS`` tail runs in all, a plan with more rows and options than
-runs counting those (:func:`_plan_size`).  The walk itself runs on every
-call, and every record it yields is built and proved again.
+(its option rows and proved tail table, :func:`_plan`) depends only on
+n, b, k, the distinct (d, p) pairs, the pinned digit multiset and the tail
+budget ``_TAIL_RUNS``, so every record of one class shares it; plans are
+kept up to ``_TAIL_RUNS`` tail runs in all, a plan with more rows and
+options than runs counting those (:func:`_plan_size`).  A run's proof is
+cached with its plan.  The walk itself runs, and proves its top, on
+every call.
 :func:`find_permutiples` keeps whole searches, keyed by n, b, k and
 whether zero-led ones are allowed, up to ``_CACHE_RECORDS`` results in
 all.  Each has ``cache_info()`` and ``cache_clear()``, as
@@ -46,6 +50,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 from .digits import (
     DigitString,
     PermutipleRecord,
+    _assemble,
     build_record,
     carry_step,
     check_length,
@@ -84,7 +89,7 @@ __all__ = [
 
 Pair = tuple[int, int]
 InputString = tuple[Pair, ...]
-Walk = tuple[tuple[int, ...], tuple[int, ...]]  # digits, preimage
+Walk = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]  # digits, preimage, carries
 
 DEFAULT_SCAN_LIMIT = 10**8
 _SIGNATURE_TABLE_BYTES = 2**27  # 128 MiB
@@ -151,7 +156,7 @@ def check_feasible(delta: StateMultigraph) -> bool:
     Requires the zero state with positive degree, strong connectivity on the
     incident states, and in-degree equal to out-degree everywhere.
     """
-    states = delta.states()
+    states = delta.states
     if 0 not in states:
         return False
     ins: Counter = Counter()
@@ -250,7 +255,7 @@ def count_eulerian_circuits(delta: StateMultigraph) -> int:
     """
     if not check_feasible(delta):
         raise InfeasibleUnionError("multigraph union admits no zero-anchored Eulerian circuit")
-    states = sorted(delta.states())
+    states = sorted(delta.states)
     index = {c: i for i, c in enumerate(states)}
     size = len(states)
     adjacency = [[0] * size for _ in range(size)]
@@ -376,36 +381,77 @@ def _bounded_cache(bound: Callable[[], int], size: Callable[[Any], int]):
     return decorate
 
 
-def _tails(
-    options: Sequence[Sequence[tuple[int, int, int, int]]], carries: int, length: int, budget: int
-) -> tuple[int, list[dict[int, list[Walk]]]]:
-    """The bottom h digits of every walk, tabled by carry and packed code.
+def _unproved(n: int, b: int, j: int, d: int, p: int, c: int, carry: int) -> InvariantError:
+    """The defect of a walk whose position j fails :func:`check_equation`'s
+    step: (d, p) from carry c must have both digits in 0..b-1 and give
+    ``divmod(n*p + c, b) == (carry, d)``."""
+    if not (0 <= d < b and 0 <= p < b):
+        return InvariantError(f"digit out of range for base {b} at position {j}")
+    return InvariantError(
+        f"carry recurrence violated at position {j}: {n} * {p} + {c} is not {b} * {carry} + {d}"
+    )
 
-    ``tables[c][code]`` lists every run of h digits that goes from carry c
-    down to carry 0 and whose packed steps sum to ``code``.  A run is two
-    tuples, least-significant first: its digits d_0..d_{h-1} and its
-    preimage digits p_0..p_{h-1}, so that a walk's top digits and preimage
-    join it by concatenation.
+
+def _tails(
+    options: Sequence[Sequence[tuple[int, int, int, int]]],
+    carries: int,
+    base: int,
+    weights: Sequence[int],
+    length: int,
+    budget: int,
+) -> tuple[int, list[dict[int, list]]]:
+    """The bottom h digits of every walk, tabled by carry and packed code,
+    each run proved as it is built.
+
+    ``tables[c][code]`` holds the count signature and the list of every run
+    of h digits that goes from carry c down to carry 0 and whose packed
+    steps sum to ``code``.  A run is three tuples, least-significant first:
+    its digits d_0..d_{h-1}, its preimage digits p_0..p_{h-1} and its
+    carries c_0..c_h (c_0 = 0, c_h = c), so that a walk's top digits,
+    preimage and carries join it by concatenation.
     Each list is in display order (options ascending at every level).
     Levels are built bottom-up from the empty run at carry 0, each run
     extended by one digit on top; h grows up to length // 2 and stops
     before a level would hold more than ``budget`` runs.
+    An option (d, p) of row ``carry`` extends the runs from carry c only
+    after :func:`check_equation`'s step proves its position: both digits in
+    0..base-1 and ``divmod(n*p + c, base) == (carry, d)``.  The signature
+    is the sum of ``weights[d] - weights[p]`` over a run's positions, the
+    weights ``(length+1)**d`` of :func:`_count_signatures`; a packed code
+    fixes every digit's balance, so the runs of one code share it, and a
+    run that would join a code of another signature is a defect.  Either
+    failure raises :class:`InvariantError`.
     """
-    tables: list[dict[int, list[Walk]]] = [{} for _ in range(carries)]
-    tables[0][0] = [((), ())]
+    n, b = carries, base
+    tables: list[dict[int, list]] = [{} for _ in range(n)]
+    tables[0][0] = [0, [((), (), (0,))]]
     for h in range(length // 2):
-        grown: list[dict[int, list[Walk]]] = [{} for _ in range(carries)]
+        grown: list[dict[int, list]] = [{} for _ in range(n)]
         total = 0
-        for row, table in zip(options, grown):
+        for carry, (row, table) in enumerate(zip(options, grown)):
             for d, p, c, step in row:
-                td, tp = (d,), (p,)
-                for code, runs in tables[c].items():
+                below = tables[c]
+                if not below:
+                    continue
+                if not 0 <= p < b or divmod(n * p + c, b) != (carry, d):
+                    raise _unproved(n, b, h, d, p, c, carry)
+                shift = weights[d] - weights[p]
+                td, tp, tc = (d,), (p,), (carry,)
+                for code, (signature, runs) in below.items():
                     total += len(runs)
                     if total > budget:
                         return h, tables
-                    table.setdefault(code + step, []).extend(
-                        [(ds + td, ps + tp) for ds, ps in runs]
-                    )
+                    grown_runs = [(ds + td, ps + tp, cs + tc) for ds, ps, cs in runs]
+                    bucket = table.get(code + step)
+                    if bucket is None:
+                        table[code + step] = [signature + shift, grown_runs]
+                    elif bucket[0] == signature + shift:
+                        bucket[1] += grown_runs
+                    else:
+                        raise InvariantError(
+                            f"tail runs of packed code {code + step} from carry {carry} "
+                            "differ in their digit counts"
+                        )
         tables = grown
     return length // 2, tables
 
@@ -418,7 +464,7 @@ def _plan_size(plan: tuple | None) -> int:
     if plan is None:
         return 0
     options, tails = plan[0], plan[-1]
-    runs = sum(map(len, tails.values()))
+    runs = sum(len(bucket[1]) for bucket in tails.values())
     return max(runs, len(options) + sum(map(len, options)))
 
 
@@ -432,13 +478,15 @@ def _plan(
     budget: int,
 ) -> tuple | None:
     """What a division walk needs before its first step: the option rows,
-    the ``final`` code, the pinned-count template, the tail height and the
-    tail table; None when a pinned digit lies on none of the pairs.  The
-    table is frozen into one dict keyed by ``code * n + c`` for the runs
-    from carry c whose packed code is ``code``, each bucket a tuple of the
-    runs of :func:`_tails` as they were built.  It depends only on its
+    the ``final`` code, the pinned-count template, the tail height, the
+    signature weights and the tail table; None when a pinned digit lies on
+    none of the pairs.  The table is frozen into one dict keyed by
+    ``code * n + c`` for the runs from carry c whose packed code is
+    ``code``, each bucket its signature and a tuple of the runs of
+    :func:`_tails` as they were built and proved.  It depends only on its
     arguments, so :func:`division_walk` keeps the last few, up to
-    ``budget`` (``_TAIL_RUNS``) in all, counted by :func:`_plan_size`."""
+    ``budget`` (``_TAIL_RUNS``) in all, counted by :func:`_plan_size`, and
+    a run's proof is kept with its plan."""
     if pairs is None:  # the mother graph: every pair, its non-edges dropped below
         pairs = tuple((d, p) for d in range(b) for p in range(b))
     digits = sorted({x for edge in pairs for x in edge if 0 <= x < b})
@@ -473,13 +521,16 @@ def _plan(
             c, carry = carries
             step = width ** (len(digits) + index[d]) if pinned is not None else 0
             options[carry].append((d, p, c, width ** index[d] - width ** index[p] + step))
-    h, tails = _tails(options, n, k, budget)
+    weights = _count_signatures(b, 1, k)
+    h, tails = _tails(options, n, b, weights, k, budget)
     # one table for every carry: 0 <= c < n, so code * n + c keys each
     # (code, c) once, negative codes included
     frozen = {
-        code * n + c: tuple(runs) for c, table in enumerate(tails) for code, runs in table.items()
+        code * n + c: (signature, tuple(runs))
+        for c, table in enumerate(tails)
+        for code, (signature, runs) in table.items()
     }
-    return tuple(map(tuple, options)), final, tuple(left), h, frozen
+    return tuple(map(tuple, options)), final, tuple(left), h, weights, frozen
 
 
 def division_walk(
@@ -490,12 +541,14 @@ def division_walk(
     left_digits: Sequence[int] | None = None,
     allow_leading_zero: bool = True,
 ) -> Iterator[Walk]:
-    """Every permutiple with ``length`` digits as (digits, preimage).
+    """Every permutiple with ``length`` digits as (digits, preimage, carries),
+    each proved before it is yielded.
 
-    The two tuples are least-significant first: digits d_0..d_{k-1} and
-    preimage digits p_0..p_{k-1} with n*p = d.  They come sorted by
-    display digits.  The carry machine run from the top digit is long
-    division: from carry c_{j+1}, digit d_j gives
+    The tuples are least-significant first: digits d_0..d_{k-1}, preimage
+    digits p_0..p_{k-1} with n*p = d, and the carries c_0..c_k that
+    :func:`permutiple.digits.check_equation` would return.  They come
+    sorted by display digits.  The carry machine run from the top digit is
+    long division: from carry c_{j+1}, digit d_j gives
     (p_j, c_j) = divmod(base*c_{j+1} + d_j, n), the one transition
     b*c_{j+1} + d_j = n*p_j + c_j of :func:`permutiple.digits.carry_step`.
     From c_k = 0, digits tried in ascending order, the walk accepts when
@@ -506,9 +559,19 @@ def division_walk(
     already used as often as pinned, with states memoised once dead, and
     the bottom h digits are looked up in a table of runs to carry 0 keyed
     by their packed code and carry (:func:`_tails`, h <= k // 2).  Each
-    stack frame holds the digits and preimage digits above it,
-    least-significant first (empty at the root), and each hit yields a
-    run's tuples concatenated with them.
+    stack frame holds the digits, preimage digits and carries above it,
+    least-significant first (the carry c_k = 0 alone at the root), and
+    their count signature; each hit yields a run's tuples concatenated
+    with them.
+    Each walk is proved from its two halves.  A run was proved position by
+    position when its table was built, and that proof is cached with the
+    plan.  The top is proved on every call: each position as it is pushed,
+    by :func:`check_equation`'s step (both digits in 0..base-1 and
+    ``divmod(n*p + c, base) == (carry above, d)``), the lowest one at the
+    hit.  The join then checks that the run ends at the carry the top's
+    lowest position was proved from, and that the two count signatures sum
+    to 0, so the digits rearrange the preimage.  Any failure raises
+    :class:`InvariantError`.
     The options come from the (d, p) pairs, ``edges`` or else every pair
     of digits: each mother-graph edge is exactly one such transition, so a
     class walk's rows cost as many steps as its class graph has edges, and
@@ -529,36 +592,53 @@ def division_walk(
     plan = _plan(n, b, k, pairs, pinned, _TAIL_RUNS)
     if plan is None:
         return
-    options, final, template, h, tails = plan
+    options, final, template, h, weights, tails = plan
     left = list(template)
 
     dead: set[int] = set()
     roots = options[0] if allow_leading_zero else [o for o in options[0] if o[0]]
     # frame: untried options, packed code, whether anything below was
-    # accepted, memo key, and the digits and preimage above it
-    stack: list[list] = [[iter(roots), 0, False, 0, (), ()]]
+    # accepted, memo key, the digits, preimage digits and carries above it,
+    # and the count signature of those digits
+    stack: list[list] = [[iter(roots), 0, False, 0, (), (), (0,), 0]]
     while stack:
         frame = stack[-1]
-        code, above = frame[1], frame[4]
+        code, above, carries = frame[1], frame[4], frame[6]
+        carry = carries[0]
         steps = k - len(above)
         for d, p, c, step in frame[0]:
             if not left[d]:
                 continue  # a pinned digit is used up
             if steps - 1 == h:  # the rest is a tail: look it up
-                runs = tails.get((final - code - step) * n + c)
-                if runs:
+                bucket = tails.get((final - code - step) * n + c)
+                if bucket:
+                    if not 0 <= p < b or divmod(n * p + c, b) != (carry, d):
+                        raise _unproved(n, b, h, d, p, c, carry)
+                    if frame[7] + weights[d] - weights[p] + bucket[0]:
+                        raise InvariantError(
+                            f"digit and preimage multisets differ: a tail run of {h} digits "
+                            f"does not balance the {k - h} above it"
+                        )
                     frame[2] = True
                     hd, hp = (d,) + above, (p,) + frame[5]
-                    for rd, rp in runs:  # least-significant first
-                        yield rd + hd, rp + hp
+                    for rd, rp, rc in bucket[1]:  # least-significant first
+                        if rc[-1] != c:
+                            raise InvariantError(
+                                f"carries do not meet at position {h}: a tail run ends at "
+                                f"carry {rc[-1]}, the digits above it start from carry {c}"
+                            )
+                        yield rd + hd, rp + hp, rc + carries
                 continue
             key = ((code + step) * k + steps - 1) * n + c
             if key in dead:
                 continue
+            if not 0 <= p < b or divmod(n * p + c, b) != (carry, d):
+                raise _unproved(n, b, steps - 1, d, p, c, carry)
             left[d] -= 1
-            stack.append(
-                [iter(options[c]), code + step, False, key, (d,) + above, (p,) + frame[5]]
-            )
+            stack.append([
+                iter(options[c]), code + step, False, key, (d,) + above, (p,) + frame[5],
+                (c,) + carries, frame[7] + weights[d] - weights[p],
+            ])
             break
         else:
             stack.pop()
@@ -570,17 +650,6 @@ def division_walk(
                     dead.add(frame[3])
 
 
-def _proved(n: int, b: int, digits: Sequence[int], preimage: Sequence[int],
-            found: str = "") -> PermutipleRecord:
-    """:func:`permutiple.digits.build_record` on digits and a preimage that a
-    search found; a failed proof is a defect of the search, raised as
-    :class:`InvariantError` with ``found`` and the proof's message."""
-    try:
-        return build_record(n, b, digits, preimage)
-    except (MultisetMismatchError, ParameterError) as exc:
-        raise InvariantError(f"{found}{exc}") from None
-
-
 def walk_records(
     multiplier: int,
     base: int,
@@ -590,12 +659,12 @@ def walk_records(
     allow_leading_zero: bool = True,
 ) -> Iterator[PermutipleRecord]:
     """The walks of :func:`division_walk` (same arguments, same order) as
-    records of :func:`permutiple.digits.build_record`.  A walk that fails
-    its proof is a defect of the kernel, raised as :class:`InvariantError`
-    with the proof's message."""
+    records.  The walk has proved each one and computed its carries, so
+    the record is assembled from its tuples as :func:`build_record`
+    assembles one, with no second proof, and leaves sigma unset."""
     walks = division_walk(multiplier, base, length, edges, left_digits, allow_leading_zero)
-    for digits, preimage in walks:
-        yield _proved(multiplier, base, digits, preimage)
+    for digits, preimage, carries in walks:
+        yield _assemble(multiplier, base, digits, preimage, carries)
 
 
 def group_unions(
@@ -620,7 +689,7 @@ def feasible_unions(
     :func:`check_feasible`, one decomposition each.
     """
     walks = division_walk(multiplier, base, length)
-    return group_unions((tuple(zip(d, p)) for d, p in walks), multiplier, base)
+    return group_unions((tuple(zip(d, p)) for d, p, _ in walks), multiplier, base)
 
 
 @_bounded_cache(lambda: _CACHE_RECORDS, len)
@@ -673,8 +742,8 @@ def brute_force_oracle(
     q divisible by s = (b-1) / gcd(n-1, b-1) are visited (s >= 2, as the
     gcd is at most n-1 < b-1).  Each candidate compares packed digit-count
     signatures, read from two tables of half-width blocks (:func:`_count_signatures`); every hit is
-    then rebuilt as digit strings and proved by :func:`build_record`, as a
-    walk is.  Refuses scans beyond ``scan_limit`` candidate strings, and signature tables beyond about 128 MiB (a
+    then rebuilt as digit strings and proved by :func:`build_record`, a
+    failed proof raised as :class:`InvariantError`.  Refuses scans beyond ``scan_limit`` candidate strings, and signature tables beyond about 128 MiB (a
     signature takes ``base * log2(length + 1)`` bits, so at the default
     limit this refuses only one-digit scans in bases above about 23,000).
     """
@@ -702,7 +771,10 @@ def brute_force_oracle(
             continue
         digits = DigitString.from_int(b, v, width=length).digits
         preimage = DigitString.from_int(b, q, width=length).digits
-        record = _proved(n, b, digits, preimage, f"oracle hit {v} = {n} * {q}: ")
+        try:
+            record = build_record(n, b, digits, preimage)
+        except (MultisetMismatchError, ParameterError) as exc:
+            raise InvariantError(f"oracle hit {v} = {n} * {q}: {exc}") from None
         if allow_leading_zero or record.canonical:
             records.append(record)
     return records

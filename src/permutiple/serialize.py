@@ -213,9 +213,9 @@ def _graph_view(graph: Graph) -> tuple[str, list[int], list[tuple[int, int, list
         return "vertices", list(graph.vertices), [(d1, d2, []) for d1, d2 in graph.sorted_edges]
     if isinstance(graph, StateGraph):
         arcs = [(c1, c2, [format_pair(p) for p in labels]) for (c1, c2), labels in graph.edges]
-        return "states", sorted(graph.states), arcs
-    arcs = [(c1, c2, [format_pair(label)]) for c1, c2, label in graph.edges]
-    return "states", sorted(graph.states()), arcs
+    else:
+        arcs = [(c1, c2, [format_pair(label)]) for c1, c2, label in graph.edges]
+    return "states", sorted(graph.states), arcs
 
 
 def graph_to_dot(graph: Graph, name: str) -> str:

@@ -232,7 +232,7 @@ def reference_state_graph_to_dot(graph: StateGraph, name: str) -> str:
 
 
 def reference_state_multigraph_to_dot(graph: StateMultigraph, name: str) -> str:
-    nodes = [str(c) for c in sorted(graph.states())]
+    nodes = [str(c) for c in sorted(graph.states)]
     arcs = [f'{c1} -> {c2} [label="{format_pair(label)}"]' for c1, c2, label in graph.edges]
     return _reference_dot_lines(name, nodes, arcs)
 
@@ -273,7 +273,7 @@ def reference_state_multigraph_to_json(graph: StateMultigraph) -> str:
             "kind": "hs-multigraph",
             "multiplier": graph.multiplier,
             "base": graph.base,
-            "states": sorted(graph.states()),
+            "states": sorted(graph.states),
             "edges": [f"{c1}->{c2}:{format_pair(label)}" for c1, c2, label in graph.edges],
         }
     )
@@ -293,7 +293,7 @@ def reference_state_graph_to_text(graph: StateGraph) -> str:
 
 
 def reference_state_multigraph_to_text(graph: StateMultigraph) -> str:
-    lines = [f"states: {' '.join(str(c) for c in sorted(graph.states()))}"]
+    lines = [f"states: {' '.join(str(c) for c in sorted(graph.states))}"]
     lines.extend(f"{c1} -> {c2}  {format_pair(label)}" for c1, c2, label in graph.edges)
     return "\n".join(lines) + "\n"
 
@@ -778,3 +778,84 @@ def small_points(draw):
     """A grid point (n, b, k) with b <= 8 and k <= 5, where every walk is quick."""
     base = draw(st.integers(3, 8))
     return draw(st.integers(2, base - 1)), base, draw(st.integers(1, 5))
+
+
+# Faults that inject_walk_fault puts into division_walk's plan at
+# (4, 10, 5), where the tail holds h = 2 digits, each with the message the
+# walk refuses it with.  (8, 2) is the transition 0 -> 0 in row 0.
+WALK_FAULTS = {
+    # built with the option (8, 2) of row 0 leading to carry 1, not 0
+    "option-row": "carry recurrence violated at position 1: 4 \\* 2 \\+ 1 is not 10 \\* 0 \\+ 8",
+    # the same option put into a plan already cached
+    "cached-option-row": "carry recurrence violated at position 3: 4 \\* 2 \\+ 1 is not 10 \\* 0 \\+ 8",
+    # the same option, with preimage digit 10 in place of 2, put into a plan
+    # already cached
+    "cached-preimage-digit": "digit out of range for base 10 at position 3",
+    # tail runs built with digit 9 in place of 8 on the transition (8, 2)
+    "tail-digit": "carry recurrence violated at position 0: 4 \\* 2 \\+ 0 is not 10 \\* 0 \\+ 9",
+    # the runs from carry 0 tabled as if from carry 3, and those from 3 as
+    # from 0, where both carries table runs of one code
+    "run-carry": "carries do not meet at position 2: a tail run ends at carry [03], the digits "
+                 "above it start from carry [03]",
+    # every bucket's runs and signature tabled under the next code of its carry
+    "run-balance": "digit and preimage multisets differ",
+}
+
+
+def inject_walk_fault(monkeypatch, fault: str) -> None:
+    """Put one of :data:`WALK_FAULTS` into the plans of
+    :func:`permutiple.search.division_walk` at (4, 10, 5): through the
+    plan's builders, so that it enters every plan built from then on, or,
+    for the ``cached`` ones, into the plan a clean walk leaves cached."""
+    from permutiple import search
+
+    def cached(corrupt):
+        assert list(search.division_walk(4, 10, 5))
+        key = (4, 10, 5, None, None, search._TAIL_RUNS)
+        plan = search._plan.entries[key]
+        rows = tuple(tuple(corrupt(*o) if o[:2] == (8, 2) else o for o in row) for row in plan[0])
+        search._plan.entries[key] = (rows, *plan[1:])
+
+    def faulty_tails(corrupt_rows=None, corrupt_tables=None):
+        tails = search._tails
+
+        def build(options, *args):
+            if corrupt_rows is not None:
+                options = [corrupt_rows(row) for row in options]
+            h, tables = tails(options, *args)
+            return h, tables if corrupt_tables is None else corrupt_tables(tables)
+
+        monkeypatch.setattr(search, "_tails", build)
+
+    if fault == "option-row":
+        carry_step = search.carry_step
+
+        def step(n, b, d, p):
+            c, carry = carry_step(n, b, d, p) or (None, None)
+            return None if c is None else (c + ((d, p) == (8, 2)), carry)
+
+        monkeypatch.setattr(search, "carry_step", step)
+    elif fault == "cached-option-row":
+        cached(lambda d, p, c, step: (d, p, c + 1, step))
+    elif fault == "cached-preimage-digit":
+        cached(lambda d, p, c, step: (d, 10, c, step))
+    elif fault == "tail-digit":
+        faulty_tails(corrupt_rows=lambda row: tuple(
+            (9 if (d, p) == (8, 2) else d, p, c, step) for d, p, c, step in row
+        ))
+    elif fault == "run-carry":
+        def swapped(tables):
+            tables = [dict(table) for table in tables]
+            for code in set(tables[0]) & set(tables[3]):
+                tables[0][code], tables[3][code] = tables[3][code], tables[0][code]
+            return tables
+
+        faulty_tails(corrupt_tables=swapped)
+    elif fault == "run-balance":
+        def rotated(table):
+            codes = list(table)
+            return dict(zip(codes, [table[code] for code in codes[1:] + codes[:1]]))
+
+        faulty_tails(corrupt_tables=lambda tables: [rotated(table) for table in tables])
+    else:
+        raise ValueError(fault)

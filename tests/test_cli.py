@@ -15,7 +15,7 @@ from permutiple.errors import InvariantError
 from permutiple.search import division_walk
 from permutiple.value import Value
 
-from helpers import child_env
+from helpers import child_env, inject_walk_fault
 
 
 def run_cli(capsys, *argv):
@@ -129,19 +129,16 @@ class TestGraphCommands:
         assert os.listdir(tmp_path) == ["found.json"]
 
     def test_a_walk_that_fails_its_checks_keeps_the_old_file(self, capsys, tmp_path, monkeypatch):
-        def two_walks_then_a_bad_one(*args, **kwargs):
-            walks = division_walk(*args, **kwargs)
-            yield next(walks)
-            digits, preimage = next(walks)
-            yield digits, preimage
-            yield (digits[1], digits[0]) + digits[2:], preimage  # two low digits swapped
-
+        # a cached plan with one option leading to the wrong carry: the walk
+        # yields four walks, then refuses the first that pushes the option
+        inject_walk_fault(monkeypatch, "cached-option-row")
+        walks = division_walk(4, 10, 5, allow_leading_zero=False)
+        assert len(list(islice(walks, 4))) == 4
         target = tmp_path / "found.json"
         target.write_bytes(b"old\n")
-        monkeypatch.setattr(search, "division_walk", two_walks_then_a_bad_one)
-        code, out, err = run_cli(capsys, "find", "-n", "4", "-b", "10", "-k", "4", "-o", str(target))
+        code, out, err = run_cli(capsys, "find", "-n", "4", "-b", "10", "-k", "5", "-o", str(target))
         assert (code, out) == (1, "")
-        assert err.startswith("error: carr")
+        assert err.startswith("error: carry recurrence violated at position 3")
         assert target.read_bytes() == b"old\n"
         assert os.listdir(tmp_path) == ["found.json"]
 
@@ -503,23 +500,16 @@ class TestOeisCheck:
         assert payload["matches"] == [] and payload["misses"] == [] and payload["extras"] == []
 
     def test_a_walk_that_fails_its_checks_is_refused(self, capsys, tmp_path, monkeypatch):
-        def every_walk_then_a_bad_one(*args, **kwargs):
-            walk = None
-            for walk in division_walk(*args, **kwargs):
-                yield walk
-            if walk is not None:
-                digits, preimage = walk
-                yield (digits[1], digits[0]) + digits[2:], preimage  # two low digits swapped
-
         bfile = tmp_path / "b.txt"
-        bfile.write_text("# nothing\n")  # clean without the bad walk
-        monkeypatch.setattr(search, "division_walk", every_walk_then_a_bad_one)
-        code, out, err = run_cli(
-            capsys, "oeis-check", "--bfile", str(bfile), "-n", "3", "-b", "4",
-            "--length", "7",
-        )
+        bfile.write_text("# nothing\n")  # clean without the fault
+        argv = ["oeis-check", "--bfile", str(bfile), "-n", "4", "-b", "10", "--length", "5"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["extras"] == []
+        # the cached plan of length 5 with one option leading to the wrong carry
+        inject_walk_fault(monkeypatch, "cached-option-row")
+        code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
-        assert err.startswith("error: carr")
+        assert err.startswith("error: carry recurrence violated at position 3")
 
     @pytest.mark.parametrize("length", ["0", "-3"])
     def test_a_length_below_1_is_usage_error(self, capsys, tmp_path, length):

@@ -1,3 +1,4 @@
+import copy
 from collections import Counter
 from functools import lru_cache
 from itertools import product
@@ -140,7 +141,7 @@ class TestStateGraph:
                 pairs = [pair for pair, _ in graph.edges]
                 expected = reference_strongly_connected(graph.states, pairs)
                 assert graph.is_strongly_connected() == expected, (n, b)
-                expected = reference_strongly_connected(multigraph.states(), pairs)
+                expected = reference_strongly_connected(multigraph.states, pairs)
                 assert multigraph.is_strongly_connected() == expected, (n, b)
 
 
@@ -169,6 +170,19 @@ class TestStateMultigraph:
             with pytest.raises(ParameterError) as caught:
                 StateMultigraph(4, 10, [label])
             assert str(caught.value) == message
+
+    def test_states_are_the_ends_of_its_edges(self):
+        # a slot filled at construction, as a StateGraph's is, and rebuilt
+        # by a copy
+        for labels in [[], [(2, 8), (8, 2), (2, 8)], [(1, 7), (7, 1), (9, 9)]]:
+            multigraph = StateMultigraph(4, 10, labels)
+            ends = frozenset(c for c1, c2, _ in multigraph.edges for c in (c1, c2))
+            assert multigraph.states == ends == StateGraph(4, 10, labels).states
+            assert type(multigraph.states) is frozenset
+            assert copy.deepcopy(multigraph).states == ends
+        for b in range(3, 11):
+            for n in range(2, b):
+                assert build_state_multigraph(n, b).states == frozenset(range(n))
 
 
 class TestCycleImages:

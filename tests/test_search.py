@@ -16,6 +16,7 @@ from permutiple import (
     DigitCycle,
     DigitString,
     InfeasibleUnionError,
+    InvariantError,
     MultisetMismatchError,
     ParameterError,
     Permutation,
@@ -50,10 +51,12 @@ from permutiple.symmetry import _fixing_images, class_unions
 from permutiple.value import Value
 
 from helpers import (
+    WALK_FAULTS,
     carries_by_value,
     cycle_combinations,
     distinct_orderings,
     empty_state_multigraph,
+    inject_walk_fault,
     is_permutiple_string,
     make_record,
     multi_image,
@@ -346,7 +349,7 @@ class TestOracle:
             brute_force_oracle(2, 10**5, 1)
 
     def test_every_hit_is_verified(self, monkeypatch):
-        # each hit is proved by build_record, as a walk is
+        # each hit is proved by build_record
         calls = []
 
         def counting(multiplier, base, digits, preimage):
@@ -465,40 +468,43 @@ class TestWalkKernel:
             monkeypatch.setattr(search, "_TAIL_RUNS", budget)
         n, b, k = point
         width = 2 * k + 1
+        weights = [(k + 1) ** d for d in range(b)]
         options = [[] for _ in range(n)]  # the kernel's unrestricted, unpinned rows
         for carry, row in enumerate(options):
             for d in range(b):
                 p, c = divmod(b * carry + d, n)
                 row.append((d, p, c, width**d - width**p))
-        h, tables = search._tails(options, n, k, search._TAIL_RUNS)
+        h, tables = search._tails(options, n, b, weights, k, search._TAIL_RUNS)
         assert 0 <= h <= k // 2 and len(tables) == n
-        runs = [run for table in tables for listed in table.values() for run in listed]
+        runs = [run for table in tables for _, listed in table.values() for run in listed]
         assert h == 0 or len(runs) <= search._TAIL_RUNS
         if h < k // 2:  # one level more would have exceeded the budget
-            grown = sum(len(r) for row in options for o in row for r in tables[o[2]].values())
+            grown = sum(len(r) for row in options for o in row for _, r in tables[o[2]].values())
             assert grown > search._TAIL_RUNS
         for carry, table in enumerate(tables):
-            # every run of h digits from this carry to carry 0: its digits
-            # and preimage, least-significant first
+            # every run of h digits from this carry to carry 0: its digits,
+            # preimage and carries, least-significant first
             expected = []
-            stack = [(carry, (), ())]
+            stack = [(carry, (), (), (carry,))]
             while stack:
-                at, ds, ps = stack.pop()
+                at, ds, ps, cs = stack.pop()
                 if len(ds) < h:
-                    stack.extend((c, (d,) + ds, (p,) + ps) for d, p, c, _ in reversed(options[at]))
+                    stack.extend(
+                        (c, (d,) + ds, (p,) + ps, (c,) + cs) for d, p, c, _ in reversed(options[at])
+                    )
                 elif at == 0:
-                    expected.append((ds, ps))
-            assert sorted(r for listed in table.values() for r in listed) == sorted(expected)
-            for code, listed in table.items():
-                for ds, ps in listed:
-                    assert len(ds) == len(ps) == h
+                    expected.append((ds, ps, cs))
+            assert sorted(r for _, listed in table.values() for r in listed) == sorted(expected)
+            for code, (signature, listed) in table.items():
+                for ds, ps, cs in listed:
+                    assert len(ds) == len(ps) == h and len(cs) == h + 1
                     assert sum(width**d - width**p for d, p in zip(ds, ps)) == code
-                    at = carry
-                    for j in reversed(range(h)):  # from carry c down to carry 0
-                        lower = {(d, p): c for d, p, c, _ in options[at]}
-                        at = lower[ds[j], ps[j]]
-                    assert at == 0
-                shown = [ds[::-1] for ds, _ in listed]
+                    assert sum(weights[d] - weights[p] for d, p in zip(ds, ps)) == signature
+                    # the carries are check_equation's, from c_0 = 0 up to c_h = carry
+                    assert cs[0] == 0 and cs[-1] == carry
+                    for j in range(h):
+                        assert divmod(n * ps[j] + cs[j], b) == (cs[j + 1], ds[j])
+                shown = [ds[::-1] for ds, _, _ in listed]
                 assert shown == sorted(shown)
 
     # at (4,10,7) a budget of 9 stops the tail at h = 0, 50 at h = 1 (level
@@ -515,7 +521,7 @@ class TestWalkKernel:
         for args, walks in zip(calls, expected):
             assert list(division_walk(n, b, k, *args)) == walks and walks
             for walk in walks:
-                assert type(walk) is tuple and list(map(len, walk)) == [k, k]
+                assert type(walk) is tuple and list(map(len, walk)) == [k, k, k + 1]
                 for part in walk:
                     assert type(part) is tuple and all(type(x) is int for x in part)
 
@@ -589,7 +595,7 @@ class TestWalkKernel:
             walks = list(division_walk(n, b, k, allow_leading_zero=allow))
             assert list(division_walk(n, b, k, mother, allow_leading_zero=allow)) == walks
             assert list(division_walk(n, b, k, mother + extra, allow_leading_zero=allow)) == walks
-        digits, preimage = data.draw(st.sampled_from(walks))
+        digits, preimage, _ = data.draw(st.sampled_from(walks))
         string = list(zip(digits, preimage))
         for allow in (False, True):
             assert list(division_walk(n, b, k, string + extra, digits, allow)) == list(
@@ -662,6 +668,83 @@ class TestWalkKernel:
         assert records[0].carries == (0,) * 3001
 
 
+def assert_walks_are_proved(n, b, k, *args):
+    """Every walk of ``division_walk(n, b, k, *args)`` equals, carries
+    included, the walk :func:`build_record` proves from its digits and
+    preimage, and the record :func:`walk_records` makes of it equals that
+    record, its preimage and carries included, with sigma left unset.
+    Returns the walks."""
+    walks = list(division_walk(n, b, k, *args))
+    records = list(walk_records(n, b, k, *args))
+    assert len(records) == len(walks)
+    for walk, record in zip(walks, records):
+        proved = build_record(n, b, *walk[:2])
+        assert walk == (proved.digits.digits, proved._preimage, proved.carries)
+        assert all(type(part) is tuple for part in walk)
+        assert (record.digits.digits, record._preimage, record.carries) == walk
+        assert not sigma_is_read(record)
+        assert record == proved
+    return walks
+
+
+class TestWalkProof:
+    @settings(max_examples=30, deadline=None)
+    @given(point=small_points(), data=st.data())
+    def test_walks_are_the_walks_build_record_proves(self, point, data):
+        # at the tail heights three budgets leave: none, the b runs of
+        # level 1 (below k // 2 once k >= 4), and the default
+        n, b, k = point
+        seed = None
+        for budget in (0, b, None):
+            with pytest.MonkeyPatch.context() as patch:
+                if budget is not None:
+                    patch.setattr(search, "_TAIL_RUNS", budget)
+                search._plan.cache_clear()
+                for allow in (True, False):
+                    walks = assert_walks_are_proved(n, b, k, None, None, allow)
+                    if seed is None:  # zero-led walks allowed, so 0 = n * 0 is one
+                        seed = data.draw(st.sampled_from(walks))
+                    digits, preimage, _ = seed
+                    string = tuple(zip(digits, preimage))
+                    assert_walks_are_proved(n, b, k, string, digits, allow)
+
+    # at (4,10,7) a budget of 9 leaves h = 0, 50 leaves h = 1 and the
+    # default h = k // 2 = 3
+    @pytest.mark.parametrize("budget, height", [(9, 0), (50, 1), (None, 3)])
+    @pytest.mark.parametrize("seed", ["4x10:0008712=4*0002178", "4x10:8799912=4*2199978"])
+    def test_class_walks_are_the_walks_build_record_proves(self, seed, budget, height,
+                                                           monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(search, "_TAIL_RUNS", budget)
+        record = seed_to_record(seed)
+        n, b, k = record.multiplier, record.base, len(record)
+        assert search._plan(n, b, k, None, None, search._TAIL_RUNS)[3] == height
+        for allow in (False, True):
+            assert assert_walks_are_proved(n, b, k, None, None, allow)
+            members = assert_walks_are_proved(n, b, k, record.string, record.digits.digits, allow)
+            assert (allow or record.canonical) == (record.digits.digits in [m[0] for m in members])
+
+    @pytest.mark.parametrize("fault", WALK_FAULTS)
+    def test_a_faulty_plan_is_refused_cold_and_warm(self, fault, monkeypatch):
+        good = cold_walks(4, 10, 5)
+        search._plan.cache_clear()
+        inject_walk_fault(monkeypatch, fault)
+        if not fault.startswith("cached"):
+            assert search._plan.cache_info().currsize == 0  # the first call is cold
+        for _ in range(2):  # and the second warm
+            with pytest.raises(InvariantError, match=WALK_FAULTS[fault]):
+                list(walk_records(4, 10, 5))
+            with pytest.raises(InvariantError, match=WALK_FAULTS[fault]):
+                list(division_walk(4, 10, 5))
+        # a table refused as it is built is never kept; one whose runs are
+        # refused at the join is, and every call refuses it again
+        built = fault in ("option-row", "tail-digit")
+        assert search._plan.cache_info().currsize == (0 if built else 1)
+        monkeypatch.undo()
+        search._plan.cache_clear()
+        assert cold_walks(4, 10, 5) == good
+
+
 def cold_walks(*args):
     """The walks of a call made with an empty plan cache."""
     search._plan.cache_clear()
@@ -680,7 +763,7 @@ class TestWalkPlanCache:
         # every call shape: the mother graph, edges, edges and pinned digits,
         # pinned digits alone, each with and without zero-led walks
         n, b, k = point
-        digits, preimage = data.draw(st.sampled_from(cold_walks(n, b, k)))
+        digits, preimage, _ = data.draw(st.sampled_from(cold_walks(n, b, k)))
         string = tuple(zip(digits, preimage))
         shapes = [(None, None), (string, None), (string, digits), (None, digits)]
         calls = [
@@ -747,17 +830,17 @@ class TestWalkPlanCache:
         # the code, negative ones included, and the carry the runs leave
         n, b, k = point
         plan = search._plan(n, b, k, None, None, search._TAIL_RUNS)
-        options, _, _, h, tails = plan
+        options, _, _, h, _, tails = plan
         assert type(tails) is dict
-        runs = sum(len(bucket) for bucket in tails.values())
+        runs = sum(len(bucket) for _, bucket in tails.values())
         rows = len(options) + sum(map(len, options))
         assert search._plan_size(plan) == max(runs, rows)
         assert (runs < rows) == (point == (7, 60, 1))
         steps = {(d, p): step for row in options for d, p, _, step in row}
         assert any(key < 0 for key in tails) == (h > 0)
-        for key, bucket in tails.items():
+        for key, (_, bucket) in tails.items():
             code, carry = divmod(key, n)
-            for ds, ps in bucket:
+            for ds, ps, _ in bucket:
                 assert sum(steps[pair] for pair in zip(ds, ps)) == code
                 at = carry
                 for j in reversed(range(h)):  # long division from the carry down to carry 0
@@ -780,9 +863,9 @@ class TestWalkPlanCache:
         # the walk builds its tail table again, at the patched budget
         built = []
 
-        def recording(options, carries, length, budget):
-            built.append(budget)
-            return tails(options, carries, length, budget)
+        def recording(*args):
+            built.append(args[-1])
+            return tails(*args)
 
         tails = search._tails
         monkeypatch.setattr(search, "_tails", recording)
@@ -795,20 +878,74 @@ class TestWalkPlanCache:
         assert built[2:] == [budget] * 2
 
     def test_every_walk_is_built_on_warm_and_cold_calls(self, monkeypatch):
-        built = []
-
-        def counting(*args):
-            built.append(args)
-            return build_record(*args)
-
-        monkeypatch.setattr(search, "build_record", counting)
+        # a run is proved when its table is built, and the proof is kept
+        # with the plan; the walked top is proved on every call, one
+        # position per pushed frame and one per hit, and no record is
+        # proved a second time
         record = seed_to_record("4x10:0008712=4*0002178")
+        counts = proof_counts(monkeypatch)
         args = (4, 10, 7, record.string, record.digits.digits)
         cold = list(walk_records(*args))
-        assert len(built) == len(cold) == 20
+        at_cold = dict(counts)
+        counts.clear()
         warm = list(walk_records(*args))
-        assert warm == cold and len(built) == 40
+        at_warm = dict(counts)
+        assert warm == cold and len(cold) == 20
         assert search._plan.cache_info()[:2] == (1, 1)
+        (plan,) = search._plan.entries.values()
+        options, h = plan[0], plan[3]
+        assert h == 3
+        hits = len({(r.digits.digits[h:], r._preimage[h:]) for r in cold})
+        pushed = at_warm["iter"] - 1  # every frame but the root
+        assert at_warm == {"divmod": pushed + hits, "iter": pushed + 1}
+        assert at_cold == {
+            "divmod": tail_proofs(options, h) + pushed + hits, "iter": pushed + 1,
+            "tail": tail_proofs(options, h),
+        }
+        assert 0 < at_warm["divmod"] < len(cold) * 7  # fewer than proving each record takes
+
+
+def proof_counts(monkeypatch) -> Counter:
+    """Count what search proves: ``divmod``, which it calls only to prove a
+    position, ``iter``, which the walk calls once per frame it pushes (the
+    root included), and under ``tail`` the positions proved while a tail
+    table is built.  Building a record through ``build_record`` or
+    ``check_equation`` is refused."""
+    counts: Counter = Counter()
+    tails = search._tails
+
+    def counted(name, function):
+        def count(*args):
+            counts[name] += 1
+            return function(*args)
+        return count
+
+    def tabling(*args):
+        before = counts["divmod"]
+        result = tails(*args)
+        counts["tail"] += counts["divmod"] - before
+        return result
+
+    def refuse(*args):
+        raise AssertionError("a walk was proved again")
+
+    monkeypatch.setattr(search, "divmod", counted("divmod", divmod), raising=False)
+    monkeypatch.setattr(search, "iter", counted("iter", iter), raising=False)
+    monkeypatch.setattr(search, "_tails", tabling)
+    monkeypatch.setattr(search, "build_record", refuse)
+    monkeypatch.setattr(digits_module, "check_equation", refuse)
+    return counts
+
+
+def tail_proofs(options, height: int) -> int:
+    """The positions a tail table of ``height`` levels proves: at each
+    level, one per option whose lower carry ends a run of the level below."""
+    reached, proofs = {0}, 0
+    for _ in range(height):
+        used = [carry for carry, row in enumerate(options) for o in row if o[2] in reached]
+        proofs += len(used)
+        reached = set(used)
+    return proofs
 
 
 @st.composite
@@ -885,12 +1022,13 @@ class TestBuildRecord:
     def test_matches_the_validating_constructors(self, point, leading_zero, data):
         n, b, k = point
         records = []
-        for digits, preimage in division_walk(n, b, k, allow_leading_zero=leading_zero):
+        for digits, preimage, carries in division_walk(n, b, k, allow_leading_zero=leading_zero):
             def build(walk=(digits, preimage)):
                 return build_record(n, b, *walk)
 
             assert_built_as_validated(build, n, b, digits, preimage)
             records.append(build())
+            assert records[-1].carries == carries
         if not records:
             return
         for record in data.draw(st.lists(st.sampled_from(records), min_size=1, max_size=5)):
@@ -957,7 +1095,7 @@ class TestBuildRecord:
     )
     def test_corrupted_walks_are_refused(self, walk, error, message):
         good = ((2, 1, 9, 7, 8), (8, 7, 9, 1, 2))
-        assert good in division_walk(4, 10, 5)
+        assert (*good, (0, 3, 3, 3, 0, 0)) in division_walk(4, 10, 5)
         record = build_record(4, 10, *good)
         assert (record.value(), record.carries) == (87912, (0, 3, 3, 3, 0, 0))
         with pytest.raises(error, match=message):
@@ -985,9 +1123,17 @@ class TestBuildRecord:
         )
         for cls in (DigitString, Permutation):
             monkeypatch.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
+        proved = []
+        monkeypatch.setattr(
+            search, "divmod", lambda *args: proved.append(args) or divmod(*args), raising=False
+        )
         members = enumerate_class_members(record)
         assert len(members) == 20 and sum(not m.canonical for m in members) == 12
-        assert calls == {"check_equation": 20, "is_rearrangement": 20, "smallest_bijection": 0,
+        # the walk proved them, each position of a tail run once for the
+        # table and each walked position once per push, fewer positions
+        # than one proof of each member would take; nothing proves them again
+        assert 0 < len(proved) < 20 * 7
+        assert calls == {"check_equation": 0, "is_rearrangement": 0, "smallest_bijection": 0,
                          "DigitString": 0, "Permutation": 0}
         # reading a member's preimage validates nothing again
         assert [m.preimage.value() * 4 for m in members] == [m.value() for m in members]
@@ -999,5 +1145,5 @@ class TestBuildRecord:
         first = [m.sigma for m in members]
         assert calls["smallest_bijection"] == 20
         assert all(m.sigma is sigma for m, sigma in zip(members, first))
-        assert calls == {"check_equation": 20, "is_rearrangement": 20, "smallest_bijection": 20,
+        assert calls == {"check_equation": 0, "is_rearrangement": 0, "smallest_bijection": 20,
                          "DigitString": 0, "Permutation": 0}

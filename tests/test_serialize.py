@@ -19,12 +19,11 @@ from permutiple import (
     verify_permutiple,
 )
 from permutiple import digits as digits_module
-from permutiple import search
 from permutiple.cli import main
-from permutiple.digits import check_equation, smallest_bijection
+from permutiple.digits import build_record, check_equation, smallest_bijection
 from permutiple.errors import ParameterError
 from permutiple.machine import build_state_multigraph
-from permutiple.search import division_walk, walk_records
+from permutiple.search import walk_records
 from permutiple.serialize import (
     format_equation,
     graph_to_dot,
@@ -39,6 +38,8 @@ from permutiple.serialize import (
 )
 
 from helpers import (
+    WALK_FAULTS,
+    inject_walk_fault,
     make_record,
     reference_digit_graph_to_dot,
     reference_digit_graph_to_json,
@@ -264,58 +265,25 @@ class TestLineBuilder:
             assert record_to_json(r) == reference_record_to_json(r)
             assert record_to_text(r) == reference_record_to_text(r)
 
-    # each case has a fixed id, so that rewording an error message or
-    # dropping a case renames no case
     @pytest.mark.parametrize("text", [False, True])
-    @pytest.mark.parametrize(
-        "walk, message",
-        [
-            # n, b, digits and preimage of 87912 = 4 * 21978 with its two
-            # lowest digits swapped: 4 * 8 ends in 2, not 1
-            pytest.param((4, 10, (1, 2, 9, 7, 8), (8, 7, 9, 1, 2)), "recurrence",
-                         id="walk0-recurrence"),
-            # its units digit, and the preimage digit it maps to, raised to the
-            # base (raised alone, it would fail the multiset test, which runs first)
-            pytest.param((4, 10, (10, 1, 9, 7, 8), (8, 7, 9, 1, 10)), "out of range",
-                         id="walk1-out of range"),
-            # 48 = 4 * 12: a true equation on an unbalanced pair of strings
-            pytest.param((4, 10, (8, 4), (2, 1)), "multisets differ", id="walk2-multisets differ"),
-            # 4 * 82 = 328: the low digits rearrange 82, the top carry is 3
-            pytest.param((4, 10, (8, 2), (2, 8)), "end at 0", id="walk3-end at 0"),
-            # its units preimage digit, and the top digit, raised to the base
-            pytest.param((4, 10, (2, 1, 9, 7, 10), (10, 7, 9, 1, 2)), "out of range",
-                         id="walk4-out of range"),
-            # digits 3 and 4 swapped: 4 * 1978 + 3 ends in 7, not 8
-            pytest.param((4, 10, (2, 1, 9, 8, 7), (8, 7, 9, 1, 2)), "violated at position 3",
-                         id="walk5-violated at position 3"),
-            # 4 * 83002 = 332008: the low five digits rearrange 83002
-            pytest.param((4, 10, (8, 0, 0, 2, 3), (2, 0, 0, 3, 8)), "top carry 3",
-                         id="walk6-top carry 3"),
-            # the multiplier equal to the base
-            pytest.param((10, 10, (2, 1, 9, 7, 8), (8, 7, 9, 1, 2)), "1 < n < base",
-                         id="walk7-1 < n < base"),
-        ],
-    )
-    def test_corrupted_walks_are_refused(self, monkeypatch, walk, message, text):
-        # a kernel that yields one walk; walk_records proves it, and find
-        # writes nothing and fails with the proof's message
-        def kernel(*walks):
-            monkeypatch.setattr(search, "division_walk", lambda *args, **kwargs: iter(walks))
-
-        n, b, *parts = walk
-        good = ((2, 1, 9, 7, 8), (8, 7, 9, 1, 2))
-        assert good in division_walk(4, 10, 5)
-        kernel(good)
-        assert [r.value() for r in walk_records(4, 10, 5)] == [87912]
-        kernel(tuple(parts))
-        with pytest.raises(InvariantError, match=message):
-            list(walk_records(n, b, 5))
+    @pytest.mark.parametrize("fault", WALK_FAULTS)
+    def test_faulty_plans_are_refused(self, monkeypatch, fault, text):
+        # the walk proves each walk before it yields it, so find writes the
+        # walks before the fault and fails with the walk's message
+        inject_walk_fault(monkeypatch, fault)
+        render = record_to_text if text else record_to_json
+        before = []
+        with pytest.raises(InvariantError, match=WALK_FAULTS[fault]):
+            for record in walk_records(4, 10, 5, allow_leading_zero=False):
+                assert record == build_record(4, 10, record.digits.digits, record._preimage)
+                before.append(render(record) + "\n")
         out, err = io.StringIO(), io.StringIO()
         fmt = "text" if text else "json"
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["find", "-n", str(n), "-b", str(b), "-k", "5", "--format", fmt])
-        assert (code, out.getvalue()) == (1, "")
-        assert err.getvalue().startswith("error: ") and re.search(message, err.getvalue())
+            code = main(["find", "-n", "4", "-b", "10", "-k", "5", "--format", fmt])
+        assert (code, out.getvalue()) == (1, "".join(before))
+        assert err.getvalue().startswith("error: ")
+        assert re.search(WALK_FAULTS[fault], err.getvalue())
 
     def test_each_equation_is_proved_once(self, monkeypatch):
         calls = []
@@ -336,8 +304,10 @@ class TestLineBuilder:
         hits = [q for q in range(25000) if sorted(f"{4 * q:05d}") == sorted(f"{q:05d}")]
         canonical = [q for q in hits if 4 * q >= 10000]
         assert len(hits) > len(canonical) > 1
+        # find's walk proves each of them as it finds it, and nothing
+        # proves them again
         found = lines("find", "-n", "4", "-b", "10", "-k", "5")
-        assert len(calls) == len(found) == len(canonical)
+        assert len(found) == len(canonical) and calls == []
         # the oracle proves every hit once, leading zeros too, and prints
         # the canonical ones
         calls.clear()
