@@ -859,3 +859,40 @@ def inject_walk_fault(monkeypatch, fault: str) -> None:
         faulty_tails(corrupt_tables=lambda tables: [rotated(table) for table in tables])
     else:
         raise ValueError(fault)
+
+
+def one_walk_plan(n: int, b: int, digits, preimage) -> tuple:
+    """A plan for :func:`permutiple.search.division_walk` whose rows hold
+    the positions of one walk and nothing else, least-significant first,
+    with its tail table built by :func:`permutiple.search._tails`.
+
+    Position j is the option (d_j, p_j) from carry c_j to c_{j+1}, where
+    c_0 = c_k = 0, as at the two ends of every walk, and each carry between
+    is the one its position's product leaves, ``(n*p_j + c_j) // b``, taken
+    mod n so that it names a row.  The packed steps and signature weights
+    are those of :func:`permutiple.search._plan` unpinned, over every value
+    the walk holds, out-of-range ones included, so that the walk's proof,
+    not an index, is what meets such a value."""
+    from permutiple import search
+
+    k = len(digits)
+    values = sorted(set(digits) | set(preimage))
+    index = {d: i for i, d in enumerate(values)}
+    carries = [0]
+    for p in preimage:
+        carries.append((n * p + carries[-1]) // b % n)
+    carries[-1] = 0
+    rows: list[list] = [[] for _ in range(n)]
+    for j, (d, p) in enumerate(zip(digits, preimage)):
+        option = (d, p, carries[j], (2 * k + 1) ** index[d] - (2 * k + 1) ** index[p])
+        if option not in rows[carries[j + 1]]:
+            rows[carries[j + 1]].append(option)
+    rows = [sorted(row) for row in rows]
+    weights = [(k + 1) ** d for d in range(values[-1] + 1)]
+    h, tails = search._tails(rows, n, b, weights, k, search._TAIL_RUNS)
+    frozen = {
+        code * n + c: (signature, tuple(runs))
+        for c, table in enumerate(tails)
+        for code, (signature, runs) in table.items()
+    }
+    return tuple(map(tuple, rows)), 0, (k,) * len(weights), h, weights, frozen

@@ -19,6 +19,7 @@ from permutiple import (
     verify_permutiple,
 )
 from permutiple import digits as digits_module
+from permutiple import search
 from permutiple.cli import main
 from permutiple.digits import build_record, check_equation, smallest_bijection
 from permutiple.errors import ParameterError
@@ -41,6 +42,7 @@ from helpers import (
     WALK_FAULTS,
     inject_walk_fault,
     make_record,
+    one_walk_plan,
     reference_digit_graph_to_dot,
     reference_digit_graph_to_json,
     reference_digit_graph_to_text,
@@ -284,6 +286,53 @@ class TestLineBuilder:
         assert (code, out.getvalue()) == (1, "".join(before))
         assert err.getvalue().startswith("error: ")
         assert re.search(WALK_FAULTS[fault], err.getvalue())
+
+    # each case has a fixed id, so that rewording an error message or
+    # dropping a case renames no case
+    @pytest.mark.parametrize("text", [False, True])
+    @pytest.mark.parametrize(
+        "walk, message",
+        [
+            # n, b, digits and preimage of 87912 = 4 * 21978 with its two
+            # lowest digits swapped: 4 * 8 ends in 2, not 1
+            pytest.param((4, 10, (1, 2, 9, 7, 8), (8, 7, 9, 1, 2)), "recurrence",
+                         id="walk0-recurrence"),
+            # its units digit, and the preimage digit it maps to, raised to the base
+            pytest.param((4, 10, (10, 1, 9, 7, 8), (8, 7, 9, 1, 10)), "out of range",
+                         id="walk1-out of range"),
+            # 4 * 82 = 328: the low digits rearrange 82, but 4 * 8 leaves carry
+            # 3 where the walk ends at 0
+            pytest.param((4, 10, (8, 2), (2, 8)), "4 \\* 8 \\+ 0 is not 10 \\* 0 \\+ 2",
+                         id="walk3-end at 0"),
+            # its units preimage digit, and the top digit, raised to the base
+            pytest.param((4, 10, (2, 1, 9, 7, 10), (10, 7, 9, 1, 2)), "out of range",
+                         id="walk4-out of range"),
+            # 4 * 83002 = 332008: the low five digits rearrange 83002, with top carry 3
+            pytest.param((4, 10, (8, 0, 0, 2, 3), (2, 0, 0, 3, 8)),
+                         "4 \\* 8 \\+ 1 is not 10 \\* 0 \\+ 3", id="walk6-top carry 3"),
+        ],
+    )
+    def test_corrupted_walks_are_refused(self, monkeypatch, walk, message, text):
+        # a plan whose rows hold one walk's positions: the walk proves them,
+        # so find writes nothing and fails with the proof's message
+        def kernel(n, b, digits, preimage):
+            monkeypatch.setattr(search, "_plan", lambda *args: one_walk_plan(n, b, digits, preimage))
+
+        n, b, digits, preimage = walk
+        kernel(4, 10, (2, 1, 9, 7, 8), (8, 7, 9, 1, 2))
+        records = list(walk_records(4, 10, 5))
+        assert 87912 in [r.value() for r in records]
+        assert records == [build_record(4, 10, r.digits.digits, r._preimage) for r in records]
+        kernel(n, b, digits, preimage)
+        with pytest.raises(InvariantError, match=message):
+            list(walk_records(n, b, len(digits)))
+        out, err = io.StringIO(), io.StringIO()
+        fmt = "text" if text else "json"
+        argv = ["find", "-n", str(n), "-b", str(b), "-k", str(len(digits)), "--format", fmt]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert (code, out.getvalue()) == (1, "")
+        assert err.getvalue().startswith("error: ") and re.search(message, err.getvalue())
 
     def test_each_equation_is_proved_once(self, monkeypatch):
         calls = []
