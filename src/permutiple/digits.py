@@ -8,7 +8,8 @@ The classes here are the library's validated values (see
 equation and gives a record its carries: it multiplies the preimage out
 from the bottom digit and returns them.  The search kernel
 (:func:`permutiple.search.division_walk`) proves its walks with the same
-step, one position at a time, and yields the same carries.  A
+step, once for each transition of its plan's option rows, and yields the
+same carries.  A
 :class:`PermutipleRecord`'s fields are its multiplier, digits and sigma;
 its carries are not a field but what the proof returns.  Three paths
 build one.  Its public constructor, and so pickling, copying and
@@ -71,9 +72,8 @@ def check_equation(multiplier: int, base: int, digits: Sequence[int],
     every position j, and c_k must be 0.  Each carry lies in 0..n-1, as
     n*p_j + c_j < n*b.  Any failure raises :class:`ParameterError`.
     This is :func:`build_record`'s proof.  The search kernel proves its
-    walks with the same step in its own loops: a tail run from the bottom
-    up as its table is built, and the walked top digits from the top down
-    as they are pushed.
+    walks with the same step, once for each option of its plan's rows, of
+    which every walked position is one.
     """
     n, b, k = multiplier, base, len(digits)
     if not 1 < n < b:

@@ -50,23 +50,9 @@ class DigitGraph(Value):
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.edges))
 
-    def incident_vertices(self) -> tuple[int, ...]:
-        """Vertices with at least one incident edge, ascending."""
-        seen = set()
-        for d1, d2 in self.edges:
-            seen.add(d1)
-            seen.add(d2)
-        return tuple(sorted(seen))
-
-    def successors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(d2 for d1, d2 in self.edges if d1 == v))
-
     def reflect(self) -> "DigitGraph":
         """Map every edge (d1, d2) to (base-1-d1, base-1-d2); an involution."""
         return DigitGraph(self.base, reflect_pairs(self.edges, self.base - 1))
-
-    def issubgraph(self, other: "DigitGraph") -> bool:
-        return self.base == other.base and self.edges <= other.edges
 
 
 def reflect_pairs(pairs: Iterable[tuple[int, int]], top: int) -> list[tuple[int, int]]:

@@ -12,7 +12,6 @@ image builder passes labels.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable, Sequence
 
 from .digits import carry_step, check_multiplier
@@ -93,9 +92,6 @@ class StateGraph(Value, _StateEdges):
         _set(self, "edges", tuple(sorted((pair, tuple(ls)) for pair, ls in grouped.items())))
         _set(self, "states", frozenset(c for pair in grouped for c in pair))
 
-    def label_map(self) -> dict[Pair, tuple[Pair, ...]]:
-        return dict(self.edges)
-
     def reflect(self) -> "StateGraph":
         """States map to n-1-c, labels to (b-1-d1, b-1-d2); an involution."""
         return StateGraph(self.multiplier, self.base, reflect_pairs(self.labels, self.base - 1))
@@ -133,9 +129,6 @@ class StateMultigraph(Value, _MultiEdges):
         _set(self, "labels", labels)
         _set(self, "edges", tuple(sorted((*drives[label], label) for label in labels)))
         _set(self, "states", frozenset(c for pair in drives.values() for c in pair))
-
-    def counter(self) -> Counter:
-        return Counter(self.edges)
 
     def out_degree(self, state: int) -> int:
         return sum(1 for c1, _, _ in self.edges if c1 == state)

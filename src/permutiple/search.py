@@ -12,12 +12,13 @@ keyed by ``code * n + c``, the run's packed code and the carry it starts
 from, and holds each run as its digits, preimage and carries,
 least-significant first; the walk keeps the same three tuples for the
 digits above, so a permutiple is a run's tuples and the walk's joined by
-concatenation.  Each walk is proved from these two halves with
-:func:`permutiple.digits.check_equation`'s step: a run position by
-position when its table is built, the walked top as each position is
-pushed, and the join by its carry and by the digit-count signatures of
-the halves.  :func:`walk_records` assembles a record of each walk
-without proving it again, and CLI ``find`` writes those records.
+concatenation.  Each position of either half is an option of the plan's
+rows, which :func:`permutiple.digits.check_equation`'s step proves once
+when the tail table is built and once more on every call, before the
+first step; the join is proved by its carry and by the digit-count
+signatures of the halves.  :func:`walk_records` assembles a record of
+each walk without proving it again, and CLI ``find`` writes those
+records.
 
 Two caches keep work that repeats, both least recently used first and
 bounded by what they hold rather than by their entries.  A walk's plan
@@ -26,8 +27,8 @@ n, b, k, the distinct (d, p) pairs, the pinned digit multiset and the tail
 budget ``_TAIL_RUNS``, so every record of one class shares it; plans are
 kept up to ``_TAIL_RUNS`` tail runs in all, a plan with more rows and
 options than runs counting those (:func:`_plan_size`).  A run's proof is
-cached with its plan.  The walk itself runs, and proves its top, on
-every call.
+cached with its plan.  The walk itself runs, and proves the plan's rows,
+on every call.
 :func:`find_permutiples` keeps whole searches, keyed by n, b, k and
 whether zero-led ones are allowed, up to ``_CACHE_RECORDS`` results in
 all.  Each has ``cache_info()`` and ``cache_clear()``, as
@@ -381,15 +382,22 @@ def _bounded_cache(bound: Callable[[], int], size: Callable[[Any], int]):
     return decorate
 
 
-def _unproved(n: int, b: int, j: int, d: int, p: int, c: int, carry: int) -> InvariantError:
-    """The defect of a walk whose position j fails :func:`check_equation`'s
-    step: (d, p) from carry c must have both digits in 0..b-1 and give
-    ``divmod(n*p + c, b) == (carry, d)``."""
-    if not (0 <= d < b and 0 <= p < b):
-        return InvariantError(f"digit out of range for base {b} at position {j}")
-    return InvariantError(
-        f"carry recurrence violated at position {j}: {n} * {p} + {c} is not {b} * {carry} + {d}"
-    )
+def _prove_rows(options: Sequence[Sequence[tuple[int, int, int, int]]], n: int, b: int) -> None:
+    """Prove every option (d, p, c, step) of row ``carry`` by
+    :func:`check_equation`'s step: both digits in 0..b-1, c a carry in
+    0..n-1, and ``divmod(n*p + c, b) == (carry, d)``.  Raises
+    :class:`InvariantError` naming the row of the first that fails."""
+    for carry, row in enumerate(options):
+        for d, p, c, _ in row:
+            if not (0 <= d < b and 0 <= p < b):
+                raise InvariantError(f"digit out of range for base {b} in row {carry}")
+            if not 0 <= c < n:
+                raise InvariantError(f"carry {c} out of range for multiplier {n} in row {carry}")
+            if divmod(n * p + c, b) != (carry, d):
+                raise InvariantError(
+                    f"carry recurrence violated in row {carry}: "
+                    f"{n} * {p} + {c} is not {b} * {carry} + {d}"
+                )
 
 
 def _tails(
@@ -401,7 +409,7 @@ def _tails(
     budget: int,
 ) -> tuple[int, list[dict[int, list]]]:
     """The bottom h digits of every walk, tabled by carry and packed code,
-    each run proved as it is built.
+    built from option rows proved first.
 
     ``tables[c][code]`` holds the count signature and the list of every run
     of h digits that goes from carry c down to carry 0 and whose packed
@@ -413,16 +421,17 @@ def _tails(
     Levels are built bottom-up from the empty run at carry 0, each run
     extended by one digit on top; h grows up to length // 2 and stops
     before a level would hold more than ``budget`` runs.
-    An option (d, p) of row ``carry`` extends the runs from carry c only
-    after :func:`check_equation`'s step proves its position: both digits in
-    0..base-1 and ``divmod(n*p + c, base) == (carry, d)``.  The signature
-    is the sum of ``weights[d] - weights[p]`` over a run's positions, the
-    weights ``(length+1)**d`` of :func:`_count_signatures`; a packed code
+    Every option (d, p, c) of row ``carry`` is proved by
+    :func:`_prove_rows` before any run is built, and so is every position
+    of every run.  The signature is the sum of ``weights[d] - weights[p]``
+    over a run's positions, the weights ``(length+1)**d`` of
+    :func:`_count_signatures`; a packed code
     fixes every digit's balance, so the runs of one code share it, and a
     run that would join a code of another signature is a defect.  Either
     failure raises :class:`InvariantError`.
     """
     n, b = carries, base
+    _prove_rows(options, n, b)
     tables: list[dict[int, list]] = [{} for _ in range(n)]
     tables[0][0] = [0, [((), (), (0,))]]
     for h in range(length // 2):
@@ -433,8 +442,6 @@ def _tails(
                 below = tables[c]
                 if not below:
                     continue
-                if not 0 <= p < b or divmod(n * p + c, b) != (carry, d):
-                    raise _unproved(n, b, h, d, p, c, carry)
                 shift = weights[d] - weights[p]
                 td, tp, tc = (d,), (p,), (carry,)
                 for code, (signature, runs) in below.items():
@@ -563,14 +570,15 @@ def division_walk(
     least-significant first (the carry c_k = 0 alone at the root), and
     their count signature; each hit yields a run's tuples concatenated
     with them.
-    Each walk is proved from its two halves.  A run was proved position by
-    position when its table was built, and that proof is cached with the
-    plan.  The top is proved on every call: each position as it is pushed,
-    by :func:`check_equation`'s step (both digits in 0..base-1 and
-    ``divmod(n*p + c, base) == (carry above, d)``), the lowest one at the
-    hit.  The join then checks that the run ends at the carry the top's
-    lowest position was proved from, and that the two count signatures sum
-    to 0, so the digits rearrange the preimage.  Any failure raises
+    Each walk is proved from its two halves.  Every position of a run is
+    an option of the rows its table was built from, which :func:`_tails`
+    proved first, a proof cached with the plan; every position above is
+    an option of the row its frame iterates, and each call proves the
+    plan's rows once more by :func:`check_equation`'s step
+    (:func:`_prove_rows`) before it reads a pinned count or pushes a
+    frame.  The join then checks that the run ends at the carry the top's
+    lowest position starts from, and that the two count signatures sum to
+    0, so the digits rearrange the preimage.  Any failure raises
     :class:`InvariantError`.
     The options come from the (d, p) pairs, ``edges`` or else every pair
     of digits: each mother-graph edge is exactly one such transition, so a
@@ -593,6 +601,7 @@ def division_walk(
     if plan is None:
         return
     options, final, template, h, weights, tails = plan
+    _prove_rows(options, n, b)
     left = list(template)
 
     dead: set[int] = set()
@@ -604,7 +613,6 @@ def division_walk(
     while stack:
         frame = stack[-1]
         code, above, carries = frame[1], frame[4], frame[6]
-        carry = carries[0]
         steps = k - len(above)
         for d, p, c, step in frame[0]:
             if not left[d]:
@@ -612,8 +620,6 @@ def division_walk(
             if steps - 1 == h:  # the rest is a tail: look it up
                 bucket = tails.get((final - code - step) * n + c)
                 if bucket:
-                    if not 0 <= p < b or divmod(n * p + c, b) != (carry, d):
-                        raise _unproved(n, b, h, d, p, c, carry)
                     if frame[7] + weights[d] - weights[p] + bucket[0]:
                         raise InvariantError(
                             f"digit and preimage multisets differ: a tail run of {h} digits "
@@ -632,8 +638,6 @@ def division_walk(
             key = ((code + step) * k + steps - 1) * n + c
             if key in dead:
                 continue
-            if not 0 <= p < b or divmod(n * p + c, b) != (carry, d):
-                raise _unproved(n, b, steps - 1, d, p, c, carry)
             left[d] -= 1
             stack.append([
                 iter(options[c]), code + step, False, key, (d,) + above, (p,) + frame[5],

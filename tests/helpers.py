@@ -785,14 +785,20 @@ def small_points(draw):
 # walk refuses it with.  (8, 2) is the transition 0 -> 0 in row 0.
 WALK_FAULTS = {
     # built with the option (8, 2) of row 0 leading to carry 1, not 0
-    "option-row": "carry recurrence violated at position 1: 4 \\* 2 \\+ 1 is not 10 \\* 0 \\+ 8",
+    "option-row": "carry recurrence violated in row 0: 4 \\* 2 \\+ 1 is not 10 \\* 0 \\+ 8",
     # the same option put into a plan already cached
-    "cached-option-row": "carry recurrence violated at position 3: 4 \\* 2 \\+ 1 is not 10 \\* 0 \\+ 8",
+    "cached-option-row": "carry recurrence violated in row 0: 4 \\* 2 \\+ 1 is not 10 \\* 0 \\+ 8",
     # the same option, with preimage digit 10 in place of 2, put into a plan
     # already cached
-    "cached-preimage-digit": "digit out of range for base 10 at position 3",
+    "cached-preimage-digit": "digit out of range for base 10 in row 0",
+    # the same option, with digit 10 in place of 8, put into a plan already
+    # cached, where it would index the pinned counts past their end
+    "cached-digit": "digit out of range for base 10 in row 0",
+    # the option (2, 2) from carry 4, which no multiplier 4 has, put first
+    # into row 1 of a plan already cached: 4 * 2 + 4 = 10 * 1 + 2 holds
+    "cached-carry": "carry 4 out of range for multiplier 4 in row 1",
     # tail runs built with digit 9 in place of 8 on the transition (8, 2)
-    "tail-digit": "carry recurrence violated at position 0: 4 \\* 2 \\+ 0 is not 10 \\* 0 \\+ 9",
+    "tail-digit": "carry recurrence violated in row 0: 4 \\* 2 \\+ 0 is not 10 \\* 0 \\+ 9",
     # the runs from carry 0 tabled as if from carry 3, and those from 3 as
     # from 0, where both carries table runs of one code
     "run-carry": "carries do not meet at position 2: a tail run ends at carry [03], the digits "
@@ -809,12 +815,15 @@ def inject_walk_fault(monkeypatch, fault: str) -> None:
     for the ``cached`` ones, into the plan a clean walk leaves cached."""
     from permutiple import search
 
-    def cached(corrupt):
+    def cached(corrupt=lambda *option: option, first=None):
         assert list(search.division_walk(4, 10, 5))
         key = (4, 10, 5, None, None, search._TAIL_RUNS)
         plan = search._plan.entries[key]
-        rows = tuple(tuple(corrupt(*o) if o[:2] == (8, 2) else o for o in row) for row in plan[0])
-        search._plan.entries[key] = (rows, *plan[1:])
+        rows = [[corrupt(*o) if o[:2] == (8, 2) else o for o in row] for row in plan[0]]
+        if first is not None:
+            carry, option = first
+            rows[carry].insert(0, option)
+        search._plan.entries[key] = (tuple(map(tuple, rows)), *plan[1:])
 
     def faulty_tails(corrupt_rows=None, corrupt_tables=None):
         tails = search._tails
@@ -839,6 +848,10 @@ def inject_walk_fault(monkeypatch, fault: str) -> None:
         cached(lambda d, p, c, step: (d, p, c + 1, step))
     elif fault == "cached-preimage-digit":
         cached(lambda d, p, c, step: (d, 10, c, step))
+    elif fault == "cached-digit":
+        cached(lambda d, p, c, step: (10, p, c, step))
+    elif fault == "cached-carry":
+        cached(first=(1, (2, 2, 4, 0)))
     elif fault == "tail-digit":
         faulty_tails(corrupt_rows=lambda row: tuple(
             (9 if (d, p) == (8, 2) else d, p, c, step) for d, p, c, step in row
@@ -870,9 +883,9 @@ def one_walk_plan(n: int, b: int, digits, preimage) -> tuple:
     c_0 = c_k = 0, as at the two ends of every walk, and each carry between
     is the one its position's product leaves, ``(n*p_j + c_j) // b``, taken
     mod n so that it names a row.  The packed steps and signature weights
-    are those of :func:`permutiple.search._plan` unpinned, over every value
-    the walk holds, out-of-range ones included, so that the walk's proof,
-    not an index, is what meets such a value."""
+    are those of :func:`permutiple.search._plan` unpinned, the steps over
+    every value the walk holds, out-of-range ones included; the rows are
+    proved before any weight or count is read."""
     from permutiple import search
 
     k = len(digits)
@@ -888,11 +901,11 @@ def one_walk_plan(n: int, b: int, digits, preimage) -> tuple:
         if option not in rows[carries[j + 1]]:
             rows[carries[j + 1]].append(option)
     rows = [sorted(row) for row in rows]
-    weights = [(k + 1) ** d for d in range(values[-1] + 1)]
+    weights = [(k + 1) ** d for d in range(b)]
     h, tails = search._tails(rows, n, b, weights, k, search._TAIL_RUNS)
     frozen = {
         code * n + c: (signature, tuple(runs))
         for c, table in enumerate(tails)
         for code, (signature, runs) in table.items()
     }
-    return tuple(map(tuple, rows)), 0, (k,) * len(weights), h, weights, frozen
+    return tuple(map(tuple, rows)), 0, (k,) * b, h, weights, frozen

@@ -64,9 +64,9 @@ def test_criterion_01_state_graph_exact():
     started = time.perf_counter()
     graph = build_state_graph(4, 10)
     assert graph.states == frozenset(range(4))
-    assert graph.label_map() == MACHINE_EDGES_4_10
-    assert graph.label_map()[0, 0] == ((0, 0), (4, 1), (8, 2))
-    assert graph.label_map()[3, 0] == ((3, 0), (7, 1))
+    assert dict(graph.edges) == MACHINE_EDGES_4_10
+    assert dict(graph.edges)[0, 0] == ((0, 0), (4, 1), (8, 2))
+    assert dict(graph.edges)[3, 0] == ((3, 0), (7, 1))
     _finish("01 machine-graph-(4,10)-exact", started, 1.0, "16 edges, 40 labels")
 
 
@@ -390,9 +390,10 @@ def test_criterion_09_property_suite():
         symmetry_exists = Counter(left.string) == Counter(right.string)
         graphs_equal = graph_of_permutiple(left) == graph_of_permutiple(right)
         coarse = coarse_conjugate(left, right)
-        mutual = graph_of_permutiple(left).issubgraph(
-            graph_of_permutiple(right)
-        ) and graph_of_permutiple(right).issubgraph(graph_of_permutiple(left))
+        mutual = (
+            graph_of_permutiple(left).edges <= graph_of_permutiple(right).edges
+            and graph_of_permutiple(right).edges <= graph_of_permutiple(left).edges
+        )
         assert symmetry_exists == graphs_equal == coarse == mutual
         cases += 1
 

@@ -130,15 +130,15 @@ class TestGraphCommands:
 
     def test_a_walk_that_fails_its_checks_keeps_the_old_file(self, capsys, tmp_path, monkeypatch):
         # a cached plan with one option leading to the wrong carry: the walk
-        # yields four walks, then refuses the first that pushes the option
+        # proves its rows first, so it refuses before its first walk
         inject_walk_fault(monkeypatch, "cached-option-row")
-        walks = division_walk(4, 10, 5, allow_leading_zero=False)
-        assert len(list(islice(walks, 4))) == 4
+        with pytest.raises(InvariantError, match="in row 0"):
+            next(division_walk(4, 10, 5, allow_leading_zero=False))
         target = tmp_path / "found.json"
         target.write_bytes(b"old\n")
         code, out, err = run_cli(capsys, "find", "-n", "4", "-b", "10", "-k", "5", "-o", str(target))
         assert (code, out) == (1, "")
-        assert err.startswith("error: carry recurrence violated at position 3")
+        assert err.startswith("error: carry recurrence violated in row 0")
         assert target.read_bytes() == b"old\n"
         assert os.listdir(tmp_path) == ["found.json"]
 
@@ -509,7 +509,7 @@ class TestOeisCheck:
         inject_walk_fault(monkeypatch, "cached-option-row")
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
-        assert err.startswith("error: carry recurrence violated at position 3")
+        assert err.startswith("error: carry recurrence violated in row 0")
 
     @pytest.mark.parametrize("length", ["0", "-3"])
     def test_a_length_below_1_is_usage_error(self, capsys, tmp_path, length):

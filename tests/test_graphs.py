@@ -48,7 +48,7 @@ RING_SIZE = 20_000
 
 def brute_force_cycles(graph):
     """Independent cycle oracle: try every vertex arrangement (small graphs)."""
-    vertices = graph.incident_vertices()
+    vertices = sorted({v for edge in graph.edges for v in edge})
     found = set()
     for size in range(1, len(vertices) + 1):
         for combo in permutations(vertices, size):
@@ -68,7 +68,7 @@ class TestMotherGraph:
         assert (9, 1) not in mother.edges
         assert len(mother.edges) == 40
         for v in range(10):
-            assert len(mother.successors(v)) == 4
+            assert len([w for u, w in mother.edges if u == v]) == 4
 
     def test_3_4_exact(self):
         assert build_mother_graph(3, 4).edges == frozenset(MOTHER_EDGES_3_4)
@@ -111,7 +111,7 @@ class TestGraphOfPermutiple:
     def test_subgraph_of_mother(self):
         mother = build_mother_graph(4, 10)
         for row in CONJUGATE_ROWS:
-            assert graph_of_permutiple(make_record(*row)).issubgraph(mother)
+            assert graph_of_permutiple(make_record(*row)).edges <= mother.edges
 
 
 class TestEnumerateCycles:
@@ -171,7 +171,7 @@ class TestEnumerateCycles:
         on_cycles = set()
         for cycle in enumerate_cycles(graph):
             on_cycles.update(cycle.edges)
-        closure = transitive_closure(graph.incident_vertices(), graph.edges)
+        closure = transitive_closure({v for edge in graph.edges for v in edge}, graph.edges)
         expected = {(u, v) for u, v in graph.edges if (v, u) in closure}
         assert on_cycles == expected
 

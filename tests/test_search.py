@@ -878,10 +878,9 @@ class TestWalkPlanCache:
         assert built[2:] == [budget] * 2
 
     def test_every_walk_is_built_on_warm_and_cold_calls(self, monkeypatch):
-        # a run is proved when its table is built, and the proof is kept
-        # with the plan; the walked top is proved on every call, one
-        # position per pushed frame and one per hit, and no record is
-        # proved a second time
+        # the plan's option rows are proved once per call, one divmod per
+        # option, and once more when a cold call builds the tail table from
+        # them; no record is proved a second time
         record = seed_to_record("4x10:0008712=4*0002178")
         counts = proof_counts(monkeypatch)
         args = (4, 10, 7, record.string, record.digits.digits)
@@ -893,23 +892,20 @@ class TestWalkPlanCache:
         assert warm == cold and len(cold) == 20
         assert search._plan.cache_info()[:2] == (1, 1)
         (plan,) = search._plan.entries.values()
-        options, h = plan[0], plan[3]
-        assert h == 3
-        hits = len({(r.digits.digits[h:], r._preimage[h:]) for r in cold})
-        pushed = at_warm["iter"] - 1  # every frame but the root
-        assert at_warm == {"divmod": pushed + hits, "iter": pushed + 1}
-        assert at_cold == {
-            "divmod": tail_proofs(options, h) + pushed + hits, "iter": pushed + 1,
-            "tail": tail_proofs(options, h),
-        }
+        assert plan[3] == 3
+        options = sum(map(len, plan[0]))
+        assert options == 5
+        frames = at_warm["iter"]  # one per pushed frame, the root included
+        assert at_warm == {"divmod": options, "iter": frames}
+        assert at_cold == {"divmod": 2 * options, "iter": frames, "tail": options}
         assert 0 < at_warm["divmod"] < len(cold) * 7  # fewer than proving each record takes
 
 
 def proof_counts(monkeypatch) -> Counter:
-    """Count what search proves: ``divmod``, which it calls only to prove a
-    position, ``iter``, which the walk calls once per frame it pushes (the
-    root included), and under ``tail`` the positions proved while a tail
-    table is built.  Building a record through ``build_record`` or
+    """Count what search proves: ``divmod``, which it calls only to prove an
+    option of a plan's rows, ``iter``, which the walk calls once per frame
+    it pushes (the root included), and under ``tail`` the options proved
+    while a tail table is built.  Building a record through ``build_record`` or
     ``check_equation`` is refused."""
     counts: Counter = Counter()
     tails = search._tails
@@ -935,17 +931,6 @@ def proof_counts(monkeypatch) -> Counter:
     monkeypatch.setattr(search, "build_record", refuse)
     monkeypatch.setattr(digits_module, "check_equation", refuse)
     return counts
-
-
-def tail_proofs(options, height: int) -> int:
-    """The positions a tail table of ``height`` levels proves: at each
-    level, one per option whose lower carry ends a run of the level below."""
-    reached, proofs = {0}, 0
-    for _ in range(height):
-        used = [carry for carry, row in enumerate(options) for o in row if o[2] in reached]
-        proofs += len(used)
-        reached = set(used)
-    return proofs
 
 
 @st.composite
@@ -1129,9 +1114,9 @@ class TestBuildRecord:
         )
         members = enumerate_class_members(record)
         assert len(members) == 20 and sum(not m.canonical for m in members) == 12
-        # the walk proved them, each position of a tail run once for the
-        # table and each walked position once per push, fewer positions
-        # than one proof of each member would take; nothing proves them again
+        # the walk proved them, each option of its rows once for the table
+        # and once for the call, fewer positions than one proof of each
+        # member would take; nothing proves them again
         assert 0 < len(proved) < 20 * 7
         assert calls == {"check_equation": 0, "is_rearrangement": 0, "smallest_bijection": 0,
                          "DigitString": 0, "Permutation": 0}

@@ -538,7 +538,7 @@ class TestClassMembers:
         assert len(members) == 72
         for member in members:
             assert member.digits.multiset() == rec_nine.digits.multiset()
-            assert graph_of_permutiple(member).issubgraph(class_graph)
+            assert graph_of_permutiple(member).edges <= class_graph.edges
 
 
 class TestSortedReflectiveForm:
