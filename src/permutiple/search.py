@@ -5,30 +5,36 @@ from carry 0 back to carry 0) whose left and right digit components form
 the same multiset.  ``find`` and ``class`` both search with one kernel,
 :func:`division_walk`, the machine run as long division from the top
 digit, which yields each permutiple's digits, preimage and carries in
-output order.  It meets in the middle: the top k - h digits are walked,
-and the bottom h <= k/2 are joined from a tail table of every run of h
-digits down to carry 0 (:func:`_tails`).  The table is one dict per plan
-keyed by ``code * n + c``, the run's packed code and the carry it starts
-from, and holds each run as its digits, preimage and carries,
-least-significant first; the walk keeps the same three tuples for the
-digits above, so a permutiple is a run's tuples and the walk's joined by
-concatenation.  Each position of either half is an option of the plan's
-rows, which :func:`permutiple.digits.check_equation`'s step proves once
-when the tail table is built and once more on every call, before the
-first step; the join is proved by its carry and by the digit-count
-signatures of the halves.  :func:`walk_records` assembles a record of
-each walk without proving it again, and CLI ``find`` writes those
-records.
+output order.  It meets in the middle, as a join of two tables.  The
+bottom h <= k/2 digits come from a tail table of every run of h digits
+down to carry 0 (:func:`_tails`), one dict per plan keyed by
+``code * n + c``, the run's packed code and the carry it starts from,
+which holds each run as its digits, preimage and carries,
+least-significant first.  The top k - h digits come from a top table of
+every top half that a run completes (:func:`_tops`), in output order,
+each with its bucket's key, the carry it ends at, the same three tuples
+for the digits above and its count signature; a permutiple is a run's
+tuples and a top's joined by concatenation.  The top table is listed
+once with the plan when it surely fits: when the paths of k - h steps
+down from carry 0, counted over the rows without balance or pins, fit in
+what the budget leaves after the tail runs.  Otherwise each call walks
+the top digits again and streams its tops into the same join.  Each
+position of either half is an option of the plan's rows, which
+:func:`permutiple.digits.check_equation`'s step proves once when the
+tail table is built and once more on every call, before the join; the
+join is proved by its carry and by the digit-count signatures of the
+halves.  :func:`walk_records` assembles a record of each walk without
+proving it again, and CLI ``find`` writes those records.
 
 Two caches keep work that repeats, both least recently used first and
 bounded by what they hold rather than by their entries.  A walk's plan
-(its option rows and proved tail table, :func:`_plan`) depends only on
-n, b, k, the distinct (d, p) pairs, the pinned digit multiset and the tail
-budget ``_TAIL_RUNS``, so every record of one class shares it; plans are
-kept up to ``_TAIL_RUNS`` tail runs in all, a plan with more rows and
-options than runs counting those (:func:`_plan_size`).  A run's proof is
-cached with its plan.  The walk itself runs, and proves the plan's rows,
-on every call.
+(its option rows, proved tail table and listed tops, :func:`_plan`)
+depends only on n, b, k, the distinct (d, p) pairs, the pinned digit
+multiset and the tail budget ``_TAIL_RUNS``, so every record of one class
+shares it; plans are kept up to ``_TAIL_RUNS`` tail runs and listed tops
+in all, a plan with more rows and options than those counting the rows
+(:func:`_plan_size`).  A run's proof is cached with its plan.  Each call
+proves the plan's rows again and checks every join.
 :func:`find_permutiples` keeps whole searches, keyed by n, b, k and
 whether zero-led ones are allowed, up to ``_CACHE_RECORDS`` results in
 all.  Each has ``cache_info()`` and ``cache_clear()``, as
@@ -464,15 +470,81 @@ def _tails(
 
 
 def _plan_size(plan: tuple | None) -> int:
-    """What a walk plan holds, in tail runs: the runs of its table, or its
-    rows and options where those are more (a large base with a short
-    length), so that one full table always fits the bound and no plan
-    counts for less than it holds.  Nothing when no walk can exist."""
+    """What a walk plan holds, in tail runs: the runs of its table and its
+    listed top halves, or its rows and options where those are more (a
+    large base with a short length), so that one full table always fits
+    the bound and no plan counts for less than it holds.  Nothing when no
+    walk can exist."""
     if plan is None:
         return 0
-    options, tails = plan[0], plan[-1]
-    runs = sum(len(bucket[1]) for bucket in tails.values())
+    options, tails, tops = plan[0], plan[-2], plan[-1]
+    runs = sum(len(bucket[1]) for bucket in tails.values()) + len(tops or ())
     return max(runs, len(options) + sum(map(len, options)))
+
+
+def _tops(
+    options: Sequence[Sequence[tuple[int, int, int, int]]],
+    final: int,
+    template: Sequence[int],
+    h: int,
+    weights: Sequence[int],
+    tails: dict[int, tuple],
+    n: int,
+    k: int,
+    roots: Iterable[tuple[int, int, int, int]],
+) -> Iterator[tuple]:
+    """The top k - h digits of every walk from ``roots`` (the options of
+    row 0 its top digit may take) that a run of ``tails`` completes, in
+    display order: options ascending at every level.
+
+    Each is yielded as the key of its tail bucket, the carry c its lowest
+    position starts from, its digits, preimage digits and the carries
+    above c, least-significant first (the carry c_k = 0 last), and the
+    count signature of its digits.  A walk's state is its carry, its depth
+    and one packed code of every digit's balance (and, pinned, its uses);
+    a pinned digit already used as often as ``template`` pins it is
+    skipped, and a state is memoised once dead, when no top below it meets
+    a bucket.  The stack is explicit.  Nothing is proved here: the rows
+    are proved before this is called, and the join proves each top against
+    its runs (:func:`division_walk`).
+    """
+    left = list(template)
+    dead: set[int] = set()
+    # frame: untried options, packed code, whether anything below was
+    # accepted, memo key, the digits, preimage digits and carries above it,
+    # and the count signature of those digits
+    stack: list[list] = [[iter(roots), 0, False, 0, (), (), (0,), 0]]
+    while stack:
+        frame = stack[-1]
+        code, above, carries = frame[1], frame[4], frame[6]
+        steps = k - len(above)
+        for d, p, c, step in frame[0]:
+            if not left[d]:
+                continue  # a pinned digit is used up
+            if steps - 1 == h:  # the rest is a tail: look it up
+                key = (final - code - step) * n + c
+                if key in tails:
+                    frame[2] = True
+                    signature = frame[7] + weights[d] - weights[p]
+                    yield key, c, (d,) + above, (p,) + frame[5], carries, signature
+                continue
+            key = ((code + step) * k + steps - 1) * n + c
+            if key in dead:
+                continue
+            left[d] -= 1
+            stack.append([
+                iter(options[c]), code + step, False, key, (d,) + above, (p,) + frame[5],
+                (c,) + carries, frame[7] + weights[d] - weights[p],
+            ])
+            break
+        else:
+            stack.pop()
+            if stack:
+                left[above[0]] += 1
+                if frame[2]:
+                    stack[-1][2] = True
+                else:
+                    dead.add(frame[3])
 
 
 @_bounded_cache(lambda: _TAIL_RUNS, _plan_size)
@@ -486,14 +558,19 @@ def _plan(
 ) -> tuple | None:
     """What a division walk needs before its first step: the option rows,
     the ``final`` code, the pinned-count template, the tail height, the
-    signature weights and the tail table; None when a pinned digit lies on
-    none of the pairs.  The table is frozen into one dict keyed by
-    ``code * n + c`` for the runs from carry c whose packed code is
-    ``code``, each bucket its signature and a tuple of the runs of
-    :func:`_tails` as they were built and proved.  It depends only on its
-    arguments, so :func:`division_walk` keeps the last few, up to
-    ``budget`` (``_TAIL_RUNS``) in all, counted by :func:`_plan_size`, and
-    a run's proof is kept with its plan."""
+    signature weights, the tail table and the top table; None when a
+    pinned digit lies on none of the pairs.  The tail table is frozen into
+    one dict keyed by ``code * n + c`` for the runs from carry c whose
+    packed code is ``code``, each bucket its signature and a tuple of the
+    runs of :func:`_tails` as they were built and proved.  The top table is
+    the tuple of every top half :func:`_tops` yields from every root, when
+    the paths of k - h steps down from carry 0 over the rows, counted
+    without balance or pins, fit in what ``budget`` leaves after the tail
+    runs; a live top is one such path, so the listing never passes that
+    bound.  Otherwise it is None, and each walk streams its tops.  The plan
+    depends only on its arguments, so :func:`division_walk` keeps the last
+    few, up to ``budget`` (``_TAIL_RUNS``) in all, counted by
+    :func:`_plan_size`, and a run's proof is kept with its plan."""
     if pairs is None:  # the mother graph: every pair, its non-edges dropped below
         pairs = tuple((d, p) for d in range(b) for p in range(b))
     digits = sorted({x for edge in pairs for x in edge if 0 <= x < b})
@@ -537,7 +614,19 @@ def _plan(
         for c, table in enumerate(tails)
         for code, (signature, runs) in table.items()
     }
-    return tuple(map(tuple, options)), final, tuple(left), h, weights, frozen
+    rows = tuple(map(tuple, options))
+    paths = [1] + [0] * (n - 1)  # paths down from carry 0, by the carry they reach
+    for _ in range(k - h):
+        reached = [0] * n
+        for count, row in zip(paths, rows):
+            for option in row:
+                reached[option[2]] += count
+        paths = reached
+    runs = sum(len(bucket[1]) for bucket in frozen.values())
+    tops = None
+    if sum(paths) <= budget - runs:
+        tops = tuple(_tops(rows, final, left, h, weights, frozen, n, k, rows[0]))
+    return rows, final, tuple(left), h, weights, frozen, tops
 
 
 def division_walk(
@@ -560,35 +649,33 @@ def division_walk(
     b*c_{j+1} + d_j = n*p_j + c_j of :func:`permutiple.digits.carry_step`.
     From c_k = 0, digits tried in ascending order, the walk accepts when
     c_0 = 0 with every digit balanced (as many uses in the digits as in the
-    preimage p).  A walk's state is its carry, its depth and one packed
-    code of every digit's balance (and, pinned, its uses).  It meets in
-    the middle: the top k - h digits are walked, skipping a pinned digit
-    already used as often as pinned, with states memoised once dead, and
-    the bottom h digits are looked up in a table of runs to carry 0 keyed
-    by their packed code and carry (:func:`_tails`, h <= k // 2).  Each
-    stack frame holds the digits, preimage digits and carries above it,
-    least-significant first (the carry c_k = 0 alone at the root), and
-    their count signature; each hit yields a run's tuples concatenated
-    with them.
+    preimage p).  It meets in the middle, a join of two tables: the top
+    k - h digits of every walk (:func:`_tops`) and, below them, a table of
+    runs of h <= k // 2 digits to carry 0 keyed by their packed code and
+    carry (:func:`_tails`).  Both come with the plan; where the top table
+    would not fit the plan's bound, the plan holds None and each call walks
+    its tops again, one at a time.  Each top holds the key of the bucket
+    that completes it, and each hit yields a run's tuples concatenated with
+    the top's.
     Each walk is proved from its two halves.  Every position of a run is
     an option of the rows its table was built from, which :func:`_tails`
     proved first, a proof cached with the plan; every position above is
-    an option of the row its frame iterates, and each call proves the
-    plan's rows once more by :func:`check_equation`'s step
-    (:func:`_prove_rows`) before it reads a pinned count or pushes a
-    frame.  The join then checks that the run ends at the carry the top's
-    lowest position starts from, and that the two count signatures sum to
-    0, so the digits rearrange the preimage.  Any failure raises
+    an option of the rows the tops were walked over, and each call proves
+    the plan's rows once more by :func:`check_equation`'s step
+    (:func:`_prove_rows`) before it reads a top, a pinned count or pushes a
+    frame.  The join then checks that the two count signatures sum to 0,
+    so the digits rearrange the preimage, and that the run ends at the
+    carry the top's lowest position starts from.  Any failure raises
     :class:`InvariantError`.
     The options come from the (d, p) pairs, ``edges`` or else every pair
     of digits: each mother-graph edge is exactly one such transition, so a
     class walk's rows cost as many steps as its class graph has edges, and
     a pair outside the mother graph is dropped.
     ``left_digits`` pins the digit multiset, and unless
-    ``allow_leading_zero`` the top digit is nonzero.  The stack is explicit.
-    The rows and the tail table come from :func:`_plan`, cached by n, b, k,
-    the distinct pairs, the pinned multiset and ``_TAIL_RUNS``; the walk
-    itself, and its memo, are made afresh on every call.
+    ``allow_leading_zero`` a top whose top digit is 0 is skipped.
+    The rows and both tables come from :func:`_plan`, cached by n, b, k,
+    the distinct pairs, the pinned multiset and ``_TAIL_RUNS``; a streamed
+    walk, and its memo, are made afresh on every call.
     """
     n, b, k = multiplier, base, length
     check_multiplier(n, b)
@@ -600,58 +687,27 @@ def division_walk(
     plan = _plan(n, b, k, pairs, pinned, _TAIL_RUNS)
     if plan is None:
         return
-    options, final, template, h, weights, tails = plan
+    options, final, template, h, weights, tails, tops = plan
     _prove_rows(options, n, b)
-    left = list(template)
-
-    dead: set[int] = set()
-    roots = options[0] if allow_leading_zero else [o for o in options[0] if o[0]]
-    # frame: untried options, packed code, whether anything below was
-    # accepted, memo key, the digits, preimage digits and carries above it,
-    # and the count signature of those digits
-    stack: list[list] = [[iter(roots), 0, False, 0, (), (), (0,), 0]]
-    while stack:
-        frame = stack[-1]
-        code, above, carries = frame[1], frame[4], frame[6]
-        steps = k - len(above)
-        for d, p, c, step in frame[0]:
-            if not left[d]:
-                continue  # a pinned digit is used up
-            if steps - 1 == h:  # the rest is a tail: look it up
-                bucket = tails.get((final - code - step) * n + c)
-                if bucket:
-                    if frame[7] + weights[d] - weights[p] + bucket[0]:
-                        raise InvariantError(
-                            f"digit and preimage multisets differ: a tail run of {h} digits "
-                            f"does not balance the {k - h} above it"
-                        )
-                    frame[2] = True
-                    hd, hp = (d,) + above, (p,) + frame[5]
-                    for rd, rp, rc in bucket[1]:  # least-significant first
-                        if rc[-1] != c:
-                            raise InvariantError(
-                                f"carries do not meet at position {h}: a tail run ends at "
-                                f"carry {rc[-1]}, the digits above it start from carry {c}"
-                            )
-                        yield rd + hd, rp + hp, rc + carries
-                continue
-            key = ((code + step) * k + steps - 1) * n + c
-            if key in dead:
-                continue
-            left[d] -= 1
-            stack.append([
-                iter(options[c]), code + step, False, key, (d,) + above, (p,) + frame[5],
-                (c,) + carries, frame[7] + weights[d] - weights[p],
-            ])
-            break
-        else:
-            stack.pop()
-            if stack:
-                left[above[0]] += 1
-                if frame[2]:
-                    stack[-1][2] = True
-                else:
-                    dead.add(frame[3])
+    if tops is None:
+        roots = options[0] if allow_leading_zero else [o for o in options[0] if o[0]]
+        tops = _tops(options, final, template, h, weights, tails, n, k, roots)
+    for key, c, hd, hp, carries, signature in tops:
+        if not (allow_leading_zero or hd[-1]):
+            continue  # a zero-led walk
+        bucket = tails[key]
+        if signature + bucket[0]:
+            raise InvariantError(
+                f"digit and preimage multisets differ: a tail run of {h} digits "
+                f"does not balance the {k - h} above it"
+            )
+        for rd, rp, rc in bucket[1]:  # least-significant first
+            if rc[-1] != c:
+                raise InvariantError(
+                    f"carries do not meet at position {h}: a tail run ends at "
+                    f"carry {rc[-1]}, the digits above it start from carry {c}"
+                )
+            yield rd + hd, rp + hp, rc + carries
 
 
 def walk_records(

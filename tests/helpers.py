@@ -805,6 +805,11 @@ WALK_FAULTS = {
                  "above it start from carry [03]",
     # every bucket's runs and signature tabled under the next code of its carry
     "run-balance": "digit and preimage multisets differ",
+    # the last top half a plan already cached lists, starting from the next
+    # carry up from its own
+    "cached-top-carry": "carries do not meet at position 2",
+    # the same top with its count signature raised by 1
+    "cached-top-balance": "digit and preimage multisets differ",
 }
 
 
@@ -815,15 +820,23 @@ def inject_walk_fault(monkeypatch, fault: str) -> None:
     for the ``cached`` ones, into the plan a clean walk leaves cached."""
     from permutiple import search
 
-    def cached(corrupt=lambda *option: option, first=None):
+    def cached_plan():
         assert list(search.division_walk(4, 10, 5))
         key = (4, 10, 5, None, None, search._TAIL_RUNS)
-        plan = search._plan.entries[key]
+        return key, search._plan.entries[key]
+
+    def cached(corrupt=lambda *option: option, first=None):
+        key, plan = cached_plan()
         rows = [[corrupt(*o) if o[:2] == (8, 2) else o for o in row] for row in plan[0]]
         if first is not None:
             carry, option = first
             rows[carry].insert(0, option)
         search._plan.entries[key] = (tuple(map(tuple, rows)), *plan[1:])
+
+    def cached_top(corrupt):
+        key, plan = cached_plan()
+        tops = plan[-1]  # the last is 958xx, so no call skips it as zero-led
+        search._plan.entries[key] = (*plan[:-1], tops[:-1] + (corrupt(*tops[-1]),))
 
     def faulty_tails(corrupt_rows=None, corrupt_tables=None):
         tails = search._tails
@@ -864,6 +877,10 @@ def inject_walk_fault(monkeypatch, fault: str) -> None:
             return tables
 
         faulty_tails(corrupt_tables=swapped)
+    elif fault == "cached-top-carry":
+        cached_top(lambda key, c, *top: (key, (c + 1) % 4, *top))
+    elif fault == "cached-top-balance":
+        cached_top(lambda *top: (*top[:-1], top[-1] + 1))
     elif fault == "run-balance":
         def rotated(table):
             codes = list(table)
@@ -885,7 +902,8 @@ def one_walk_plan(n: int, b: int, digits, preimage) -> tuple:
     mod n so that it names a row.  The packed steps and signature weights
     are those of :func:`permutiple.search._plan` unpinned, the steps over
     every value the walk holds, out-of-range ones included; the rows are
-    proved before any weight or count is read."""
+    proved before any weight or count is read.  The plan lists no top
+    halves, so the walk streams them."""
     from permutiple import search
 
     k = len(digits)
@@ -908,4 +926,4 @@ def one_walk_plan(n: int, b: int, digits, preimage) -> tuple:
         for c, table in enumerate(tails)
         for code, (signature, runs) in table.items()
     }
-    return tuple(map(tuple, rows)), 0, (k,) * b, h, weights, frozen
+    return tuple(map(tuple, rows)), 0, (k,) * b, h, weights, frozen, None

@@ -142,6 +142,24 @@ class TestGraphCommands:
         assert target.read_bytes() == b"old\n"
         assert os.listdir(tmp_path) == ["found.json"]
 
+    def test_a_walk_that_fails_after_output_began_keeps_the_old_file(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # tail runs tabled under each other's carries: the join refuses one
+        # only after 4 canonical walks, so find has begun its file
+        inject_walk_fault(monkeypatch, "run-carry")
+        walks = division_walk(4, 10, 5, allow_leading_zero=False)
+        assert len(list(islice(walks, 4))) == 4
+        with pytest.raises(InvariantError, match="carries do not meet"):
+            next(walks)
+        target = tmp_path / "found.json"
+        target.write_bytes(b"old\n")
+        code, out, err = run_cli(capsys, "find", "-n", "4", "-b", "10", "-k", "5", "-o", str(target))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: carries do not meet at position 2")
+        assert target.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["found.json"]
+
     def test_output_through_a_symlink_replaces_its_target(self, capsys, tmp_path):
         target = tmp_path / "found.json"
         target.write_text("old\n")

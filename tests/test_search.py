@@ -780,6 +780,66 @@ class TestWalkPlanCache:
         cold = cold_walks(n, b, k, string, digits)
         assert list(division_walk(n, b, k, shuffled, digits)) == cold
 
+    @settings(max_examples=30, deadline=None)
+    @given(point=small_points(), data=st.data())
+    def test_streamed_tops_give_the_listed_walks(self, point, data):
+        # every call shape of test_warm_walks_equal_cold_ones, walked with
+        # the tops its plan lists, then with the cached plans made to list
+        # none, so that each call walks its tops afresh
+        n, b, k = point
+        digits, preimage, _ = data.draw(st.sampled_from(cold_walks(n, b, k)))
+        string = tuple(zip(digits, preimage))
+        shapes = [(None, None), (string, None), (string, digits), (None, digits)]
+        calls = [
+            (n, b, k, edges, pinned, allow) for edges, pinned in shapes for allow in (False, True)
+        ]
+        search._plan.cache_clear()
+        listed = [list(division_walk(*args)) for args in calls]
+        assert all(plan[-1] is not None for plan in search._plan.entries.values())
+        for key, plan in search._plan.entries.items():
+            search._plan.entries[key] = (*plan[:-1], None)
+        assert [list(division_walk(*args)) for args in calls] == listed
+        assert search._plan.cache_info()[:2] == (12, 4)
+        assert all(plan[-1] is None for plan in search._plan.entries.values())
+
+    @pytest.mark.parametrize(
+        "seed, point",
+        [
+            pytest.param(None, (4, 10, 7), id="4x10x7"),
+            pytest.param(None, (3, 4, 8), id="3x4x8"),
+            pytest.param(None, (5, 12, 6), id="5x12x6"),
+            pytest.param("4x10:0008712=4*0002178", None, id="class-4x10:0008712"),
+            pytest.param("3x4:00020313=3*00002331", None, id="class-3x4:00020313"),
+        ],
+    )
+    def test_listed_tops_are_the_top_halves_of_the_walks(self, seed, point):
+        # the plan lists, in order, the distinct top k - h digits of the
+        # walks the forward reference finds, zero-led ones included, each
+        # with the bucket of every run below it and the signature that
+        # balances that bucket's
+        if seed is None:
+            n, b, k = point
+            args, edges, pinned = point, build_mother_graph(n, b).edges, None
+        else:
+            record = seed_to_record(seed)
+            n, b, k = record.multiplier, record.base, len(record)
+            edges, pinned = record.string, record.digits.digits
+            args = (n, b, k, edges, pinned)
+        cold_walks(*args)
+        (plan,) = search._plan.entries.values()
+        h, weights, tails, tops = plan[3], plan[4], plan[5], plan[6]
+        walks = [(r.digits.digits, r._preimage, r.carries)
+                 for r in reference_records(n, b, k, edges, pinned)]
+        expected = {(ds[h:], ps[h:], cs[h + 1:], cs[h]): None for ds, ps, cs in walks}
+        assert [(hd, hp, hc, c) for _, c, hd, hp, hc, _ in tops] == list(expected)
+        bottoms = {top: [] for top in expected}
+        for ds, ps, cs in walks:
+            bottoms[ds[h:], ps[h:], cs[h + 1:], cs[h]].append((ds[:h], ps[:h], cs[:h + 1]))
+        for key, c, hd, hp, hc, signature in tops:
+            assert signature == sum(weights[d] - weights[p] for d, p in zip(hd, hp))
+            assert signature + tails[key][0] == 0
+            assert list(tails[key][1]) == bottoms[hd, hp, hc, c]
+
     @pytest.mark.parametrize("seed", ["3x4:00020313=3*00002331", "4x10:0008712=4*0002178", None])
     def test_an_abandoned_walk_leaves_the_plan_intact(self, seed):
         if seed is None:  # the mother graph
@@ -813,12 +873,15 @@ class TestWalkPlanCache:
 
     def test_a_plan_beyond_the_bound_is_used_but_not_kept(self, monkeypatch):
         # (3,4,6) tables all 4**h runs of h digits down to carry 0, and its
-        # 3 rows hold 12 options: a plan counts the larger of 4**h and 15.
-        # The table stops growing before a level passes the budget, so only
-        # the rows can make a plan too large to keep
+        # 3 rows hold 12 options: a plan counts the larger of 4**h and 15,
+        # plus the 31 live top halves of 6 - h = 3 digits when it lists
+        # them.  It lists them when the 4**3 = 64 paths they are drawn from
+        # fit beside the runs, at a budget of 128 but not 127.  The table
+        # stops growing before a level passes the budget, so only the rows
+        # can make a plan too large to keep
         cold = cold_walks(3, 4, 6)
-        assert held() == 64
-        for budget, kept in [(63, 16), (15, 15), (14, 0), (0, 0)]:
+        assert held() == 64 + 31
+        for budget, kept in [(128, 95), (127, 64), (63, 16), (15, 15), (14, 0), (0, 0)]:
             monkeypatch.setattr(search, "_TAIL_RUNS", budget)
             search._plan.cache_clear()
             assert list(division_walk(3, 4, 6)) == cold
@@ -830,12 +893,12 @@ class TestWalkPlanCache:
         # the code, negative ones included, and the carry the runs leave
         n, b, k = point
         plan = search._plan(n, b, k, None, None, search._TAIL_RUNS)
-        options, _, _, h, _, tails = plan
-        assert type(tails) is dict
+        options, _, _, h, _, tails, tops = plan
+        assert type(tails) is dict and type(tops) is tuple  # each point lists its tops
         runs = sum(len(bucket) for _, bucket in tails.values())
         rows = len(options) + sum(map(len, options))
-        assert search._plan_size(plan) == max(runs, rows)
-        assert (runs < rows) == (point == (7, 60, 1))
+        assert search._plan_size(plan) == max(runs + len(tops), rows)
+        assert (runs + len(tops) < rows) == (point == (7, 60, 1))
         steps = {(d, p): step for row in options for d, p, _, step in row}
         assert any(key < 0 for key in tails) == (h > 0)
         for key, (_, bucket) in tails.items():
@@ -880,7 +943,8 @@ class TestWalkPlanCache:
     def test_every_walk_is_built_on_warm_and_cold_calls(self, monkeypatch):
         # the plan's option rows are proved once per call, one divmod per
         # option, and once more when a cold call builds the tail table from
-        # them; no record is proved a second time
+        # them; no record is proved a second time.  The cold call lists the
+        # top halves with the plan, so the warm one pushes no frame
         record = seed_to_record("4x10:0008712=4*0002178")
         counts = proof_counts(monkeypatch)
         args = (4, 10, 7, record.string, record.digits.digits)
@@ -892,11 +956,12 @@ class TestWalkPlanCache:
         assert warm == cold and len(cold) == 20
         assert search._plan.cache_info()[:2] == (1, 1)
         (plan,) = search._plan.entries.values()
-        assert plan[3] == 3
+        assert plan[3] == 3 and plan[-1]
         options = sum(map(len, plan[0]))
         assert options == 5
-        frames = at_warm["iter"]  # one per pushed frame, the root included
-        assert at_warm == {"divmod": options, "iter": frames}
+        frames = at_cold["iter"]  # one per pushed frame, the root included
+        assert frames > 0
+        assert at_warm == {"divmod": options}
         assert at_cold == {"divmod": 2 * options, "iter": frames, "tail": options}
         assert 0 < at_warm["divmod"] < len(cold) * 7  # fewer than proving each record takes
 

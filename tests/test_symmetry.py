@@ -1,5 +1,8 @@
 import copy
+import hashlib
+import json
 import pickle
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +50,9 @@ from helpers import (
     reference_symmetries_fixing_sequence,
     small_points,
 )
+
+
+POOL = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "pool.json"
 
 
 @pytest.fixture(scope="module")
@@ -539,6 +545,25 @@ class TestClassMembers:
         for member in members:
             assert member.digits.multiset() == rec_nine.digits.multiset()
             assert graph_of_permutiple(member).edges <= class_graph.edges
+
+    def test_the_members_of_every_pooled_class(self):
+        # the members of every record of the benchmark's pool, sigma and
+        # carries included, with and without zero-led ones, hashed: a
+        # change to the class walk must leave every one of them as it is
+        pool = json.loads(POOL.read_text(encoding="utf-8"))
+        digest = hashlib.sha256()
+        for key in sorted(pool):
+            for seed in pool[key]:
+                record = seed_to_record(seed)
+                for allow in (False, True):
+                    for m in enumerate_class_members(record, allow):
+                        member = (m.digits.digits, m._preimage, m.carries, m.sigma.mapping)
+                        digest.update(repr(member).encode())
+                    digest.update(b"|")
+        assert sum(map(len, pool.values())) == 2794
+        assert digest.hexdigest() == (
+            "003dc4c93ab77e8c3d74b5156290f0cb6a0ad391b94481061a6e36138411090b"
+        )
 
 
 class TestSortedReflectiveForm:
