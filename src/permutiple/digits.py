@@ -7,7 +7,7 @@ The classes here are the library's validated values (see
 :mod:`permutiple.value`).  :func:`check_equation` proves a permutiple
 equation and gives a record its carries: it multiplies the preimage out
 from the bottom digit and returns them.  The search kernel
-(:func:`permutiple.search.division_walk`) proves its walks with the same
+(:func:`permutiple.search.walk_records`) proves its walks with the same
 step, once for each transition of its plan's option rows, and yields the
 same carries.  A
 :class:`PermutipleRecord`'s fields are its multiplier, digits and sigma;

@@ -3,28 +3,30 @@
 A permutiple string is an input string the carry machine accepts (a walk
 from carry 0 back to carry 0) whose left and right digit components form
 the same multiset.  ``find`` and ``class`` both search with one kernel,
-:func:`division_walk`, the machine run as long division from the top
-digit, which yields each permutiple's digits, preimage and carries in
-output order.  It meets in the middle, as a join of two tables.  The
-bottom h <= k/2 digits come from a tail table of every run of h digits
-down to carry 0 (:func:`_tails`), one dict per plan keyed by
-``code * n + c``, the run's packed code and the carry it starts from,
-which holds each run as its digits, preimage and carries,
-least-significant first.  The top k - h digits come from a top table of
-every top half that a run completes (:func:`_tops`), in output order,
-each with its bucket's key, the carry it ends at, the same three tuples
-for the digits above and its count signature; a permutiple is a run's
-tuples and a top's joined by concatenation.  The top table is listed
-once with the plan when it surely fits: when the paths of k - h steps
-down from carry 0, counted over the rows without balance or pins, fit in
-what the budget leaves after the tail runs.  Otherwise each call walks
-the top digits again and streams its tops into the same join.  Each
+:func:`walk_records`, the machine run as long division from the top
+digit, which yields each permutiple as a record in output order.  It
+meets in the middle, as a join of two tables.  The bottom h <= k/2
+digits come from a tail table of every run of h digits down to carry 0
+(:func:`_tails`), one dict per plan keyed by ``code * n + c``, the run's
+packed code and the carry it starts from, which holds each run as its
+digits, preimage and carries, least-significant first.  The top k - h
+digits come from a top table of every top half that a run completes
+(:func:`_tops`), in output order, each with its bucket's key, the carry
+it ends at, the same three tuples for the digits above and its count
+signature; a permutiple is a run's tuples and a top's joined by
+concatenation, and the join assembles its record there, without a second
+proof.  The top table is listed once with the plan when it surely fits:
+when the paths of k - h steps down from carry 0, counted over the rows
+without balance or pins, fit in what the budget leaves after the tail
+runs.  Otherwise each call walks the top digits again and streams its
+tops into the same join.  Each
 position of either half is an option of the plan's rows, which
 :func:`permutiple.digits.check_equation`'s step proves once when the
 tail table is built and once more on every call, before the join; the
 join is proved by its carry and by the digit-count signatures of the
-halves.  :func:`walk_records` assembles a record of each walk without
-proving it again, and CLI ``find`` writes those records.
+halves.  CLI ``find`` and ``class`` write those records;
+:func:`division_walk` reads them back as their digits, preimage and
+carries, for :func:`feasible_unions` and the tests.
 
 Two caches keep work that repeats, both least recently used first and
 bounded by what they hold rather than by their entries.  A walk's plan
@@ -100,7 +102,7 @@ Walk = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]  # digits, preim
 
 DEFAULT_SCAN_LIMIT = 10**8
 _SIGNATURE_TABLE_BYTES = 2**27  # 128 MiB
-_TAIL_RUNS = 2**14  # runs in division_walk's tail table, over all carries
+_TAIL_RUNS = 2**14  # runs in the walk's tail table, over all carries
 _CACHE_RECORDS = 2**12  # results kept by find_permutiples' cache, over all entries
 _CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
 
@@ -506,7 +508,7 @@ def _tops(
     skipped, and a state is memoised once dead, when no top below it meets
     a bucket.  The stack is explicit.  Nothing is proved here: the rows
     are proved before this is called, and the join proves each top against
-    its runs (:func:`division_walk`).
+    its runs (:func:`walk_records`).
     """
     left = list(template)
     dead: set[int] = set()
@@ -568,7 +570,7 @@ def _plan(
     without balance or pins, fit in what ``budget`` leaves after the tail
     runs; a live top is one such path, so the listing never passes that
     bound.  Otherwise it is None, and each walk streams its tops.  The plan
-    depends only on its arguments, so :func:`division_walk` keeps the last
+    depends only on its arguments, so :func:`walk_records` keeps the last
     few, up to ``budget`` (``_TAIL_RUNS``) in all, counted by
     :func:`_plan_size`, and a run's proof is kept with its plan."""
     if pairs is None:  # the mother graph: every pair, its non-edges dropped below
@@ -629,34 +631,34 @@ def _plan(
     return rows, final, tuple(left), h, weights, frozen, tops
 
 
-def division_walk(
+def walk_records(
     multiplier: int,
     base: int,
     length: int,
     edges: Iterable[Pair] | None = None,
     left_digits: Sequence[int] | None = None,
     allow_leading_zero: bool = True,
-) -> Iterator[Walk]:
-    """Every permutiple with ``length`` digits as (digits, preimage, carries),
-    each proved before it is yielded.
+) -> Iterator[PermutipleRecord]:
+    """Every permutiple with ``length`` digits as a record, each proved
+    before it is assembled, sorted by display digits.
 
-    The tuples are least-significant first: digits d_0..d_{k-1}, preimage
-    digits p_0..p_{k-1} with n*p = d, and the carries c_0..c_k that
-    :func:`permutiple.digits.check_equation` would return.  They come
-    sorted by display digits.  The carry machine run from the top digit is
-    long division: from carry c_{j+1}, digit d_j gives
-    (p_j, c_j) = divmod(base*c_{j+1} + d_j, n), the one transition
-    b*c_{j+1} + d_j = n*p_j + c_j of :func:`permutiple.digits.carry_step`.
-    From c_k = 0, digits tried in ascending order, the walk accepts when
-    c_0 = 0 with every digit balanced (as many uses in the digits as in the
-    preimage p).  It meets in the middle, a join of two tables: the top
-    k - h digits of every walk (:func:`_tops`) and, below them, a table of
-    runs of h <= k // 2 digits to carry 0 keyed by their packed code and
-    carry (:func:`_tails`).  Both come with the plan; where the top table
-    would not fit the plan's bound, the plan holds None and each call walks
-    its tops again, one at a time.  Each top holds the key of the bucket
-    that completes it, and each hit yields a run's tuples concatenated with
-    the top's.
+    The carry machine run from the top digit is long division: from carry
+    c_{j+1}, digit d_j gives (p_j, c_j) = divmod(base*c_{j+1} + d_j, n),
+    the one transition b*c_{j+1} + d_j = n*p_j + c_j of
+    :func:`permutiple.digits.carry_step`.  From c_k = 0, digits tried in
+    ascending order, the walk accepts when c_0 = 0 with every digit
+    balanced (as many uses in the digits as in the preimage p).  It meets
+    in the middle, a join of two tables: the top k - h digits of every walk
+    (:func:`_tops`) and, below them, a table of runs of h <= k // 2 digits
+    to carry 0 keyed by their packed code and carry (:func:`_tails`).  Both
+    come with the plan; where the top table would not fit the plan's
+    bound, the plan holds None and each call walks its tops again, one at
+    a time.  Each top holds the key of the bucket that completes it, and
+    each hit assembles a record of a run's tuples concatenated with the
+    top's: digits, preimage and the carries that
+    :func:`permutiple.digits.check_equation` would return, as
+    :func:`build_record` assembles one, with no second proof and sigma
+    unset.
     Each walk is proved from its two halves.  Every position of a run is
     an option of the rows its table was built from, which :func:`_tails`
     proved first, a proof cached with the plan; every position above is
@@ -707,24 +709,28 @@ def division_walk(
                     f"carries do not meet at position {h}: a tail run ends at "
                     f"carry {rc[-1]}, the digits above it start from carry {c}"
                 )
-            yield rd + hd, rp + hp, rc + carries
+            yield _assemble(n, b, rd + hd, rp + hp, rc + carries)
 
 
-def walk_records(
+def division_walk(
     multiplier: int,
     base: int,
     length: int,
     edges: Iterable[Pair] | None = None,
     left_digits: Sequence[int] | None = None,
     allow_leading_zero: bool = True,
-) -> Iterator[PermutipleRecord]:
-    """The walks of :func:`division_walk` (same arguments, same order) as
-    records.  The walk has proved each one and computed its carries, so
-    the record is assembled from its tuples as :func:`build_record`
-    assembles one, with no second proof, and leaves sigma unset."""
-    walks = division_walk(multiplier, base, length, edges, left_digits, allow_leading_zero)
-    for digits, preimage, carries in walks:
-        yield _assemble(multiplier, base, digits, preimage, carries)
+) -> Iterator[Walk]:
+    """Every permutiple with ``length`` digits as (digits, preimage, carries),
+    each proved before it is yielded: the records of :func:`walk_records`
+    (same arguments, same order, same proofs) read back as their tuples.
+
+    The tuples are least-significant first: digits d_0..d_{k-1}, preimage
+    digits p_0..p_{k-1} with n*p = d, and the carries c_0..c_k that
+    :func:`permutiple.digits.check_equation` would return.  They come
+    sorted by display digits.
+    """
+    for r in walk_records(multiplier, base, length, edges, left_digits, allow_leading_zero):
+        yield r.digits.digits, r._preimage, r.carries
 
 
 def group_unions(

@@ -15,7 +15,7 @@ state-transition sequence, and coarse conjugacy complete the picture.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import islice, product
 from typing import Iterator, Sequence
 
 from .digits import Permutation, PermutipleRecord, build_record, smallest_bijection
@@ -263,27 +263,37 @@ def _distinct_arrangements(items: Sequence[Pair]) -> Iterator[tuple[Pair, ...]]:
 
 def _fixing_images(record: PermutipleRecord) -> list[tuple[Permutation, PermutipleRecord]]:
     """(phi, image) for every transition-fixing symmetry of the record,
-    sorted by phi's mapping: see :func:`symmetries_fixing_sequence`."""
+    sorted by phi's mapping: see :func:`symmetries_fixing_sequence`.
+
+    Positions are grouped by the transition their input takes.  Each group
+    lists once each distinct arrangement of its inputs other than its own,
+    as the moves (position, source position) of :func:`smallest_bijection`
+    on the positions it changes; a symmetry picks one arrangement or none
+    in every group with more than one, and not none in all of them."""
     s, c = record.string, record.carries
     groups: dict[Pair, list[int]] = {}
     for i, transition in enumerate(zip(c, c[1:])):  # input i takes (c_i, c_{i+1})
         groups.setdefault(transition, []).append(i)
-    group_list = sorted(groups.values())
-    per_group = [list(_distinct_arrangements([s[i] for i in g])) for g in group_list]
+    choices = []
+    for g in groups.values():
+        inputs = [s[i] for i in g]
+        moves: list[tuple[Pair, ...]] = [()]  # the group left as it is
+        for arranged in _distinct_arrangements(inputs):
+            moved = [x for x, value in enumerate(arranged) if value != inputs[x]]
+            if not moved:
+                continue  # the group's own arrangement
+            old, new = [inputs[x] for x in moved], [arranged[x] for x in moved]
+            matched: list[int] = smallest_bijection(old, new)  # type: ignore[assignment]
+            moves.append(tuple((g[x], g[moved[m]]) for x, m in zip(moved, matched)))
+        if len(moves) > 1:
+            choices.append(moves)
 
     out = []
-    for assignment in product(*per_group):
-        target = list(s)
-        for g, arranged in zip(group_list, assignment):
-            for pos, value in zip(g, arranged):
-                target[pos] = value
-        moved = [i for i in range(len(s)) if target[i] != s[i]]
-        if not moved:
-            continue
+    for assignment in islice(product(*choices), 1, None):  # the first moves nothing
         mapping = list(range(len(s)))
-        matched = smallest_bijection([s[i] for i in moved], [target[i] for i in moved])
-        for i, m in zip(moved, matched):  # type: ignore[arg-type]
-            mapping[i] = moved[m]
+        for chosen in assignment:
+            for pos, source in chosen:
+                mapping[pos] = source
         # each pair fixes its transition, so the rearranged string is again a permutiple
         out.append((Permutation(tuple(mapping)), _rearranged(record, mapping, False)))
     out.sort(key=lambda pair: pair[0].mapping)
@@ -298,8 +308,11 @@ def symmetries_fixing_sequence(record: PermutipleRecord) -> list[Permutation]:
     string and reported once, by the permutation that fixes the most
     positions (ties broken by smallest mapping): the identity where the
     input is unchanged, :func:`smallest_bijection` on the moved positions.
-    An input pair determines its transition, so that bijection never moves
-    an input to another transition.  The list is sorted by mapping.
+    An input pair determines its transition, so equal inputs lie in one
+    group and that bijection never moves an input to another group: it is
+    the union of each group's own bijection on its moved positions, which
+    is how the rearrangements are enumerated, one group at a time.  The
+    list is sorted by mapping.
     """
     return [phi for phi, _ in _fixing_images(record)]
 

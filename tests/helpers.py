@@ -34,7 +34,7 @@ from permutiple import (
     verify_permutiple,
     walk_states,
 )
-from permutiple.digits import check_multiplier
+from permutiple.digits import check_multiplier, smallest_bijection
 from permutiple.errors import ParameterError, WalkError
 from permutiple.machine import StateGraph, StateMultigraph
 from permutiple.serialize import format_pair, parse_seed
@@ -496,7 +496,7 @@ def reference_siblings(record, reflect):
     return out
 
 
-def reference_fixing_images(record):
+def reference_walked_fixing_images(record):
     """(phi, image) for every reference transition-fixing phi: the input
     string with position i holding input phi(i), read back through the
     machine."""
@@ -506,6 +506,39 @@ def reference_fixing_images(record):
         for phi in reference_symmetries_fixing_sequence(record)
     ]
 
+
+
+def reference_fixing_images(record):
+    """(phi, image) for every transition-fixing symmetry, sorted by phi's
+    mapping, over the whole string at once: each product of the groups'
+    distinct arrangements (the identity one included) is diffed against
+    the string, and the moved positions get :func:`smallest_bijection` of
+    all of them together.  Images are built as the library builds them."""
+    from permutiple.symmetry import _distinct_arrangements, _rearranged
+
+    s, c = record.string, record.carries
+    groups = {}
+    for i, transition in enumerate(zip(c, c[1:])):  # input i takes (c_i, c_{i+1})
+        groups.setdefault(transition, []).append(i)
+    group_list = sorted(groups.values())
+    per_group = [list(_distinct_arrangements([s[i] for i in g])) for g in group_list]
+
+    out = []
+    for assignment in product(*per_group):
+        target = list(s)
+        for g, arranged in zip(group_list, assignment):
+            for pos, value in zip(g, arranged):
+                target[pos] = value
+        moved = [i for i in range(len(s)) if target[i] != s[i]]
+        if not moved:
+            continue
+        mapping = list(range(len(s)))
+        matched = smallest_bijection([s[i] for i in moved], [target[i] for i in moved])
+        for i, m in zip(moved, matched):
+            mapping[i] = moved[m]
+        out.append((Permutation(tuple(mapping)), _rearranged(record, mapping, False)))
+    out.sort(key=lambda pair: pair[0].mapping)
+    return out
 
 # ---------------------------------------------------------------------------
 # Reference kernel: the carry machine walked from the least significant

@@ -12,7 +12,7 @@ from permutiple import cli, search, symmetry
 from permutiple.cli import build_parser, main
 from permutiple.digits import build_record
 from permutiple.errors import InvariantError
-from permutiple.search import division_walk
+from permutiple.search import division_walk, walk_records
 from permutiple.value import Value
 
 from helpers import child_env, inject_walk_fault
@@ -44,9 +44,9 @@ def _disk_full(*args):
     raise OSError(errno.ENOSPC, "No space left on device")
 
 
-def _two_walks_then_disk_full(*args, **kwargs):
-    """The search kernel's first two walks, then a failed write."""
-    yield from islice(division_walk(*args, **kwargs), 2)
+def _two_records_then_disk_full(*args, **kwargs):
+    """The search kernel's first two records, then a failed write."""
+    yield from islice(walk_records(*args, **kwargs), 2)
     _disk_full()
 
 
@@ -121,7 +121,7 @@ class TestGraphCommands:
         elif failure == "replace":
             monkeypatch.setattr(os, "replace", _disk_full)
         else:  # lines are written as they are found, and the search fails
-            monkeypatch.setattr(search, "division_walk", _two_walks_then_disk_full)
+            monkeypatch.setattr(cli, "walk_records", _two_records_then_disk_full)
         code, out, err = run_cli(capsys, "find", "-n", "4", "-b", "10", "-k", "4", "-o", str(target))
         assert (code, out) == (1, "")
         assert "No space left" in err

@@ -65,11 +65,11 @@ from helpers import (
     reference_class_members,
     reference_class_unions,
     reference_feasible_unions,
-    reference_fixing_images,
     reference_oracle,
     reference_records,
     reference_siblings,
     reference_strings,
+    reference_walked_fixing_images,
     small_points,
 )
 
@@ -453,7 +453,7 @@ class TestWalkKernel:
         # siblings and images built by rearranging, against re-walked strings
         assert reflective_siblings(record) == reference_siblings(record, reflect=True)
         assert rotational_siblings(record) == reference_siblings(record, reflect=False)
-        assert _fixing_images(record) == reference_fixing_images(record)
+        assert _fixing_images(record) == reference_walked_fixing_images(record)
         spec = ClassSpec.from_record(record)
         assert spec.images == reference_class_images(n, spec.graph)
         if class_reflection_exists(spec):

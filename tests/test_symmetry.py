@@ -5,7 +5,7 @@ import pickle
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from permutiple import (
@@ -47,6 +47,7 @@ from helpers import (
     NINE_DIGIT_CLASS,
     OUTSIDE_ROW,
     make_record,
+    reference_fixing_images,
     reference_symmetries_fixing_sequence,
     small_points,
 )
@@ -432,6 +433,38 @@ class TestSiblingsAreFoundRecords:
                 assert image == found[image.key]
             with_symmetries += bool(phis)
         assert with_symmetries > 0
+
+
+def fixing_view(images):
+    return [(phi.mapping, image.key) for phi, image in images]
+
+
+class TestFixingImagesOneGroupAtATime:
+    """The per-group enumeration of :func:`_fixing_images` against the
+    whole-string product-then-diff one, mappings and image keys in order."""
+
+    def test_every_pooled_record(self):
+        pool = json.loads(POOL.read_text(encoding="utf-8"))
+        images = 0
+        for key in sorted(pool):
+            for seed in pool[key]:
+                record = seed_to_record(seed)
+                found = fixing_view(_fixing_images(record))
+                assert found == fixing_view(reference_fixing_images(record))
+                images += len(found)
+        assert images == 7106
+
+    @settings(max_examples=100, deadline=None)
+    @given(base=st.integers(3, 7), data=st.data(), allow=st.booleans())
+    def test_class_members_at_small_points(self, base, data, allow):
+        point = (data.draw(st.integers(2, base - 1)), base, data.draw(st.integers(1, 7)))
+        records = list(walk_records(*point, allow_leading_zero=allow))
+        assume(records)
+        record = data.draw(st.sampled_from(records))
+        for member in enumerate_class_members(record, allow):
+            assert fixing_view(_fixing_images(member)) == fixing_view(
+                reference_fixing_images(member)
+            )
 
 
 class TestApplySymmetry:
