@@ -21,9 +21,13 @@ stderr.  Output is written as it is made; ``--output`` is replaced whole
 through a sibling temporary file.  Every permutiple line is written from a
 record by :func:`serialize.record_to_json` or :func:`serialize.record_to_text`.
 
-A process runs one command, so :func:`main` builds the parser of the
-command that the first argument names, alone; with no command first (no
-arguments, ``-h``, an unknown name) it builds every command's, as
+:func:`main` reads a plain command line (a command, then exact flags of
+its options, each with its value) from that table itself, into the
+namespace argparse would build, so such a run never imports ``argparse``.
+Any other line goes to argparse, which alone prints help, usage lines and
+errors.  A process runs one command, so :func:`main` then builds the parser
+of the command that the first argument names, alone; with no command first
+(no arguments, ``-h``, an unknown name) it builds every command's, as
 :func:`build_parser` does by default.  Both print the same usage lines, help
 and errors.  The handlers import the graph, machine and symmetry layers
 themselves, so ``find`` and ``oracle`` load none of them.
@@ -31,10 +35,10 @@ themselves, so ``find`` and ``oracle`` load none of them.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Sequence
 
 from . import serialize
 from .digits import (
@@ -48,6 +52,11 @@ from .digits import (
 )
 from .errors import BFileError, ParameterError, PermutipleError, SeedError
 from .search import DEFAULT_SCAN_LIMIT, brute_force_oracle, walk_records
+
+if TYPE_CHECKING:
+    import argparse
+
+    Args = argparse.Namespace | SimpleNamespace  # handlers get and set attributes only
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -76,7 +85,7 @@ _REQUIRED = object()  # the default of an option that must be given
 
 class _Option(NamedTuple):
     flags: tuple[str, ...]
-    settings: dict[str, Any]  # argparse keyword arguments
+    settings: dict[str, Any]  # argparse keyword arguments, "action": "bool" for --[no-]flag
     convert: Callable[[str], Any] | None = None  # config-file converter; None: no config key
     default: Any = None
     env: str | None = None  # environment variable read after the config file
@@ -89,7 +98,7 @@ _OPTIONS = {
     "length": _Option(("--length", "-k"), {"type": int, "help": "digit count"}, int, _REQUIRED),
     "allow-leading-zero": _Option(
         ("--allow-leading-zero",),
-        {"action": argparse.BooleanOptionalAction, "help": "include digit strings led by zero"},
+        {"action": "bool", "help": "include digit strings led by zero"},
         _str_to_bool,
         False,
     ),
@@ -125,7 +134,7 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
-def _resolve(args: argparse.Namespace) -> argparse.Namespace:
+def _resolve(args: Args) -> Args:
     """Fill unset options from the config file, the environment and the defaults."""
     command = _COMMANDS[args.command]
     config = _read_config(args.config) if args.config else {}
@@ -153,7 +162,7 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
-def _emit(args: argparse.Namespace, lines: Iterable[str]) -> None:
+def _emit(args: Args, lines: Iterable[str]) -> None:
     """Write ``lines`` to stdout or to ``--output`` as they come.
 
     A regular file (through any symlinks) is replaced whole by renaming a
@@ -190,19 +199,19 @@ def _emit(args: argparse.Namespace, lines: Iterable[str]) -> None:
         raise
 
 
-def _record_lines(args: argparse.Namespace, records: Iterable[PermutipleRecord]) -> Iterable[str]:
+def _record_lines(args: Args, records: Iterable[PermutipleRecord]) -> Iterable[str]:
     render = serialize.record_to_text if args.format == "text" else serialize.record_to_json
     return (render(r) + "\n" for r in records)
 
 
-def _seed_record(args: argparse.Namespace) -> PermutipleRecord:
+def _seed_record(args: Args) -> PermutipleRecord:
     record = serialize.seed_to_record(args.seed, default_base=args.base)
     if record is None:
         raise PermutipleError(f"seed {args.seed!r} is not a digit-preserving multiplication")
     return record
 
 
-def _cmd_graph(args: argparse.Namespace) -> int:
+def _cmd_graph(args: Args) -> int:
     from .graphs import build_mother_graph
     from .machine import build_state_graph, build_state_multigraph
 
@@ -223,14 +232,14 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_find(args: argparse.Namespace) -> int:
+def _cmd_find(args: Args) -> int:
     n, b, k = args.multiplier, args.base, args.length
     records = walk_records(n, b, k, allow_leading_zero=args.allow_leading_zero)
     _emit(args, _record_lines(args, records))
     return EXIT_OK
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
+def _cmd_oracle(args: Args) -> int:
     records = brute_force_oracle(
         args.multiplier, args.base, args.length, args.allow_leading_zero, args.scan_limit
     )
@@ -238,14 +247,14 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _not_verified(args: argparse.Namespace, reason: str) -> int:
+def _not_verified(args: Args, reason: str) -> int:
     import json
 
     _emit(args, [json.dumps({"verified": False, "reason": reason}) + "\n"])
     return EXIT_FAILURE
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: Args) -> int:
     multiplier, base, lhs, rhs = serialize.parse_seed(args.seed, default_base=args.base)
     digits = DigitString.from_display(base, lhs)
     preimage = DigitString.from_display(base, rhs)
@@ -270,7 +279,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_siblings(args: argparse.Namespace) -> int:
+def _cmd_siblings(args: Args) -> int:
     from .symmetry import dihedral_siblings, reflective_siblings, rotational_siblings
 
     record = _seed_record(args)
@@ -292,7 +301,7 @@ def _cmd_siblings(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_class(args: argparse.Namespace) -> int:
+def _cmd_class(args: Args) -> int:
     from .symmetry import enumerate_class_members
 
     record = _seed_record(args)
@@ -301,7 +310,7 @@ def _cmd_class(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_symmetries(args: argparse.Namespace) -> int:
+def _cmd_symmetries(args: Args) -> int:
     from .symmetry import _fixing_images, state_sequence
 
     record = _seed_record(args)
@@ -317,7 +326,7 @@ def _cmd_symmetries(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_closure(args: argparse.Namespace) -> int:
+def _cmd_closure(args: Args) -> int:
     from .symmetry import (
         ClassSpec,
         class_reflection_exists,
@@ -350,7 +359,7 @@ def _cmd_closure(args: argparse.Namespace) -> int:
     return EXIT_OK if exists else EXIT_FAILURE
 
 
-def _cmd_oeis_check(args: argparse.Namespace) -> int:
+def _cmd_oeis_check(args: Args) -> int:
     check_multiplier(args.multiplier, args.base)
     try:
         with open(args.bfile, encoding="utf-8") as handle:
@@ -400,7 +409,7 @@ def oeis_report(
 
 
 class _Command(NamedTuple):
-    handler: Callable[[argparse.Namespace], int]
+    handler: Callable[[Args], int]
     help: str
     formats: tuple[str, ...]  # the first is the default; none: always JSON
     options: tuple[str, ...]  # besides --config and --format
@@ -451,8 +460,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     The one-command parser still lists every command in its usage line,
     which it prints for an unrecognized trailing argument.  The full parser
     leaves that metavar to argparse, whose errors then name the argument
-    ``command``.
+    ``command``.  An option whose settings say ``"action": "bool"`` gets
+    :class:`argparse.BooleanOptionalAction`, so ``--no-`` forms exist.
+    ``argparse`` is imported here, on the first call, so that a plain
+    command line, which :func:`main` reads without a parser, never loads it.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="permutiple",
         description="Search and classify digit-preserving multiplications.",
@@ -466,18 +480,75 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             flags, settings = _OPTIONS[option][:2]
             if option == "format":
                 settings = {**settings, "choices": spec.formats}
+            if settings.get("action") == "bool":
+                settings = {**settings, "action": argparse.BooleanOptionalAction}
             p.add_argument(*flags, **settings)
     return parser
 
 
+def _plain_args(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace ``build_parser(argv[0]).parse_args(argv)`` gives a plain
+    command line, or None for any other line; it never prints or raises.
+
+    A plain line is a command, then exact flags of that command's options:
+    ``--[no-]allow-leading-zero`` alone, every other flag with a value that
+    does not start with ``-`` and that the option's ``type`` and the
+    command's formats accept; argparse's required options are all given.  A
+    repeated flag keeps its last value, as argparse's does.  Anything else
+    (``-h``, ``--``, abbreviations, ``--flag=value``, ``-n4``, unknown tokens,
+    every error) is left to argparse, which alone prints help, usage and
+    errors.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command = _COMMANDS[argv[0]]
+    values: dict[str, Any] = {"command": argv[0]}
+    flags: dict[str, tuple[str, _Option]] = {}  # flag: attribute, option
+    for name in ("config",) + command.reads():
+        option, attr = _OPTIONS[name], name.replace("-", "_")
+        values[attr] = None
+        for flag in option.flags:
+            flags[flag] = attr, option
+            if option.settings.get("action") == "bool":
+                flags["--no-" + flag[2:]] = attr, option
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token not in flags:
+            return None
+        attr, option = flags[token]
+        if option.settings.get("action") == "bool":
+            values[attr] = not token.startswith("--no-")
+            continue
+        value = next(tokens, "-")  # a missing value is refused as a flag would be
+        if value.startswith("-"):
+            return None
+        try:
+            values[attr] = option.settings.get("type", str)(value)
+        except ValueError:
+            return None
+        if attr == "format" and value not in command.formats:
+            return None
+    for attr, option in flags.values():
+        if option.settings.get("required") and values[attr] is None:
+            return None
+    return SimpleNamespace(**values)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run the command ``argv`` names and return its exit code.
+
+    A plain command line is read by :func:`_plain_args` from the option
+    table; any other line goes to argparse, with only the named command's
+    parser, since a process runs one command.
+    """
     argv = sys.argv[1:] if argv is None else list(argv)
-    # a process runs one command, so it builds only that command's parser
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    try:
-        args = build_parser(command).parse_args(argv)
-    except SystemExit as exc:  # argparse's usage errors (2) and --help (0)
-        return int(exc.code or 0)
+    args = _plain_args(argv)
+    if args is None:
+        command = argv[0] if argv and argv[0] in _COMMANDS else None
+        try:
+            args = build_parser(command).parse_args(argv)
+        except SystemExit as exc:  # argparse's usage errors (2) and --help (0)
+            return int(exc.code or 0)
     try:
         args = _resolve(args)
         return _COMMANDS[args.command].handler(args)

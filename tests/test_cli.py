@@ -1,12 +1,17 @@
+import contextlib
 import errno
+import io
 import json
 import os
 import stat
 import subprocess
 import sys
 from itertools import islice
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permutiple import cli, search, symmetry
 from permutiple.cli import build_parser, main
@@ -360,6 +365,149 @@ def test_one_command_parser_matches_the_full_parser(capsys, monkeypatch, columns
     assert one == run_cli(capsys, *argv)
 
 
+@pytest.mark.parametrize("argv", PARITY, ids=lambda argv: " ".join(argv) or "no-args")
+def test_argparse_alone_prints_help_usage_and_errors(argv):
+    """Every PARITY line argparse prints for is left to it by the reader;
+    ``find -n 4 -b 10``, which argparse accepts and ``_resolve`` refuses,
+    is read alike by both."""
+    plain = cli._plain_args(argv)
+    try:
+        parsed = build_parser().parse_args(argv)
+    except SystemExit:
+        assert plain is None
+    else:
+        assert plain is not None and vars(plain) == vars(parsed)
+
+
+INTS = ["2", "3", "4", "10", "+4", " 4", "4_0"]
+STRINGS = ["x", "4x10:87912=4*21978", "4,3,2,1,0", ""]
+ODD_VALUES = ["-3", "-", "--", "x", "", "dot", "json"]
+
+
+def _own_flags(command):
+    """Each exact flag of ``command``'s options, ``--no-`` forms included,
+    with values its option accepts (None: it takes no value)."""
+    spec = cli._COMMANDS[command]
+    flags = {}
+    for name in ("config",) + spec.reads():
+        option = cli._OPTIONS[name]
+        if option.settings.get("action") == "bool":
+            flags.update((form, None) for f in option.flags for form in (f, "--no-" + f[2:]))
+            continue
+        good = spec.formats if name == "format" else INTS if "type" in option.settings else STRINGS
+        flags.update((flag, good) for flag in option.flags)
+    return flags
+
+
+ALL_FLAGS = sorted({flag for command in cli._COMMANDS for flag in _own_flags(command)})
+STRAY = ["--", "-h", "--help", "extra", "find", "-n4", "--base=10", "--format=json", *ODD_VALUES]
+
+
+@st.composite
+def command_lines(draw):
+    """A command, then mostly its own flags with values they accept; now and
+    then a value they refuse, a flag of another command, an abbreviation, an
+    attached value or a stray token."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    own = _own_flags(command)
+    abbreviated = [flag[:-2] for flag in own if flag.startswith("--")]
+    argv = [command]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.integers(0, 19))
+        if kind < 17:
+            flag = draw(st.sampled_from(sorted(own)))
+            argv.append(flag)
+            if own[flag] is not None:
+                argv.append(draw(st.sampled_from(own[flag] if kind < 15 else ODD_VALUES)))
+        else:
+            argv.append(draw(st.sampled_from(STRAY + ALL_FLAGS + abbreviated)))
+    return argv
+
+
+def _echo(args):
+    print(sorted(vars(args).items()))
+    return 0
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestPlainArgs:
+    """``_plain_args`` reads plain command lines as argparse does and leaves
+    every other line to argparse."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(command_lines())
+    def test_namespace_matches_argparse(self, argv):
+        plain = cli._plain_args(argv)
+        if plain is not None:
+            assert vars(plain) == vars(build_parser(argv[0]).parse_args(argv))
+
+    @settings(max_examples=300, deadline=None)
+    @given(command_lines())
+    def test_main_prints_what_argparse_alone_would(self, argv):
+        """Exit code, stdout and stderr of :func:`main` do not change when
+        the reader is patched to leave every line to argparse.  The handlers
+        are replaced by one that prints the namespace it is given, so a
+        drawn line runs no search (``-k 4_0`` would run long) while what is
+        printed still depends on everything the parse decided."""
+        echoing = {name: spec._replace(handler=_echo) for name, spec in cli._COMMANDS.items()}
+        with mock.patch.dict(cli._COMMANDS, echoing):
+            read = _run_main(argv)
+            with mock.patch.object(cli, "_plain_args", lambda argv: None):
+                assert read == _run_main(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["find", "-n", "4", "-b", "10", "-k", "3", "-n", "5", "--allow-leading-zero",
+             "--no-allow-leading-zero", "--format", "text", "-o", "x", "--output", "y"],
+            ["oracle", "--multiplier", "+4", "--base", " 10", "--length", "4_0", "--scan-limit", "7"],
+            ["oeis-check", "-n", "3", "-b", "4", "-k", "7", "--bfile", "b.txt", "--config", ""],
+            ["verify", "--seed", "4x10:87912=4*21978", "--sigma", "4,3,2,1,0", "-b", "10"],
+            ["find"],
+        ],
+        ids=" ".join,
+    )
+    def test_plain_lines_are_read(self, argv):
+        plain = cli._plain_args(argv)
+        assert plain is not None and vars(plain) == vars(build_parser(argv[0]).parse_args(argv))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["find", "-n", "-3", "-b", "10", "-k", "3"],
+            ["find", "-n", "-", "-b", "10", "-k", "3"],
+            ["find", "-n", "4", "-b", "10", "-k"],
+            ["find", "-n", "x"],
+            ["find", "-n", ""],
+            ["find", "-n4"],
+            ["find", "--multiplier=4"],
+            ["find", "--mult", "4"],
+            ["find", "--allow"],
+            ["find", "--no-allow"],
+            ["find", "--", "-n", "4"],
+            ["find", "-h"],
+            ["find", "--seed", "4x10:87912=4*21978"],
+            ["find", "--allow-leading-zero", "yes"],
+            ["find", "--format", "dot"],
+            ["siblings", "--seed", "4x10:86712=4*21678", "--format", "json"],
+            ["oeis-check", "-n", "3", "-b", "4", "-k", "5"],
+            ["oeis-check", "--no-allow-leading-zero", "--bfile", "b.txt"],
+            ["nope", "-n", "4"],
+            ["--help"],
+            [],
+        ],
+        ids=" ".join,
+    )
+    def test_other_lines_are_left_to_argparse(self, argv):
+        assert cli._plain_args(argv) is None
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [([], "arguments are required: command"), (["nope"], "argument command: invalid choice")],
@@ -553,8 +701,10 @@ class TestOeisCheck:
         assert "line 2" in err
 
 
-# the modules that find, oracle and the parser never use
-UNUSED = ("json", "permutiple.graphs", "permutiple.machine", "permutiple.symmetry")
+# the layers no search command uses, and json, which find, oracle and the
+# parser never use; a plain command line is read without argparse
+LAYERS = ("permutiple.graphs", "permutiple.machine", "permutiple.symmetry")
+UNUSED = ("json", *LAYERS)
 SMALL_SEARCH = ("-n", "4", "-b", "10", "-k", "4")
 
 
@@ -588,16 +738,29 @@ class TestEntryPoint:
             pytest.param(
                 ["-c", "import permutiple.cli; permutiple.cli.build_parser()"], UNUSED, id="cli"
             ),
-            pytest.param(["-m", "permutiple.cli", "find", *SMALL_SEARCH], UNUSED, id="find"),
-            pytest.param(["-m", "permutiple.cli", "oracle", *SMALL_SEARCH], UNUSED, id="oracle"),
+            pytest.param(
+                ["-m", "permutiple.cli", "find", *SMALL_SEARCH], (*UNUSED, "argparse"), id="find"
+            ),
+            pytest.param(
+                ["-m", "permutiple.cli", "oracle", *SMALL_SEARCH],
+                (*UNUSED, "argparse"),
+                id="oracle",
+            ),
+            pytest.param(
+                ["-m", "permutiple.cli", "oeis-check", *SMALL_SEARCH, "--bfile", os.devnull],
+                (*LAYERS, "argparse"),
+                id="oeis-check",
+            ),
         ],
     )
     def test_import_loads_neither_dataclasses_nor_inspect(self, argv, unused):
         """Start-up imports only what the command uses: never ``dataclasses``
         or ``inspect``; no submodule for the bare package; neither ``json``
         nor the graph, machine and symmetry layers for ``find``, ``oracle``
-        and building the parser.  Module names are read from the child's
-        ``-X importtime`` lines, whose last field names the module."""
+        and building the parser; no ``argparse`` for the plain command lines
+        of ``find``, ``oracle`` and ``oeis-check``, which write no help or
+        usage.  Module names are read from the child's ``-X importtime``
+        lines, whose last field names the module."""
         result = subprocess.run(
             [sys.executable, "-X", "importtime", *argv],
             capture_output=True,

@@ -5,7 +5,9 @@ Runs ``permutiple.cli.main`` in-process on every ``find``, ``oracle`` and
 the exit code and the sha256 of stdout with the recorded ones.  The golden
 file is only read here.  ``tests/cli_digests.json`` holds the same facts
 for the commands the golden file lacks: graph exports, ``verify`` and the
-symmetry toolkit.  The ``golden-stdout`` CI job checks both files.
+symmetry toolkit.  The ``golden-stdout`` CI job checks both files.  Every
+job is a plain command line, so the CLI reads it without argparse; each is
+also read into the namespace argparse builds.
 """
 
 import hashlib
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from permutiple.cli import main
+from permutiple.cli import _plain_args, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((ROOT / "perfbench" / "data" / "golden.json").read_text(encoding="utf-8"))
@@ -25,6 +27,8 @@ DIGESTS = json.loads((ROOT / "tests" / "cli_digests.json").read_text(encoding="u
 
 
 def run(argv, capsys):
+    plain = _plain_args(argv)
+    assert plain is not None and vars(plain) == vars(build_parser(argv[0]).parse_args(argv))
     code = main(argv)
     return code, hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
 
