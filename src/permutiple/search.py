@@ -4,42 +4,27 @@ A permutiple string is an input string the carry machine accepts (a walk
 from carry 0 back to carry 0) whose left and right digit components form
 the same multiset.  ``find`` and ``class`` both search with one kernel,
 :func:`walk_records`, the machine run as long division from the top
-digit, which yields each permutiple as a record in output order.  It
-meets in the middle, as a join of two tables.  The bottom h <= k/2
-digits come from a tail table of every run of h digits down to carry 0
-(:func:`_tails`), one dict per plan keyed by ``code * n + c``, the run's
-packed code and the carry it starts from, which holds each run as its
-digits, preimage and carries, least-significant first.  The top k - h
-digits come from a top table of every top half that a run completes
-(:func:`_tops`), in output order, each with its bucket's key, the carry
-it ends at, the same three tuples for the digits above and its count
-signature; a permutiple is a run's tuples and a top's joined by
-concatenation, and the join assembles its record there, without a second
-proof.  The top table is listed once with the plan when it surely fits:
-when the paths of k - h steps down from carry 0, counted over the rows
-without balance or pins, fit in what the budget leaves after the tail
-runs.  Otherwise each call walks the top digits again and streams its
-tops into the same join.  Each
-position of either half is an option of the plan's rows, which
-:func:`permutiple.digits.check_equation`'s step proves once when the
-tail table is built and once more on every call, before the join; the
-join is proved by its carry and by the digit-count signatures of the
-halves.  CLI ``find`` and ``class`` write those records;
-:func:`division_walk` reads them back as their digits, preimage and
-carries, for :func:`feasible_unions` and the tests.
+digit, which yields each permutiple as a proved record in output order.
+It meets in the middle: each walk is a top half of k - h digits joined
+to a tail run of the bottom h, both read from the walk's plan
+(:class:`_Plan`, built by :func:`_plan`).  The plan's ``rows`` hold the
+transitions a position may take, one row per carry; ``tails`` tables
+every run of ``h`` digits down to carry 0 (:func:`_tails`); ``tops``
+lists every top half a run completes, in output order, the ``zero_led``
+ones that lead with digit 0 first (:func:`_tops`), or is None where
+each call streams them.  A record's tuples are a run's and a top's
+joined by concatenation.  The rows are proved when the tails are built
+and again on every call; the join is proved by the carry the halves
+meet at and by their digit-count signatures.
 
 Two caches keep work that repeats, both least recently used first and
 bounded by what they hold rather than by their entries.  A walk's plan
-(its option rows, proved tail table and listed tops, :func:`_plan`)
 depends only on n, b, k, the distinct (d, p) pairs, the pinned digit
 multiset and the tail budget ``_TAIL_RUNS``, so every record of one class
-shares it; plans are kept up to ``_TAIL_RUNS`` tail runs and listed tops
-in all, a plan with more rows and options than those counting the rows
-(:func:`_plan_size`).  A run's proof is cached with its plan.  Each call
-proves the plan's rows again and checks every join.
-:func:`find_permutiples` keeps whole searches, keyed by n, b, k and
-whether zero-led ones are allowed, up to ``_CACHE_RECORDS`` results in
-all.  Each has ``cache_info()`` and ``cache_clear()``, as
+shares it; plans are kept up to ``_TAIL_RUNS`` in all, counted by their
+``size``.  :func:`find_permutiples` keeps whole searches, keyed by n, b,
+k and whether zero-led ones are allowed, up to ``_CACHE_RECORDS``
+results in all.  Each has ``cache_info()`` and ``cache_clear()``, as
 :func:`functools.lru_cache` gives.
 
 The paper's cycle theory stays as checked mathematics: every such string
@@ -54,7 +39,8 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from math import factorial, gcd
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .digits import (
     DigitString,
@@ -86,7 +72,6 @@ __all__ = [
     "check_feasible",
     "count_eulerian_circuits",
     "decompose_into_cycles",
-    "division_walk",
     "duplicate_label_factor",
     "eulerian_strings",
     "feasible_unions",
@@ -98,7 +83,6 @@ __all__ = [
 
 Pair = tuple[int, int]
 InputString = tuple[Pair, ...]
-Walk = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]  # digits, preimage, carries
 
 DEFAULT_SCAN_LIMIT = 10**8
 _SIGNATURE_TABLE_BYTES = 2**27  # 128 MiB
@@ -415,20 +399,21 @@ def _tails(
     weights: Sequence[int],
     length: int,
     budget: int,
-) -> tuple[int, list[dict[int, list]]]:
-    """The bottom h digits of every walk, tabled by carry and packed code,
-    built from option rows proved first.
+) -> tuple[int, dict[int, tuple]]:
+    """The bottom h digits of every walk, in one table keyed by
+    ``code * n + c``, built from option rows proved first.
 
-    ``tables[c][code]`` holds the count signature and the list of every run
-    of h digits that goes from carry c down to carry 0 and whose packed
-    steps sum to ``code``.  A run is three tuples, least-significant first:
-    its digits d_0..d_{h-1}, its preimage digits p_0..p_{h-1} and its
-    carries c_0..c_h (c_0 = 0, c_h = c), so that a walk's top digits,
-    preimage and carries join it by concatenation.
-    Each list is in display order (options ascending at every level).
-    Levels are built bottom-up from the empty run at carry 0, each run
-    extended by one digit on top; h grows up to length // 2 and stops
-    before a level would hold more than ``budget`` runs.
+    ``table[code * n + c]`` holds the count signature and the tuple of
+    every run of h digits that goes from carry c down to carry 0 and whose
+    packed steps sum to ``code``; as 0 <= c < n, ``divmod`` of the key by n
+    reads back the code, negative ones included, and c.  A run is three
+    tuples, least-significant first: its digits d_0..d_{h-1}, its preimage
+    digits p_0..p_{h-1} and its carries c_0..c_h (c_0 = 0, c_h = c), so
+    that a walk's top digits, preimage and carries join it by
+    concatenation.  Each tuple is in display order (options ascending at
+    every level).  Levels are built bottom-up from the empty run at carry
+    0, each run extended by one digit on top; h grows up to length // 2
+    and stops before a level would hold more than ``budget`` runs.
     Every option (d, p, c) of row ``carry`` is proved by
     :func:`_prove_rows` before any run is built, and so is every position
     of every run.  The signature is the sum of ``weights[d] - weights[p]``
@@ -443,19 +428,15 @@ def _tails(
     tables: list[dict[int, list]] = [{} for _ in range(n)]
     tables[0][0] = [0, [((), (), (0,))]]
     for h in range(length // 2):
+        held = [sum(len(bucket[1]) for bucket in table.values()) for table in tables]
+        if sum(held[option[2]] for row in options for option in row) > budget:
+            break
         grown: list[dict[int, list]] = [{} for _ in range(n)]
-        total = 0
         for carry, (row, table) in enumerate(zip(options, grown)):
             for d, p, c, step in row:
-                below = tables[c]
-                if not below:
-                    continue
                 shift = weights[d] - weights[p]
                 td, tp, tc = (d,), (p,), (carry,)
-                for code, (signature, runs) in below.items():
-                    total += len(runs)
-                    if total > budget:
-                        return h, tables
+                for code, (signature, runs) in tables[c].items():
                     grown_runs = [(ds + td, ps + tp, cs + tc) for ds, ps, cs in runs]
                     bucket = table.get(code + step)
                     if bucket is None:
@@ -468,49 +449,50 @@ def _tails(
                             "differ in their digit counts"
                         )
         tables = grown
-    return length // 2, tables
+    else:
+        h = length // 2
+    flat = {
+        code * n + c: (signature, tuple(runs))
+        for c, table in enumerate(tables)
+        for code, (signature, runs) in table.items()
+    }
+    return h, flat
 
 
-def _plan_size(plan: tuple | None) -> int:
-    """What a walk plan holds, in tail runs: the runs of its table and its
-    listed top halves, or its rows and options where those are more (a
-    large base with a short length), so that one full table always fits
-    the bound and no plan counts for less than it holds.  Nothing when no
-    walk can exist."""
-    if plan is None:
-        return 0
-    options, tails, tops = plan[0], plan[-2], plan[-1]
-    runs = sum(len(bucket[1]) for bucket in tails.values()) + len(tops or ())
-    return max(runs, len(options) + sum(map(len, options)))
+class _Plan(NamedTuple):
+    """What a division walk needs before its first step (:func:`_plan`)."""
+
+    rows: tuple[tuple[tuple[int, int, int, int], ...], ...]  # row c: (d, p, c', packed step)
+    final: int  # the packed code of a balanced walk that uses each pinned digit as pinned
+    template: tuple[int, ...]  # the uses each digit may take: its pinned count, or k
+    h: int  # the tail height
+    weights: list[int]  # the count-signature weight of each digit
+    tails: dict[int, tuple]  # the runs of h digits down to carry 0 (:func:`_tails`)
+    tops: tuple | None  # the top halves the runs complete (:func:`_tops`); None: streamed
+    zero_led: int  # how many listed tops lead with digit 0; they come first
+    size: int  # what the plan holds, in tail runs, for the plan cache's bound
 
 
-def _tops(
-    options: Sequence[Sequence[tuple[int, int, int, int]]],
-    final: int,
-    template: Sequence[int],
-    h: int,
-    weights: Sequence[int],
-    tails: dict[int, tuple],
-    n: int,
-    k: int,
-    roots: Iterable[tuple[int, int, int, int]],
-) -> Iterator[tuple]:
-    """The top k - h digits of every walk from ``roots`` (the options of
-    row 0 its top digit may take) that a run of ``tails`` completes, in
-    display order: options ascending at every level.
+def _tops(plan: _Plan, k: int, roots: Iterable[tuple[int, int, int, int]]) -> Iterator[tuple]:
+    """The top k - h digits of every walk over the plan's rows from
+    ``roots`` (the options of row 0 its top digit may take) that a run of
+    its tails completes, in display order: options ascending at every
+    level.
 
     Each is yielded as the key of its tail bucket, the carry c its lowest
     position starts from, its digits, preimage digits and the carries
     above c, least-significant first (the carry c_k = 0 last), and the
     count signature of its digits.  A walk's state is its carry, its depth
     and one packed code of every digit's balance (and, pinned, its uses);
-    a pinned digit already used as often as ``template`` pins it is
+    a pinned digit already used as often as the template pins it is
     skipped, and a state is memoised once dead, when no top below it meets
     a bucket.  The stack is explicit.  Nothing is proved here: the rows
     are proved before this is called, and the join proves each top against
     its runs (:func:`walk_records`).
     """
-    left = list(template)
+    options, final, h, weights, tails = plan.rows, plan.final, plan.h, plan.weights, plan.tails
+    n = len(options)
+    left = list(plan.template)
     dead: set[int] = set()
     # frame: untried options, packed code, whether anything below was
     # accepted, memo key, the digits, preimage digits and carries above it,
@@ -549,7 +531,7 @@ def _tops(
                     dead.add(frame[3])
 
 
-@_bounded_cache(lambda: _TAIL_RUNS, _plan_size)
+@_bounded_cache(lambda: _TAIL_RUNS, attrgetter("size"))
 def _plan(
     n: int,
     b: int,
@@ -557,22 +539,22 @@ def _plan(
     pairs: tuple[Pair, ...] | None,
     pinned: tuple[int, ...] | None,
     budget: int,
-) -> tuple | None:
-    """What a division walk needs before its first step: the option rows,
-    the ``final`` code, the pinned-count template, the tail height, the
-    signature weights, the tail table and the top table; None when a
-    pinned digit lies on none of the pairs.  The tail table is frozen into
-    one dict keyed by ``code * n + c`` for the runs from carry c whose
-    packed code is ``code``, each bucket its signature and a tuple of the
-    runs of :func:`_tails` as they were built and proved.  The top table is
-    the tuple of every top half :func:`_tops` yields from every root, when
-    the paths of k - h steps down from carry 0 over the rows, counted
-    without balance or pins, fit in what ``budget`` leaves after the tail
-    runs; a live top is one such path, so the listing never passes that
-    bound.  Otherwise it is None, and each walk streams its tops.  The plan
-    depends only on its arguments, so :func:`walk_records` keeps the last
-    few, up to ``budget`` (``_TAIL_RUNS``) in all, counted by
-    :func:`_plan_size`, and a run's proof is kept with its plan."""
+) -> _Plan:
+    """The plan of a division walk over ``pairs`` (None: every pair) with
+    the digits ``pinned`` (None: any), and a tail table of at most
+    ``budget`` runs.  It depends only on its arguments, so
+    :func:`walk_records` keeps the last few, up to ``budget``
+    (``_TAIL_RUNS``) in all, and a run's proof is kept with its plan.
+
+    The tops are listed from every root when the paths of k - h steps down
+    from carry 0 over the rows, counted without balance or pins, fit in
+    what ``budget`` leaves after the tail runs; a live top is one such
+    path, so the listing never passes that bound.  ``size`` counts the
+    tail runs and listed tops, or the rows and their options where those
+    are more (a large base with a short length), so that one full table
+    always fits the bound and no plan counts for less than it holds.  When
+    a pinned digit lies on none of the pairs no walk exists, and the plan
+    is empty."""
     if pairs is None:  # the mother graph: every pair, its non-edges dropped below
         pairs = tuple((d, p) for d in range(b) for p in range(b))
     digits = sorted({x for edge in pairs for x in edge if 0 <= x < b})
@@ -582,9 +564,7 @@ def _plan(
     # pack the balance (and, when pinned, the uses above it) into one int
     # that each digit shifts by a fixed step; the memo keys on it with the
     # depth and carry, and a whole walk's code equals ``final`` exactly when
-    # it is balanced (and, pinned, uses each digit as often as pinned).  Row
-    # c lists, by ascending digit d: d, preimage digit, next carry and the
-    # packed step.
+    # it is balanced (and, pinned, uses each digit as often as pinned).
     width = 2 * k + 1
     if pinned is None:
         left = [k] * b
@@ -595,7 +575,7 @@ def _plan(
             if 0 <= d < b:
                 left[d] += 1
         if sum(left[d] for d in digits) != k:
-            return None  # a pinned digit lies on none of the edges
+            return _Plan((), 0, (), 0, [], {}, (), 0, 0)
         final = sum(left[d] * width ** (len(digits) + x) for x, d in enumerate(digits))
     # Each mother-graph edge (d, p) is one transition carry -> c, with
     # b*carry + d = n*p + c (carry_step); any other pair has none and is
@@ -609,14 +589,10 @@ def _plan(
             options[carry].append((d, p, c, width ** index[d] - width ** index[p] + step))
     weights = _count_signatures(b, 1, k)
     h, tails = _tails(options, n, b, weights, k, budget)
-    # one table for every carry: 0 <= c < n, so code * n + c keys each
-    # (code, c) once, negative codes included
-    frozen = {
-        code * n + c: (signature, tuple(runs))
-        for c, table in enumerate(tails)
-        for code, (signature, runs) in table.items()
-    }
     rows = tuple(map(tuple, options))
+    runs = sum(len(bucket[1]) for bucket in tails.values())
+    size = max(runs, n + sum(map(len, rows)))
+    plan = _Plan(rows, final, tuple(left), h, weights, tails, None, 0, size)
     paths = [1] + [0] * (n - 1)  # paths down from carry 0, by the carry they reach
     for _ in range(k - h):
         reached = [0] * n
@@ -624,11 +600,11 @@ def _plan(
             for option in row:
                 reached[option[2]] += count
         paths = reached
-    runs = sum(len(bucket[1]) for bucket in frozen.values())
-    tops = None
-    if sum(paths) <= budget - runs:
-        tops = tuple(_tops(rows, final, left, h, weights, frozen, n, k, rows[0]))
-    return rows, final, tuple(left), h, weights, frozen, tops
+    if sum(paths) > budget - runs:
+        return plan
+    tops = tuple(_tops(plan, k, rows[0]))
+    zero_led = next((i for i, top in enumerate(tops) if top[2][-1]), len(tops))
+    return plan._replace(tops=tops, zero_led=zero_led, size=max(runs + len(tops), size))
 
 
 def walk_records(
@@ -647,37 +623,27 @@ def walk_records(
     the one transition b*c_{j+1} + d_j = n*p_j + c_j of
     :func:`permutiple.digits.carry_step`.  From c_k = 0, digits tried in
     ascending order, the walk accepts when c_0 = 0 with every digit
-    balanced (as many uses in the digits as in the preimage p).  It meets
-    in the middle, a join of two tables: the top k - h digits of every walk
-    (:func:`_tops`) and, below them, a table of runs of h <= k // 2 digits
-    to carry 0 keyed by their packed code and carry (:func:`_tails`).  Both
-    come with the plan; where the top table would not fit the plan's
-    bound, the plan holds None and each call walks its tops again, one at
-    a time.  Each top holds the key of the bucket that completes it, and
-    each hit assembles a record of a run's tuples concatenated with the
-    top's: digits, preimage and the carries that
-    :func:`permutiple.digits.check_equation` would return, as
-    :func:`build_record` assembles one, with no second proof and sigma
-    unset.
-    Each walk is proved from its two halves.  Every position of a run is
-    an option of the rows its table was built from, which :func:`_tails`
-    proved first, a proof cached with the plan; every position above is
-    an option of the rows the tops were walked over, and each call proves
-    the plan's rows once more by :func:`check_equation`'s step
-    (:func:`_prove_rows`) before it reads a top, a pinned count or pushes a
-    frame.  The join then checks that the two count signatures sum to 0,
-    so the digits rearrange the preimage, and that the run ends at the
-    carry the top's lowest position starts from.  Any failure raises
-    :class:`InvariantError`.
+    balanced (as many uses in the digits as in the preimage p).
     The options come from the (d, p) pairs, ``edges`` or else every pair
     of digits: each mother-graph edge is exactly one such transition, so a
     class walk's rows cost as many steps as its class graph has edges, and
-    a pair outside the mother graph is dropped.
-    ``left_digits`` pins the digit multiset, and unless
-    ``allow_leading_zero`` a top whose top digit is 0 is skipped.
-    The rows and both tables come from :func:`_plan`, cached by n, b, k,
-    the distinct pairs, the pinned multiset and ``_TAIL_RUNS``; a streamed
-    walk, and its memo, are made afresh on every call.
+    a pair outside the mother graph is dropped.  ``left_digits`` pins the
+    digit multiset.
+
+    The walk reads its :func:`_plan`, cached by n, b, k, the distinct
+    pairs, the pinned multiset and ``_TAIL_RUNS``.  It proves the plan's
+    ``rows`` by :func:`check_equation`'s step (:func:`_prove_rows`) before
+    it reads a top, then joins each top to the ``tails`` bucket its key
+    names, assembling a record of the run's tuples concatenated with the
+    top's, as :func:`build_record` would, with no second proof and sigma
+    unset.  The join checks that the two count signatures sum to 0, so the
+    digits rearrange the preimage, and that the run ends at the carry the
+    top's lowest position starts from; any failure raises
+    :class:`InvariantError`.  A zero-led walk is a shorter walk with a 0
+    on top, and the zero root (0, 0, 0, step) is the first option of row
+    0, so unless ``allow_leading_zero`` the walk starts after it: past the
+    ``zero_led`` listed tops, or, where the plan lists none, from the rest
+    of row 0, its tops streamed afresh on every call.
     """
     n, b, k = multiplier, base, length
     check_multiplier(n, b)
@@ -687,16 +653,16 @@ def walk_records(
     pairs = None if edges is None else tuple(sorted(set(edges)))
     pinned = None if left_digits is None else tuple(sorted(left_digits))
     plan = _plan(n, b, k, pairs, pinned, _TAIL_RUNS)
-    if plan is None:
-        return
-    options, final, template, h, weights, tails, tops = plan
-    _prove_rows(options, n, b)
-    if tops is None:
-        roots = options[0] if allow_leading_zero else [o for o in options[0] if o[0]]
-        tops = _tops(options, final, template, h, weights, tails, n, k, roots)
+    _prove_rows(plan.rows, n, b)
+    if plan.tops is None:
+        roots = plan.rows[0]
+        if not allow_leading_zero and roots and not roots[0][0]:
+            roots = roots[1:]
+        tops = _tops(plan, k, roots)
+    else:
+        tops = plan.tops if allow_leading_zero else plan.tops[plan.zero_led:]
+    h, tails = plan.h, plan.tails
     for key, c, hd, hp, carries, signature in tops:
-        if not (allow_leading_zero or hd[-1]):
-            continue  # a zero-led walk
         bucket = tails[key]
         if signature + bucket[0]:
             raise InvariantError(
@@ -710,27 +676,6 @@ def walk_records(
                     f"carry {rc[-1]}, the digits above it start from carry {c}"
                 )
             yield _assemble(n, b, rd + hd, rp + hp, rc + carries)
-
-
-def division_walk(
-    multiplier: int,
-    base: int,
-    length: int,
-    edges: Iterable[Pair] | None = None,
-    left_digits: Sequence[int] | None = None,
-    allow_leading_zero: bool = True,
-) -> Iterator[Walk]:
-    """Every permutiple with ``length`` digits as (digits, preimage, carries),
-    each proved before it is yielded: the records of :func:`walk_records`
-    (same arguments, same order, same proofs) read back as their tuples.
-
-    The tuples are least-significant first: digits d_0..d_{k-1}, preimage
-    digits p_0..p_{k-1} with n*p = d, and the carries c_0..c_k that
-    :func:`permutiple.digits.check_equation` would return.  They come
-    sorted by display digits.
-    """
-    for r in walk_records(multiplier, base, length, edges, left_digits, allow_leading_zero):
-        yield r.digits.digits, r._preimage, r.carries
 
 
 def group_unions(
@@ -754,8 +699,8 @@ def feasible_unions(
     criterion these are exactly the edge multisets whose union passes
     :func:`check_feasible`, one decomposition each.
     """
-    walks = division_walk(multiplier, base, length)
-    return group_unions((tuple(zip(d, p)) for d, p, _ in walks), multiplier, base)
+    records = walk_records(multiplier, base, length)
+    return group_unions((r.string for r in records), multiplier, base)
 
 
 @_bounded_cache(lambda: _CACHE_RECORDS, len)

@@ -813,7 +813,17 @@ def small_points(draw):
     return draw(st.integers(2, base - 1)), base, draw(st.integers(1, 5))
 
 
-# Faults that inject_walk_fault puts into division_walk's plan at
+def division_walk(*args, **kwargs):
+    """The records of :func:`permutiple.search.walk_records` (same
+    arguments, same order, same proofs) read as (digits, preimage,
+    carries), least-significant first."""
+    from permutiple import search
+
+    for record in search.walk_records(*args, **kwargs):
+        yield record.digits.digits, record._preimage, record.carries
+
+
+# Faults that inject_walk_fault puts into the walk's plan at
 # (4, 10, 5), where the tail holds h = 2 digits, each with the message the
 # walk refuses it with.  (8, 2) is the transition 0 -> 0 in row 0.
 WALK_FAULTS = {
@@ -848,37 +858,37 @@ WALK_FAULTS = {
 
 def inject_walk_fault(monkeypatch, fault: str) -> None:
     """Put one of :data:`WALK_FAULTS` into the plans of
-    :func:`permutiple.search.division_walk` at (4, 10, 5): through the
+    :func:`permutiple.search.walk_records` at (4, 10, 5): through the
     plan's builders, so that it enters every plan built from then on, or,
     for the ``cached`` ones, into the plan a clean walk leaves cached."""
     from permutiple import search
 
     def cached_plan():
-        assert list(search.division_walk(4, 10, 5))
+        assert list(search.walk_records(4, 10, 5))
         key = (4, 10, 5, None, None, search._TAIL_RUNS)
         return key, search._plan.entries[key]
 
     def cached(corrupt=lambda *option: option, first=None):
         key, plan = cached_plan()
-        rows = [[corrupt(*o) if o[:2] == (8, 2) else o for o in row] for row in plan[0]]
+        rows = [[corrupt(*o) if o[:2] == (8, 2) else o for o in row] for row in plan.rows]
         if first is not None:
             carry, option = first
             rows[carry].insert(0, option)
-        search._plan.entries[key] = (tuple(map(tuple, rows)), *plan[1:])
+        search._plan.entries[key] = plan._replace(rows=tuple(map(tuple, rows)))
 
     def cached_top(corrupt):
         key, plan = cached_plan()
-        tops = plan[-1]  # the last is 958xx, so no call skips it as zero-led
-        search._plan.entries[key] = (*plan[:-1], tops[:-1] + (corrupt(*tops[-1]),))
+        tops = plan.tops  # the last is 958xx, so no call skips it as zero-led
+        search._plan.entries[key] = plan._replace(tops=tops[:-1] + (corrupt(*tops[-1]),))
 
-    def faulty_tails(corrupt_rows=None, corrupt_tables=None):
+    def faulty_tails(corrupt_rows=None, corrupt_table=None):
         tails = search._tails
 
         def build(options, *args):
             if corrupt_rows is not None:
                 options = [corrupt_rows(row) for row in options]
-            h, tables = tails(options, *args)
-            return h, tables if corrupt_tables is None else corrupt_tables(tables)
+            h, table = tails(options, *args)
+            return h, table if corrupt_table is None else corrupt_table(table)
 
         monkeypatch.setattr(search, "_tails", build)
 
@@ -903,29 +913,32 @@ def inject_walk_fault(monkeypatch, fault: str) -> None:
             (9 if (d, p) == (8, 2) else d, p, c, step) for d, p, c, step in row
         ))
     elif fault == "run-carry":
-        def swapped(tables):
-            tables = [dict(table) for table in tables]
-            for code in set(tables[0]) & set(tables[3]):
-                tables[0][code], tables[3][code] = tables[3][code], tables[0][code]
-            return tables
+        def swapped(table):  # keys code * 4 + c
+            table = dict(table)
+            for key in [key for key in table if key % 4 == 0 and key + 3 in table]:
+                table[key], table[key + 3] = table[key + 3], table[key]
+            return table
 
-        faulty_tails(corrupt_tables=swapped)
+        faulty_tails(corrupt_table=swapped)
     elif fault == "cached-top-carry":
         cached_top(lambda key, c, *top: (key, (c + 1) % 4, *top))
     elif fault == "cached-top-balance":
         cached_top(lambda *top: (*top[:-1], top[-1] + 1))
     elif fault == "run-balance":
-        def rotated(table):
-            codes = list(table)
-            return dict(zip(codes, [table[code] for code in codes[1:] + codes[:1]]))
+        def rotated(table):  # keys code * 4 + c, rotated among those of each carry
+            out = {}
+            for c in range(4):
+                keys = [key for key in table if key % 4 == c]
+                out.update(zip(keys, [table[key] for key in keys[1:] + keys[:1]]))
+            return out
 
-        faulty_tails(corrupt_tables=lambda tables: [rotated(table) for table in tables])
+        faulty_tails(corrupt_table=rotated)
     else:
         raise ValueError(fault)
 
 
-def one_walk_plan(n: int, b: int, digits, preimage) -> tuple:
-    """A plan for :func:`permutiple.search.division_walk` whose rows hold
+def one_walk_plan(n: int, b: int, digits, preimage):
+    """A plan for :func:`permutiple.search.walk_records` whose rows hold
     the positions of one walk and nothing else, least-significant first,
     with its tail table built by :func:`permutiple.search._tails`.
 
@@ -951,12 +964,8 @@ def one_walk_plan(n: int, b: int, digits, preimage) -> tuple:
         option = (d, p, carries[j], (2 * k + 1) ** index[d] - (2 * k + 1) ** index[p])
         if option not in rows[carries[j + 1]]:
             rows[carries[j + 1]].append(option)
-    rows = [sorted(row) for row in rows]
+    rows = tuple(tuple(sorted(row)) for row in rows)
     weights = [(k + 1) ** d for d in range(b)]
     h, tails = search._tails(rows, n, b, weights, k, search._TAIL_RUNS)
-    frozen = {
-        code * n + c: (signature, tuple(runs))
-        for c, table in enumerate(tails)
-        for code, (signature, runs) in table.items()
-    }
-    return tuple(map(tuple, rows)), 0, (k,) * b, h, weights, frozen, None
+    size = max(sum(len(bucket[1]) for bucket in tails.values()), n + sum(map(len, rows)))
+    return search._Plan(rows, 0, (k,) * b, h, weights, tails, None, 0, size)

@@ -34,7 +34,7 @@ from permutiple import (
     symmetric_closure,
     union_images,
 )
-from permutiple.search import division_walk, feasible_unions
+from permutiple.search import feasible_unions, walk_records
 from permutiple.symmetry import class_unions
 
 from helpers import (
@@ -467,6 +467,6 @@ def test_criterion_10_circuit_counts_match_the_kernel():
             factor = duplicate_label_factor(delta)
             assert circuits % factor == 0, (point, delta)
             counted += circuits // factor
-        walks = sum(1 for _ in division_walk(*point))
+        walks = sum(1 for _ in walk_records(*point))
         assert walks > 0 and counted == walks, point
     _finish("10 circuit-count-vs-kernel", started, 120.0, f"{len(points)} points")

@@ -17,10 +17,10 @@ from permutiple import cli, search, symmetry
 from permutiple.cli import build_parser, main
 from permutiple.digits import build_record
 from permutiple.errors import InvariantError
-from permutiple.search import division_walk, walk_records
+from permutiple.search import walk_records
 from permutiple.value import Value
 
-from helpers import child_env, inject_walk_fault
+from helpers import child_env, division_walk, inject_walk_fault
 
 
 def run_cli(capsys, *argv):

@@ -69,7 +69,7 @@ class TestTransition:
                 reference = reference_transitions(n, b)
                 mother = build_mother_graph(n, b).edges
                 assert mother == set(reference)
-                options = _plan(n, b, 1, None, None, _TAIL_RUNS)[0]
+                options = _plan(n, b, 1, None, None, _TAIL_RUNS).rows
                 rows = {(d, p): (c, carry) for carry, row in enumerate(options) for d, p, c, _ in row}
                 assert rows == reference
                 for edge in product(range(-1, b + 1), repeat=2):

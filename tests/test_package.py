@@ -71,7 +71,7 @@ def test_star_import_binds_every_name():
 def test_submodules_resolve_as_attributes_in_a_fresh_process():
     check = (
         "import permutiple; "
-        "print(permutiple.search.division_walk.__name__, "
+        "print(permutiple.search.walk_records.__name__, "
         "permutiple.serialize.seed_to_record.__name__)"
     )
     result = subprocess.run(
@@ -79,7 +79,7 @@ def test_submodules_resolve_as_attributes_in_a_fresh_process():
     )
     assert (result.returncode, result.stdout, result.stderr) == (
         0,
-        "division_walk seed_to_record\n",
+        "walk_records seed_to_record\n",
         "",
     )
 

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import pickle
 import random
 import re
@@ -45,7 +46,7 @@ from permutiple import digits as digits_module
 from permutiple import search
 from permutiple.digits import build_record, check_equation, is_rearrangement, smallest_bijection
 from permutiple.machine import StateMultigraph
-from permutiple.search import division_walk, feasible_unions, walk_records
+from permutiple.search import feasible_unions, walk_records
 from permutiple.serialize import seed_to_record
 from permutiple.symmetry import _fixing_images, class_unions
 from permutiple.value import Value
@@ -55,6 +56,7 @@ from helpers import (
     carries_by_value,
     cycle_combinations,
     distinct_orderings,
+    division_walk,
     empty_state_multigraph,
     inject_walk_fault,
     is_permutiple_string,
@@ -474,10 +476,15 @@ class TestWalkKernel:
             for d in range(b):
                 p, c = divmod(b * carry + d, n)
                 row.append((d, p, c, width**d - width**p))
-        h, tables = search._tails(options, n, b, weights, k, search._TAIL_RUNS)
-        assert 0 <= h <= k // 2 and len(tables) == n
-        runs = [run for table in tables for _, listed in table.values() for run in listed]
+        h, table = search._tails(options, n, b, weights, k, search._TAIL_RUNS)
+        assert 0 <= h <= k // 2 and type(table) is dict
+        runs = [run for _, listed in table.values() for run in listed]
         assert h == 0 or len(runs) <= search._TAIL_RUNS
+        # one table keyed by code * n + c: the runs from each carry c
+        tables = [{} for _ in range(n)]
+        for key, bucket in table.items():
+            code, carry = divmod(key, n)
+            tables[carry][code] = bucket
         if h < k // 2:  # one level more would have exceeded the budget
             grown = sum(len(r) for row in options for o in row for _, r in tables[o[2]].values())
             assert grown > search._TAIL_RUNS
@@ -517,7 +524,7 @@ class TestWalkKernel:
         expected = [list(division_walk(n, b, k, *args)) for args in calls]
         if budget is not None:
             monkeypatch.setattr(search, "_TAIL_RUNS", budget)
-        assert search._plan(n, b, k, None, None, search._TAIL_RUNS)[3] == height
+        assert search._plan(n, b, k, None, None, search._TAIL_RUNS).h == height
         for args, walks in zip(calls, expected):
             assert list(division_walk(n, b, k, *args)) == walks and walks
             for walk in walks:
@@ -718,7 +725,7 @@ class TestWalkProof:
             monkeypatch.setattr(search, "_TAIL_RUNS", budget)
         record = seed_to_record(seed)
         n, b, k = record.multiplier, record.base, len(record)
-        assert search._plan(n, b, k, None, None, search._TAIL_RUNS)[3] == height
+        assert search._plan(n, b, k, None, None, search._TAIL_RUNS).h == height
         for allow in (False, True):
             assert assert_walks_are_proved(n, b, k, None, None, allow)
             members = assert_walks_are_proved(n, b, k, record.string, record.digits.digits, allow)
@@ -745,6 +752,65 @@ class TestWalkProof:
         assert cold_walks(4, 10, 5) == good
 
 
+# every 2 <= n < b <= 8 with 1 <= k <= 6: each plan lists its tops
+WALK_GRID = [(n, b, k) for b in range(3, 9) for n in range(2, b) for k in range(1, 7)]
+
+
+def walk_digest(points) -> str:
+    """The sha256 of every walk at ``points``, canonical ones first, then
+    with zero-led ones, each as (display digits, display preimage,
+    carries) and each call closed by ``|``."""
+    digest = hashlib.sha256()
+    for n, b, k in points:
+        for allow in (False, True):
+            for record in walk_records(n, b, k, allow_leading_zero=allow):
+                digest.update(repr((record.key, record.carries)).encode())
+            digest.update(b"|")
+    return digest.hexdigest()
+
+
+class TestWalkDigest:
+    # fixed digests: any change to the walks, their order, their carries or
+    # which of them a canonical call skips changes one
+    @pytest.mark.parametrize(
+        "points, listed, expected",
+        [
+            pytest.param(WALK_GRID, True,
+                         "ebc4ac1d1c332b5c69eba0de23360c2c7589dadc1ce6bb5d0fbdd1a7e6d4e00b",
+                         id="grid"),
+            pytest.param([(4, 10, 7), (3, 4, 9)], True,
+                         "fc82cb7ec06df2119731eafef26689ad385623be6f9765dd9796284d8625f929",
+                         id="listed"),
+            pytest.param([(2, 10, 8), (4, 10, 9)], False,
+                         "d3b9b030b1d3d5eeaa635d642df4217b1eee458712d26a08727d82543c4ba9d0",
+                         id="streamed"),
+        ],
+    )
+    def test_the_walks_keep_their_digest(self, points, listed, expected):
+        assert walk_digest(points) == expected
+        for n, b, k in points:
+            plan = search._plan(n, b, k, None, None, search._TAIL_RUNS)
+            assert (plan.tops is not None) == listed
+
+    def test_the_zero_led_tops_come_first(self):
+        # the tops the zero root leads are a prefix of every listed plan,
+        # so a canonical call starts after them
+        seeds = ["4x10:0008712=4*0002178", "3x4:00020313=3*00002331"]
+        records = [seed_to_record(seed) for seed in seeds]
+        plans = [search._plan(n, b, k, None, None, search._TAIL_RUNS)
+                 for n, b, k in WALK_GRID + [(4, 10, 7), (3, 4, 9)]]
+        plans += [
+            search._plan(r.multiplier, r.base, len(r), tuple(sorted(set(r.string))),
+                         tuple(sorted(r.digits.digits)), search._TAIL_RUNS)
+            for r in records
+        ]
+        for plan in plans:
+            assert plan.tops is not None
+            zero_led = tuple(top for top in plan.tops if top[2][-1] == 0)
+            assert plan.tops[:plan.zero_led] == zero_led
+        assert all(plan.zero_led for plan in plans[-2:])
+
+
 def cold_walks(*args):
     """The walks of a call made with an empty plan cache."""
     search._plan.cache_clear()
@@ -753,7 +819,7 @@ def cold_walks(*args):
 
 def held():
     """The plan cache's holdings, in the units of its bound."""
-    return sum(search._plan_size(plan) for plan in search._plan.entries.values())
+    return sum(plan.size for plan in search._plan.entries.values())
 
 
 class TestWalkPlanCache:
@@ -794,13 +860,19 @@ class TestWalkPlanCache:
             (n, b, k, edges, pinned, allow) for edges, pinned in shapes for allow in (False, True)
         ]
         search._plan.cache_clear()
-        listed = [list(division_walk(*args)) for args in calls]
-        assert all(plan[-1] is not None for plan in search._plan.entries.values())
+        listed = [list(walk_records(*args)) for args in calls]
+        assert all(plan.tops is not None for plan in search._plan.entries.values())
         for key, plan in search._plan.entries.items():
-            search._plan.entries[key] = (*plan[:-1], None)
-        assert [list(division_walk(*args)) for args in calls] == listed
+            search._plan.entries[key] = plan._replace(tops=None)
+        streamed = [list(walk_records(*args)) for args in calls]
+        assert streamed == listed
         assert search._plan.cache_info()[:2] == (12, 4)
-        assert all(plan[-1] is None for plan in search._plan.entries.values())
+        assert all(plan.tops is None for plan in search._plan.entries.values())
+        # a canonical call starts after the zero root: its walks are the
+        # allowed ones that lead with a nonzero digit, pinned or not
+        for walks in (listed, streamed):
+            for canonical, allowed in zip(walks[::2], walks[1::2]):
+                assert canonical == [r for r in allowed if r.canonical]
 
     @pytest.mark.parametrize(
         "seed, point",
@@ -827,7 +899,7 @@ class TestWalkPlanCache:
             args = (n, b, k, edges, pinned)
         cold_walks(*args)
         (plan,) = search._plan.entries.values()
-        h, weights, tails, tops = plan[3], plan[4], plan[5], plan[6]
+        h, weights, tails, tops = plan.h, plan.weights, plan.tails, plan.tops
         walks = [(r.digits.digits, r._preimage, r.carries)
                  for r in reference_records(n, b, k, edges, pinned)]
         expected = {(ds[h:], ps[h:], cs[h + 1:], cs[h]): None for ds, ps, cs in walks}
@@ -893,11 +965,11 @@ class TestWalkPlanCache:
         # the code, negative ones included, and the carry the runs leave
         n, b, k = point
         plan = search._plan(n, b, k, None, None, search._TAIL_RUNS)
-        options, _, _, h, _, tails, tops = plan
+        options, h, tails, tops = plan.rows, plan.h, plan.tails, plan.tops
         assert type(tails) is dict and type(tops) is tuple  # each point lists its tops
         runs = sum(len(bucket) for _, bucket in tails.values())
         rows = len(options) + sum(map(len, options))
-        assert search._plan_size(plan) == max(runs + len(tops), rows)
+        assert plan.size == max(runs + len(tops), rows)
         assert (runs + len(tops) < rows) == (point == (7, 60, 1))
         steps = {(d, p): step for row in options for d, p, _, step in row}
         assert any(key < 0 for key in tails) == (h > 0)
@@ -956,8 +1028,8 @@ class TestWalkPlanCache:
         assert warm == cold and len(cold) == 20
         assert search._plan.cache_info()[:2] == (1, 1)
         (plan,) = search._plan.entries.values()
-        assert plan[3] == 3 and plan[-1]
-        options = sum(map(len, plan[0]))
+        assert plan.h == 3 and plan.tops
+        options = sum(map(len, plan.rows))
         assert options == 5
         frames = at_cold["iter"]  # one per pushed frame, the root included
         assert frames > 0
