@@ -46,7 +46,6 @@ from .digits import (
     Permutation,
     PermutipleRecord,
     canonical_sigma,
-    check_length,
     check_multiplier,
     verify_permutiple,
 )
@@ -382,15 +381,14 @@ def oeis_report(
     representation is an anagram of the product's.  Misses are derived
     values our enumeration should have found (within its length bound);
     extras are our values inside the b-file's coverage that it lacks.
-    Values are those of the search kernel's proved records.  A
+    Values are those of the kernel's proved records from one walk of
+    ``max_length`` digits, where a zero-led walk is a shorter one with
+    zeros on top, kept when its preimage is canonical at that length.  A
     ``max_length`` below 1 raises :class:`ParameterError`.
     """
-    check_length(max_length)
     derived = sorted(multiplier * value for _, value in entries)
-    ours: set[int] = set()
-    for length in range(1, max_length + 1):
-        records = walk_records(multiplier, base, length, allow_leading_zero=False)
-        ours.update(r.value() for r in records if r.preimage.canonical)
+    records = walk_records(multiplier, base, max_length)
+    ours = {r.value() for r in records if next((p for d, p in reversed(r.string) if d), 0)}
     our_limit = base**max_length - 1
     derived_limit = max(derived) if derived else -1
     derived_set = set(derived)

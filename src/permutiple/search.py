@@ -3,19 +3,20 @@
 A permutiple string is an input string the carry machine accepts (a walk
 from carry 0 back to carry 0) whose left and right digit components form
 the same multiset.  ``find`` and ``class`` both search with one kernel,
-:func:`walk_records`, the machine run as long division from the top
-digit, which yields each permutiple as a proved record in output order.
-It meets in the middle: each walk is a top half of k - h digits joined
-to a tail run of the bottom h, both read from the walk's plan
-(:class:`_Plan`, built by :func:`_plan`).  The plan's ``rows`` hold the
-transitions a position may take, one row per carry; ``tails`` tables
-every run of ``h`` digits down to carry 0 (:func:`_tails`); ``tops``
-lists every top half a run completes, in output order, the ``zero_led``
-ones that lead with digit 0 first (:func:`_tops`), or is None where
-each call streams them.  A record's tuples are a run's and a top's
-joined by concatenation.  The rows are proved when the tails are built
-and again on every call; the join is proved by the carry the halves
-meet at and by their digit-count signatures.
+:func:`walk_records`, the machine run as long division from the top digit,
+which yields each permutiple as a proved record in output order.  It meets
+in the middle: each walk is a top half of k - h digits joined to a tail
+run of the bottom h, both read from the walk's plan (:class:`_Plan`, built
+by :func:`_plan`), which sizes both from one path count before it builds
+either.  The plan's ``rows`` hold the transitions a position may take, one
+row per carry; ``tails`` tables every run of ``h`` digits down to carry 0
+(:func:`_tails`); ``tops`` lists every top half a run completes, in output
+order, the ``zero_led`` ones that lead with digit 0 first (:func:`_tops`),
+or is None where each call streams them.  A record's tuples are a run's
+and a top's joined by concatenation.  The rows are proved when the tails
+are built and again on every call, the tails are checked against the
+count, and the join is proved by the carry the halves meet at and by their
+digit-count signatures.
 
 Two caches keep work that repeats, both least recently used first and
 bounded by what they hold rather than by their entries.  A walk's plan
@@ -394,13 +395,12 @@ def _prove_rows(options: Sequence[Sequence[tuple[int, int, int, int]]], n: int, 
 
 def _tails(
     options: Sequence[Sequence[tuple[int, int, int, int]]],
-    carries: int,
-    base: int,
+    n: int,
+    b: int,
     weights: Sequence[int],
-    length: int,
-    budget: int,
-) -> tuple[int, dict[int, tuple]]:
-    """The bottom h digits of every walk, in one table keyed by
+    h: int,
+) -> dict[int, tuple]:
+    """The bottom ``h`` digits of every walk, in one table keyed by
     ``code * n + c``, built from option rows proved first.
 
     ``table[code * n + c]`` holds the count signature and the tuple of
@@ -412,25 +412,19 @@ def _tails(
     that a walk's top digits, preimage and carries join it by
     concatenation.  Each tuple is in display order (options ascending at
     every level).  Levels are built bottom-up from the empty run at carry
-    0, each run extended by one digit on top; h grows up to length // 2
-    and stops before a level would hold more than ``budget`` runs.
-    Every option (d, p, c) of row ``carry`` is proved by
-    :func:`_prove_rows` before any run is built, and so is every position
-    of every run.  The signature is the sum of ``weights[d] - weights[p]``
-    over a run's positions, the weights ``(length+1)**d`` of
-    :func:`_count_signatures`; a packed code
-    fixes every digit's balance, so the runs of one code share it, and a
-    run that would join a code of another signature is a defect.  Either
+    0, each run extended by one digit on top.  Every option (d, p, c) of
+    row ``carry`` is proved by :func:`_prove_rows` before any run is built,
+    and so is every position of every run.  The signature is the sum of
+    ``weights[d] - weights[p]`` over a run's positions, the weights
+    ``(k+1)**d`` of a k-digit walk (:func:`_count_signatures`); a packed
+    code fixes every digit's balance, so the runs of one code share it, and
+    a run that would join a code of another signature is a defect.  Either
     failure raises :class:`InvariantError`.
     """
-    n, b = carries, base
     _prove_rows(options, n, b)
     tables: list[dict[int, list]] = [{} for _ in range(n)]
     tables[0][0] = [0, [((), (), (0,))]]
-    for h in range(length // 2):
-        held = [sum(len(bucket[1]) for bucket in table.values()) for table in tables]
-        if sum(held[option[2]] for row in options for option in row) > budget:
-            break
+    for _ in range(h):
         grown: list[dict[int, list]] = [{} for _ in range(n)]
         for carry, (row, table) in enumerate(zip(options, grown)):
             for d, p, c, step in row:
@@ -449,14 +443,11 @@ def _tails(
                             "differ in their digit counts"
                         )
         tables = grown
-    else:
-        h = length // 2
-    flat = {
+    return {
         code * n + c: (signature, tuple(runs))
         for c, table in enumerate(tables)
         for code, (signature, runs) in table.items()
     }
-    return h, flat
 
 
 class _Plan(NamedTuple):
@@ -546,15 +537,19 @@ def _plan(
     :func:`walk_records` keeps the last few, up to ``budget``
     (``_TAIL_RUNS``) in all, and a run's proof is kept with its plan.
 
-    The tops are listed from every root when the paths of k - h steps down
-    from carry 0 over the rows, counted without balance or pins, fit in
-    what ``budget`` leaves after the tail runs; a live top is one such
-    path, so the listing never passes that bound.  ``size`` counts the
-    tail runs and listed tops, or the rows and their options where those
-    are more (a large base with a short length), so that one full table
-    always fits the bound and no plan counts for less than it holds.  When
-    a pinned digit lies on none of the pairs no walk exists, and the plan
-    is empty."""
+    Both halves are sized from one path count before either is built: a
+    step over the rows sets ``ways[carry]`` to the sum of ``ways[c]`` over
+    the options (d, p, c, .) of row ``carry``, balance and pins unread.
+    From carry 0 it counts runs: h is the last height up to k // 2 whose
+    runs fit ``budget``, or 0, and a tail table holding any other number
+    raises :class:`InvariantError`.  From every carry, k - h steps count at
+    carry 0 the paths of the top halves, each live top one of them, and the
+    tops are listed from every root when those fit in what ``budget``
+    leaves after the runs.  ``size`` counts the tail runs and listed tops,
+    or the rows and their options where those are more (a large base with a
+    short length), so that one full table always fits the bound and no plan
+    counts for less than it holds.  When a pinned digit lies on none of the
+    pairs no walk exists, and the plan is empty."""
     if pairs is None:  # the mother graph: every pair, its non-edges dropped below
         pairs = tuple((d, p) for d in range(b) for p in range(b))
     digits = sorted({x for edge in pairs for x in edge if 0 <= x < b})
@@ -587,20 +582,27 @@ def _plan(
             c, carry = carries
             step = width ** (len(digits) + index[d]) if pinned is not None else 0
             options[carry].append((d, p, c, width ** index[d] - width ** index[p] + step))
-    weights = _count_signatures(b, 1, k)
-    h, tails = _tails(options, n, b, weights, k, budget)
     rows = tuple(map(tuple, options))
-    runs = sum(len(bucket[1]) for bucket in tails.values())
+
+    def down(ways: list[int]) -> list[int]:
+        return [sum(ways[option[2]] for option in row) for row in rows]
+
+    h, tail = 0, [1] + [0] * (n - 1)  # the runs of h digits down to carry 0
+    while h < k // 2 and sum(grown := down(tail)) <= budget:
+        h, tail = h + 1, grown
+    paths = [1] * n  # the paths of k - h steps down from each carry
+    for _ in range(k - h):
+        paths = down(paths)
+    weights = _count_signatures(b, 1, k)
+    tails = _tails(options, n, b, weights, h)
+    runs, held = sum(tail), sum(len(bucket[1]) for bucket in tails.values())
+    if held != runs:
+        raise InvariantError(
+            f"tail table holds {held} runs of {h} digits, not the {runs} paths counted"
+        )
     size = max(runs, n + sum(map(len, rows)))
     plan = _Plan(rows, final, tuple(left), h, weights, tails, None, 0, size)
-    paths = [1] + [0] * (n - 1)  # paths down from carry 0, by the carry they reach
-    for _ in range(k - h):
-        reached = [0] * n
-        for count, row in zip(paths, rows):
-            for option in row:
-                reached[option[2]] += count
-        paths = reached
-    if sum(paths) > budget - runs:
+    if paths[0] > budget - runs:
         return plan
     tops = tuple(_tops(plan, k, rows[0]))
     zero_led = next((i for i, top in enumerate(tops) if top[2][-1]), len(tops))

@@ -848,6 +848,9 @@ WALK_FAULTS = {
                  "above it start from carry [03]",
     # every bucket's runs and signature tabled under the next code of its carry
     "run-balance": "digit and preimage multisets differ",
+    # the bucket of code 0 from carry 0, which the top 000 joins, tabled
+    # without its last run, 00
+    "run-dropped": "tail table holds 99 runs of 2 digits, not the 100 paths counted",
     # the last top half a plan already cached lists, starting from the next
     # carry up from its own
     "cached-top-carry": "carries do not meet at position 2",
@@ -887,8 +890,8 @@ def inject_walk_fault(monkeypatch, fault: str) -> None:
         def build(options, *args):
             if corrupt_rows is not None:
                 options = [corrupt_rows(row) for row in options]
-            h, table = tails(options, *args)
-            return h, table if corrupt_table is None else corrupt_table(table)
+            table = tails(options, *args)
+            return table if corrupt_table is None else corrupt_table(table)
 
         monkeypatch.setattr(search, "_tails", build)
 
@@ -933,6 +936,12 @@ def inject_walk_fault(monkeypatch, fault: str) -> None:
             return out
 
         faulty_tails(corrupt_table=rotated)
+    elif fault == "run-dropped":
+        def dropped(table):
+            signature, runs = table[0]
+            return {**table, 0: (signature, runs[:-1])}
+
+        faulty_tails(corrupt_table=dropped)
     else:
         raise ValueError(fault)
 
@@ -948,8 +957,9 @@ def one_walk_plan(n: int, b: int, digits, preimage):
     mod n so that it names a row.  The packed steps and signature weights
     are those of :func:`permutiple.search._plan` unpinned, the steps over
     every value the walk holds, out-of-range ones included; the rows are
-    proved before any weight or count is read.  The plan lists no top
-    halves, so the walk streams them."""
+    proved before any weight or count is read.  The tail holds k // 2
+    digits, and the plan's size is read from its runs.  The plan lists no
+    top halves, so the walk streams them."""
     from permutiple import search
 
     k = len(digits)
@@ -966,6 +976,7 @@ def one_walk_plan(n: int, b: int, digits, preimage):
             rows[carries[j + 1]].append(option)
     rows = tuple(tuple(sorted(row)) for row in rows)
     weights = [(k + 1) ** d for d in range(b)]
-    h, tails = search._tails(rows, n, b, weights, k, search._TAIL_RUNS)
+    h = k // 2
+    tails = search._tails(rows, n, b, weights, h)
     size = max(sum(len(bucket[1]) for bucket in tails.values()), n + sum(map(len, rows)))
     return search._Plan(rows, 0, (k,) * b, h, weights, tails, None, 0, size)

@@ -10,7 +10,7 @@ from itertools import islice
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permutiple import cli, search, symmetry
@@ -20,7 +20,7 @@ from permutiple.errors import InvariantError
 from permutiple.search import walk_records
 from permutiple.value import Value
 
-from helpers import child_env, division_walk, inject_walk_fault
+from helpers import child_env, division_walk, inject_walk_fault, small_points
 
 
 def run_cli(capsys, *argv):
@@ -664,6 +664,26 @@ class TestOeisCheck:
         assert code == 0
         payload = json.loads(out)
         assert payload["matches"] == [] and payload["misses"] == [] and payload["extras"] == []
+
+    @settings(max_examples=30, deadline=None)
+    @given(point=small_points())
+    @example(point=(3, 4, 7))
+    @example(point=(2, 3, 10))
+    def test_one_walk_gives_the_values_of_every_length(self, point):
+        # the report reads one walk of k digits, zero-led ones included; its
+        # values are those of the canonical walks of every length up to k
+        # whose preimage is canonical too.  The last entry's product, n * b**k,
+        # lies past every value, so the report lists each as a match or an extra
+        n, b, k = point
+        expected = sorted({
+            r.value()
+            for length in range(1, k + 1)
+            for r in walk_records(n, b, length, allow_leading_zero=False)
+            if r.preimage.canonical
+        })
+        entries = [(i, v // n) for i, v in enumerate(expected + [n * b**k], start=1)]
+        report = cli.oeis_report(entries, n, b, k)
+        assert (report["matches"], report["misses"], report["extras"]) == (expected, [], [])
 
     def test_a_walk_that_fails_its_checks_is_refused(self, capsys, tmp_path, monkeypatch):
         bfile = tmp_path / "b.txt"

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import json
 import pickle
 import random
 import re
@@ -7,6 +8,7 @@ import sys
 from collections import Counter
 from itertools import islice, product
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -465,9 +467,8 @@ class TestWalkKernel:
     # level 1 holds exactly b runs, so a budget of 9 stops base 10 at h = 0
     @pytest.mark.parametrize("budget", [0, 1, 9, 50, None])
     @pytest.mark.parametrize("point", [(4, 10, 1), (4, 10, 5), (2, 10, 6), (3, 4, 7), (9, 10, 8)])
-    def test_tail_table(self, point, budget, monkeypatch):
-        if budget is not None:
-            monkeypatch.setattr(search, "_TAIL_RUNS", budget)
+    def test_tail_table(self, point, budget):
+        budget = search._TAIL_RUNS if budget is None else budget
         n, b, k = point
         width = 2 * k + 1
         weights = [(k + 1) ** d for d in range(b)]
@@ -476,10 +477,12 @@ class TestWalkKernel:
             for d in range(b):
                 p, c = divmod(b * carry + d, n)
                 row.append((d, p, c, width**d - width**p))
-        h, table = search._tails(options, n, b, weights, k, search._TAIL_RUNS)
+        plan = search._plan(n, b, k, None, None, budget)
+        assert plan.rows == tuple(map(tuple, options)) and plan.weights == weights
+        h, table = plan.h, plan.tails
         assert 0 <= h <= k // 2 and type(table) is dict
         runs = [run for _, listed in table.values() for run in listed]
-        assert h == 0 or len(runs) <= search._TAIL_RUNS
+        assert h == 0 or len(runs) <= budget
         # one table keyed by code * n + c: the runs from each carry c
         tables = [{} for _ in range(n)]
         for key, bucket in table.items():
@@ -487,7 +490,7 @@ class TestWalkKernel:
             tables[carry][code] = bucket
         if h < k // 2:  # one level more would have exceeded the budget
             grown = sum(len(r) for row in options for o in row for _, r in tables[o[2]].values())
-            assert grown > search._TAIL_RUNS
+            assert grown > budget
         for carry, table in enumerate(tables):
             # every run of h digits from this carry to carry 0: its digits,
             # preimage and carries, least-significant first
@@ -745,7 +748,7 @@ class TestWalkProof:
                 list(division_walk(4, 10, 5))
         # a table refused as it is built is never kept; one whose runs are
         # refused at the join is, and every call refuses it again
-        built = fault in ("option-row", "tail-digit")
+        built = fault in ("option-row", "tail-digit", "run-dropped")
         assert search._plan.cache_info().currsize == (0 if built else 1)
         monkeypatch.undo()
         search._plan.cache_clear()
@@ -754,6 +757,7 @@ class TestWalkProof:
 
 # every 2 <= n < b <= 8 with 1 <= k <= 6: each plan lists its tops
 WALK_GRID = [(n, b, k) for b in range(3, 9) for n in range(2, b) for k in range(1, 7)]
+POOL = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "pool.json"
 
 
 def walk_digest(points) -> str:
@@ -791,6 +795,28 @@ class TestWalkDigest:
         for n, b, k in points:
             plan = search._plan(n, b, k, None, None, search._TAIL_RUNS)
             assert (plan.tops is not None) == listed
+
+    def test_the_plans_keep_their_shape(self):
+        # fixed digests of (h, size, whether the tops stream, zero_led) of
+        # every unpinned plan with 2 <= n < b <= 10 and 1 <= k <= 8, and of
+        # the class plan of every record of the benchmark's pool: any change
+        # to the tail height, the listing choice or the size changes one
+        grid = [(n, b, k, None, None)
+                for b in range(3, 11) for n in range(2, b) for k in range(1, 9)]
+        pool = json.loads(POOL.read_text(encoding="utf-8"))
+        records = [seed_to_record(seed) for key in sorted(pool) for seed in pool[key]]
+        classes = [(r.multiplier, r.base, len(r), tuple(sorted(set(r.string))),
+                    tuple(sorted(r.digits.digits))) for r in records]
+        for calls, expected in [
+            (grid, "e083c6b9e3719264585cde38cca9fc90585643a8275355847256e4e4b070ca1f"),
+            (classes, "7aa3f35619967459aced98083f1f2f03a5d0cb0020f968931d2abc76d319182d"),
+        ]:
+            digest = hashlib.sha256()
+            for args in calls:
+                plan = search._plan(*args, search._TAIL_RUNS)
+                digest.update(repr((plan.h, plan.size, plan.tops is None, plan.zero_led)).encode())
+            assert digest.hexdigest() == expected
+        assert (len(grid), len(classes)) == (288, 2794)
 
     def test_the_zero_led_tops_come_first(self):
         # the tops the zero root leads are a prefix of every listed plan,
@@ -995,22 +1021,24 @@ class TestWalkPlanCache:
     @pytest.mark.parametrize("budget", [0, 1, 9, 50])
     def test_the_budget_is_in_the_key(self, budget, monkeypatch):
         # a plan built at the default budget is not reused under another:
-        # the walk builds its tail table again, at the patched budget
+        # the walk builds its tail table again, within the patched budget
         built = []
 
         def recording(*args):
-            built.append(args[-1])
-            return tails(*args)
+            table = tails(*args)
+            built.append((args[-1], sum(len(bucket[1]) for bucket in table.values())))
+            return table
 
         tails = search._tails
         monkeypatch.setattr(search, "_tails", recording)
         record = seed_to_record("4x10:0008712=4*0002178")
         calls = [(4, 10, 6), (4, 10, 7, record.string, record.digits.digits)]
         expected = [list(division_walk(*args)) for args in calls]
-        assert built == [search._TAIL_RUNS] * 2
+        assert [h for h, _ in built] == [3, 3]  # each default table holds k // 2 digits
         monkeypatch.setattr(search, "_TAIL_RUNS", budget)
         assert [list(division_walk(*args)) for args in calls] == expected
-        assert built[2:] == [budget] * 2
+        assert len(built) == 4 and search._plan.cache_info().misses == 4
+        assert all(h == 0 or runs <= budget for h, runs in built[2:])
 
     def test_every_walk_is_built_on_warm_and_cold_calls(self, monkeypatch):
         # the plan's option rows are proved once per call, one divmod per
